@@ -1261,8 +1261,8 @@ def _q_inverted_index(sf_dir: str):
 
 def _q_signup_conversion(sf_dir: str):
     """Funnel step signup → purchase ≤ 7 days (relational.
-    funnel_conversion): groupby(user) co-location + two-searchsorted
-    window probe per group."""
+    funnel_conversion): hash(user) partitions, one sort + two-searchsorted
+    window probe per partition."""
     import ray.data
     from pdf_inspector_ray.functions.relational import funnel_conversion
     ds = ray.data.read_parquet(

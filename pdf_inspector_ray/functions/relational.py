@@ -4,7 +4,13 @@ global aggregates with partial pre-aggregation, broadcast joins, windowed
 
 Shuffle discipline: every groupby here pre-aggregates inside map_batches
 (combiner) so the all-to-all exchange moves one row per (batch × key), not
-one per input row.
+one per input row. Per-user window operators over an integer key, which
+need every row of a key, run on ``partitioned_sweep``: one ``map_groups``
+call per hash partition (``JOIN_PARTITIONS`` of them), one sort and one
+vectorized sweep over all keys of that partition. Null keys form one
+key there, as in SQL's ``PARTITION BY``; the join-like operators
+(``asof_join_events``, ``funnel_conversion``) match nothing on a null
+key, as SQL's ``=`` does.
 """
 
 from __future__ import annotations
@@ -83,46 +89,33 @@ def broadcast_join_orders_customers(orders_ds, customers_table: pa.Table) -> "ra
 
 
 def asof_join_events(ds, left_type: str, right_type: str) -> "ray.data.Dataset":
-    """As-of join — an operator Ray Data lacks, composed as
-    ``groupby(key).map_groups(sorted merge)``: for each ``left_type`` event,
+    """As-of join — an operator Ray Data lacks, composed as a
+    ``partitioned_sweep`` over ``user_id``: for each ``left_type`` event,
     attach the most recent ``right_type`` event of the same user at or
-    before its timestamp.
+    before its timestamp. Over the (user, ts, event_id)-sorted partition
+    one searchsorted of left positions into right positions finds the
+    latest earlier right row; it counts only if it has the same user.
+    A null ``user_id`` matches nothing (SQL's ``=``): its left rows keep
+    a NULL prior."""
 
-    Partitioning assumption: co-location by ``user_id`` (the groupby
-    shuffle provides it); within a group a single sorted sweep is O(n).
-    Skewed users would need salting by time-range + boundary pass — user
-    activity here is uniform so the plain key is used.
-    """
-    import pyarrow.compute as pc
-
-    def merge_group(group: pa.Table) -> pa.Table:
-        # Vectorized sorted merge (VERDICT r02 fix #6): positions of left
-        # rows searchsorted into positions of right rows — the "most
-        # recent right at-or-before" of the old per-row sweep, in numpy.
-        order = pc.sort_indices(group, sort_keys=[("ts", "ascending"),
-                                                  ("event_id", "ascending")])
-        g = group.take(order)
-        ids = g["event_id"].to_numpy(zero_copy_only=False)
-        ts = pc.cast(g["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        left_pos = np.nonzero(
-            pc.equal(g["event_type"], left_type).to_numpy(
-                zero_copy_only=False))[0]
-        right_pos = np.nonzero(
-            pc.equal(g["event_type"], right_type).to_numpy(
-                zero_copy_only=False))[0]
+    def merge(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        first = _run_start(starts, g.num_rows)
+        left_pos = np.flatnonzero(pc.equal(
+            g["event_type"], left_type).to_numpy(zero_copy_only=False))
+        right_pos = np.flatnonzero(pc.equal(
+            g["event_type"], right_type).to_numpy(zero_copy_only=False))
         k = np.searchsorted(right_pos, left_pos, side="right") - 1
-        has = k >= 0
-        prior_idx = right_pos[np.clip(k, 0, None)]
-        ts_arr = pa.array(ts[left_pos], pa.int64()).cast(pa.timestamp("us"))
-        prior_ts = pa.array(ts[prior_idx], pa.int64(),
-                            mask=~has).cast(pa.timestamp("us"))
+        prior = np.append(right_pos, -1)[k]     # k == -1: no right row
+        has = ((k >= 0) & (first[prior] == first[left_pos])
+               & pc.is_valid(g["user_id"]).to_numpy(
+                   zero_copy_only=False)[left_pos])
+        prior_idx = pa.array(prior, pa.int64(), mask=~has)
         return pa.table({
-            "event_id": pa.array(ids[left_pos], pa.int64()),
-            "ts": ts_arr,
-            "user_id": pa.array(
-                np.full(len(left_pos), g["user_id"][0].as_py()), pa.int64()),
-            "prior_event_id": pa.array(ids[prior_idx], pa.int64(), mask=~has),
-            "prior_ts": prior_ts,
+            "event_id": g["event_id"].take(left_pos),
+            "ts": g["ts"].take(left_pos),
+            "user_id": g["user_id"].take(left_pos),
+            "prior_event_id": g["event_id"].take(prior_idx),
+            "prior_ts": g["ts"].take(prior_idx),
         })
 
     def prefilter(batch: pa.Table) -> pa.Table:
@@ -130,50 +123,39 @@ def asof_join_events(ds, left_type: str, right_type: str) -> "ray.data.Dataset":
                         value_set=pa.array([left_type, right_type]))
         return batch.filter(mask)
 
-    return (ds.map_batches(prefilter, batch_format="pyarrow")
-              .groupby("user_id")
-              .map_groups(merge_group, batch_format="pyarrow"))
+    return partitioned_sweep(ds.map_batches(prefilter, batch_format="pyarrow"),
+                             "user_id", ["ts", "event_id"], merge)
 
 
 def session_windows(ds, gap_minutes: int = 30) -> "ray.data.Dataset":
     """Session windows (gap-based) per user: consecutive events closer than
     ``gap_minutes`` belong to one session. Ray Data has no session-window
-    primitive — composed as ``groupby(user_id).map_groups(sorted sweep)``.
-
-    Partitioning assumption: all of a user's events fit one group (events
-    are small; a pathological user would need time-range salting plus a
-    boundary-merge pass)."""
-    import pyarrow.compute as pc
-
+    primitive — composed as a ``partitioned_sweep`` over ``user_id``
+    ordered by (ts, event_id): a session starts at each user's first
+    event and after every wider gap; per-session bounds and sums come
+    from boundary indexing + ``np.add.reduceat``. Null ``user_id`` rows
+    are one user, as in SQL's ``PARTITION BY``."""
     gap_us = gap_minutes * 60_000_000
 
-    def sessions(group: pa.Table) -> pa.Table:
-        # Vectorized gap sweep (VERDICT r02 fix #6): session ids are the
-        # cumulative count of gap breaks (numpy diff/cumsum); per-session
-        # bounds and sums come from boundary indexing + np.add.reduceat.
-        order = pc.sort_indices(group, sort_keys=[("ts", "ascending"),
-                                                  ("event_id", "ascending")])
-        g = group.take(order)
+    def sessions(g: pa.Table, starts: np.ndarray) -> pa.Table:
         ts = pc.cast(g["ts"], pa.int64()).to_numpy(zero_copy_only=False)
+        brk = np.zeros(len(ts), dtype=bool)
+        brk[starts] = True
+        brk[1:] |= np.diff(ts) > gap_us
+        first = np.flatnonzero(brk)
+        last = np.append(first[1:] - 1, len(ts) - 1)
         values = g["value"].to_numpy(zero_copy_only=False)
-        n = len(ts)
-        breaks = np.nonzero(np.diff(ts) > gap_us)[0] + 1
-        starts_idx = np.concatenate([[0], breaks])
-        ends_idx = np.concatenate([breaks - 1, [n - 1]])
-        sums = np.round(np.add.reduceat(values, starts_idx), 2)
-        counts = np.diff(np.concatenate([starts_idx, [n]]))
-        user = g["user_id"][0].as_py()
         return pa.table({
-            "user_id": pa.array(np.full(len(starts_idx), user), pa.int64()),
-            "session_start": pa.array(ts[starts_idx],
-                                      pa.int64()).cast(pa.timestamp("us")),
-            "session_end": pa.array(ts[ends_idx],
-                                    pa.int64()).cast(pa.timestamp("us")),
-            "n_events": pa.array(counts, pa.int64()),
-            "sum_value": pa.array(sums, pa.float64()),
+            "user_id": g["user_id"].take(first),
+            "session_start": g["ts"].take(first),
+            "session_end": g["ts"].take(last),
+            "n_events": pa.array(np.diff(np.append(first, len(ts))),
+                                 pa.int64()),
+            "sum_value": pa.array(
+                np.round(np.add.reduceat(values, first), 2), pa.float64()),
         })
 
-    return ds.groupby("user_id").map_groups(sessions, batch_format="pyarrow")
+    return partitioned_sweep(ds, "user_id", ["ts", "event_id"], sessions)
 
 
 def windowed_event_counts(ds, window: str = "hour") -> "ray.data.Dataset":
@@ -257,6 +239,68 @@ JOIN_PARTITIONS = 256
 # exact exchange the join performs.
 PART_MULT = 2654435761
 SALT_MULT = 40503
+
+
+def key_partition(key, num_partitions: int = JOIN_PARTITIONS) -> np.ndarray:
+    """Coarse hash partition (int32 in ``[0, num_partitions)``) of each
+    integer key. A null key hashes as 0 — it would round-trip through
+    numpy as NaN — so all null-key rows share one partition."""
+    k = pc.fill_null(pc.cast(key, pa.int64()), 0).to_numpy(
+        zero_copy_only=False).astype(np.uint64)
+    with np.errstate(over="ignore"):
+        return ((k * np.uint64(PART_MULT))
+                % np.uint64(num_partitions)).astype(np.int32)
+
+
+def partitioned_sweep(ds, key: str, order_cols, kernel):
+    """Sorted per-key sweep with one ``map_groups`` call per hash
+    partition of the integer ``key``, not one per key value: rows
+    co-locate by ``key_partition`` (``JOIN_PARTITIONS`` groups, so the
+    exchange sorts that many distinct values), then each partition is
+    sorted by ``(key, *order_cols)`` once and handed to
+    ``kernel(g, starts)``. ``g`` is the sorted partition; ``starts``
+    holds the index of each key's first row. Kernels compute per-key
+    results with boundary masks, ``_run_start`` offsets, cumsum
+    differences and ``reduceat`` — no Python loop over keys.
+
+    ``order_cols`` are column names sorted ascending, or
+    ``(name, "descending")`` pairs; nulls sort last in every column.
+    Null keys form ONE key, after all others, as SQL's ``PARTITION BY``
+    groups them. Partitioning assumption: one partition — about
+    1/``JOIN_PARTITIONS`` of the rows, plus any heavy key whole — fits a
+    task."""
+    sort_keys = [(key, "ascending")] + [
+        (c, "ascending") if isinstance(c, str) else c for c in order_cols]
+
+    def add_part(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            "__part", pa.array(key_partition(batch[key]), pa.int32()))
+
+    def sweep(group: pa.Table) -> pa.Table:
+        g = group.drop_columns(["__part"])
+        g = g.take(pc.sort_indices(g, sort_keys=sort_keys))
+        k = pc.fill_null(g[key], 0).to_numpy(zero_copy_only=False)
+        null = pc.is_null(g[key]).to_numpy(zero_copy_only=False)
+        brk = np.ones(len(k), dtype=bool)
+        brk[1:] = (k[1:] != k[:-1]) | (null[1:] != null[:-1])
+        return kernel(g, np.flatnonzero(brk))
+
+    return (ds.map_batches(add_part, batch_format="pyarrow")
+              .groupby("__part").map_groups(sweep, batch_format="pyarrow"))
+
+
+def _run_start(starts: np.ndarray, n: int) -> np.ndarray:
+    """Per row of a swept partition, the index of its key's first row."""
+    return np.repeat(starts, np.diff(np.append(starts, n)))
+
+
+def _changes(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Rows whose value differs from the previous row of the same key;
+    each key's first row counts as a change."""
+    brk = np.ones(len(values), dtype=bool)
+    brk[1:] = values[1:] != values[:-1]
+    brk[starts] = True
+    return brk
 
 
 def hash_join(left_ds, right_ds, on: str, right_on: str | None = None,
@@ -433,13 +477,9 @@ def range_join(left_ds, right_ds, key: str, left_ts: str,
             cols = {name: (pc.cast(batch[name], typ) if name in own
                            else pa.nulls(len(batch), typ))
                     for name, typ in union_schema}
-            k = pc.cast(batch[key], pa.int64()).to_numpy(
-                zero_copy_only=False).astype(np.uint64)
-            with np.errstate(over="ignore"):
-                part = ((k * np.uint64(2654435761))
-                        % np.uint64(num_partitions)).astype(np.int32)
             cols["__key"] = pc.cast(batch[key], pa.int64())
-            cols["__part"] = pa.array(part, pa.int32())
+            cols["__part"] = pa.array(
+                key_partition(batch[key], num_partitions), pa.int32())
             cols["__left"] = pa.array(np.full(len(batch), is_left), pa.bool_())
             return pa.table(cols)
 
@@ -742,6 +782,19 @@ def top_revenue_orders(lineitem_ds, k: int = 100) -> "ray.data.Dataset":
             .limit(k))
 
 
+def _event_cents(batch: pa.Table) -> pa.Table:
+    """``event_id``, ``user_id``, ``ts_us`` and ``cents`` =
+    ``floor(value·100)`` as int64 (a null value counts 0) of events."""
+    return pa.table({
+        "event_id": batch["event_id"],
+        "user_id": batch["user_id"],
+        "ts_us": pc.cast(batch["ts"], pa.int64()),
+        "cents": pc.cast(pc.floor(pc.multiply(
+            pc.coalesce(batch["value"], pa.scalar(0.0)),
+            pa.scalar(100.0))), pa.int64()),
+    })
+
+
 def running_totals(ds) -> "ray.data.Dataset":
     """Cumulative window functions over events: per ``user_id`` ordered by
     ``(ts, event_id)``, running row number, running sum of ``value`` in
@@ -750,46 +803,34 @@ def running_totals(ds) -> "ray.data.Dataset":
     The running sum is computed on ``floor(value·100)`` as int64 — exact
     integer arithmetic, so the result is independent of accumulation
     order (a float ``SUM(...) OVER`` could diverge from the oracle when
-    the engine sums a frame in a different order). One shuffle (groupby
-    user_id); the per-group sweep is numpy lexsort + cumsum — no Python
-    row loop. At 100 TB the partitioning assumption is the usual one for
-    window functions: a single user's history fits in one group.
+    the engine sums a frame in a different order). One
+    ``partitioned_sweep`` over ``user_id``: each user's running sum is
+    the partition cumsum minus its value before the user's first row.
+    Null ``user_id`` rows are one user, as in SQL's ``PARTITION BY``.
 
     SQL twin: ``ROW_NUMBER() / SUM(cents) OVER (PARTITION BY user_id
     ORDER BY ts, event_id ROWS UNBOUNDED PRECEDING)`` and
     ``epoch_us(ts) - LAG(epoch_us(ts)) OVER ...``."""
 
-    def prefilter(batch: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.floor(pc.multiply(
-            pc.coalesce(batch["value"], pa.scalar(0.0)),
-            pa.scalar(100.0))), pa.int64())
+    def sweep(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = g["ts_us"].to_numpy(zero_copy_only=False)
+        cents = g["cents"].to_numpy(zero_copy_only=False)
+        idx = np.arange(len(ts))
+        first = _run_start(starts, len(ts))
+        cum = np.cumsum(cents)
+        gap = np.zeros(len(ts), dtype=np.int64)
+        gap[1:] = np.diff(ts)
         return pa.table({
-            "event_id": batch["event_id"],
-            "user_id": batch["user_id"],
-            "ts_us": pc.cast(batch["ts"], pa.int64()),
-            "cents": cents,
+            "event_id": g["event_id"],
+            "user_id": g["user_id"],
+            "rn": pa.array(idx - first + 1, pa.int64()),
+            "cum_cents": pa.array(cum - (cum - cents)[first], pa.int64()),
+            "gap_us": pa.array(gap, pa.int64(), mask=first == idx),
         })
 
-    def sweep(group: pa.Table) -> pa.Table:
-        ts = group["ts_us"].to_numpy(zero_copy_only=False)
-        eid = group["event_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts))
-        ts, eid = ts[order], eid[order]
-        cents = group["cents"].to_numpy(zero_copy_only=False)[order]
-        gaps = np.empty(len(ts), dtype=object)
-        gaps[0] = None
-        gaps[1:] = (ts[1:] - ts[:-1]).tolist()
-        return pa.table({
-            "event_id": pa.array(eid, pa.int64()),
-            "user_id": group["user_id"],
-            "rn": pa.array(np.arange(1, len(ts) + 1), pa.int64()),
-            "cum_cents": pa.array(np.cumsum(cents), pa.int64()),
-            "gap_us": pa.array(gaps.tolist(), pa.int64()),
-        })
-
-    return (ds.map_batches(prefilter, batch_format="pyarrow")
-              .groupby("user_id")
-              .map_groups(sweep, batch_format="pyarrow"))
+    return partitioned_sweep(
+        ds.map_batches(_event_cents, batch_format="pyarrow"),
+        "user_id", ["ts_us", "event_id"], sweep)
 
 
 def rolling_event_stats(ds, window: int = 7) -> "ray.data.Dataset":
@@ -804,9 +845,9 @@ def rolling_event_stats(ds, window: int = 7) -> "ray.data.Dataset":
     any accumulation order); the mean is then ONE float64 division
     ``cents / (100·count)`` that the SQL twin reproduces bit-for-bit.
     Rows with null ``ts`` are dropped on both sides (a null sort key has
-    no well-defined frame). One shuffle (groupby user_id); the per-group
-    sweep is numpy lexsort + cumsum — no Python row loop. Partitioning
-    assumption at 100 TB: one user's history fits in one group.
+    no well-defined frame). One ``partitioned_sweep`` over ``user_id``:
+    a frame starts ``window-1`` rows back, clipped to the user's first
+    row. Null ``user_id`` rows are one user.
 
     SQL twin: ``SUM(cents) OVER w`` / ``COUNT(*) OVER w`` with
     ``w AS (PARTITION BY user_id ORDER BY ts, event_id
@@ -815,39 +856,25 @@ def rolling_event_stats(ds, window: int = 7) -> "ray.data.Dataset":
         raise ValueError(f"window must be >= 1, got {window}")
 
     def prefilter(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pc.is_valid(batch["ts"]))
-        cents = pc.cast(pc.floor(pc.multiply(
-            pc.coalesce(batch["value"], pa.scalar(0.0)),
-            pa.scalar(100.0))), pa.int64())
-        return pa.table({
-            "event_id": batch["event_id"],
-            "user_id": batch["user_id"],
-            "ts_us": pc.cast(batch["ts"], pa.int64()),
-            "cents": cents,
-        })
+        return _event_cents(batch.filter(pc.is_valid(batch["ts"])))
 
-    def sweep(group: pa.Table) -> pa.Table:
-        ts = group["ts_us"].to_numpy(zero_copy_only=False)
-        eid = group["event_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts))
-        eid = eid[order]
-        cents = group["cents"].to_numpy(zero_copy_only=False)[order]
+    def sweep(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        cents = g["cents"].to_numpy(zero_copy_only=False)
+        idx = np.arange(len(cents))
+        lo = np.maximum(idx - (window - 1), _run_start(starts, len(cents)))
         cum = np.cumsum(cents)
-        roll = cum.copy()
-        if len(cum) > window:
-            roll[window:] -= cum[:-window]
-        count = np.minimum(np.arange(1, len(cum) + 1), window)
-        avg = roll.astype(np.float64) / (100.0 * count)
+        roll = cum - (cum - cents)[lo]
         return pa.table({
-            "event_id": pa.array(eid, pa.int64()),
-            "user_id": group["user_id"],
+            "event_id": g["event_id"],
+            "user_id": g["user_id"],
             "roll_cents": pa.array(roll, pa.int64()),
-            "roll_avg": pa.array(avg, pa.float64()),
+            "roll_avg": pa.array(
+                roll.astype(np.float64) / (100.0 * (idx - lo + 1)),
+                pa.float64()),
         })
 
-    return (ds.map_batches(prefilter, batch_format="pyarrow")
-              .groupby("user_id")
-              .map_groups(sweep, batch_format="pyarrow"))
+    return partitioned_sweep(ds.map_batches(prefilter, batch_format="pyarrow"),
+                             "user_id", ["ts_us", "event_id"], sweep)
 
 
 def weighted_avg_by_group(ds, group_column: str, value_column: str,
@@ -1291,41 +1318,21 @@ def value_histogram(ds, column: str, width: float):
 
 
 def grouped_topk(ds, group_column: str, order_column: str, k: int,
-                 tie_column: str, num_partitions: int = JOIN_PARTITIONS):
+                 tie_column: str):
     """Top-k rows per group by (``order_column`` DESC, ``tie_column``
-    ASC) — the distributed QUALIFY row_number() <= k. Rows co-locate by
-    hash(group) into coarse partitions (one map_groups call per
-    PARTITION, not per group); inside, one lexsort + run-position prune
-    over the whole partition (no per-group Python loop). Only ordering
-    ever touches ``order_column`` values, so float columns are safe —
-    no arithmetic to diverge from a SQL twin."""
+    ASC) — the distributed QUALIFY row_number() <= k. One
+    ``partitioned_sweep`` over the integer ``group_column``: a row is
+    kept when its position within its group's run is below ``k``. Null
+    group keys are one group. Only ordering ever touches
+    ``order_column`` values, so float columns are safe — no arithmetic
+    to diverge from a SQL twin."""
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        key = batch[group_column].to_numpy(
-            zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            part = ((key * np.uint64(2654435761))
-                    % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("__part", pa.array(part, pa.int32()))
+    def head(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        rank = np.arange(g.num_rows) - _run_start(starts, g.num_rows)
+        return g.filter(pa.array(rank < k))
 
-    def head(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return group.drop_columns(["__part"])
-        grp = group[group_column].to_numpy(zero_copy_only=False)
-        val = group[order_column].to_numpy(zero_copy_only=False)
-        tie = group[tie_column].to_numpy(zero_copy_only=False)
-        order = np.lexsort((tie, -val, grp))
-        g_sorted = grp[order]
-        run_start = np.flatnonzero(np.concatenate(
-            [[True], g_sorted[1:] != g_sorted[:-1]]))
-        rank = np.arange(len(order)) - np.repeat(
-            run_start,
-            np.diff(np.concatenate([run_start, [len(order)]])))
-        return (group.take(pa.array(order[rank < k], pa.int64()))
-                     .drop_columns(["__part"]))
-
-    return (ds.map_batches(add_part, batch_format="pyarrow")
-              .groupby("__part").map_groups(head, batch_format="pyarrow"))
+    return partitioned_sweep(ds, group_column,
+                             [(order_column, "descending"), tie_column], head)
 
 
 def funnel_conversion(ds, from_type: str, to_type: str,
@@ -1335,28 +1342,33 @@ def funnel_conversion(ds, from_type: str, to_type: str,
     from-event with a ``converted`` flag — the per-event form that both
     feeds a global rate and joins back to cohorts.
 
-    Same dataflow as the as-of join (groupby(user) co-location), with a
-    vectorized two-searchsorted window probe per group."""
+    Same dataflow as the as-of join (a ``partitioned_sweep`` over
+    ``user_id``). The window probe is two searchsorted calls over
+    (user, ts) keys packed into one int64: the user's first-row index
+    times the number of distinct probe times, plus the time's rank. A
+    null ``user_id`` matches nothing (SQL's ``=``): never converted."""
 
-    def probe(group: pa.Table) -> pa.Table:
-        order = pc.sort_indices(group, sort_keys=[
-            ("ts", "ascending"), ("event_id", "ascending")])
-        g = group.take(order)
+    def probe(g: pa.Table, starts: np.ndarray) -> pa.Table:
         ts = pc.cast(g["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        ids = g["event_id"].to_numpy(zero_copy_only=False)
-        types = g["event_type"]
-        src = np.nonzero(pc.equal(types, from_type).to_numpy(
-            zero_copy_only=False))[0]
-        dst = np.nonzero(pc.equal(types, to_type).to_numpy(
-            zero_copy_only=False))[0]
-        dst_ts = ts[dst]
-        lo = np.searchsorted(dst_ts, ts[src], side="right")
-        hi = np.searchsorted(dst_ts, ts[src] + within_us, side="right")
+        first = _run_start(starts, len(ts))
+        src = np.flatnonzero(pc.equal(g["event_type"], from_type).to_numpy(
+            zero_copy_only=False))
+        dst = np.flatnonzero(pc.equal(g["event_type"], to_type).to_numpy(
+            zero_copy_only=False))
+        times = np.unique(np.concatenate([ts, ts[src] + within_us]))
+
+        def key(pos: np.ndarray, t: np.ndarray) -> np.ndarray:
+            return first[pos] * len(times) + np.searchsorted(times, t)
+
+        dst_key = key(dst, ts[dst])
+        lo = np.searchsorted(dst_key, key(src, ts[src]), side="right")
+        hi = np.searchsorted(dst_key, key(src, ts[src] + within_us),
+                             side="right")
+        keyed = pc.is_valid(g["user_id"]).to_numpy(zero_copy_only=False)
         return pa.table({
-            "event_id": pa.array(ids[src], pa.int64()),
-            "user_id": pa.array(
-                np.full(len(src), g["user_id"][0].as_py()), pa.int64()),
-            "converted": pa.array(hi > lo, pa.bool_()),
+            "event_id": g["event_id"].take(src),
+            "user_id": g["user_id"].take(src),
+            "converted": pa.array((hi > lo) & keyed[src], pa.bool_()),
         })
 
     def prefilter(batch: pa.Table) -> pa.Table:
@@ -1364,9 +1376,8 @@ def funnel_conversion(ds, from_type: str, to_type: str,
             batch["event_type"],
             value_set=pa.array([from_type, to_type])))
 
-    return (ds.map_batches(prefilter, batch_format="pyarrow")
-              .groupby("user_id")
-              .map_groups(probe, batch_format="pyarrow"))
+    return partitioned_sweep(ds.map_batches(prefilter, batch_format="pyarrow"),
+                             "user_id", ["ts", "event_id"], probe)
 
 
 def cube_agg(ds, group_cols: list[str], value_column: str):
@@ -1691,33 +1702,23 @@ def dedup_consecutive(ds, group_column: str = "user_id",
     kept) — the streaming de-bounce used to strip repeated tool-call /
     retry turns from transcripts. Null values and keys are dropped up
     front (SQL's ``lag(v) <> v`` is NULL-poisoned otherwise; the twin
-    mirrors with WHERE). One shuffle; numpy lexsort + shifted-compare
-    per group, original rows returned by take() — no reconstruction.
+    mirrors with WHERE). One ``partitioned_sweep`` over the integer
+    ``group_column``; one shifted compare per partition, original rows
+    returned by filter() — no reconstruction.
 
     SQL twin: ``... WHERE prev IS NULL OR prev <> v`` over
     ``lag(v) OVER (PARTITION BY grp ORDER BY ts, id)``."""
     ts_col, id_col = order_columns
+    cols = [id_col, group_column, ts_col, value_column]
 
-    def prefilter(batch: pa.Table) -> pa.Table:
-        keep = pc.is_valid(batch[value_column])
-        for c in (group_column, ts_col, id_col):
-            keep = pc.and_(keep, pc.is_valid(batch[c]))
-        return batch.filter(keep).select(
-            [id_col, group_column, ts_col, value_column])
+    def sweep(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        vals = g[value_column].to_numpy(zero_copy_only=False)
+        return g.filter(pa.array(_changes(vals, starts)))
 
-    def sweep(group: pa.Table) -> pa.Table:
-        ts = group[ts_col].to_numpy(zero_copy_only=False)
-        eid = group[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts))
-        vals = group[value_column].to_numpy(zero_copy_only=False)[order]
-        keep = np.empty(len(order), dtype=bool)
-        keep[0] = True
-        keep[1:] = vals[1:] != vals[:-1]
-        return group.take(pa.array(order[keep]))
-
-    return (ds.map_batches(prefilter, batch_format="pyarrow")
-              .groupby(group_column)
-              .map_groups(sweep, batch_format="pyarrow"))
+    return partitioned_sweep(
+        ds.map_batches(lambda b: b.select(cols).drop_null(),
+                       batch_format="pyarrow"),
+        group_column, list(order_columns), sweep)
 
 
 def argmin_by_group(ds, group_column: str, order_column: str,
@@ -2027,40 +2028,33 @@ def longest_run_by_group(ds, group_column: str = "user_id",
     the "is this user stuck in a retry loop / is this doc a repeated
     template" signal (the grouped cousin of ``repetition_stats``).
 
-    One shuffle co-locates each group; the per-group sweep is a
-    vectorized run-length encode (lexsort + shifted inequality +
-    ``np.flatnonzero`` / ``np.diff``), no Python loop over events.
+    One ``partitioned_sweep`` over the integer ``group_column``; the
+    per-partition sweep is a vectorized run-length encode (shifted
+    inequality + ``np.flatnonzero`` / ``np.diff``) and a
+    ``np.maximum.reduceat`` over each group's runs, no Python loop.
     Null keys/values are dropped up front; runs are over the surviving
     sequence, matching the SQL twin's LAG over the filtered stream.
     Output is int64 — hash-exact against the gaps-and-islands twin."""
     ts_col, id_col = order_columns
+    cols = [id_col, group_column, ts_col, value_column]
 
-    def prefilter(batch: pa.Table) -> pa.Table:
-        keep = pc.is_valid(batch[value_column])
-        for c in (group_column, ts_col, id_col):
-            keep = pc.and_(keep, pc.is_valid(batch[c]))
-        return batch.filter(keep).select(
-            [id_col, group_column, ts_col, value_column])
-
-    def sweep(group: pa.Table) -> pa.Table:
-        ts = group[ts_col].to_numpy(zero_copy_only=False)
-        eid = group[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts))
-        v = group[value_column].to_numpy(zero_copy_only=False)[order]
-        brk = np.empty(len(v), dtype=bool)
-        brk[0] = True
-        brk[1:] = v[1:] != v[:-1]
-        starts = np.flatnonzero(brk)
-        run_lens = np.diff(np.append(starts, len(v)))
+    def sweep(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        v = g[value_column].to_numpy(zero_copy_only=False)
+        runs = np.flatnonzero(_changes(v, starts))
+        run_lens = np.diff(np.append(runs, len(v)))
+        group_runs = np.searchsorted(runs, starts)   # each group's 1st run
         return pa.table({
-            group_column: group[group_column][:1],
-            "n_runs": pa.array([len(starts)], pa.int64()),
-            "max_run": pa.array([int(run_lens.max())], pa.int64()),
+            group_column: g[group_column].take(starts),
+            "n_runs": pa.array(np.diff(np.append(group_runs, len(runs))),
+                               pa.int64()),
+            "max_run": pa.array(np.maximum.reduceat(run_lens, group_runs),
+                                pa.int64()),
         })
 
-    return (ds.map_batches(prefilter, batch_format="pyarrow")
-              .groupby(group_column)
-              .map_groups(sweep, batch_format="pyarrow"))
+    return partitioned_sweep(
+        ds.map_batches(lambda b: b.select(cols).drop_null(),
+                       batch_format="pyarrow"),
+        group_column, list(order_columns), sweep)
 
 
 def rolling_active_users(ds, window_days: int = 7,
@@ -2172,11 +2166,11 @@ def funnel_steps(ds, steps: tuple[str, ...] = ("signup", "view",
               .map_groups(per_user, batch_format="pyarrow")
               .map_batches(fold_partial, batch_format="pyarrow")
               .groupby("reached").aggregate(Sum("n", alias_name="n")))
-    t = pa.concat_tables(list(hist.iter_batches(batch_format="pyarrow")),
-                         promote_options="default")
-    reached = t["reached"].to_numpy(zero_copy_only=False)
-    n = t["n"].to_numpy(zero_copy_only=False).astype(np.int64)
-    n_users = [int(n[reached >= k].sum()) for k in range(1, len(step_list) + 1)]
+    users_at = np.zeros(len(step_list) + 1, dtype=np.int64)
+    for b in hist.iter_batches(batch_format="pyarrow"):  # none without steps
+        np.add.at(users_at, b["reached"].to_numpy(zero_copy_only=False),
+                  b["n"].to_numpy(zero_copy_only=False))
+    n_users = np.cumsum(users_at[::-1])[::-1][1:]   # users reaching >= k
     return pa.table({
         "stage_idx": pa.array(range(1, len(step_list) + 1), pa.int64()),
         "stage": pa.array(step_list, pa.string()),
@@ -2362,6 +2356,7 @@ def daily_event_deltas(ds) -> pa.Table:
     n = t.n_events.to_numpy(dtype=np.int64)
     delta = n.astype(np.float64) - np.roll(n, 1)
     first = ~(t.event_type.to_numpy() == np.roll(t.event_type.to_numpy(), 1))
+    first[0] = True     # np.roll wraps the last row onto the first
     delta_arr = pa.array(
         [None if f else int(d) for d, f in zip(delta, first)], pa.int64())
     return pa.table({

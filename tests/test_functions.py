@@ -1150,6 +1150,67 @@ def test_running_totals_window(ray_session):
     assert list(u2.cum_cents) == [0, 1000]    # null value -> 0 cents
 
 
+def _events_with_null_users(seed: int, n: int) -> pa.Table:
+    """Events where user 3 holds about half the rows, some rows have a
+    null user_id, and minute-granular ts leaves ties for event_id."""
+    rng = np.random.default_rng(seed)
+    users = np.where(rng.random(n) < 0.5, 3, rng.integers(0, 60, n))
+    return pa.table({
+        "event_id": pa.array(rng.permutation(n), pa.int64()),
+        "ts": pa.array((rng.integers(0, 3 * 24 * 60, n) * 60_000_000)
+                       .astype("datetime64[us]")),
+        "user_id": pa.array(users, pa.int64(), mask=rng.random(n) < 0.03),
+        "value": pa.array(np.round(rng.uniform(-5, 80, n), 2)),
+    })
+
+
+def test_session_windows_and_running_totals_match_duckdb_null_users(
+        ray_session):
+    """A null user_id is one partition, as in SQL's PARTITION BY."""
+    import duckdb
+    import ray.data
+    from pdf_inspector_ray.functions.relational import (running_totals,
+                                                        session_windows)
+
+    ev = _events_with_null_users(31, 2000)
+    assert ev["user_id"].null_count > 20
+    con = duckdb.connect()
+    con.register("events", ev)
+    keys = ["user_id", "session_start"]
+    got = (session_windows(ray.data.from_arrow(ev).repartition(3))
+           .to_pandas().sort_values(keys).reset_index(drop=True))
+    want = con.execute("""
+        WITH o AS (
+            SELECT *, CASE WHEN ts - lag(ts) OVER w > INTERVAL 30 MINUTE
+                           OR lag(ts) OVER w IS NULL THEN 1 ELSE 0 END AS brk
+            FROM events WINDOW w AS (PARTITION BY user_id
+                                     ORDER BY ts, event_id)
+        ), s AS (
+            SELECT *, SUM(brk) OVER (PARTITION BY user_id
+                                     ORDER BY ts, event_id) AS sid
+            FROM o
+        )
+        SELECT user_id, MIN(ts) AS session_start, MAX(ts) AS session_end,
+               COUNT(*) AS n_events, ROUND(SUM(value), 2) AS sum_value
+        FROM s GROUP BY user_id, sid""").df()
+    want = want.sort_values(keys).reset_index(drop=True)
+    assert got.user_id.isna().any()
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+    got = (running_totals(ray.data.from_arrow(ev).repartition(3))
+           .to_pandas().sort_values("event_id").reset_index(drop=True))
+    want = con.execute("""
+        SELECT event_id, user_id, ROW_NUMBER() OVER w AS rn,
+               CAST(SUM(CAST(floor(coalesce(value, 0) * 100) AS BIGINT))
+                    OVER w AS BIGINT) AS cum_cents,
+               epoch_us(ts) - LAG(epoch_us(ts)) OVER w AS gap_us
+        FROM events
+        WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id
+                     ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW)
+        ORDER BY event_id""").df()
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
 def test_distinct_count_ignores_nulls(ray_session):
     import ray.data
     from pdf_inspector_ray.functions.relational import distinct_count
@@ -3135,6 +3196,20 @@ def test_funnel_steps_strict_order(ray_session):
         assert out["n_users"].to_pylist() == [3, 2, 1], parts
 
 
+def test_funnel_steps_without_step_events_is_all_zero(ray_session):
+    import ray.data
+    from pdf_inspector_ray.functions.relational import funnel_steps
+
+    t = pa.table({
+        "user_id": pa.array([1, 2], pa.int64()),
+        "ts": pa.array([0, 1], pa.timestamp("us")),
+        "event_type": pa.array(["click", "click"]),
+    })
+    out = funnel_steps(ray.data.from_arrow(t))
+    assert out["stage"].to_pylist() == ["signup", "view", "purchase"]
+    assert out["n_users"].to_pylist() == [0, 0, 0]
+
+
 def test_event_type_cooccurrence_matches_duckdb(ray_session):
     import duckdb
     import ray.data
@@ -3270,6 +3345,22 @@ def test_daily_event_deltas_gap_is_a_drop(ray_session):
     d = out.delta.tolist()
     assert np.isnan(d[0]) and np.isnan(d[3])  # first day per type: NULL
     assert d[1:3] == [-2.0, 1.0] and d[4:] == [-1.0, 1.0]
+
+
+def test_daily_event_deltas_single_type_first_day_is_null(ray_session):
+    import ray.data
+    from pdf_inspector_ray.functions.relational import daily_event_deltas
+
+    day = 86_400_000_000
+    ts = pa.array(np.array([0, day, day, 2 * day], np.int64)
+                  .astype("datetime64[us]"))
+    t = pa.table({"ts": ts, "event_type": pa.array(["a"] * 4)})
+    out = (daily_event_deltas(ray.data.from_arrow(t))
+           .to_pandas().sort_values("day").reset_index(drop=True))
+    assert out.n_events.tolist() == [1, 2, 1]
+    # LAG over a single type: the first day has no previous day
+    assert out.delta.isna().tolist() == [True, False, False]
+    assert out.delta.tolist()[1:] == [1.0, -1.0]
 
 
 def test_hourly_top_event_tie_break(ray_session):

@@ -296,9 +296,11 @@ def test_round5_ops_partition_invariant(ray_session):
     import pyarrow as pa
     import ray.data
     from pdf_inspector_ray.functions.relational import (
-        customer_rfm, event_kgrams, event_type_cooccurrence,
-        events_weekday_profile, hourly_top_event, longest_run_by_group,
-        merge_intervals_by_group, rolling_active_users)
+        asof_join_events, customer_rfm, dedup_consecutive, event_kgrams,
+        event_type_cooccurrence, events_weekday_profile, funnel_conversion,
+        grouped_topk, hourly_top_event, longest_run_by_group,
+        merge_intervals_by_group, rolling_active_users, rolling_event_stats,
+        running_totals, session_windows)
 
     rng = np.random.default_rng(89)
     n = 1500
@@ -322,7 +324,29 @@ def test_round5_ops_partition_invariant(ray_session):
         "e": pa.array(rng.integers(0, 10**6, 400), pa.int64()),
     })
 
+    # per-user sweeps: user 7 holds about half the rows, 12 rows have a
+    # null user_id, and hour-granular ts leaves ties for event_id to break
+    users = np.where(rng.random(n) < 0.5, 7, rng.integers(0, 25, n))
+    null_user = np.zeros(n, dtype=bool)
+    null_user[rng.choice(n, 12, replace=False)] = True
+    sk = ev.set_column(2, "user_id", pa.array(users, pa.int64(),
+                                              mask=null_user))
+    sk = sk.set_column(1, "ts", pa.array(
+        (rng.integers(0, 20 * 24, n) * 3_600_000_000)
+        .astype("datetime64[us]"))).append_column(
+            "value", pa.array(np.round(rng.uniform(0, 50, n), 2)))
+
     cases = [
+        (session_windows, sk, ["user_id", "session_start"]),
+        (running_totals, sk, ["event_id"]),
+        (lambda d: rolling_event_stats(d, window=4), sk, ["event_id"]),
+        (dedup_consecutive, sk, ["event_id"]),
+        (longest_run_by_group, sk, ["user_id"]),
+        (lambda d: asof_join_events(d, "a", "b"), sk, ["event_id"]),
+        (lambda d: funnel_conversion(d, "a", "b", 2 * 86_400_000_000), sk,
+         ["event_id"]),
+        (lambda d: grouped_topk(d, "user_id", "value", 3, "event_id"), sk,
+         ["event_id"]),
         (lambda d: event_kgrams(d, k=3, min_count=2), ev, ["gram"]),
         (longest_run_by_group, ev, ["user_id"]),
         (event_type_cooccurrence, ev, ["type_a", "type_b"]),
@@ -340,5 +364,4 @@ def test_round5_ops_partition_invariant(ray_session):
             if base is None:
                 base = out
             else:
-                assert base.equals(out), (fn.__name__ if hasattr(
-                    fn, "__name__") else "kgrams", parts)
+                assert base.equals(out), (fn.__name__, keys, parts)

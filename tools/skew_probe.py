@@ -1,7 +1,13 @@
-"""Skew-salting probe (VERDICT r3 #6): joins a Zipf-skewed left table
-(hottest key ~30% of rows) against a dimension table with and without
-``hot_keys`` salting, reports wall time and the exchange's per-partition
-row spread under both plans. Paste the JSON line into BASELINE.md.
+"""Skew probes over Zipf(1.25) keys, one JSON line each; paste them into
+BASELINE.md.
+
+- join (VERDICT r3 #6): joins a Zipf-skewed left table (hottest key ~30%
+  of rows) against a dimension table with and without ``hot_keys``
+  salting, reports wall time and the exchange's per-partition row
+  spread under both plans.
+- sweep: ``session_windows`` over Zipf(1.25) users on an events table,
+  through ``partitioned_sweep``; reports wall time and the largest ÷
+  mean rows of its ``JOIN_PARTITIONS`` hash partitions.
 
 Usage: python tools/skew_probe.py [n_rows] [num_cpus]
 """
@@ -24,9 +30,15 @@ def main() -> None:
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=cpus, include_dashboard=False,
                  ignore_reinit_error=True)
+    sys.path.insert(0, ".")
+    join_probe(n, cpus)
+    sweep_probe(n, cpus)
+    ray.shutdown()
+
+
+def join_probe(n: int, cpus: int) -> None:
     import ray.data
 
-    sys.path.insert(0, ".")
     from pdf_inspector_ray.functions.relational import (PART_MULT,
                                                         SALT_MULT,
                                                         hash_join)
@@ -81,7 +93,43 @@ def main() -> None:
         "salted_p99_over_median": round(
             float(np.quantile(hist_s, 0.99)) / max(np.median(hist_s), 1), 2),
     }))
-    ray.shutdown()
+
+
+def sweep_probe(n: int, cpus: int) -> None:
+    import ray.data
+
+    from pdf_inspector_ray.functions.relational import (JOIN_PARTITIONS,
+                                                        key_partition,
+                                                        session_windows)
+
+    rng = np.random.default_rng(101)
+    users = rng.zipf(1.25, size=n).astype(np.int64)
+    events = pa.table({
+        "event_id": pa.array(np.arange(n), pa.int64()),
+        "ts": pa.array((rng.integers(0, 30 * 86_400, n) * 1_000_000)
+                       .astype("datetime64[us]")),
+        "user_id": pa.array(users, pa.int64()),
+        "value": pa.array(np.round(rng.uniform(0, 100, n), 2)),
+    })
+
+    def run():
+        t0 = time.perf_counter()
+        rows = session_windows(
+            ray.data.from_arrow(events).repartition(cpus)).count()
+        return time.perf_counter() - t0, rows
+
+    run()   # warmup (Ray task launch amortization)
+    wall, sessions = run()
+    part_rows = np.bincount(key_partition(events["user_id"]),
+                            minlength=JOIN_PARTITIONS)
+    print(json.dumps({
+        "n_events": n, "n_users": int(len(np.unique(users))),
+        "hot_user_share": round(float((users == 1).mean()), 4),
+        "num_partitions": JOIN_PARTITIONS, "sessions": sessions,
+        "session_windows_sec": round(wall, 2),
+        "part_rows_max_over_mean": round(
+            float(part_rows.max() / part_rows.mean()), 2),
+    }))
 
 
 if __name__ == "__main__":
