@@ -99,7 +99,7 @@ def entry() -> Any:
     from pdf_inspector_ray.pipelines.flagship import flagship
 
     ds = _transcripts_ds("/root/testdata/sf0.001")
-    out = flagship(ds, concurrency=(1, 8))
+    out = flagship(ds, concurrency=8)
     return out.select_columns([
         "conv_id", "turn_idx", "role", "pdf_sha256", "pdf_type",
         "page_count", "confidence", "ocr_recommended", "markdown",
@@ -159,7 +159,7 @@ def _cast_markdown_str(batch):
 def _q_pdf_extract(sf_dir: str):
     from pdf_inspector_ray.pipelines.flagship import flagship
     ds = _transcripts_ds(sf_dir)
-    out = flagship(ds, concurrency=(1, 8))
+    out = flagship(ds, concurrency=8)
     return out.select_columns([
         "conv_id", "turn_idx", "pdf_sha256", "pdf_type", "page_count",
         "markdown", "error_kind"]).map_batches(
@@ -184,7 +184,7 @@ def _q_pdf_extract_resumable(sf_dir: str):
     shutil.rmtree(out_dir, ignore_errors=True)
     run_to_partitioned_output(_transcripts_ds(sf_dir), out_dir,
                               num_buckets=16, resume=False,
-                              concurrency=(1, 8))
+                              concurrency=8)
     import glob as _glob
     files = sorted(_glob.glob(os.path.join(out_dir, "part=*", "data.parquet")))
     back = ray.data.read_parquet(files, columns=[
@@ -237,7 +237,7 @@ def _q_pdf_extract_salted(sf_dir: str):
     path after canonical reorder (the driver compares order-insensitively)."""
     from pdf_inspector_ray.pipelines.flagship import flagship
     ds = _transcripts_ds(sf_dir)
-    out = flagship(ds, ordering="salted", num_buckets=16, concurrency=(1, 8))
+    out = flagship(ds, ordering="salted", num_buckets=16, concurrency=8)
     return out.select_columns([
         "conv_id", "turn_idx", "pdf_sha256", "pdf_type", "page_count",
         "markdown", "error_kind"]).map_batches(
@@ -256,7 +256,7 @@ def _q_pdf_equality_rate(sf_dir: str):
     from pdf_inspector_ray.sources.transcripts import payload_pool_goldens
 
     ds = _transcripts_ds(sf_dir)
-    out = flagship(ds, concurrency=(1, 8))
+    out = flagship(ds, concurrency=8)
     goldens = {h: (g["golden_x_pdf_type"], g["golden_markdown"],
                    g["golden_x_error_kind"])
                for h, g in payload_pool_goldens().items()}
@@ -289,7 +289,7 @@ def _q_pdf_type_histogram(sf_dir: str):
     from pdf_inspector_ray.pipelines.flagship import extract_pipeline
 
     ds = _transcripts_ds(sf_dir)
-    out = extract_pipeline(ds, concurrency=(1, 8))
+    out = extract_pipeline(ds, concurrency=8)
 
     def partial(batch: pa.Table) -> pa.Table:
         filled = pc.fill_null(batch["pdf_type"], "Error")

@@ -161,7 +161,7 @@ def run_benchmarks(sf_dir: str, num_cpus: int,
         conditions["read_columns"] = list(probe_schema)
 
         # Warmup (untimed): a run of the same pipeline absorbs the
-        # fresh-process penalty (actor-pool startup, bytecode/import warm,
+        # fresh-process penalty (worker startup, bytecode/import warm,
         # CPU governor ramp) that made first runs ~20% slower than
         # steady-state regardless of pool size — the very effect behind
         # the unexplained r2 driver-vs-builder extract discrepancy.
@@ -176,7 +176,7 @@ def run_benchmarks(sf_dir: str, num_cpus: int,
             use_payload_cache=False, concurrency=pool)
         shutil.rmtree(warm_dir, ignore_errors=True)
 
-        # Headline: the full resumable job — extract (fixed actor pool) →
+        # Headline: the full resumable job — extract (capped task pool) →
         # salted ordering → partitioned parquet write with lineage, all
         # distributed (the driver only orchestrates). Median of N runs.
         extract_runs: list[float] = []

@@ -108,9 +108,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         from .pipelines.flagship import (
             read_transcripts, run_to_partitioned_output, sized_concurrency)
 
-        # fixed pool sized to the cluster (an autoscaling pool is starved
-        # by Ray's per-operator reservation under the ordering shuffle);
-        # prune the read to the pipeline's input columns
+        # cap extract tasks below the cluster's CPUs (slack for the read
+        # and finalize tasks); prune the read to the pipeline's input columns
         pool = args.max_actors or sized_concurrency()
         import pyarrow.dataset as pads
         have = pads.dataset(args.input, format="parquet").schema.names
@@ -318,7 +317,8 @@ def main(argv: list[str] | None = None) -> int:
     p3.add_argument("--output", required=True)
     p3.add_argument("--num-buckets", type=int, default=64)
     p3.add_argument("--max-actors", type=int, default=0,
-                    help="fixed actor-pool size; 0 = auto (CPUs - CPUs/4)")
+                    help="cap on concurrent extract tasks; 0 = auto "
+                         "(CPUs - max(2, CPUs/16))")
     p3.add_argument("--no-resume", action="store_true")
     p3.set_defaults(func=cmd_run)
 
@@ -328,7 +328,9 @@ def main(argv: list[str] | None = None) -> int:
     p5.add_argument("--input", required=True)
     p5.add_argument("--output", required=True)
     p5.add_argument("--num-buckets", type=int, default=64)
-    p5.add_argument("--max-actors", type=int, default=0)
+    p5.add_argument("--max-actors", type=int, default=0,
+                    help="cap on concurrent extract tasks; 0 = auto "
+                         "(CPUs - max(2, CPUs/16))")
     p5.add_argument("--no-resume", action="store_true")
     p5.set_defaults(func=cmd_run_files)
 

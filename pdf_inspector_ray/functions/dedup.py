@@ -1420,8 +1420,8 @@ def prefix_contained_docs(ds, text_column: str = "text",
     lexicographic order, every string strictly between a prefix ``s``
     and its superstring ``t`` itself starts with ``s``, so ``s`` is a
     prefix of some bucket-mate iff it is a prefix of its immediate
-    sorted successor. Per-bucket work is O(u log u) on u unique texts,
-    vectorized (numpy unique + elementwise startswith), never all-pairs.
+    sorted successor. Per-bucket work is O(u log u) on u unique texts
+    (numpy unique + one startswith per adjacent pair), never all-pairs.
 
     Docs shorter than ``min_len`` are out of scope (mirror the SQL twin
     with ``len(text) >= min_len``; they're covered by ``exact_dedup``).
@@ -1440,20 +1440,22 @@ def prefix_contained_docs(ds, text_column: str = "text",
                          "doc_id": batch[id_column],
                          "text": batch[text_column]})
 
-    def find(group: pa.Table) -> pa.Table:
-        ids = group["doc_id"].to_numpy(zero_copy_only=False)
-        texts = group["text"].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(texts, return_inverse=True)
-        if len(uniq) < 2:
-            return pa.table({"doc_id": pa.array([], pa.int64())})
-        u = uniq.astype(str)  # U-dtype for the vectorized char kernels
-        contained = np.zeros(len(u), dtype=bool)
-        lens = np.char.str_len(u)
-        contained[:-1] = (lens[1:] > lens[:-1]) & np.char.startswith(
-            u[1:], u[:-1])
-        out = ids[contained[inv]]
-        return pa.table({"doc_id": pa.array(np.sort(out), pa.int64())})
-
     return (ds.map_batches(partial, batch_format="pyarrow")
               .groupby("bucket")
-              .map_groups(find, batch_format="pyarrow"))
+              .map_groups(_prefix_contained_in_bucket,
+                          batch_format="pyarrow"))
+
+
+def _prefix_contained_in_bucket(group: pa.Table) -> pa.Table:
+    """``prefix_contained_docs``' per-bucket pass: ids whose text is a
+    strict prefix of its sorted unique successor. The successor test runs
+    on the object array (``str.startswith``): a fixed-width U-dtype copy
+    would pad every text to the bucket's longest at 4 bytes/char."""
+    ids = group["doc_id"].to_numpy(zero_copy_only=False)
+    texts = group["text"].to_numpy(zero_copy_only=False)
+    uniq, inv = np.unique(texts, return_inverse=True)
+    contained = np.zeros(len(uniq), dtype=bool)
+    # sorted unique ⇒ successor > text, so startswith means strictly longer
+    contained[:-1] = [b.startswith(a) for a, b in zip(uniq[:-1], uniq[1:])]
+    out = ids[contained[inv]]
+    return pa.table({"doc_id": pa.array(np.sort(out), pa.int64())})

@@ -447,6 +447,22 @@ def quantize_embeddings(ds, dim: int,
     return ds.map_batches(quantize, batch_format="pyarrow")
 
 
+def _dim_minmax_partial(batch: pa.Table, embedding_column: str) -> pa.Table:
+    """One batch's (dim, mn, mx) partial; a zero-row batch (an empty block
+    or one emptied by an upstream filter) gives an empty partial."""
+    if batch.num_rows == 0:
+        return pa.table({"dim": pa.array([], pa.int64()),
+                         "mn": pa.array([], pa.float64()),
+                         "mx": pa.array([], pa.float64())})
+    m = _to_matrix(batch[embedding_column])
+    d = m.shape[1]
+    return pa.table({
+        "dim": pa.array(np.arange(1, d + 1, dtype=np.int64)),
+        "mn": pa.array(m.min(axis=0)),
+        "mx": pa.array(m.max(axis=0)),
+    })
+
+
 def embedding_dim_minmax(ds, embedding_column: str = "embedding"
                          ) -> "ray.data.Dataset":
     """Per-dimension min/max over the embedding column — the columnar
@@ -460,15 +476,6 @@ def embedding_dim_minmax(ds, embedding_column: str = "embedding"
     ``generate_subscripts``."""
     from ray.data.aggregate import Max, Min
 
-    def partial(batch: pa.Table) -> pa.Table:
-        m = _to_matrix(batch[embedding_column])
-        d = m.shape[1]
-        return pa.table({
-            "dim": pa.array(np.arange(1, d + 1, dtype=np.int64)),
-            "mn": pa.array(m.min(axis=0)),
-            "mx": pa.array(m.max(axis=0)),
-        })
-
     def finish(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
         return pa.table({
@@ -477,7 +484,8 @@ def embedding_dim_minmax(ds, embedding_column: str = "embedding"
             "mx": pc.cast(b["mx"], pa.float32()),
         })
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
+    return (ds.map_batches(_dim_minmax_partial, batch_format="pyarrow",
+                           fn_kwargs={"embedding_column": embedding_column})
               .groupby("dim")
               .aggregate(Min("mn", alias_name="mn"),
                          Max("mx", alias_name="mx"))

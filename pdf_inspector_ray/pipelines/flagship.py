@@ -1,5 +1,5 @@
-"""Flagship pipeline: read → extract (fused classify+extract actor pool) →
-salted ordering → partitioned resumable write.
+"""Flagship pipeline: read → extract (fused classify+extract, one task per
+block) → salted ordering → partitioned resumable write.
 
 Ray Data shape (SURVEY.md §3.1): the only data movement is the read, the
 one conv_id shuffle, and the write. Extraction is embarrassingly parallel
@@ -10,23 +10,24 @@ Never calls ``ray.init`` — the session is owned by the driver / bench / tests.
 
 from __future__ import annotations
 
+import glob
 import os
+import shutil
+import uuid
 from typing import Optional, Union
 
+import pyarrow as pa
 import ray.data
 
 from ..pdfi.detect import DetectionConfig
 from ..pdfi.markdown import MarkdownOptions
 from ..stages.classify import classify_batch
-from ..stages.extract_stage import ExtractRender
-from ..state.checkpoint import filter_completed, list_completed_partitions, write_partition
-from .ordering import add_salted_partition, restore_turn_order, sort_within_group
-
-# Sized for a 32-core local node; on a multi-node cluster `concurrency`
-# scales with the cluster and the streaming executor backpressures the read.
-DEFAULT_BATCH_SIZE = 64          # PDF parse cost dominates; small batches keep
-                                 # actor heartbeats short (SURVEY.md §4.2)
-DEFAULT_CONCURRENCY = (2, 32)
+from ..stages.extract_stage import extract_and_shard_block, extract_block
+from ..state.checkpoint import (aggregate_metrics, check_layout,
+                                filter_completed, finalize_partition,
+                                list_completed_partitions, write_partition)
+from .ordering import (DEFAULT_STRIDE, add_salted_partition,
+                       restore_turn_order, sort_within_group)
 
 # The canonical pipeline input schema (BASELINE.json input_hint +
 # pdf_sha256 sidecar). read_transcripts prunes to these by default so
@@ -36,23 +37,21 @@ INPUT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts",
 
 
 def sized_concurrency(mode: str = "single-node") -> int:
-    """Fixed actor-pool size for the current cluster.
+    """Cap on concurrent extract tasks: all CPUs but a slack for the read
+    and finalize tasks. Tasks free their CPU after each block, so unlike
+    the r2 all-CPUs actor pool the cap cannot deadlock those tasks.
 
     ``mode="single-node"`` (default): slack = ``max(2, cpus//16)`` — on one
     node the non-parse work (read tasks, finalize) needs only a couple of
-    cores once the map-side shard write is fused into the extract actors;
-    measured at 32 CPUs: pool 24 → 115 s, pool 30 → 95 s warm (r3), with
-    no deadlock (2 free cores keep the read/finalize tasks flowing).
+    cores once the map-side shard write is fused into the extract stage;
+    measured at 32 CPUs with the r3 actor pool: 24 → 115 s, 30 → 95 s warm.
 
     ``mode="scaling"``: slack = ``max(2, cpus//4)`` — PER-NODE slack
     emulation for the N→4N measurement: "32 CPUs" stands in for 4 nodes
     of 8, and a real 4-node cluster pays the read/shuffle slack on every
     node, so the pool FRACTION must be equal at both scales or the
     efficiency ratio partly measures slack amortization instead of
-    scaling. (r2 note kept for posterity: an AUTOSCALING pool ((min,max))
-    under a downstream all-to-all is starved by Ray's per-operator
-    resource reservation — observed ~2 active actors of 8; an all-CPUs
-    fixed pool deadlocks against the read/shuffle tasks.)"""
+    scaling."""
     import ray
 
     cpus = int(ray.cluster_resources().get("CPU", 4))
@@ -65,7 +64,7 @@ def read_transcripts(path: Union[str, list[str]],
                      num_blocks: Optional[int] = None) -> ray.data.Dataset:
     """Column-pruned parquet read (only ship what the stage needs).
 
-    ``num_blocks``: block granularity. Coarse blocks (≈4× the actor pool)
+    ``num_blocks``: block granularity. Coarse blocks (≈4× the task cap)
     cut the ordering shuffle's map-side object count (blocks × buckets tiny
     slices) — measured ~10% end-to-end at 32 CPUs — while staying fine
     enough that the pool doesn't straggle."""
@@ -90,18 +89,20 @@ def classify_pipeline(ds: ray.data.Dataset,
 def extract_pipeline(ds: ray.data.Dataset,
                      detection_config: Optional[DetectionConfig] = None,
                      markdown_options: Optional[MarkdownOptions] = None,
-                     batch_size: int = DEFAULT_BATCH_SIZE,
-                     concurrency=DEFAULT_CONCURRENCY,
+                     concurrency: Optional[int] = None,
                      use_payload_cache: bool = True) -> ray.data.Dataset:
-    """inspect→classify→extract over every turn (AB actor pool)."""
+    """inspect→classify→extract over every turn: one ``extract_block`` task
+    per block, its payload cache scoped to that block. ``concurrency`` caps
+    the extract tasks running at once; ``None`` lets Ray Data use the free
+    CPUs."""
     return ds.map_batches(
-        ExtractRender,
-        fn_constructor_kwargs={
+        extract_block,
+        fn_kwargs={
             "detection_config": detection_config,
             "markdown_options": markdown_options,
             "use_payload_cache": use_payload_cache,
         },
-        batch_size=batch_size,
+        batch_size=None,
         concurrency=concurrency,
         num_cpus=1,
         batch_format="pyarrow",
@@ -125,26 +126,34 @@ def run_to_partitioned_output(ds: ray.data.Dataset,
                               drop_payload: bool = True,
                               payload_column: str = "text",
                               shuffle: str = "file",
+                              concurrency: Optional[int] = None,
                               **extract_kwargs) -> dict:
     """The full resumable job: salt → (skip completed parts) → extract →
     repartition by salted bucket → per-partition sort + write with lineage.
 
     Salting happens BEFORE extraction so a resumed run skips the expensive
-    parse for completed partitions, not just the write.
+    parse for completed partitions, not just the write. Sidecars record
+    ``num_buckets`` and stride; a run with other values raises
+    ``ValueError`` before any work (new bucket ids would drop rows).
 
-    ``shuffle="file"`` (default): map tasks append per-partition parquet
-    shards while extraction streams (overlapped), then one finalize task
-    per partition reads+sorts+writes — no object-store all-to-all, no
-    post-extraction barrier beyond the per-partition reads. On multi-node,
-    point the shard root at shared storage. ``shuffle="object"``: Ray's
-    sort-based groupby exchange (simpler, but its reduce runs post-barrier
-    and costs ~2% of total work × the reducer imbalance).
+    ``shuffle="file"`` (default): extract tasks (one per block, at most
+    ``concurrency`` at once) append per-partition parquet shards while
+    extraction streams (overlapped), then one finalize task per partition
+    reads+sorts+writes — no object-store all-to-all, no post-extraction
+    barrier beyond the per-partition reads. A run removes its shard root
+    when it ends, even on error, and stale ones of crashed runs when it
+    starts. On multi-node, point the shard root at shared storage.
+    ``shuffle="object"``: Ray's sort-based groupby exchange (simpler, but
+    its reduce runs post-barrier and costs ~2% of total work × the reducer
+    imbalance).
     """
-    import shutil
-    import uuid
-
     os.makedirs(out_dir, exist_ok=True)
-    completed = frozenset(list_completed_partitions(out_dir)) if resume else frozenset()
+    done = list_completed_partitions(out_dir)
+    check_layout(out_dir, done, num_buckets, DEFAULT_STRIDE)
+    completed = frozenset(done) if resume else frozenset()
+    for stale in glob.glob(os.path.join(out_dir, "_shards-*")):
+        shutil.rmtree(stale, ignore_errors=True)
+    layout = {"num_buckets": num_buckets, "stride": DEFAULT_STRIDE}
 
     salted = ds.map_batches(
         add_salted_partition,
@@ -156,46 +165,21 @@ def run_to_partitioned_output(ds: ray.data.Dataset,
             batch_format="pyarrow")
 
     if shuffle == "object":
-        extracted = extract_pipeline(salted, **extract_kwargs)
+        extracted = extract_pipeline(salted, concurrency=concurrency,
+                                     **extract_kwargs)
         if drop_payload:
             # don't move the raw payload through the shuffle — the markdown
             # is the product; the payload stays in the input parquet
             extracted = extracted.drop_columns([payload_column])
         ordered_written = extracted.groupby("part").map_groups(
-            lambda g: write_partition(sort_within_group(g), out_dir),
+            lambda g: write_partition(sort_within_group(g), out_dir, **layout),
             batch_format="pyarrow")
         lineage = ordered_written.to_pandas()  # tiny: one row per partition
-        written = int((~lineage["skipped"]).sum()) if len(lineage) else 0
     elif shuffle == "file":
-        from ..stages.extract_stage import ExtractAndShard
-        from ..state.checkpoint import finalize_partition
-
-        run_nonce = uuid.uuid4().hex[:12]
-        shard_root = os.path.join(out_dir, f"_shards-{run_nonce}")
-        os.makedirs(shard_root, exist_ok=True)
-        batch_size = extract_kwargs.pop("batch_size", DEFAULT_BATCH_SIZE)
-        concurrency = extract_kwargs.pop("concurrency", DEFAULT_CONCURRENCY)
-        manifests = salted.map_batches(
-            ExtractAndShard,
-            fn_constructor_kwargs={
-                "shard_root": shard_root,
-                "drop_columns": [payload_column] if drop_payload else [],
-                **extract_kwargs,
-            },
-            batch_size=None,  # whole block per call: one shard per (block, part)
-            concurrency=concurrency,
-            num_cpus=1,
-            batch_format="pyarrow")
-        # consume manifests (tiny) to drive the map side to completion
-        touched_parts = sorted({
-            p for b in manifests.iter_batches(batch_format="pyarrow")
-            for p in b["part"].to_pylist()})
-        finalize_ds = ray.data.from_items(
-            [{"part": p} for p in touched_parts])
-        import pyarrow as pa
+        shard_root = os.path.join(out_dir, f"_shards-{uuid.uuid4().hex[:12]}")
 
         def _finalize(batch: pa.Table) -> pa.Table:
-            recs = [finalize_partition(int(p), shard_root, out_dir)
+            recs = [finalize_partition(int(p), shard_root, out_dir, **layout)
                     for p in batch["part"].to_pylist()]
             return pa.table({
                 "part": pa.array([r["part"] for r in recs], pa.int32()),
@@ -203,16 +187,33 @@ def run_to_partitioned_output(ds: ray.data.Dataset,
                 "skipped": pa.array([r["skipped"] for r in recs], pa.bool_()),
             })
 
-        lineage = finalize_ds.map_batches(
-            _finalize, batch_size=1, batch_format="pyarrow").to_pandas()
-        written = int((~lineage["skipped"]).sum()) if len(lineage) else 0
-        shutil.rmtree(shard_root, ignore_errors=True)
+        try:
+            manifests = salted.map_batches(
+                extract_and_shard_block,
+                fn_kwargs={
+                    "shard_root": shard_root,
+                    "drop_columns": [payload_column] if drop_payload else [],
+                    **extract_kwargs,
+                },
+                batch_size=None,  # whole block per call: one shard per (block, part)
+                concurrency=concurrency,
+                num_cpus=1,
+                batch_format="pyarrow")
+            # consume manifests (tiny) to drive the map side to completion
+            touched_parts = sorted({
+                p for b in manifests.iter_batches(batch_format="pyarrow")
+                for p in b["part"].to_pylist()})
+            lineage = ray.data.from_items(
+                [{"part": p} for p in touched_parts]).map_batches(
+                    _finalize, batch_size=1, batch_format="pyarrow").to_pandas()
+        finally:
+            shutil.rmtree(shard_root, ignore_errors=True)
     else:
         raise ValueError(f"unknown shuffle strategy {shuffle!r}")
 
-    from ..state.checkpoint import aggregate_metrics
     metrics = aggregate_metrics(out_dir)
-    metrics["partitions_written_this_run"] = written
+    metrics["partitions_written_this_run"] = (
+        int((~lineage["skipped"]).sum()) if len(lineage) else 0)
     metrics["partitions_skipped_this_run"] = len(completed)
     return metrics
 
@@ -231,7 +232,6 @@ def conv_stats(ds: ray.data.Dataset) -> ray.data.Dataset:
     SQL twin: COUNT(*) / SUM(CASE tool<>'') / SUM(length(text)) /
     MAX(turn_idx) GROUP BY conv_id."""
     import numpy as np
-    import pyarrow as pa
     import pyarrow.compute as pc
     from ray.data.aggregate import Max, Sum
 
@@ -272,7 +272,6 @@ def conv_turn_gaps(ds: ray.data.Dataset) -> ray.data.Dataset:
     matches exactly. Single-turn conversations report 0 gaps with
     NULL total/max, like SQL aggregates over an empty LAG set."""
     import numpy as np
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     def prefilter(batch: pa.Table) -> pa.Table:

@@ -1,17 +1,21 @@
-"""Extract stage (AB): stateful actor-pool ``map_batches`` UDF.
+"""Extract stage (AB): one Ray Data task per block, cache scoped to one call.
 
-The flagship stage (SURVEY.md §2.3 E1): a callable CLASS passed to
-``ds.map_batches(ExtractRender, concurrency=(m, n), batch_size=B,
-batch_format="pyarrow")``. Setup happens once per actor in ``__init__``
-(markdown options, LRU caches); per-batch work in ``__call__``.
+The flagship stage (SURVEY.md §2.3 E1): ``extract_block`` /
+``extract_and_shard_block`` are stateless function UDFs passed to
+``ds.map_batches(fn, fn_kwargs=…, batch_size=None, concurrency=N,
+batch_format="pyarrow")``. Each call builds a fresh ``ExtractRender`` (or
+``ExtractAndShard``) for its one block and runs it, so the job runs on
+Ray's already-warm task workers instead of paying a new actor process's
+``ray.data`` import on every run, and holds no CPU once its blocks are done.
 
 Detection and extraction are fused in one pass per document (the reference
 parses the buffer three times — detect metadata, detect full, extract;
 SURVEY.md §3.3 notes behavior, not structure, is the contract), with an
 optional payload-identity LRU so transcript corpora that repeat attachments
-skip the whole parse. Caches are per-worker: at 100 TB the hit rate is the
-font/payload repetition rate of the shard the worker sees — no cross-worker
-shared state, no shuffle.
+skip the whole parse. The LRU lives for one call, i.e. one block: the hit
+rate is the payload repetition rate within a block — no cross-block or
+cross-job state (task workers are reused across jobs, so a process-global
+cache would turn a rerun into cache hits), no shuffle.
 """
 
 from __future__ import annotations
@@ -57,7 +61,8 @@ class _LRU(OrderedDict):
 
 
 class ExtractRender:
-    """Actor-pool UDF: text payload → (pdf_type, markdown, …) columns.
+    """Text payload → (pdf_type, markdown, …) columns; the payload LRU
+    lives as long as the instance (one block under ``extract_block``).
 
     Parameters mirror the reference's two config structs
     (DetectionConfig detector.rs:46-63, MarkdownOptions markdown.rs:16-56),
@@ -127,10 +132,10 @@ class ExtractRender:
 
 class ExtractAndShard(ExtractRender):
     """Extract fused with map-side shard writing (the file-shuffle's map
-    phase, SURVEY.md §4.2 skew/partitioning). Runs INSIDE the actor so the
-    parquet encode overlaps extraction instead of competing with the pool
-    for free task slots. Returns only a tiny (part, rows) manifest — the
-    data goes straight to the partition shard files.
+    phase, SURVEY.md §4.2 skew/partitioning). Runs inside the extract task
+    so the parquet encode overlaps the other tasks' extraction instead of
+    waiting for a slot of its own. Returns only a tiny (part, rows)
+    manifest — the data goes straight to the partition shard files.
 
     Shard names are deterministic over the batch's key column, so a Ray
     task retry overwrites its own half-written shards instead of
@@ -181,3 +186,13 @@ class ExtractAndShard(ExtractRender):
             man_rows.append(sub.num_rows)
         return pa.table({"part": pa.array(man_parts, pa.int32()),
                          "rows": pa.array(man_rows, pa.int64())})
+
+
+def extract_block(batch: pa.Table, **kwargs) -> pa.Table:
+    """Task UDF: ``ExtractRender(**kwargs)`` over one block."""
+    return ExtractRender(**kwargs)(batch)
+
+
+def extract_and_shard_block(batch: pa.Table, **kwargs) -> pa.Table:
+    """Task UDF: ``ExtractAndShard(**kwargs)`` over one block."""
+    return ExtractAndShard(**kwargs)(batch)

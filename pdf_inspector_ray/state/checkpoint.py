@@ -2,9 +2,10 @@
 
 Layout: ``out_dir/part={id}/data.parquet`` + ``out_dir/part={id}/_lineage.json``.
 The lineage sidecar records partition id, row count, per-turn content hash,
-and wall time; a restarted run lists completed partition ids and filters
-them out of the input plan before execution — no reprocessing, byte-identical
-final output.
+wall time and the bucket layout (``num_buckets``, ``stride``); a restarted
+run checks the layout, lists completed partition ids and filters them out
+of the input plan before execution — no reprocessing, byte-identical final
+output.
 
 The writer runs inside ``groupby(part).map_groups`` so each salted bucket is
 written by exactly one task, and the sidecar is written only after the data
@@ -47,6 +48,23 @@ def list_completed_partitions(out_dir: str) -> set[int]:
     return done
 
 
+def check_layout(out_dir: str, parts, num_buckets: int, stride: int) -> None:
+    """Raise ``ValueError`` unless every listed partition's sidecar records
+    this ``num_buckets`` and ``stride``. Under another layout a row's new
+    bucket id can name a completed partition that never held it, so a
+    resumed run would silently drop it."""
+    for part in sorted(parts):
+        with open(lineage_path(out_dir, part)) as f:
+            rec = json.load(f)
+        got = (rec.get("num_buckets"), rec.get("stride"))
+        if got != (num_buckets, stride):
+            raise ValueError(
+                f"{partition_dir(out_dir, part)} was written with "
+                f"(num_buckets, stride) = {got}, this run uses "
+                f"{(num_buckets, stride)}: rerun with the original values "
+                "or write to a new directory")
+
+
 def content_hash(table: pa.Table, columns: list[str]) -> str:
     """Order-sensitive content hash over the named columns (Arrow IPC
     serialization hashed at C speed — a Python per-row loop here costs
@@ -72,11 +90,14 @@ def _count_errors(group: pa.Table) -> int:
 
 
 def write_partition(group: pa.Table, out_dir: str,
-                    hash_columns: list[str] | None = None) -> pa.Table:
+                    hash_columns: list[str] | None = None,
+                    num_buckets: int | None = None,
+                    stride: int | None = None) -> pa.Table:
     """map_groups writer: persist one salted bucket, return its lineage row.
 
     The group arrives already sorted by (conv_id, turn_idx) from
-    ordering.sort_within_group.
+    ordering.sort_within_group. ``num_buckets`` / ``stride`` are the salting
+    layout, recorded for ``check_layout``.
     """
     start = time.perf_counter()
     if group.num_rows == 0:
@@ -112,6 +133,8 @@ def write_partition(group: pa.Table, out_dir: str,
         "content_sha256": chash,
         "wall_ms": int((time.perf_counter() - start) * 1000),
         "error_rows": _count_errors(group),
+        "num_buckets": num_buckets,
+        "stride": stride,
     }
     tmp_lineage = lpath + ".tmp"
     with open(tmp_lineage, "w") as f:
@@ -135,8 +158,11 @@ def write_partition(group: pa.Table, out_dir: str,
 # layout; locally it's /tmp.
 
 def finalize_partition(part: int, shard_root: str, out_dir: str,
-                       hash_columns: list[str] | None = None) -> dict:
-    """Reduce-side: one partition's shards → sorted data.parquet + lineage."""
+                       hash_columns: list[str] | None = None,
+                       num_buckets: int | None = None,
+                       stride: int | None = None) -> dict:
+    """Reduce-side: one partition's shards → sorted data.parquet + lineage
+    (``num_buckets`` / ``stride`` as in ``write_partition``)."""
     import glob as _glob
 
     import pyarrow.compute as pc
@@ -175,6 +201,8 @@ def finalize_partition(part: int, shard_root: str, out_dir: str,
         "content_sha256": chash,
         "wall_ms": int((time.perf_counter() - start) * 1000),
         "error_rows": _count_errors(table),
+        "num_buckets": num_buckets,
+        "stride": stride,
     }
     tmp_lineage = lpath + ".tmp"
     with open(tmp_lineage, "w") as f:

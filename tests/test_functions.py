@@ -2994,6 +2994,34 @@ def test_prefix_contained_docs_exact(ray_session):
         assert sorted(out.doc_id.tolist()) == [0, 1, 5], parts
 
 
+def test_prefix_contained_bucket_long_doc_small_memory():
+    """One 200 KB document in a bucket with 200 short mates sharing its
+    prefix: exact result without padding every text to the longest (a
+    U-dtype copy of this bucket alone is ~160 MB)."""
+    import tracemalloc
+
+    from pdf_inspector_ray.functions.dedup import _prefix_contained_in_bucket
+
+    base = "shared header 16"
+    big = base + "x" * 200_000
+    texts = [big] + [base + "x" * k for k in range(1, 101)] + [
+        base + f"y{i:03d}" for i in range(100)] + [base + "y000"]
+    group = pa.table({"bucket": pa.array([base] * len(texts)),
+                      "doc_id": pa.array(range(len(texts)), pa.int64()),
+                      "text": pa.array(texts)})
+    want = [i for i, a in enumerate(texts) if any(
+        b != a and b.startswith(a) for b in texts)]
+    assert want == list(range(1, 101))
+    tracemalloc.start()
+    try:
+        out = _prefix_contained_in_bucket(group)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out["doc_id"].to_pylist() == want
+    assert peak < 20 * 2**20, peak
+
+
 def test_late_orders_by_priority_matches_duckdb(ray_session):
     import duckdb
     import ray.data
@@ -3640,6 +3668,21 @@ def test_embedding_dim_minmax_exact(ray_session):
         assert out.mn.tolist() == vecs.min(axis=0).tolist(), parts
         assert out.mx.tolist() == vecs.max(axis=0).tolist(), parts
         assert str(out.mn.dtype) == "float32", parts
+
+
+def test_embedding_dim_minmax_zero_row_batch():
+    """A zero-row batch (an empty block, or one an upstream filter
+    emptied) yields an empty (dim, mn, mx) partial instead of raising."""
+    from pdf_inspector_ray.functions.similarity import _dim_minmax_partial
+
+    t = pa.table({"embedding": pa.array([[1.0, 2.0]],
+                                        pa.list_(pa.float32()))})
+    empty = _dim_minmax_partial(t.slice(0, 0), "embedding")
+    assert empty.num_rows == 0
+    full = _dim_minmax_partial(t, "embedding")
+    assert empty.schema == full.schema
+    assert full.to_pydict() == {"dim": [1, 2], "mn": [1.0, 2.0],
+                                "mx": [1.0, 2.0]}
 
 
 def test_user_activity_gini_closed_form(ray_session):

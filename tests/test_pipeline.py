@@ -37,7 +37,7 @@ def flagship_df(ray_session, corpus_dir):
     from pdf_inspector_ray.pipelines.flagship import flagship, read_transcripts
 
     ds = read_transcripts(corpus_dir)
-    return flagship(ds, concurrency=(1, 4)).to_pandas()
+    return flagship(ds, concurrency=4).to_pandas()
 
 
 def test_row_count_preserved(flagship_df):
@@ -82,7 +82,7 @@ def test_salted_equals_sorted(ray_session, corpus_dir, flagship_df):
 
     ds = read_transcripts(corpus_dir)
     salted = flagship(ds, ordering="salted", num_buckets=8,
-                      concurrency=(1, 4)).to_pandas()
+                      concurrency=4).to_pandas()
     cols = ["conv_id", "turn_idx", "pdf_type", "markdown", "error_kind"]
     a = flagship_df[cols].sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
     b = salted[cols].sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
@@ -109,7 +109,7 @@ def test_resume_skips_completed(ray_session, corpus_dir, tmp_path):
 
     out_dir = str(tmp_path / "out")
     m1 = run_to_partitioned_output(read_transcripts(corpus_dir), out_dir,
-                                   num_buckets=8, concurrency=(1, 4))
+                                   num_buckets=8, concurrency=4)
     assert m1["rows"] == N_TURNS
     assert m1["partitions_written_this_run"] == m1["partitions"]
     # second run: everything skipped, outputs unchanged
@@ -118,7 +118,7 @@ def test_resume_skips_completed(ray_session, corpus_dir, tmp_path):
     before = {p: hashlib.sha256(open(p, "rb").read()).hexdigest()
               for p in sorted(glob.glob(out_dir + "/part=*/data.parquet"))}
     m2 = run_to_partitioned_output(read_transcripts(corpus_dir), out_dir,
-                                   num_buckets=8, concurrency=(1, 4))
+                                   num_buckets=8, concurrency=4)
     assert m2["partitions_written_this_run"] == 0
     assert m2["partitions_skipped_this_run"] == m1["partitions"]
     after = {p: hashlib.sha256(open(p, "rb").read()).hexdigest()
@@ -137,13 +137,13 @@ def test_partial_resume(ray_session, corpus_dir, tmp_path):
 
     out_dir = str(tmp_path / "out2")
     run_to_partitioned_output(read_transcripts(corpus_dir), out_dir,
-                              num_buckets=8, concurrency=(1, 4))
+                              num_buckets=8, concurrency=4)
     parts = sorted(glob.glob(out_dir + "/part=*"))
     # simulate crash: nuke half the partitions
     for p in parts[: len(parts) // 2]:
         shutil.rmtree(p)
     m = run_to_partitioned_output(read_transcripts(corpus_dir), out_dir,
-                                  num_buckets=8, concurrency=(1, 4))
+                                  num_buckets=8, concurrency=4)
     assert m["rows"] == N_TURNS
     assert m["partitions_written_this_run"] == len(parts) // 2
     assert not any(os.path.exists(p + "/.data.parquet.tmp") for p in parts)
@@ -262,7 +262,7 @@ def test_orphan_shards_from_crashed_run_are_ignored(ray_session, corpus_dir,
                      "bogus.parquet"))
 
     m = run_to_partitioned_output(read_transcripts(corpus_dir), out_dir,
-                                  num_buckets=8, concurrency=(1, 4))
+                                  num_buckets=8, concurrency=4)
     assert m["rows"] == N_TURNS
     # output contains no bogus rows
     rows = sum(pq.read_table(p).num_rows
@@ -271,6 +271,145 @@ def test_orphan_shards_from_crashed_run_are_ignored(ray_session, corpus_dir,
     for p in glob.glob(out_dir + "/part=*/data.parquet"):
         t = pq.read_table(p, columns=["conv_id"])
         assert "bogus" not in set(t["conv_id"].to_pylist())
+    # the orphan is removed at the start of the run, and the run's own
+    # shard root when it ends
+    assert not os.path.exists(os.path.join(out_dir, "_shards-deadbeefcafe"))
+    assert glob.glob(os.path.join(out_dir, "_shards-*")) == []
+
+
+def test_failed_run_removes_its_shard_root(ray_session, corpus_dir, tmp_path):
+    """A run that fails after its extract tasks wrote shards (here: every
+    partition directory is blocked by a plain file, so finalize raises)
+    leaves no _shards-<nonce> directory behind."""
+    import glob
+    import os
+
+    from pdf_inspector_ray.pipelines.flagship import (
+        read_transcripts, run_to_partitioned_output)
+
+    out_dir = str(tmp_path / "out")
+    os.makedirs(out_dir)
+    for part in range(8):
+        open(os.path.join(out_dir, f"part={part}"), "w").close()
+    with pytest.raises(Exception):
+        run_to_partitioned_output(read_transcripts(corpus_dir), out_dir,
+                                  num_buckets=8, concurrency=4)
+    assert glob.glob(os.path.join(out_dir, "_shards-*")) == []
+
+
+def test_resume_with_other_num_buckets_raises(ray_session, corpus_dir,
+                                              tmp_path):
+    """Resuming under another bucket layout would drop every row whose new
+    bucket id names a completed partition: the run must refuse before any
+    work, and a sidecar without the layout (older writer) is refused too."""
+    import glob
+    import hashlib
+    import json
+
+    from pdf_inspector_ray.pipelines.flagship import (
+        read_transcripts, run_to_partitioned_output)
+
+    out_dir = str(tmp_path / "out")
+    run_to_partitioned_output(read_transcripts(corpus_dir), out_dir,
+                              num_buckets=8, concurrency=4)
+
+    def digests(name="*"):
+        return {p: hashlib.sha256(open(p, "rb").read()).hexdigest()
+                for p in sorted(glob.glob(out_dir + f"/part=*/{name}"))}
+
+    before, data_before = digests(), digests("data.parquet")
+    assert data_before
+    with pytest.raises(ValueError, match="num_buckets"):
+        run_to_partitioned_output(read_transcripts(corpus_dir), out_dir,
+                                  num_buckets=16, concurrency=4)
+    assert digests() == before
+
+    sidecar = sorted(glob.glob(out_dir + "/part=*/_lineage.json"))[0]
+    with open(sidecar) as f:
+        rec = json.load(f)
+    assert (rec["num_buckets"], rec["stride"]) == (8, 512)
+    del rec["num_buckets"], rec["stride"]
+    with open(sidecar, "w") as f:
+        json.dump(rec, f)
+    with pytest.raises(ValueError, match="num_buckets"):
+        run_to_partitioned_output(read_transcripts(corpus_dir), out_dir,
+                                  num_buckets=8, concurrency=4)
+    assert digests("data.parquet") == data_before
+
+
+def test_extract_block_cache_scoped_to_one_call(monkeypatch):
+    """One block that repeats payloads parses each distinct payload once;
+    the next call starts with an empty cache (no cross-block state)."""
+    from pdf_inspector_ray.sources.pdfgen import fixture_pool
+    from pdf_inspector_ray.stages import extract_stage
+
+    calls = []
+    real = extract_stage.process_pdf_mem
+
+    def counting(data, *args):
+        calls.append(data)
+        return real(data, *args)
+
+    monkeypatch.setattr(extract_stage, "process_pdf_mem", counting)
+    pool = fixture_pool()
+    distinct = [pool[k].decode("latin-1") for k in sorted(pool)[:3]]
+    block = pa.table({"text": pa.array(distinct * 4 + [None], pa.string())})
+    out = extract_stage.extract_block(block)
+    assert out.num_rows == 13
+    assert len(calls) == len(set(calls)) == 3
+    assert out["markdown"].to_pylist()[:3] == out["markdown"].to_pylist()[3:6]
+    extract_stage.extract_block(block)
+    assert len(calls) == 6
+
+
+def test_extract_pipeline_matches_stage(ray_session, corpus_dir, corpus_table):
+    """The task-per-block pipeline gives the rows the stage gives when
+    called on the whole table (processing_time_ms aside)."""
+    import pyarrow.compute as pc
+
+    from pdf_inspector_ray.pipelines.flagship import (
+        INPUT_COLUMNS, extract_pipeline, read_transcripts)
+    from pdf_inspector_ray.stages.extract_stage import ExtractRender
+
+    def rows(t):
+        t = t.drop_columns(["processing_time_ms"])
+        order = pc.sort_indices(t, sort_keys=[("conv_id", "ascending"),
+                                              ("turn_idx", "ascending")])
+        return t.take(order).to_pylist()
+
+    got = pa.concat_tables(extract_pipeline(
+        read_transcripts(corpus_dir), concurrency=2).iter_batches(
+            batch_format="pyarrow", batch_size=None))
+    want = ExtractRender()(corpus_table.select(INPUT_COLUMNS))
+    assert got.column_names == want.column_names
+    assert rows(got) == rows(want)
+
+
+def test_partitioned_run_leaves_no_cpu_held(ray_session, corpus_dir, tmp_path):
+    """Once run_to_partitioned_output returns, no extract worker holds a
+    CPU: the cluster is back to all CPUs free within 2 s."""
+    import gc
+    import time
+
+    import ray
+
+    from pdf_inspector_ray.pipelines.flagship import (
+        read_transcripts, run_to_partitioned_output)
+
+    total = ray.cluster_resources()["CPU"]
+    gc.collect()  # release pools left by earlier tests' datasets
+    deadline = time.monotonic() + 30
+    while (ray.available_resources().get("CPU", 0) < total
+           and time.monotonic() < deadline):
+        time.sleep(0.05)
+    run_to_partitioned_output(read_transcripts(corpus_dir),
+                              str(tmp_path / "out"), num_buckets=8,
+                              concurrency=4)
+    deadline = time.monotonic() + 2
+    while (ray.available_resources().get("CPU", 0) < total
+           and time.monotonic() < deadline):
+        time.sleep(0.05)
+    assert ray.available_resources().get("CPU", 0) == total
 
 
 def test_salting_splits_mega_conversation():

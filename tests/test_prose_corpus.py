@@ -45,7 +45,7 @@ def test_pipeline_matches_library(ray_session, prose_docs):
                          pa.string()),
     })
     out = extract_pipeline(ray.data.from_arrow(table),
-                           concurrency=(1, 4)).to_pandas()
+                           concurrency=4).to_pandas()
     assert len(out) == N_DOCS
     for _, row in out.iterrows():
         golden = process_pdf_mem(prose_docs[row.doc_id].decode("latin-1")

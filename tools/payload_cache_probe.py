@@ -1,16 +1,17 @@
-"""Payload-LRU probe (VERDICT r3 #8): measures per-actor extract
+"""Payload-LRU probe (VERDICT r3 #8): measures per-task extract
 throughput with the payload cache OFF vs ON at controlled
 attachment-repeat profiles, grounding the 100-TB projection for corpora
 where attachments repeat across turns (bench.py keeps the cache OFF for
 honesty because the bench corpus repeats a tiny fixture pool — a ~100%
 hit rate would overstate parse throughput).
 
-The cache lives inside each actor (``ExtractRender._result_cache``), so
-the probe runs the UDF directly in-process — one actor's stream, no Ray
-— which isolates the cache effect from actor-pool startup and host
-clock drift (interleaved OFF/ON repeats, min of 3). The sequence-exact
-LRU-256 hit rate is reported next to each timing; fleet throughput
-multiplies by the pool size as usual.
+The cache lives for one ``extract_block`` call, i.e. one block
+(``ExtractRender._result_cache`` of that call's stage), so the probe runs
+``extract_block`` directly in-process over blocks of ``BLOCK_ROWS`` turns
+— one task's stream, no Ray — which isolates the cache effect from task
+scheduling and host clock drift (interleaved OFF/ON repeats, min of 2).
+The sequence-exact LRU-256 hit rate within each block is reported next to
+each timing; fleet throughput multiplies by the task cap as usual.
 
 Profiles: N turns drawn from D distinct seeded prose PDFs with
 popularity uniform / Zipf(a) — Zipf heads model boilerplate attachments
@@ -30,10 +31,15 @@ import numpy as np
 import pyarrow as pa
 
 
+BLOCK_ROWS = 1000
+
+
 def _lru_hit_rate(seq: np.ndarray, size: int = 256) -> float:
-    lru: OrderedDict = OrderedDict()
+    """Hit rate of an LRU that starts empty at every block."""
     hits = 0
-    for k in seq.tolist():
+    for i, k in enumerate(seq.tolist()):
+        if i % BLOCK_ROWS == 0:
+            lru: OrderedDict = OrderedDict()
         if k in lru:
             hits += 1
             lru.move_to_end(k)
@@ -50,7 +56,7 @@ def main() -> None:
 
     sys.path.insert(0, ".")
     from pdf_inspector_ray.sources.pdfgen import make_prose_pdf
-    from pdf_inspector_ray.stages.extract_stage import ExtractRender
+    from pdf_inspector_ray.stages.extract_stage import extract_block
 
     rng = np.random.default_rng(4)
     pool = np.array([make_prose_pdf(s).decode("latin-1")
@@ -64,12 +70,11 @@ def main() -> None:
         return (z - 1) % d
 
     def run(idx: np.ndarray, use_cache: bool) -> float:
-        udf = ExtractRender(use_payload_cache=use_cache)
         t0 = time.perf_counter()
-        for lo in range(0, len(idx), 1000):
-            batch = pa.table({"text": pa.array(pool[idx[lo:lo + 1000]],
-                                               pa.string())})
-            udf(batch)
+        for lo in range(0, len(idx), BLOCK_ROWS):
+            batch = pa.table({"text": pa.array(
+                pool[idx[lo:lo + BLOCK_ROWS]], pa.string())})
+            extract_block(batch, use_payload_cache=use_cache)
         return time.perf_counter() - t0
 
     results = {}

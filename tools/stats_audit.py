@@ -37,7 +37,7 @@ def main() -> None:
         # with extraction and is benchmarked by bench.py
         ds = read_transcripts(corpus, num_blocks=4 * cpus)
         out = extract_pipeline(ds, concurrency=sized_concurrency(),
-                               batch_size=None, use_payload_cache=False)
+                               use_payload_cache=False)
         t0 = time.perf_counter()
         n = 0
         for batch in out.iter_batches(batch_format="pyarrow"):
