@@ -166,6 +166,30 @@ def _q_pdf_extract(sf_dir: str):
             _cast_markdown_str, batch_format="pyarrow")
 
 
+def _partitioned_query_dir(name: str, sf_dir: str) -> str:
+    """A fresh per-scale output directory for a partitioned-sink query."""
+    import shutil
+
+    tag = hashlib.md5(sf_dir.encode(), usedforsecurity=False).hexdigest()[:8]
+    out_dir = f"/tmp/{name}/{tag}"
+    shutil.rmtree(out_dir, ignore_errors=True)
+    return out_dir
+
+
+def _read_partitions(out_dir: str):
+    """The partition files of a partitioned run, read BACK with the
+    `pdf_extract` columns."""
+    import glob as _glob
+
+    import ray.data
+
+    files = sorted(_glob.glob(os.path.join(out_dir, "part=*", "data.parquet")))
+    back = ray.data.read_parquet(files, columns=[
+        "conv_id", "turn_idx", "pdf_sha256", "pdf_type", "page_count",
+        "markdown", "error_kind"])  # pushdown: prune at the parquet scan
+    return back.map_batches(_cast_markdown_str, batch_format="pyarrow")
+
+
 def _q_pdf_extract_resumable(sf_dir: str):
     """S4 driver row: the full resumable partitioned-parquet sink
     (`run_to_partitioned_output` — salt → extract+shard → finalize with
@@ -173,24 +197,38 @@ def _q_pdf_extract_resumable(sf_dir: str):
     BACK and compared against the same golden_* oracle as `pdf_extract`.
     This pins the sink path (file shuffle, partition sort, atomic
     finalize) end-to-end, not just in pytest."""
-    import hashlib as _hashlib
-    import shutil
-
-    import ray.data
     from pdf_inspector_ray.pipelines.flagship import run_to_partitioned_output
 
-    tag = _hashlib.md5(sf_dir.encode(), usedforsecurity=False).hexdigest()[:8]
-    out_dir = f"/tmp/pdfi_resumable_query/{tag}"
-    shutil.rmtree(out_dir, ignore_errors=True)
+    out_dir = _partitioned_query_dir("pdfi_resumable_query", sf_dir)
     run_to_partitioned_output(_transcripts_ds(sf_dir), out_dir,
                               num_buckets=16, resume=False,
                               concurrency=8)
+    return _read_partitions(out_dir)
+
+
+def _q_pdf_extract_salted(sf_dir: str):
+    """The salted sink's resume path: a 16-bucket partitioned run, every
+    other `part=*` directory deleted (a crash that lost them), a resumed
+    run that recomputes only those, then the partition files read back.
+    Same golden oracle as `pdf_extract`, so a resume that drops or
+    duplicates a row is a red row."""
     import glob as _glob
-    files = sorted(_glob.glob(os.path.join(out_dir, "part=*", "data.parquet")))
-    back = ray.data.read_parquet(files, columns=[
-        "conv_id", "turn_idx", "pdf_sha256", "pdf_type", "page_count",
-        "markdown", "error_kind"])  # pushdown: prune at the parquet scan
-    return back.map_batches(_cast_markdown_str, batch_format="pyarrow")
+    import shutil
+
+    from pdf_inspector_ray.pipelines.flagship import run_to_partitioned_output
+
+    out_dir = _partitioned_query_dir("pdfi_salted_resume_query", sf_dir)
+    run_to_partitioned_output(_transcripts_ds(sf_dir), out_dir,
+                              num_buckets=16, concurrency=8)
+    lost = sorted(_glob.glob(os.path.join(out_dir, "part=*")))[::2]
+    for part in lost:
+        shutil.rmtree(part)
+    m = run_to_partitioned_output(_transcripts_ds(sf_dir), out_dir,
+                                  num_buckets=16, concurrency=8)
+    if m["partitions_written_this_run"] != len(lost):
+        raise RuntimeError(f"resume rewrote {m['partitions_written_this_run']}"
+                           f" partitions, {len(lost)} were lost")
+    return _read_partitions(out_dir)
 
 
 def _q_pdf_classify_jsonl(sf_dir: str):
@@ -230,18 +268,6 @@ def _q_pdf_classify_jsonl(sf_dir: str):
             for name, typ in types})
 
     return back.map_batches(norm, batch_format="pyarrow")
-
-
-def _q_pdf_extract_salted(sf_dir: str):
-    """Salted-bucket ordering path — must agree row-for-row with the sort
-    path after canonical reorder (the driver compares order-insensitively)."""
-    from pdf_inspector_ray.pipelines.flagship import flagship
-    ds = _transcripts_ds(sf_dir)
-    out = flagship(ds, ordering="salted", num_buckets=16, concurrency=8)
-    return out.select_columns([
-        "conv_id", "turn_idx", "pdf_sha256", "pdf_type", "page_count",
-        "markdown", "error_kind"]).map_batches(
-            _cast_markdown_str, batch_format="pyarrow")
 
 
 def _q_pdf_equality_rate(sf_dir: str):

@@ -28,7 +28,7 @@ import time
 
 DEFAULT_SF_DIR = "/root/testdata/sf0.1"
 # Large corpus at sf0.1 so per-turn parse work dominates the fixed
-# post-barrier tail (ordering-shuffle reduce + partition writes, ~12s at
+# post-barrier tail (file-shuffle finalize: partition reads + writes, ~12s at
 # 32 cpus) and the N→4N efficiency reflects steady-state throughput:
 # 1.5M turns ≈ 37 core-minutes of parse work
 BENCH_TURNS = {"0.001": 1000, "0.01": 4000, "0.1": 1_500_000}

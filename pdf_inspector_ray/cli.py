@@ -319,7 +319,8 @@ def main(argv: list[str] | None = None) -> int:
     p3.add_argument("--max-actors", type=int, default=0,
                     help="cap on concurrent extract tasks; 0 = auto "
                          "(CPUs - max(2, CPUs/16))")
-    p3.add_argument("--no-resume", action="store_true")
+    p3.add_argument("--no-resume", action="store_true",
+                    help="remove the existing output partitions first")
     p3.set_defaults(func=cmd_run)
 
     p5 = sub.add_parser("run-files",
@@ -331,7 +332,8 @@ def main(argv: list[str] | None = None) -> int:
     p5.add_argument("--max-actors", type=int, default=0,
                     help="cap on concurrent extract tasks; 0 = auto "
                          "(CPUs - max(2, CPUs/16))")
-    p5.add_argument("--no-resume", action="store_true")
+    p5.add_argument("--no-resume", action="store_true",
+                    help="remove the existing output partitions first")
     p5.set_defaults(func=cmd_run_files)
 
     p4 = sub.add_parser("debug", help="developer debug dumps "

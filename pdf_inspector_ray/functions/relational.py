@@ -2484,12 +2484,14 @@ def event_pair_lift(ds) -> pa.Table:
 
     Single-exchange extension of ``event_type_cooccurrence``: the same
     basket groupby emits pair rows, per-type singleton rows AND one
-    total-basket marker per basket (sentinel types — the final table
+    total-basket row per basket, told apart by the ``kind`` column (so
+    any string, ``""`` included, is a legal event type — the final table
     is |types|²-bounded so the lift fold is driver-side). The lift
     division converts both BIGINT products to float64 identically on
     both sides (exact < 2^53)."""
     from ray.data.aggregate import Sum
     US_PER_DAY = 86_400_000_000
+    PAIR, SINGLE, BASKET = 0, 1, 2
 
     def triples(batch: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(batch["event_type"]),
@@ -2509,32 +2511,34 @@ def event_pair_lift(ds) -> pa.Table:
              for _ in range(len(types) - i - 1)]
         b = [types[j] for i in range(len(types))
              for j in range(i + 1, len(types))]
-        a.extend(types)          # singleton markers: (type, "")
+        kind = [PAIR] * len(a) + [SINGLE] * len(types) + [BASKET]
+        a.extend(types)          # singleton rows: (type, "")
         b.extend([""] * len(types))
-        a.append("")             # basket marker: ("", "")
+        a.append("")             # basket row: ("", "")
         b.append("")
-        return pa.table({"type_a": pa.array(a, pa.string()),
+        return pa.table({"kind": pa.array(kind, pa.int8()),
+                         "type_a": pa.array(a, pa.string()),
                          "type_b": pa.array(b, pa.string())})
 
     def count_partial(batch: pa.Table) -> pa.Table:
-        return (batch.group_by(["type_a", "type_b"])
+        return (batch.group_by(["kind", "type_a", "type_b"])
                      .aggregate([([], "count_all")])
-                     .rename_columns(["type_a", "type_b", "n"]))
+                     .rename_columns(["kind", "type_a", "type_b", "n"]))
 
     agg = (ds.map_batches(triples, batch_format="pyarrow")
              .groupby(["user", "day"])
              .map_groups(emit, batch_format="pyarrow")
              .map_batches(count_partial, batch_format="pyarrow")
-             .groupby(["type_a", "type_b"])
+             .groupby(["kind", "type_a", "type_b"])
              .aggregate(Sum("n", alias_name="n"))
              .take_all())  # |types|² + |types| + 1 rows
     n_baskets = 0
     singles: dict[str, int] = {}
     pairs = []
     for r in agg:
-        if r["type_a"] == "" and r["type_b"] == "":
+        if r["kind"] == BASKET:
             n_baskets = int(r["n"])
-        elif r["type_b"] == "":
+        elif r["kind"] == SINGLE:
             singles[r["type_a"]] = int(r["n"])
         else:
             pairs.append((r["type_a"], r["type_b"], int(r["n"])))

@@ -1,9 +1,13 @@
 """Flagship pipeline: read → extract (fused classify+extract, one task per
-block) → salted ordering → partitioned resumable write.
+block) → stable ``(conv_id, turn_idx)`` order, in one of two output shapes:
+
+* ``flagship``: the ordered in-memory dataset, one ``ds.sort``.
+* ``run_to_partitioned_output``: the durable resumable job, salted buckets
+  exchanged through a file shuffle, one sorted parquet file per bucket.
 
 Ray Data shape (SURVEY.md §3.1): the only data movement is the read, the
-one conv_id shuffle, and the write. Extraction is embarrassingly parallel
-per turn → no key needed; the ordering restore is the single shuffle.
+one conv_id exchange, and the write. Extraction is embarrassingly parallel
+per turn → no key needed; the ordering restore is the single exchange.
 
 Never calls ``ray.init`` — the session is owned by the driver / bench / tests.
 """
@@ -25,9 +29,8 @@ from ..stages.classify import classify_batch
 from ..stages.extract_stage import extract_and_shard_block, extract_block
 from ..state.checkpoint import (aggregate_metrics, check_layout,
                                 filter_completed, finalize_partition,
-                                list_completed_partitions, write_partition)
-from .ordering import (DEFAULT_STRIDE, add_salted_partition,
-                       restore_turn_order, sort_within_group)
+                                list_completed_partitions)
+from .ordering import DEFAULT_STRIDE, add_salted_partition
 
 # The canonical pipeline input schema (BASELINE.json input_hint +
 # pdf_sha256 sidecar). read_transcripts prunes to these by default so
@@ -65,9 +68,8 @@ def read_transcripts(path: Union[str, list[str]],
     """Column-pruned parquet read (only ship what the stage needs).
 
     ``num_blocks``: block granularity. Coarse blocks (≈4× the task cap)
-    cut the ordering shuffle's map-side object count (blocks × buckets tiny
-    slices) — measured ~10% end-to-end at 32 CPUs — while staying fine
-    enough that the pool doesn't straggle."""
+    cut the file shuffle's map-side shard count (one per block × bucket)
+    while staying fine enough that the pool doesn't straggle."""
     if columns is None:
         columns = INPUT_COLUMNS
     if num_blocks is None:
@@ -109,48 +111,44 @@ def extract_pipeline(ds: ray.data.Dataset,
     )
 
 
-def flagship(ds: ray.data.Dataset,
-             ordering: str = "sort",
-             num_buckets: int = 64,
-             **extract_kwargs) -> ray.data.Dataset:
-    """extract + stable turn ordering; returns the ordered dataset."""
-    extracted = extract_pipeline(ds, **extract_kwargs)
-    return restore_turn_order(extracted, strategy=ordering,
-                              num_buckets=num_buckets)
+def flagship(ds: ray.data.Dataset, **extract_kwargs) -> ray.data.Dataset:
+    """extract + stable turn ordering; returns the ordered dataset. The
+    composite sort key splits a mega-conversation across range boundaries,
+    so no salting is needed here."""
+    return extract_pipeline(ds, **extract_kwargs).sort(["conv_id", "turn_idx"])
 
 
 def run_to_partitioned_output(ds: ray.data.Dataset,
                               out_dir: str,
                               num_buckets: int = 64,
                               resume: bool = True,
-                              drop_payload: bool = True,
                               payload_column: str = "text",
-                              shuffle: str = "file",
                               concurrency: Optional[int] = None,
                               **extract_kwargs) -> dict:
     """The full resumable job: salt → (skip completed parts) → extract →
-    repartition by salted bucket → per-partition sort + write with lineage.
+    file shuffle by salted bucket → per-partition sort + write with lineage.
 
     Salting happens BEFORE extraction so a resumed run skips the expensive
     parse for completed partitions, not just the write. Sidecars record
     ``num_buckets`` and stride; a run with other values raises
     ``ValueError`` before any work (new bucket ids would drop rows).
+    ``resume=False`` removes every existing partition first, so the output
+    holds this run's rows only.
 
-    ``shuffle="file"`` (default): extract tasks (one per block, at most
-    ``concurrency`` at once) append per-partition parquet shards while
-    extraction streams (overlapped), then one finalize task per partition
+    Extract tasks (one per block, at most ``concurrency`` at once) drop the
+    payload column and append per-partition parquet shards while extraction
+    streams (overlapped), then one finalize task per partition
     reads+sorts+writes — no object-store all-to-all, no post-extraction
-    barrier beyond the per-partition reads. A run removes its shard root
-    when it ends, even on error, and stale ones of crashed runs when it
-    starts. On multi-node, point the shard root at shared storage.
-    ``shuffle="object"``: Ray's sort-based groupby exchange (simpler, but
-    its reduce runs post-barrier and costs ~2% of total work × the reducer
-    imbalance).
+    barrier beyond the per-partition reads. The shard root lives under
+    ``out_dir``; a run removes it when it ends, even on error, and stale
+    ones of crashed runs when it starts.
     """
     os.makedirs(out_dir, exist_ok=True)
-    done = list_completed_partitions(out_dir)
-    check_layout(out_dir, done, num_buckets, DEFAULT_STRIDE)
-    completed = frozenset(done) if resume else frozenset()
+    if not resume:
+        for old in glob.glob(os.path.join(out_dir, "part=*")):
+            shutil.rmtree(old)
+    completed = frozenset(list_completed_partitions(out_dir))
+    check_layout(out_dir, completed, num_buckets, DEFAULT_STRIDE)
     for stale in glob.glob(os.path.join(out_dir, "_shards-*")):
         shutil.rmtree(stale, ignore_errors=True)
     layout = {"num_buckets": num_buckets, "stride": DEFAULT_STRIDE}
@@ -164,52 +162,38 @@ def run_to_partitioned_output(ds: ray.data.Dataset,
             filter_completed, fn_kwargs={"completed": completed},
             batch_format="pyarrow")
 
-    if shuffle == "object":
-        extracted = extract_pipeline(salted, concurrency=concurrency,
-                                     **extract_kwargs)
-        if drop_payload:
-            # don't move the raw payload through the shuffle — the markdown
-            # is the product; the payload stays in the input parquet
-            extracted = extracted.drop_columns([payload_column])
-        ordered_written = extracted.groupby("part").map_groups(
-            lambda g: write_partition(sort_within_group(g), out_dir, **layout),
+    shard_root = os.path.join(out_dir, f"_shards-{uuid.uuid4().hex[:12]}")
+
+    def _finalize(batch: pa.Table) -> pa.Table:
+        recs = [finalize_partition(int(p), shard_root, out_dir, **layout)
+                for p in batch["part"].to_pylist()]
+        return pa.table({
+            "part": pa.array([r["part"] for r in recs], pa.int32()),
+            "rows": pa.array([r["rows"] for r in recs], pa.int64()),
+            "skipped": pa.array([r["skipped"] for r in recs], pa.bool_()),
+        })
+
+    try:
+        manifests = salted.map_batches(
+            extract_and_shard_block,
+            fn_kwargs={
+                "shard_root": shard_root,
+                "drop_columns": [payload_column],
+                **extract_kwargs,
+            },
+            batch_size=None,  # whole block per call: one shard per (block, part)
+            concurrency=concurrency,
+            num_cpus=1,
             batch_format="pyarrow")
-        lineage = ordered_written.to_pandas()  # tiny: one row per partition
-    elif shuffle == "file":
-        shard_root = os.path.join(out_dir, f"_shards-{uuid.uuid4().hex[:12]}")
-
-        def _finalize(batch: pa.Table) -> pa.Table:
-            recs = [finalize_partition(int(p), shard_root, out_dir, **layout)
-                    for p in batch["part"].to_pylist()]
-            return pa.table({
-                "part": pa.array([r["part"] for r in recs], pa.int32()),
-                "rows": pa.array([r["rows"] for r in recs], pa.int64()),
-                "skipped": pa.array([r["skipped"] for r in recs], pa.bool_()),
-            })
-
-        try:
-            manifests = salted.map_batches(
-                extract_and_shard_block,
-                fn_kwargs={
-                    "shard_root": shard_root,
-                    "drop_columns": [payload_column] if drop_payload else [],
-                    **extract_kwargs,
-                },
-                batch_size=None,  # whole block per call: one shard per (block, part)
-                concurrency=concurrency,
-                num_cpus=1,
-                batch_format="pyarrow")
-            # consume manifests (tiny) to drive the map side to completion
-            touched_parts = sorted({
-                p for b in manifests.iter_batches(batch_format="pyarrow")
-                for p in b["part"].to_pylist()})
-            lineage = ray.data.from_items(
-                [{"part": p} for p in touched_parts]).map_batches(
-                    _finalize, batch_size=1, batch_format="pyarrow").to_pandas()
-        finally:
-            shutil.rmtree(shard_root, ignore_errors=True)
-    else:
-        raise ValueError(f"unknown shuffle strategy {shuffle!r}")
+        # consume manifests (tiny) to drive the map side to completion
+        touched_parts = sorted({
+            p for b in manifests.iter_batches(batch_format="pyarrow")
+            for p in b["part"].to_pylist()})
+        lineage = ray.data.from_items(
+            [{"part": p} for p in touched_parts]).map_batches(
+                _finalize, batch_size=1, batch_format="pyarrow").to_pandas()
+    finally:
+        shutil.rmtree(shard_root, ignore_errors=True)
 
     metrics = aggregate_metrics(out_dir)
     metrics["partitions_written_this_run"] = (

@@ -1,23 +1,18 @@
-"""Stable turn ordering + skew-salted partitioning.
+"""Skew-salted partitioning for the partitioned resumable job.
 
 The reference is single-document so ordering is free; at corpus scale the
 north rule requires: repartition by ``conv_id`` with explicit salting of
 skewed mega-conversations, then restore stable ``(conv_id, turn_idx)`` order
 (SURVEY.md §2.7, §4.2).
 
-Two strategies:
-
-* ``sort`` — ``ds.sort(["conv_id", "turn_idx"])``: Ray's sample-based
-  range-partition sort. Composite key means mega-conversations (same
-  conv_id, many turn_idx) still split across range boundaries — skew-safe,
-  and the right default for golden comparison.
-* ``salted`` — explicit hash buckets: ``part = (H(conv_id) + turn_idx //
-  stride) mod num_buckets`` so one mega-conversation's turn-blocks land in
-  *different* buckets (no single reducer gets 2000 turns of one chat), then
-  ``groupby(part).map_groups(sort within bucket)``. Output order is
-  deterministic per partition; global order is reconstructable from
-  ``(conv_id, turn_idx)`` — which is how the partitioned writer lays out
-  files (state/checkpoint.py).
+``part = (H(conv_id) + turn_idx // stride) mod num_buckets`` so one
+mega-conversation's turn-blocks land in *different* buckets (no single
+partition gets 2000 turns of one chat). The file shuffle
+(``flagship.run_to_partitioned_output``) routes each row to its bucket and
+``checkpoint.finalize_partition`` sorts each bucket by
+``(conv_id, turn_idx)``. The in-memory ordered dataset
+(``flagship.flagship``) is a plain ``ds.sort`` instead: its composite key
+splits a mega-conversation across range boundaries too.
 """
 
 from __future__ import annotations
@@ -31,13 +26,6 @@ import pyarrow.compute as pc
 DEFAULT_STRIDE = 512
 
 
-def stable_bucket(conv_id: str, block: int, num_buckets: int) -> int:
-    """Deterministic, process-independent bucket id (no PYTHONHASHSEED)."""
-    h = hashlib.md5(conv_id.encode("utf-8"), usedforsecurity=False).digest()
-    base = int.from_bytes(h[:8], "big")
-    return (base + block) % num_buckets
-
-
 def add_salted_partition(batch: pa.Table, num_buckets: int,
                          stride: int = DEFAULT_STRIDE) -> pa.Table:
     """SB map_batches UDF: append the salted ``part`` column.
@@ -45,9 +33,9 @@ def add_salted_partition(batch: pa.Table, num_buckets: int,
     Vectorized (r5): dictionary-encode ``conv_id`` so the md5 base is
     computed once per UNIQUE conversation in the batch (a conversation
     spans many turns, so uniques ≪ rows), then the per-row work is one
-    numpy take + add + mod. Bucket values are bit-identical to
-    ``stable_bucket`` — the r4 partition layout, goldens and resumable
-    checkpoints are unchanged."""
+    numpy take + add + mod. The bucket values are part of the on-disk
+    layout: a resumed run finds its completed partitions by them, so they
+    must never change (``tests/test_pipeline.py`` pins them)."""
     conv = batch["conv_id"].combine_chunks().dictionary_encode()
     uniq = conv.dictionary.to_pylist()
     base_mod = np.fromiter(
@@ -62,30 +50,3 @@ def add_salted_partition(batch: pa.Table, num_buckets: int,
     parts = ((base_mod[idx] + turn // stride) % num_buckets).astype(np.int32)
     return batch.append_column(
         pa.field("part", pa.int32()), pa.array(parts, pa.int32()))
-
-
-def sort_within_group(group: pa.Table) -> pa.Table:
-    """Per-bucket stable ordering restore (runs inside map_groups)."""
-    indices = pc.sort_indices(
-        group, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")])
-    return group.take(indices)
-
-
-def restore_turn_order(ds, strategy: str = "sort",
-                       num_buckets: int = 64, stride: int = DEFAULT_STRIDE):
-    """Return a dataset in stable per-turn order.
-
-    ``sort``: one global range-partitioned sort (exactly one shuffle).
-    ``salted``: hash-bucket shuffle + within-bucket sort; adds the ``part``
-    column used by the partitioned resumable writer.
-    """
-    if strategy == "sort":
-        return ds.sort(["conv_id", "turn_idx"])
-    if strategy == "salted":
-        salted = ds.map_batches(
-            add_salted_partition,
-            fn_kwargs={"num_buckets": num_buckets, "stride": stride},
-            batch_format="pyarrow")
-        return salted.groupby("part").map_groups(
-            sort_within_group, batch_format="pyarrow")
-    raise ValueError(f"unknown ordering strategy {strategy!r}")

@@ -7,10 +7,15 @@ run checks the layout, lists completed partition ids and filters them out
 of the input plan before execution — no reprocessing, byte-identical final
 output.
 
-The writer runs inside ``groupby(part).map_groups`` so each salted bucket is
-written by exactly one task, and the sidecar is written only after the data
-file is durably renamed into place (crash between the two ⇒ partition is
-retried, never half-counted).
+Exchange (a file shuffle): the extract tasks append each block's rows to
+per-partition parquet shards under a run-scoped shard root while extraction
+is still streaming; then ``finalize_partition``, one task per partition,
+reads that partition's shards, sorts them by ``(conv_id, turn_idx)`` and
+writes ``data.parquet`` + the sidecar. It is the only writer of both files.
+The sidecar is written only after the data file is durably renamed into
+place (crash between the two ⇒ partition is retried, never half-counted).
+On a multi-node cluster the shard root, like the output, must be shared
+storage (object store / NFS).
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ import time
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+# the columns the sidecar's content_sha256 covers
+HASH_COLUMNS = ["conv_id", "turn_idx", "pdf_type", "markdown", "error_kind"]
 
 
 def partition_dir(out_dir: str, part: int) -> str:
@@ -89,80 +97,12 @@ def _count_errors(group: pa.Table) -> int:
     return int(valid.as_py() or 0)
 
 
-def write_partition(group: pa.Table, out_dir: str,
-                    hash_columns: list[str] | None = None,
-                    num_buckets: int | None = None,
-                    stride: int | None = None) -> pa.Table:
-    """map_groups writer: persist one salted bucket, return its lineage row.
-
-    The group arrives already sorted by (conv_id, turn_idx) from
-    ordering.sort_within_group. ``num_buckets`` / ``stride`` are the salting
-    layout, recorded for ``check_layout``.
-    """
-    start = time.perf_counter()
-    if group.num_rows == 0:
-        return pa.table({"part": pa.array([], pa.int32()),
-                         "rows": pa.array([], pa.int64()),
-                         "content_sha256": pa.array([], pa.string()),
-                         "wall_ms": pa.array([], pa.int64()),
-                         "skipped": pa.array([], pa.bool_())})
-    part = int(group["part"][0].as_py())
-    pdir = partition_dir(out_dir, part)
-    lpath = lineage_path(out_dir, part)
-    if os.path.exists(lpath):
-        # resume: partition already completed — skip, report lineage as-is
-        with open(lpath) as f:
-            rec = json.load(f)
-        return pa.table({"part": [part], "rows": [rec["rows"]],
-                         "content_sha256": [rec["content_sha256"]],
-                         "wall_ms": [0], "skipped": [True]})
-    os.makedirs(pdir, exist_ok=True)
-    hash_cols = hash_columns or ["conv_id", "turn_idx", "pdf_type", "markdown",
-                                 "error_kind"]
-    chash = content_hash(group, hash_cols)
-    tmp = os.path.join(pdir, ".data.parquet.tmp")
-    pq.write_table(group, tmp, row_group_size=8192)
-    os.replace(tmp, os.path.join(pdir, "data.parquet"))
-    rec = {
-        "part": part,
-        "rows": group.num_rows,
-        "row_range": {
-            "conv_id_min": group["conv_id"][0].as_py(),
-            "conv_id_max": group["conv_id"][-1].as_py(),
-        },
-        "content_sha256": chash,
-        "wall_ms": int((time.perf_counter() - start) * 1000),
-        "error_rows": _count_errors(group),
-        "num_buckets": num_buckets,
-        "stride": stride,
-    }
-    tmp_lineage = lpath + ".tmp"
-    with open(tmp_lineage, "w") as f:
-        json.dump(rec, f)
-    os.replace(tmp_lineage, lpath)
-    return pa.table({"part": [part], "rows": [group.num_rows],
-                     "content_sha256": [chash], "wall_ms": [rec["wall_ms"]],
-                     "skipped": [False]})
-
-
-# -- file-based shuffle (map-side shards + per-partition finalize) ----------
-#
-# The object-store sort shuffle is a post-extraction barrier whose reduce
-# cost scales with data (~1.7% of total work × 4 at the reducer count we
-# use) and caps N→4N efficiency near 0.71. Instead, the map side splits
-# each extracted block by `part` and appends parquet shard files while
-# extraction is still streaming (fully overlapped); the finalize step is
-# one task per partition: read that partition's shards, sort, write
-# data.parquet + lineage. On a multi-node cluster the shard root must be
-# shared storage (object store / NFS) — the standard external-shuffle
-# layout; locally it's /tmp.
-
 def finalize_partition(part: int, shard_root: str, out_dir: str,
-                       hash_columns: list[str] | None = None,
                        num_buckets: int | None = None,
                        stride: int | None = None) -> dict:
-    """Reduce-side: one partition's shards → sorted data.parquet + lineage
-    (``num_buckets`` / ``stride`` as in ``write_partition``)."""
+    """Reduce-side: one partition's shards → sorted data.parquet + lineage.
+    ``num_buckets`` / ``stride`` are the salting layout, recorded for
+    ``check_layout``. A partition whose sidecar exists is skipped."""
     import glob as _glob
 
     import pyarrow.compute as pc
@@ -185,9 +125,7 @@ def finalize_partition(part: int, shard_root: str, out_dir: str,
     table = table.take(order)
     pdir = partition_dir(out_dir, part)
     os.makedirs(pdir, exist_ok=True)
-    hash_cols = hash_columns or ["conv_id", "turn_idx", "pdf_type", "markdown",
-                                 "error_kind"]
-    chash = content_hash(table, hash_cols)
+    chash = content_hash(table, HASH_COLUMNS)
     tmp = os.path.join(pdir, ".data.parquet.tmp")
     pq.write_table(table, tmp, row_group_size=8192)
     os.replace(tmp, os.path.join(pdir, "data.parquet"))

@@ -11,7 +11,6 @@ from pdf_inspector_ray.state.checkpoint import (
     finalize_partition,
     lineage_path,
     list_completed_partitions,
-    write_partition,
 )
 
 
@@ -37,23 +36,26 @@ def test_content_hash_order_sensitive():
     assert content_hash(t, ["conv_id", "nope"]) != ""
 
 
-def test_write_partition_and_metrics(tmp_path):
-    out = str(tmp_path)
-    rec = write_partition(_group(), out)
-    assert rec["part"][0].as_py() == 3
-    assert rec["skipped"][0].as_py() is False
+def test_finalize_partition_lineage_and_metrics(tmp_path):
+    import pyarrow.parquet as pq
+
+    out = str(tmp_path / "out")
+    shard_root = str(tmp_path / "shards")
+    os.makedirs(os.path.join(shard_root, "part=3"))
+    pq.write_table(_group(), os.path.join(shard_root, "part=3", "a.parquet"))
+    rec = finalize_partition(3, shard_root, out, num_buckets=8, stride=512)
+    assert rec["part"] == 3 and rec["rows"] == 10 and not rec["skipped"]
     assert list_completed_partitions(out) == {3}
     with open(lineage_path(out, 3)) as f:
         lineage = json.load(f)
     assert lineage["rows"] == 10
     assert lineage["error_rows"] == 1
-    assert lineage["row_range"]["conv_id_min"] == "conv-000"
+    assert lineage["row_range"] == {"conv_id_min": "conv-000",
+                                    "conv_id_max": "conv-009"}
+    assert (lineage["num_buckets"], lineage["stride"]) == (8, 512)
+    assert lineage["content_sha256"] == rec["content_sha256"]
     m = aggregate_metrics(out)
     assert m["rows"] == 10 and m["error_rows"] == 1 and m["partitions"] == 1
-    # second write is skipped (lineage exists) and returns the same hash
-    rec2 = write_partition(_group(), out)
-    assert rec2["skipped"][0].as_py() is True
-    assert rec2["content_sha256"][0].as_py() == rec["content_sha256"][0].as_py()
 
 
 def test_finalize_partition_sorts_and_is_idempotent(tmp_path):

@@ -3450,8 +3450,9 @@ def test_event_pair_lift_matches_duckdb(ray_session):
         "ts": pa.array((rng.integers(0, 15 * 86_400, n) * 1_000_000)
                        .astype("datetime64[us]")),
         "user_id": pa.array(rng.integers(0, 35, n), pa.int64()),
+        # "" is a real event type, not a marker
         "event_type": pa.array(rng.choice(
-            ["click", "view", "purchase"], n, p=[0.5, 0.4, 0.1])),
+            ["click", "view", "purchase", ""], n, p=[0.45, 0.35, 0.1, 0.1])),
     })
     out = (event_pair_lift(ray.data.from_arrow(ev).repartition(4))
            .to_pandas().sort_values(["type_a", "type_b"])
@@ -3479,6 +3480,7 @@ def test_event_pair_lift_matches_duckdb(ray_session):
         JOIN singles sb ON sb.event_type = type_b
         ORDER BY 1, 2""").df()
     assert out.type_a.tolist() == want.type_a.tolist()
+    assert out.type_b.tolist() == want.type_b.tolist()
     assert out.support.tolist() == want.support.tolist()
     assert out.lift.tolist() == want.lift.tolist()  # bit-exact division
 

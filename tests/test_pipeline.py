@@ -1,5 +1,6 @@
 """Ray pipeline tests: per-turn text equality under stable turn ordering,
-error-column discipline, salted-vs-sort agreement, resume semantics."""
+error-column discipline, the partitioned output against the sorted
+dataset, the pinned salted bucket layout, resume semantics."""
 
 import shutil
 
@@ -77,30 +78,46 @@ def test_error_column_discipline(flagship_df):
     assert errs.markdown.isna().all()
 
 
-def test_salted_equals_sorted(ray_session, corpus_dir, flagship_df):
-    from pdf_inspector_ray.pipelines.flagship import flagship, read_transcripts
+PART_COLS = ["conv_id", "turn_idx", "pdf_type", "markdown", "error_kind"]
 
-    ds = read_transcripts(corpus_dir)
-    salted = flagship(ds, ordering="salted", num_buckets=8,
-                      concurrency=4).to_pandas()
-    cols = ["conv_id", "turn_idx", "pdf_type", "markdown", "error_kind"]
-    a = flagship_df[cols].sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
-    b = salted[cols].sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
+
+@pytest.fixture(scope="module")
+def salted_parts(ray_session, corpus_dir, tmp_path_factory):
+    """The salted partition files of one partitioned run, read back in
+    partition order as (path, DataFrame) pairs."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from pdf_inspector_ray.pipelines.flagship import (
+        read_transcripts, run_to_partitioned_output)
+
+    out_dir = str(tmp_path_factory.mktemp("salted_out"))
+    run_to_partitioned_output(read_transcripts(corpus_dir), out_dir,
+                              num_buckets=8, concurrency=4)
+    return [(f, pq.read_table(f, columns=PART_COLS).to_pandas())
+            for f in sorted(glob.glob(out_dir + "/part=*/data.parquet"))]
+
+
+def test_salted_equals_sorted(salted_parts, flagship_df):
+    """The salted partitions together hold exactly the rows of the sorted
+    dataset."""
+    import pandas as pd
+
+    assert len(salted_parts) > 1
+    a = flagship_df[PART_COLS].reset_index(drop=True)
+    b = (pd.concat([df for _, df in salted_parts])
+         .sort_values(["conv_id", "turn_idx"]).reset_index(drop=True))
     assert a.equals(b)
 
 
-def test_salted_within_bucket_order(ray_session, corpus_dir):
-    from pdf_inspector_ray.pipelines.flagship import read_transcripts
-    from pdf_inspector_ray.pipelines.ordering import restore_turn_order
-
-    ds = read_transcripts(corpus_dir)
-    out = restore_turn_order(ds, strategy="salted", num_buckets=8)
-    for batch in out.iter_batches(batch_format="pyarrow"):
-        df = batch.to_pandas() if isinstance(batch, pa.Table) else batch
-        for _, grp in df.groupby("part"):
-            s = grp[["conv_id", "turn_idx"]].reset_index(drop=True)
-            assert s.equals(
-                s.sort_values(["conv_id", "turn_idx"]).reset_index(drop=True))
+def test_salted_within_bucket_order(salted_parts):
+    """Each salted partition file is sorted by (conv_id, turn_idx)."""
+    assert salted_parts
+    for f, df in salted_parts:
+        keys = df[["conv_id", "turn_idx"]]
+        assert keys.equals(
+            keys.sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)), f
 
 
 def test_resume_skips_completed(ray_session, corpus_dir, tmp_path):
@@ -149,6 +166,37 @@ def test_partial_resume(ray_session, corpus_dir, tmp_path):
     assert not any(os.path.exists(p + "/.data.parquet.tmp") for p in parts)
 
 
+def test_no_resume_replaces_stale_output(ray_session, corpus_dir, tmp_path):
+    """resume=False over a directory holding another corpus's output leaves
+    only this run's rows: the stale partitions are removed, not skipped."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from pdf_inspector_ray.pipelines.flagship import (
+        read_transcripts, run_to_partitioned_output)
+
+    other_dir = str(tmp_path / "corpus_b")
+    write_transcript_corpus(other_dir, 120, seed=7)
+    out_dir = str(tmp_path / "out")
+    run_to_partitioned_output(read_transcripts(corpus_dir), out_dir,
+                              num_buckets=8, concurrency=4)
+    m = run_to_partitioned_output(read_transcripts(other_dir), out_dir,
+                                  num_buckets=8, resume=False, concurrency=4)
+    assert m["rows"] == 120
+    assert m["partitions_written_this_run"] == m["partitions"]
+    assert m["partitions_skipped_this_run"] == 0
+
+    def keys(t):
+        return sorted(zip(*(t[c].to_pylist()
+                            for c in ("conv_id", "turn_idx", "pdf_sha256"))))
+
+    back = [pq.read_table(f) for f in
+            sorted(glob.glob(out_dir + "/part=*/data.parquet"))]
+    got = [k for t in back for k in keys(t)]
+    assert sorted(got) == keys(pq.read_table(other_dir))
+
+
 def test_classify_pipeline(ray_session, corpus_dir):
     from pdf_inspector_ray.pipelines.flagship import (
         classify_pipeline, read_transcripts)
@@ -184,19 +232,25 @@ def test_golden_compare_join(ray_session, corpus_dir, flagship_df, corpus_table)
     assert "markdown" in set(verdicts2.loc[~verdicts2["match"], "mismatch_column"])
 
 
-def test_mega_conversation_salting_splits_buckets():
-    """A 2000-turn mega-conversation must land in MULTIPLE buckets (no
-    single reducer gets the whole conversation) and remain reconstructable
-    from (conv_id, turn_idx)."""
-    from pdf_inspector_ray.pipelines.ordering import DEFAULT_STRIDE, stable_bucket
+def test_salted_partition_values_pinned():
+    """The bucket of a (conv_id, turn_idx) is part of the on-disk layout: a
+    resumed run finds its completed partitions by it, so the values are
+    pinned. A 2000-turn conversation spans 4 stride blocks → 4 buckets."""
+    from pdf_inspector_ray.pipelines.ordering import add_salted_partition
 
-    buckets = {stable_bucket("conv-000000", t // DEFAULT_STRIDE, 16)
-               for t in range(2000)}
-    assert len(buckets) == min(16, -(-2000 // DEFAULT_STRIDE))  # 4 blocks -> 4 buckets
-    # deterministic across calls/processes (md5-based, not hash())
-    again = {stable_bucket("conv-000000", t // DEFAULT_STRIDE, 16)
-             for t in range(2000)}
-    assert buckets == again
+    batch = pa.table({
+        "conv_id": pa.array(["conv-000000"] * 4 + ["conv-000001", "conv-mega",
+                                                    "conv-mega", ""]),
+        "turn_idx": pa.array([0, 511, 512, 1999, 3, 0, 1024, 0], pa.int32()),
+    })
+    assert add_salted_partition(batch, num_buckets=16)["part"].to_pylist() == \
+        [12, 12, 13, 15, 4, 15, 1, 4]
+    assert add_salted_partition(batch, num_buckets=64)["part"].to_pylist() == \
+        [28, 28, 29, 31, 20, 31, 33, 4]
+    mega = pa.table({"conv_id": pa.array(["conv-000000"] * 2000),
+                     "turn_idx": pa.array(range(2000), pa.int32())})
+    assert set(add_salted_partition(mega, num_buckets=16)["part"].to_pylist()) \
+        == {12, 13, 14, 15}
 
 
 def test_golden_columns_match_stage_outputs(corpus_table):

@@ -1,8 +1,9 @@
 """Print Ray Data per-operator stats for the flagship extract pipeline.
 
 Evidence tool for the scale review: shows where wall-time goes per
-operator (read → fused extract → ordering restore) so regressions in
-pipeline overlap/backpressure are visible, not guessed.
+operator of ``extract_pipeline`` (read → fused classify+extract; no
+ordering restore) so regressions in pipeline overlap/backpressure are
+visible, not guessed.
 
 Usage: python tools/stats_audit.py [corpus_dir] [num_cpus]
 """
