@@ -312,28 +312,20 @@ def _q_pdf_equality_rate(sf_dir: str):
 def _q_pdf_type_histogram(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
+    from ray.data.aggregate import Sum
     from pdf_inspector_ray.pipelines.flagship import extract_pipeline
 
     ds = _transcripts_ds(sf_dir)
     out = extract_pipeline(ds, concurrency=8)
 
     def partial(batch: pa.Table) -> pa.Table:
-        filled = pc.fill_null(batch["pdf_type"], "Error")
-        t = pa.table({"pdf_type": filled,
-                      "n_turns": pa.nulls(len(batch), pa.int64())})
-        t = t.set_column(1, "n_turns",
-                         pa.array([1] * len(batch), pa.int64()))
-        return (t.group_by(["pdf_type"]).aggregate([("n_turns", "sum")])
+        t = pa.table({"pdf_type": pc.fill_null(batch["pdf_type"], "Error")})
+        return (t.group_by(["pdf_type"]).aggregate([([], "count_all")])
                  .rename_columns(["pdf_type", "n_turns"]))
 
-    def merge(group: pa.Table) -> pa.Table:
-        return pa.table({
-            "pdf_type": [group["pdf_type"][0].as_py()],
-            "n_turns": [pc.sum(group["n_turns"]).as_py()],
-        })
-
     return (out.map_batches(partial, batch_format="pyarrow")
-               .groupby("pdf_type").map_groups(merge, batch_format="pyarrow"))
+               .groupby("pdf_type")
+               .aggregate(Sum("n_turns", alias_name="n_turns")))
 
 
 def _q_docs_by_lang(sf_dir: str):
@@ -840,9 +832,9 @@ def _q_pricing_summary(sf_dir: str):
 
 def _q_orders_by_segment(sf_dir: str):
     import pyarrow as pa
-    import pyarrow.compute as pc
     import pyarrow.parquet as pq
     import ray.data
+    from ray.data.aggregate import Sum
     from pdf_inspector_ray.functions.relational import broadcast_join_orders_customers
 
     orders = ray.data.read_parquet(os.path.join(sf_dir, "orders.parquet"),
@@ -852,20 +844,13 @@ def _q_orders_by_segment(sf_dir: str):
     joined = broadcast_join_orders_customers(orders, customers)
 
     def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"c_mktsegment": batch["c_mktsegment"],
-                      "n_orders": pa.array([1] * len(batch), pa.int64())})
-        return (t.group_by(["c_mktsegment"]).aggregate([("n_orders", "sum")])
-                 .rename_columns(["c_mktsegment", "n_orders"]))
-
-    def merge(group: pa.Table) -> pa.Table:
-        return pa.table({
-            "c_mktsegment": [group["c_mktsegment"][0].as_py()],
-            "n_orders": [pc.sum(group["n_orders"]).as_py()],
-        })
+        return (batch.select(["c_mktsegment"]).group_by(["c_mktsegment"])
+                     .aggregate([([], "count_all")])
+                     .rename_columns(["c_mktsegment", "n_orders"]))
 
     return (joined.map_batches(partial, batch_format="pyarrow")
                   .groupby("c_mktsegment")
-                  .map_groups(merge, batch_format="pyarrow"))
+                  .aggregate(Sum("n_orders", alias_name="n_orders")))
 
 
 def _q_top_terms_by_lang(sf_dir: str):
@@ -1119,13 +1104,13 @@ def _q_chunk_dedup(sf_dir: str):
     """Operator composition: chunk_documents → exact dedup over the
     CHUNK text (paragraph-level dedup, the shape RefinedWeb/Gopher
     pipelines run after document-level dedup). Keeps the lexicographic
-    min (doc_id, chunk_idx) owner per distinct chunk text; same
-    md5-digest groupby as exact_dedup."""
+    min (doc_id, chunk_idx) owner per distinct chunk text; the same
+    ``grouped_topk`` over the md5 digest as exact_dedup."""
     import hashlib as _hl
 
     import pyarrow as pa
-    import pyarrow.compute as pc
     import ray.data
+    from pdf_inspector_ray.functions.relational import grouped_topk
     from pdf_inspector_ray.functions.text_stats import chunk_documents
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                                columns=["doc_id", "text"])
@@ -1137,15 +1122,9 @@ def _q_chunk_dedup(sf_dir: str):
         return batch.append_column(
             pa.field("__digest", pa.string()), pa.array(digests))
 
-    def keep_first(group: pa.Table) -> pa.Table:
-        order = pc.sort_indices(group, sort_keys=[
-            ("doc_id", "ascending"), ("chunk_idx", "ascending")])
-        return (group.take(order[:1])
-                     .select(["doc_id", "chunk_idx", "n_tokens"]))
-
-    return (chunks.map_batches(add_md5, batch_format="pyarrow")
-                  .groupby("__digest")
-                  .map_groups(keep_first, batch_format="pyarrow"))
+    return (grouped_topk(chunks.map_batches(add_md5, batch_format="pyarrow"),
+                         "__digest", ["doc_id", "chunk_idx"], 1)
+            .select_columns(["doc_id", "chunk_idx", "n_tokens"]))
 
 
 def _q_token_counts(sf_dir: str):
@@ -1192,7 +1171,7 @@ def _q_event_value_stats(sf_dir: str):
 
 def _q_event_transitions(sf_dir: str):
     """Per-user event-type transition matrix (relational.
-    event_transitions): groupby(user) vectorized shift + count."""
+    event_transitions): per-user ``partitioned_sweep`` shift + count."""
     import ray.data
     from pdf_inspector_ray.functions.relational import event_transitions
     ds = ray.data.read_parquet(
@@ -1203,8 +1182,8 @@ def _q_event_transitions(sf_dir: str):
 
 def _q_cohort_retention(sf_dir: str):
     """Cohort retention matrix (relational.cohort_retention): one
-    groupby(user) sweep emits each user's (cohort, offset) rows — no
-    join — then one pre-combined count exchange."""
+    per-user ``partitioned_sweep`` emits each user's (cohort, offset)
+    rows — no join — then one pre-combined count exchange."""
     import ray.data
     from pdf_inspector_ray.functions.relational import cohort_retention
     ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
@@ -1330,7 +1309,8 @@ def _q_top_events_per_user(sf_dir: str):
     from pdf_inspector_ray.functions.relational import grouped_topk
     ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
                                columns=["user_id", "event_id", "value"])
-    return grouped_topk(ds, "user_id", "value", 3, "event_id")
+    return grouped_topk(ds, "user_id", [("value", "descending"), "event_id"],
+                        3)
 
 
 def _q_repetition_stats(sf_dir: str):
@@ -1491,8 +1471,8 @@ def _q_kmeans_assign(sf_dir: str):
 
 def _q_latest_event_per_user(sf_dir: str):
     """Argmax-per-group / DISTINCT ON (relational.latest_event_per_user):
-    per-batch partial argmax before the shuffle (one row per
-    (batch, user) leaves any batch), one groupby(user) merge."""
+    ``grouped_topk`` with k=1 — one row per (batch, user) leaves any
+    batch, then one sweep per hash partition of the user."""
     import ray.data
     from pdf_inspector_ray.functions.relational import latest_event_per_user
     ds = ray.data.read_parquet(
@@ -2278,9 +2258,9 @@ def _q_conversion_latency(sf_dir: str):
 
 def _q_event_pair_lift(sf_dir: str):
     """Association lift over same-day event-type baskets
-    (relational.event_pair_lift): one basket exchange emits pairs,
-    singletons and the basket total via sentinel rows; lift is one
-    mirrored BIGINT-product float64 division."""
+    (relational.event_pair_lift): one basket sweep emits pairs,
+    singletons and the basket total, told apart by a kind column; lift
+    is one mirrored BIGINT-product float64 division."""
     import ray.data
     from pdf_inspector_ray.functions.relational import event_pair_lift
     ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
@@ -2432,8 +2412,8 @@ def _q_user_activity_gini(sf_dir: str):
 
 def _q_top_customer_per_nation(sf_dir: str):
     """Biggest spender per nation (relational.top_customer_per_nation):
-    cents partials → custkey hash join → per-batch argmax partials →
-    25-group merge with smallest-custkey ties; nation broadcast."""
+    cents partials → custkey hash join → ``grouped_topk`` k=1 per
+    nation with smallest-custkey ties; nation name lookup."""
     import pyarrow.parquet as pq
     import ray.data
     from pdf_inspector_ray.functions.relational import (

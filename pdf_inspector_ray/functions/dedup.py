@@ -2,9 +2,9 @@
 embedding-cosine near-dup.
 
 Scale design (100 TB):
-* exact — hash text per batch (map_batches), hash-partition ``groupby`` on
-  the digest, keep min doc_id per group. One shuffle, keys are uniform
-  digests → no skew.
+* exact — hash text per batch (map_batches), then ``grouped_topk`` on
+  the digest keeps the min doc_id per digest. One shuffle, keys are
+  uniform digests → no skew.
 * MinHash/SimHash/embedding-LSH — signature per doc (map_batches, numpy),
   ``flat_map`` to (band_hash, doc_id) bucket rows, ``groupby`` bucket,
   emit candidate pairs per bucket, dedupe pairs, then verify candidates
@@ -21,6 +21,8 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
+from pdf_inspector_ray.functions.relational import grouped_topk, key_partition
+
 MAX_BUCKET = 256  # cap pair expansion in a pathological bucket (logged)
 
 _log = __import__("logging").getLogger(__name__)
@@ -29,8 +31,10 @@ _log = __import__("logging").getLogger(__name__)
 # -- exact ------------------------------------------------------------------
 
 def exact_dedup(ds, text_column: str = "text"):
-    """Dataset → (text_md5, doc_id=min) one row per distinct text."""
-    import pyarrow.compute as pc
+    """Dataset → (text_md5, doc_id=min) one row per distinct text: the
+    ``grouped_topk`` row with ``k=1`` per digest ordered by doc_id. A
+    null text has a null digest, and all of them form one group, as
+    SQL's ``GROUP BY md5(text)`` does."""
 
     def add_md5(batch: pa.Table) -> pa.Table:
         texts = batch[text_column].to_pylist()
@@ -41,16 +45,8 @@ def exact_dedup(ds, text_column: str = "text"):
             "doc_id": batch["doc_id"],
         })
 
-    def keep_first(group: pa.Table) -> pa.Table:
-        min_id = pc.min(group["doc_id"]).as_py()
-        return pa.table({
-            "text_md5": [group["text_md5"][0].as_py()],
-            "doc_id": pa.array([min_id], group["doc_id"].type),
-        })
-
-    return (ds.map_batches(add_md5, batch_format="pyarrow")
-              .groupby("text_md5")
-              .map_groups(keep_first, batch_format="pyarrow"))
+    return grouped_topk(ds.map_batches(add_md5, batch_format="pyarrow"),
+                        "text_md5", ["doc_id"], 1)
 
 
 # -- minhash + LSH ----------------------------------------------------------
@@ -711,10 +707,7 @@ def connected_components(pairs_ds, num_partitions: int = 16,
                          "label": batch["label"]})
 
     def add_part(batch: pa.Table) -> pa.Table:
-        key = batch["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            part = ((key * np.uint64(2654435761))
-                    % np.uint64(num_partitions)).astype(np.int32)
+        part = key_partition(batch["key"], num_partitions)
         return batch.append_column(pa.field("part", pa.int32()),
                                    pa.array(part, pa.int32()))
 
@@ -775,10 +768,7 @@ def _anti_join_ids(docs_ds, drop_ds, id_column: str = "doc_id",
         return pa.table(cols)
 
     def add_part(batch: pa.Table) -> pa.Table:
-        key = batch["__key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            part = ((key * np.uint64(2654435761))
-                    % np.uint64(num_partitions)).astype(np.int32)
+        part = key_partition(batch["__key"], num_partitions)
         return batch.append_column(pa.field("__part", pa.int32()),
                                    pa.array(part, pa.int32()))
 
@@ -982,10 +972,7 @@ def _attach_side_column(pairs_ds, src_ds, pair_key: str, out_col: str,
     pair_schema = [(f.name, f.type) for f in pairs_ds.schema().base_schema]
 
     def add_part(batch: pa.Table) -> pa.Table:
-        key = batch["__key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            part = ((key * np.uint64(2654435761))
-                    % np.uint64(num_partitions)).astype(np.int32)
+        part = key_partition(batch["__key"], num_partitions)
         return batch.append_column(pa.field("__part", pa.int32()),
                                    pa.array(part, pa.int32()))
 
@@ -1290,11 +1277,7 @@ def jaccard_prefix_candidates(ds, threshold: float = 0.8, k: int = 3,
         })
 
     def add_doc_part(batch: pa.Table) -> pa.Table:
-        key = batch[id_column].to_numpy(
-            zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            part = ((key * np.uint64(2654435761))
-                    % np.uint64(num_partitions)).astype(np.int32)
+        part = key_partition(batch[id_column], num_partitions)
         return batch.append_column("__dpart", pa.array(part, pa.int32()))
 
     _PREFIX_SCHEMA = pa.schema([("doc_id", pa.int64()),

@@ -4,13 +4,22 @@ global aggregates with partial pre-aggregation, broadcast joins, windowed
 
 Shuffle discipline: every groupby here pre-aggregates inside map_batches
 (combiner) so the all-to-all exchange moves one row per (batch × key), not
-one per input row. Per-user window operators over an integer key, which
-need every row of a key, run on ``partitioned_sweep``: one ``map_groups``
-call per hash partition (``JOIN_PARTITIONS`` of them), one sort and one
-vectorized sweep over all keys of that partition. Null keys form one
-key there, as in SQL's ``PARTITION BY``; the join-like operators
-(``asof_join_events``, ``funnel_conversion``) match nothing on a null
-key, as SQL's ``=`` does.
+one per input row. Per-entity work — every op that needs all rows of one
+user, order, customer, conversation, digest or term — goes through one of
+two primitives, never one Python UDF call per key:
+
+* ``partitioned_sweep`` — one ``map_groups`` call per hash partition
+  (``JOIN_PARTITIONS`` of them) of a key of one or more columns of any
+  type, one sort and one vectorized sweep over all keys of that
+  partition; for order-dependent ops.
+* ``grouped_topk`` — the first ``k`` rows per key under an order, with a
+  per-batch top-k before the exchange; ``k=1`` is argmin / argmax /
+  first-by-ts.
+
+Plain sums, mins and maxes use Ray's native ``groupby().aggregate()``.
+A null key is one key for every key type, as in SQL's ``PARTITION BY``;
+the join-like operators (``asof_join_events``, ``funnel_conversion``)
+match nothing on a null key, as SQL's ``=`` does.
 """
 
 from __future__ import annotations
@@ -243,8 +252,19 @@ SALT_MULT = 40503
 
 def key_partition(key, num_partitions: int = JOIN_PARTITIONS) -> np.ndarray:
     """Coarse hash partition (int32 in ``[0, num_partitions)``) of each
-    integer key. A null key hashes as 0 — it would round-trip through
-    numpy as NaN — so all null-key rows share one partition."""
+    row's key: one column, or a table of key columns. One integer
+    column takes the Fibonacci hash (``PART_MULT``); a null key hashes
+    as 0, since it would round-trip through numpy as NaN. Any other key
+    (a string column, or several columns) takes polars' row hash pinned
+    to ``seed=0``, which is stable across processes and hashes every
+    null key alike. Either way all null-key rows share one partition."""
+    if isinstance(key, pa.Table) and key.num_columns == 1:
+        key = key.column(0)
+    if isinstance(key, pa.Table) or not pa.types.is_integer(key.type):
+        import polars as pl
+        rows = key if isinstance(key, pa.Table) else pa.table({"k": key})
+        h = pl.from_arrow(rows).hash_rows(seed=0).to_numpy()
+        return (h % np.uint64(num_partitions)).astype(np.int32)
     k = pc.fill_null(pc.cast(key, pa.int64()), 0).to_numpy(
         zero_copy_only=False).astype(np.uint64)
     with np.errstate(over="ignore"):
@@ -252,46 +272,129 @@ def key_partition(key, num_partitions: int = JOIN_PARTITIONS) -> np.ndarray:
                 % np.uint64(num_partitions)).astype(np.int32)
 
 
-def partitioned_sweep(ds, key: str, order_cols, kernel):
+def _sorted_runs(t: pa.Table, keys: list[str], order_cols
+                 ) -> tuple[pa.Table, np.ndarray]:
+    """``t`` sorted by ``(*keys, *order_cols)``, and the index of each
+    key's first row: a new key starts where a run of any key column
+    ends. Run-end encoding puts consecutive nulls in one run, so null
+    equals null."""
+    sort_keys = [(k, "ascending") for k in keys] + [
+        (c, "ascending") if isinstance(c, str) else c for c in order_cols]
+    t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
+    brk = np.zeros(t.num_rows, dtype=bool)
+    brk[:1] = True
+    for k in keys:
+        ends = pc.run_end_encode(t[k].combine_chunks()).run_ends
+        brk[ends.to_numpy()[:-1]] = True
+    return t, np.flatnonzero(brk)
+
+
+def partitioned_sweep(ds, key, order_cols, kernel):
     """Sorted per-key sweep with one ``map_groups`` call per hash
-    partition of the integer ``key``, not one per key value: rows
-    co-locate by ``key_partition`` (``JOIN_PARTITIONS`` groups, so the
-    exchange sorts that many distinct values), then each partition is
-    sorted by ``(key, *order_cols)`` once and handed to
-    ``kernel(g, starts)``. ``g`` is the sorted partition; ``starts``
-    holds the index of each key's first row. Kernels compute per-key
-    results with boundary masks, ``_run_start`` offsets, cumsum
-    differences and ``reduceat`` — no Python loop over keys.
+    partition of ``key``, not one per key value. ``key`` is a column
+    name or a list of names, of any type. Rows co-locate by
+    ``key_partition`` (``JOIN_PARTITIONS`` groups, so the exchange
+    sorts that many distinct values), then each partition is sorted by
+    ``(*key, *order_cols)`` once and handed to ``kernel(g, starts)``.
+    ``g`` is the sorted partition; ``starts`` holds the index of each
+    key's first row. Kernels compute per-key results with boundary
+    masks, ``_run_start`` offsets, cumsum differences and ``reduceat``
+    — no Python loop over keys.
 
     ``order_cols`` are column names sorted ascending, or
     ``(name, "descending")`` pairs; nulls sort last in every column.
     Null keys form ONE key, after all others, as SQL's ``PARTITION BY``
-    groups them. Partitioning assumption: one partition — about
-    1/``JOIN_PARTITIONS`` of the rows, plus any heavy key whole — fits a
-    task."""
-    sort_keys = [(key, "ascending")] + [
-        (c, "ascending") if isinstance(c, str) else c for c in order_cols]
+    groups them; a multi-column key is null-equal column by column.
+    Partitioning assumption: one partition — about 1/``JOIN_PARTITIONS``
+    of the rows, plus any heavy key whole — fits a task."""
+    keys = [key] if isinstance(key, str) else list(key)
 
     def add_part(batch: pa.Table) -> pa.Table:
         return batch.append_column(
-            "__part", pa.array(key_partition(batch[key]), pa.int32()))
+            "__part", pa.array(key_partition(batch.select(keys)), pa.int32()))
 
     def sweep(group: pa.Table) -> pa.Table:
-        g = group.drop_columns(["__part"])
-        g = g.take(pc.sort_indices(g, sort_keys=sort_keys))
-        k = pc.fill_null(g[key], 0).to_numpy(zero_copy_only=False)
-        null = pc.is_null(g[key]).to_numpy(zero_copy_only=False)
-        brk = np.ones(len(k), dtype=bool)
-        brk[1:] = (k[1:] != k[:-1]) | (null[1:] != null[:-1])
-        return kernel(g, np.flatnonzero(brk))
+        return kernel(*_sorted_runs(group.drop_columns(["__part"]), keys,
+                                    order_cols))
 
     return (ds.map_batches(add_part, batch_format="pyarrow")
               .groupby("__part").map_groups(sweep, batch_format="pyarrow"))
 
 
+def grouped_topk(ds, key, order_cols, k: int):
+    """The first ``k`` rows of each key under ``order_cols`` — the
+    distributed ``QUALIFY row_number() OVER (PARTITION BY key ORDER BY
+    order_cols) <= k``; ``k=1`` is argmin / argmax / first-by-ts.
+    ``key`` and ``order_cols`` take ``partitioned_sweep``'s forms; the
+    order must be total within a key for the result to be
+    deterministic. Top-k is decomposable, so each batch first keeps its
+    own first ``k`` rows per key, and the exchange carries at most
+    ``k`` rows per (batch, key). Rows pass through unchanged: only
+    ordering touches the values, so float columns cannot diverge from a
+    SQL twin."""
+    keys = [key] if isinstance(key, str) else list(key)
+
+    def head(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        rank = np.arange(g.num_rows) - _run_start(starts, g.num_rows)
+        return g.filter(pa.array(rank < k))
+
+    pruned = ds.map_batches(
+        lambda b: head(*_sorted_runs(b, keys, order_cols)),
+        batch_format="pyarrow")
+    return partitioned_sweep(pruned, keys, order_cols, head)
+
+
+def _run_id(starts: np.ndarray, n: int) -> np.ndarray:
+    """Per row of a swept partition, the ordinal of its key run."""
+    return np.repeat(np.arange(len(starts)), np.diff(np.append(starts, n)))
+
+
 def _run_start(starts: np.ndarray, n: int) -> np.ndarray:
     """Per row of a swept partition, the index of its key's first row."""
-    return np.repeat(starts, np.diff(np.append(starts, n)))
+    return starts[_run_id(starts, n)]
+
+
+def _run_cummax(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Running maximum of integer ``values`` within each key run. The
+    values are replaced by their dense rank and offset by ``run * m``
+    (``m`` distinct values), so one global ``maximum.accumulate``
+    restarts at every run without overflowing int64."""
+    uniq, rank = np.unique(values, return_inverse=True)
+    base = _run_id(starts, len(values)) * len(uniq)
+    return uniq[np.maximum.accumulate(base + rank) - base]
+
+
+def _first_in_run(mask: np.ndarray, starts: np.ndarray, values: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Per key run of a swept partition: whether any row has ``mask``
+    set, and ``values`` at the first such row (0 where none does)."""
+    idx = np.flatnonzero(mask)
+    runs, first = np.unique(_run_id(starts, len(mask))[idx],
+                            return_index=True)
+    has = np.zeros(len(starts), dtype=bool)
+    has[runs] = True
+    out = np.zeros(len(starts), dtype=values.dtype)
+    out[runs] = values[idx[first]]
+    return has, out
+
+
+def _run_pairs(values: pa.Array, starts: np.ndarray
+               ) -> tuple[pa.Array, pa.Array, pa.Array]:
+    """Market-basket pairs of a partition swept by (basket key, value):
+    repeated values within a run are dropped first (a basket's item can
+    reach the exchange once per batch), then every ``i < j`` pair of
+    one run's remaining values is emitted. Returns the distinct items
+    and the pair sides ``(a, b)``, with ``a < b``."""
+    keep = np.flatnonzero(_changes(values.to_numpy(zero_copy_only=False),
+                                   starts))
+    items = values.take(keep)
+    m = len(keep)
+    item_starts = np.searchsorted(keep, starts)
+    run_end = np.append(item_starts, m)[_run_id(item_starts, m) + 1]
+    later = run_end - np.arange(m) - 1
+    a = np.repeat(np.arange(m), later)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+    return items, items.take(a), items.take(b)
 
 
 def _changes(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -602,8 +705,9 @@ def shipping_priority(customer_ds, orders_ds, lineitem_ds,
     map_batches (exchange shrinks to unique orderkeys per batch; cents
     make the sum order-free so it can't diverge from a SQL twin),
     orders LEFT-SEMI joins the filtered customer keys, then one
-    large×large hash join + a per-orderkey cents merge. Result is
+    large×large hash join + a native per-order cents Sum. Result is
     ``limit`` rows — driver-side take is bounded."""
+    from ray.data.aggregate import Sum
 
     def li_partial(batch: pa.Table) -> pa.Table:
         cents = pc.cast(pc.floor(pc.add(pc.multiply(
@@ -636,17 +740,21 @@ def shipping_priority(customer_ds, orders_ds, lineitem_ds,
         right_schema=[("l_orderkey", pa.int64()),
                       ("cents", pa.int64())])
 
-    def merge(group: pa.Table) -> pa.Table:
+    def revenue(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "o_orderkey": group["o_orderkey"][:1],
-            "revenue": pa.array(
-                [pc.sum(group["cents"]).as_py() / 100.0], pa.float64()),
-            "o_orderdate": group["o_orderdate"][:1],
-            "o_orderpriority": group["o_orderpriority"][:1],
+            "o_orderkey": batch["o_orderkey"],
+            "revenue": pc.divide(pc.cast(batch["cents"], pa.float64()),
+                                 100.0),
+            "o_orderdate": pc.cast(batch["o_orderdate"], pa.timestamp("us")),
+            "o_orderpriority": batch["o_orderpriority"],
         })
 
-    per_order = (joined.groupby("o_orderkey")
-                       .map_groups(merge, batch_format="pyarrow"))
+    # o_orderdate and o_orderpriority are functions of o_orderkey, so
+    # grouping by all three is grouping by the order
+    per_order = (joined.groupby(["o_orderkey", "o_orderdate",
+                                 "o_orderpriority"])
+                       .aggregate(Sum("cents", alias_name="cents"))
+                       .map_batches(revenue, batch_format="pyarrow"))
     top = per_order.sort(["revenue", "o_orderkey"],
                          descending=[True, False]).limit(limit)
     return pa.concat_tables(list(top.iter_batches(batch_format="pyarrow")))
@@ -952,34 +1060,15 @@ def distinct_count(ds, group_column: str, value_column: str,
 
 
 def latest_event_per_user(ds) -> "ray.data.Dataset":
-    """Latest event per user (argmax-per-group / DISTINCT ON): one
-    groupby(user) co-location, vectorized in-group argmax on
-    (ts, event_id) — the dedup-to-canonical-row primitive (keep newest
-    version of a document, last state of a session). Per-batch partial
-    argmax BEFORE the shuffle ships one row per (batch, user), so a
-    user's row count never exceeds the batch count."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        # in-batch argmax per user: sort desc once, keep first per user
-        batch = batch.filter(pc.is_valid(batch["user_id"]))
-        if batch.num_rows == 0:  # all-null batch: [[True]] would be len 1
-            return batch
-        idx = pc.sort_indices(batch, sort_keys=[
-            ("user_id", "ascending"), ("ts", "descending"),
-            ("event_id", "descending")])
-        t = batch.take(idx)
-        users = t["user_id"].to_numpy(zero_copy_only=False)
-        first = np.concatenate([[True], users[1:] != users[:-1]])
-        return t.filter(pa.array(first))
-
-    def merge(group: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(group, sort_keys=[
-            ("ts", "descending"), ("event_id", "descending")])
-        return group.take(idx[:1])
-
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("user_id")
-              .map_groups(merge, batch_format="pyarrow"))
+    """Latest event per user (argmax-per-group / DISTINCT ON): the
+    ``grouped_topk`` row with ``k=1`` under (ts, event_id) descending —
+    the dedup-to-canonical-row primitive (keep newest version of a
+    document, last state of a session). Null users are dropped, as the
+    twin's WHERE does."""
+    return grouped_topk(
+        ds.map_batches(lambda b: b.filter(pc.is_valid(b["user_id"])),
+                       batch_format="pyarrow"),
+        "user_id", [("ts", "descending"), ("event_id", "descending")], 1)
 
 
 def melt(ds, id_cols: list[str], value_cols: list[str],
@@ -1012,33 +1101,37 @@ def set_op_ids(left_ds, right_ds, column: str, op: str = "intersect"
     set ops, where INTERSECT/EXCEPT compare NULLs as equal (IS NOT
     DISTINCT FROM) and may emit one NULL row; callers whose key column
     can be null and who need SQL semantics must pre-map null to a
-    sentinel.  Per-batch dedupe shrinks
-    each side to unique keys per batch, then ONE groupby(key) merges
-    side-presence flags — the exchange carries unique (batch, key)
-    rows, never the raw row count."""
+    sentinel.  Per-batch dedupe shrinks each side to unique keys per
+    batch, then ONE native groupby(key) takes the Min and Max of the
+    side flag (1 = left, 2 = right): intersect keeps (1, 2), except
+    keeps (1, 1). The exchange carries unique (batch, key) rows, never
+    the raw row count."""
+    from ray.data.aggregate import Max, Min
     if op not in ("intersect", "except"):
         raise ValueError(op)
 
-    def tag(is_left: bool):
+    def tag(flag: int):
         def fn(batch: pa.Table) -> pa.Table:
             vals = pc.unique(batch[column]).drop_null()
-            flag = 1 if is_left else 2
             return pa.table({
                 column: vals,
                 "side": pa.array(np.full(len(vals), flag), pa.int64()),
             })
         return fn
 
-    def merge(group: pa.Table) -> pa.Table:
-        sides = set(group["side"].to_pylist())
-        keep = (1 in sides and 2 in sides) if op == "intersect" \
-            else (sides == {1})
-        return group.select([column]).slice(0, 1 if keep else 0)
+    want_hi = 2 if op == "intersect" else 1
 
-    tagged = (left_ds.map_batches(tag(True), batch_format="pyarrow")
-              .union(right_ds.map_batches(tag(False),
-                                          batch_format="pyarrow")))
-    return tagged.groupby(column).map_groups(merge, batch_format="pyarrow")
+    def keep(batch: pa.Table) -> pa.Table:
+        mask = pc.and_(pc.equal(batch["lo"], 1),
+                       pc.equal(batch["hi"], want_hi))
+        return batch.filter(mask).select([column])
+
+    tagged = (left_ds.map_batches(tag(1), batch_format="pyarrow")
+              .union(right_ds.map_batches(tag(2), batch_format="pyarrow")))
+    return (tagged.groupby(column)
+                  .aggregate(Min("side", alias_name="lo"),
+                             Max("side", alias_name="hi"))
+                  .map_batches(keep, batch_format="pyarrow"))
 
 
 def forecast_revenue_q6(lineitem_ds) -> pa.Table:
@@ -1178,7 +1271,7 @@ def mode_per_group(ds, group_column: str, value_column: str
     """Most frequent value per group (mode), ties → smallest value —
     deterministic, SQL-twin-exact. Per-batch (group, value) counts
     shrink the exchange to unique pairs per batch; one groupby(group,
-    value) sums partials; a second TINY groupby(group) takes the argmax
+    value) sums partials; ``grouped_topk`` with ``k=1`` takes the argmax
     (its input is one row per distinct (group, value), never raw
     rows)."""
 
@@ -1193,19 +1286,11 @@ def mode_per_group(ds, group_column: str, value_column: str
     pair_counts = (ds.map_batches(partial, batch_format="pyarrow")
                      .groupby(["grp", "val"])
                      .aggregate(Sum("cnt", alias_name="cnt")))
-
-    def argmax(group: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(group, sort_keys=[("cnt", "descending"),
-                                                ("val", "ascending")])
-        top = group.take(idx[:1])
-        return pa.table({
-            group_column: top["grp"],
-            "mode_value": top["val"],
-            "mode_count": top["cnt"],
-        })
-
-    return pair_counts.groupby("grp").map_groups(argmax,
-                                                 batch_format="pyarrow")
+    top = grouped_topk(pair_counts, "grp", [("cnt", "descending"), "val"], 1)
+    return top.map_batches(
+        lambda b: pa.table({group_column: b["grp"], "mode_value": b["val"],
+                            "mode_count": b["cnt"]}),
+        batch_format="pyarrow")
 
 
 def rollup_agg(ds, group_cols: list[str], value_column: str):
@@ -1315,24 +1400,6 @@ def value_histogram(ds, column: str, width: float):
     from ray.data.aggregate import Sum
     return (ds.map_batches(partial, batch_format="pyarrow")
               .groupby("bin").aggregate(Sum("n", alias_name="n")))
-
-
-def grouped_topk(ds, group_column: str, order_column: str, k: int,
-                 tie_column: str):
-    """Top-k rows per group by (``order_column`` DESC, ``tie_column``
-    ASC) — the distributed QUALIFY row_number() <= k. One
-    ``partitioned_sweep`` over the integer ``group_column``: a row is
-    kept when its position within its group's run is below ``k``. Null
-    group keys are one group. Only ordering ever touches
-    ``order_column`` values, so float columns are safe — no arithmetic
-    to diverge from a SQL twin."""
-
-    def head(g: pa.Table, starts: np.ndarray) -> pa.Table:
-        rank = np.arange(g.num_rows) - _run_start(starts, g.num_rows)
-        return g.filter(pa.array(rank < k))
-
-    return partitioned_sweep(ds, group_column,
-                             [(order_column, "descending"), tie_column], head)
 
 
 def funnel_conversion(ds, from_type: str, to_type: str,
@@ -1495,79 +1562,75 @@ def _week_start_us(ts_us: np.ndarray) -> np.ndarray:
 def cohort_retention(ds):
     """Cohort retention matrix: users grouped by the ISO week of their
     FIRST event; for each (cohort_week, week_offset) count the distinct
-    users active that week. Two shuffles: one groupby(user) computing
-    first-ts AND emitting each user's distinct (cohort, offset) rows in
-    the same co-located sweep (no join needed), then one
-    count-aggregate whose exchange carries one row per
-    (batch, cohort, offset)."""
-    import pyarrow.compute as pc
+    users active that week. Two shuffles: one ``partitioned_sweep`` over
+    ``user_id`` ordered by ts — a user's cohort is the week of its first
+    row, and a user's distinct offsets are the rows where the offset
+    changes — emitting each user's distinct (cohort, offset) rows with
+    no join, then one count-aggregate whose exchange carries one row per
+    (partition, cohort, offset). Null users are dropped, as the twin's
+    ``JOIN f USING (user_id)`` drops them, and so are rows with a null
+    ts."""
 
-    def per_user(group: pa.Table) -> pa.Table:
-        ts = pc.cast(group["ts"], pa.int64()).to_numpy(
-            zero_copy_only=False)
-        weeks = _week_start_us(ts)
-        cohort = weeks.min()
-        offsets = np.unique((weeks - cohort) // _WEEK_US)
-        return pa.table({
-            "cohort_week": pa.array(
-                np.full(len(offsets), cohort), pa.int64()
-            ).cast(pa.timestamp("us")),
-            "week_offset": pa.array(offsets, pa.int64()),
-        })
+    def per_user(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        weeks = _week_start_us(pc.cast(g["ts"], pa.int64()).to_numpy(
+            zero_copy_only=False))
+        cohort = weeks[_run_start(starts, len(weeks))]
+        offsets = (weeks - cohort) // _WEEK_US
+        new = _changes(offsets, starts)
+        return (pa.table({"cohort_week": pa.array(cohort[new], pa.int64()),
+                          "week_offset": pa.array(offsets[new], pa.int64())})
+                .group_by(["cohort_week", "week_offset"])
+                .aggregate([([], "count_all")])
+                .rename_columns(["cohort_week", "week_offset", "n_users"]))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        return (batch.group_by(["cohort_week", "week_offset"])
-                     .aggregate([([], "count_all")])
-                     .rename_columns(["cohort_week", "week_offset",
-                                      "n_users"]))
-
-    def fix_unit(batch: pa.Table) -> pa.Table:
-        # Ray's aggregate round-trips the key through pandas and can
-        # re-infer timestamp[s]; pin the µs unit the oracle emits.
+    def to_timestamp(batch: pa.Table) -> pa.Table:
+        # the week start rides the exchange as int64 µs
         return batch.set_column(
             batch.schema.get_field_index("cohort_week"), "cohort_week",
             pc.cast(batch["cohort_week"], pa.timestamp("us")))
 
     from ray.data.aggregate import Sum
-    return (ds.groupby("user_id")
-              .map_groups(per_user, batch_format="pyarrow")
-              .map_batches(partial, batch_format="pyarrow")
+    valid = ds.map_batches(
+        lambda b: b.filter(pc.and_(pc.is_valid(b["user_id"]),
+                                   pc.is_valid(b["ts"]))),
+        batch_format="pyarrow")
+    return (partitioned_sweep(valid, "user_id", ["ts"], per_user)
               .groupby(["cohort_week", "week_offset"])
               .aggregate(Sum("n_users", alias_name="n_users"))
-              .map_batches(fix_unit, batch_format="pyarrow"))
+              .map_batches(to_timestamp, batch_format="pyarrow"))
 
 
 def event_transitions(ds):
     """First-order transition counts over each user's time-ordered
     event stream: (from_type, to_type) → count — the Markov-matrix /
-    path-analysis primitive. One groupby(user) co-location with a
-    vectorized shift inside the group, then a pre-combined count
-    exchange (one row per (batch, from, to))."""
-    import pyarrow.compute as pc
+    path-analysis primitive. One ``partitioned_sweep`` over
+    ``user_id`` ordered by (ts, event_id): every row that is not its
+    user's last pairs with the next row, and each partition counts its
+    pairs. A second, |types|²-bounded sweep over (from_type, to_type)
+    sums the counts; unlike Ray's sort-based groupby it takes a null
+    ``from_type`` as a key. Pairs with a null ``to_type`` are dropped,
+    as the twin's ``WHERE next_type IS NOT NULL`` does."""
 
-    def per_user(group: pa.Table) -> pa.Table:
-        order = pc.sort_indices(group, sort_keys=[
-            ("ts", "ascending"), ("event_id", "ascending")])
-        g = group.take(order)
+    def per_user(g: pa.Table, starts: np.ndarray) -> pa.Table:
         types = g["event_type"].combine_chunks()
         n = len(types)
-        if n < 2:
-            return pa.table({"from_type": pa.array([], pa.string()),
-                             "to_type": pa.array([], pa.string())})
-        return pa.table({"from_type": types.slice(0, n - 1),
-                         "to_type": types.slice(1, n)})
+        has_next = np.ones(n, dtype=bool)
+        has_next[starts[1:] - 1] = False
+        has_next[n - 1:] = False
+        src = np.flatnonzero(has_next)
+        t = pa.table({"from_type": types.take(src),
+                      "to_type": types.take(src + 1)})
+        return (t.filter(pc.is_valid(t["to_type"]))
+                .group_by(["from_type", "to_type"])
+                .aggregate([([], "count_all")])
+                .rename_columns(["from_type", "to_type", "n"]))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        return (batch.group_by(["from_type", "to_type"])
-                     .aggregate([([], "count_all")])
-                     .rename_columns(["from_type", "to_type", "n"]))
+    def total(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        return g.take(starts).set_column(2, "n", pa.array(
+            np.add.reduceat(g["n"].to_numpy(), starts), pa.int64()))
 
-    from ray.data.aggregate import Sum
-    return (ds.groupby("user_id")
-              .map_groups(per_user, batch_format="pyarrow")
-              .map_batches(partial, batch_format="pyarrow")
-              .groupby(["from_type", "to_type"])
-              .aggregate(Sum("n", alias_name="n")))
+    pairs = partitioned_sweep(ds, "user_id", ["ts", "event_id"], per_user)
+    return partitioned_sweep(pairs, ["from_type", "to_type"], [], total)
 
 
 def ntile_by_group(ds, group_column: str, order_column: str,
@@ -1665,9 +1728,10 @@ def collect_distinct_sorted(ds, group_column: str, value_column: str,
     separator-joined string plus the distinct count — the profile/
     feature-vector shape ("which event types has this user emitted").
     Per-batch distinct-pair partial shrinks the exchange to unique
-    (group, value) pairs per batch; ONE shuffle; the per-group fold is
-    numpy unique + join. Values sort bytewise (numpy str ordering ==
-    DuckDB's binary collation for ASCII values). Null groups/values
+    (group, value) pairs per batch; ONE ``partitioned_sweep`` over the
+    group ordered by value keeps each run's first row per value and
+    joins each group's values as one list. Values sort bytewise (Arrow
+    string ordering == DuckDB's binary collation). Null groups/values
     dropped, as SQL aggregates do.
 
     SQL twin: ``string_agg(DISTINCT v, sep ORDER BY v)`` +
@@ -1680,17 +1744,22 @@ def collect_distinct_sorted(ds, group_column: str, value_column: str,
         return (t.group_by(["grp", "val"]).aggregate([])
                  .rename_columns(["grp", "val"]))
 
-    def fold(group: pa.Table) -> pa.Table:
-        vals = np.unique(group["val"].to_numpy(zero_copy_only=False))
+    def fold(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        vals = g["val"].combine_chunks()
+        keep = np.flatnonzero(_changes(
+            vals.to_numpy(zero_copy_only=False), starts))
+        offsets = np.append(np.searchsorted(keep, starts), len(keep))
+        lists = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()),
+                                         vals.take(keep))
         return pa.table({
-            group_column: group["grp"][:1],
-            alias: pa.array([sep.join(vals.tolist())], pa.string()),
-            count_alias: pa.array([len(vals)], pa.int64()),
+            group_column: g["grp"].take(starts),
+            alias: pc.binary_join(lists, sep),
+            count_alias: pa.array(np.diff(offsets), pa.int64()),
         })
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("grp")
-              .map_groups(fold, batch_format="pyarrow"))
+    return partitioned_sweep(
+        ds.map_batches(partial, batch_format="pyarrow"), "grp", ["val"],
+        fold)
 
 
 def dedup_consecutive(ds, group_column: str = "user_id",
@@ -1727,36 +1796,15 @@ def argmin_by_group(ds, group_column: str, order_column: str,
     pair is lexicographically smallest — SQL's ``ROW_NUMBER() OVER
     (PARTITION BY g ORDER BY v, id) = 1``, i.e. ``min_by`` with the tie
     pinned (DuckDB's bare ``min_by`` is tie-nondeterministic, so the
-    twin uses the window form). Per-batch partial: one numpy lexsort +
-    first-row-per-group mask emits ONE candidate row per (batch, group)
-    onto the exchange; the final per-group fold repeats the same argmin
-    over the few candidates. No value arithmetic — the winning row's
-    columns pass through byte-identical. Null keys/values dropped.
-    """
-
-    def _first_per_group(tbl: pa.Table) -> pa.Table:
-        grp = tbl[group_column].to_numpy(zero_copy_only=False)
-        v = tbl[order_column].to_numpy(zero_copy_only=False)
-        tie = tbl[tiebreak_column].to_numpy(zero_copy_only=False)
-        order = np.lexsort((tie, v, grp))
-        g_sorted = grp[order]
-        head = np.empty(len(order), dtype=bool)
-        if len(order):
-            head[0] = True
-            head[1:] = g_sorted[1:] != g_sorted[:-1]
-        return tbl.take(pa.array(order[head]))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        keep = pc.is_valid(batch[group_column])
-        for c in (order_column, tiebreak_column):
-            keep = pc.and_(keep, pc.is_valid(batch[c]))
-        batch = batch.filter(keep).select(
-            [group_column, order_column, tiebreak_column])
-        return _first_per_group(batch)
-
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby(group_column)
-              .map_groups(_first_per_group, batch_format="pyarrow"))
+    twin uses the window form). ``grouped_topk`` with ``k=1``: one
+    candidate row per (batch, group) reaches the exchange. No value
+    arithmetic — the winning row's columns pass through byte-identical.
+    Null keys/values dropped."""
+    cols = [group_column, order_column, tiebreak_column]
+    return grouped_topk(
+        ds.map_batches(lambda b: b.select(cols).drop_null(),
+                       batch_format="pyarrow"),
+        group_column, [order_column, tiebreak_column], 1)
 
 
 def cume_dist_by_group(ds, group_column: str, order_column: str,
@@ -1801,11 +1849,12 @@ def event_kgrams(ds, k: int = 3, min_count: int = 2,
     the "what do users do next" n-gram table that feeds next-action
     models and funnel discovery. Windows never cross users.
 
-    One shuffle co-locates each user; the per-group sweep is the
-    ``dedup_consecutive`` lexsort plus a vectorized shifted join (no
-    Python loop over events), folded to per-group (gram, count)
-    partials, so the second exchange is gram-vocabulary-bounded — at
-    most |event_types|^k distinct rows per group — never event-bounded.
+    One ``partitioned_sweep`` over the user ordered by (ts, id); a gram
+    starts at every row whose ``k - 1`` successors belong to the same
+    user, and ``k`` shifted slices join it (no Python loop over events).
+    Each partition folds its grams to (gram, count) partials, so the
+    second exchange is gram-vocabulary-bounded — at most
+    |event_types|^k distinct rows per partition — never event-bounded.
     Null values/keys are dropped up front (the SQL twin's WHERE; grams
     are over the surviving sequence, matching ``lag`` over the filtered
     stream). Grams with global count < ``min_count`` are dropped.
@@ -1813,37 +1862,26 @@ def event_kgrams(ds, k: int = 3, min_count: int = 2,
     SQL twin: compose ``lag(v, k-1) || '>' || ... || v`` over
     ``PARTITION BY grp ORDER BY ts, id`` on the null-filtered stream,
     then GROUP BY having count >= min_count."""
-    ts_col, id_col = order_columns
+    cols = [order_columns[1], group_column, order_columns[0], value_column]
 
-    def prefilter(batch: pa.Table) -> pa.Table:
-        keep = pc.is_valid(batch[value_column])
-        for c in (group_column, ts_col, id_col):
-            keep = pc.and_(keep, pc.is_valid(batch[c]))
-        return batch.filter(keep).select(
-            [id_col, group_column, ts_col, value_column])
-
-    def sweep(group: pa.Table) -> pa.Table:
-        ts = group[ts_col].to_numpy(zero_copy_only=False)
-        eid = group[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts))
-        n = len(order) - k + 1
-        if n <= 0:
-            return pa.table({"gram": pa.array([], pa.string()),
-                             "cnt": pa.array([], pa.int64())})
-        vals = (group[value_column].combine_chunks()
-                .take(pa.array(order)))
-        shifted = [vals.slice(j, n) for j in range(k)]
-        grams = pc.binary_join_element_wise(*shifted, ">")
+    def sweep(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        run = _run_id(starts, g.num_rows)
+        n = max(g.num_rows - k + 1, 0)
+        first = np.flatnonzero(run[:n] == run[k - 1:])
+        vals = g[value_column].combine_chunks()
+        grams = pc.binary_join_element_wise(
+            *[vals.take(first + j) for j in range(k)], ">")
         return (pa.table({"gram": grams})
                 .group_by(["gram"]).aggregate([([], "count_all")])
                 .rename_columns(["gram", "cnt"]))
 
     from ray.data.aggregate import Sum
 
-    counts = (ds.map_batches(prefilter, batch_format="pyarrow")
-                .groupby(group_column)
-                .map_groups(sweep, batch_format="pyarrow")
-                .groupby("gram").aggregate(Sum("cnt", alias_name="n")))
+    counts = (partitioned_sweep(
+        ds.map_batches(lambda b: b.select(cols).drop_null(),
+                       batch_format="pyarrow"),
+        group_column, list(order_columns), sweep)
+        .groupby("gram").aggregate(Sum("cnt", alias_name="n")))
 
     def finish(batch: pa.Table) -> pa.Table:
         t = pa.table({"gram": batch["gram"],
@@ -1863,52 +1901,47 @@ def merge_intervals_by_group(ds, group_column: str = "user_id",
     coverage primitive behind "hours of audio after overlap removal" /
     "distinct busy time per user" rollups.
 
-    One shuffle co-locates each group's intervals (a group carries its
-    interval count, not its raw event count, if the caller pre-reduces);
-    the per-group sweep is fully vectorized: lexsort by (s, e), running
-    ``np.maximum.accumulate`` of ends, an island starts where s exceeds
-    the previous running max (touching intervals s == prev_max MERGE,
-    matching the twin's ``s > prev_max`` island test), and per-island
-    spans fall out of ``np.maximum.accumulate`` at island boundaries.
-    Integer microseconds in, int64 out — hash-exact against the classic
-    MAX() OVER (... ROWS ... 1 PRECEDING) gaps-and-islands SQL.
+    One ``partitioned_sweep`` over the group ordered by (s, e); the
+    sweep is fully vectorized: a running max of ends within each group
+    (``_run_cummax``), an island starts at a group's first interval and
+    wherever s exceeds the previous running max (touching intervals
+    s == prev_max MERGE, matching the twin's ``s > prev_max`` island
+    test), each island ends at the running max of its last row, and
+    ``reduceat`` sums island spans per group. Integer microseconds in,
+    int64 out — hash-exact against the classic MAX() OVER (... ROWS ...
+    1 PRECEDING) gaps-and-islands SQL.
 
     Rows with a null key or endpoint are dropped up front (the twin's
     WHERE); intervals with e < s are kept as zero-length points at s
     (twin mirrors with greatest(e, s))."""
 
     def prefilter(batch: pa.Table) -> pa.Table:
-        keep = pc.is_valid(batch[group_column])
-        for c in (start_column, end_column):
-            keep = pc.and_(keep, pc.is_valid(batch[c]))
-        batch = batch.filter(keep)
+        batch = batch.select(
+            [group_column, start_column, end_column]).drop_null()
         s = pc.cast(batch[start_column], pa.int64())
         e = pc.max_element_wise(pc.cast(batch[end_column], pa.int64()), s)
         return pa.table({"grp": batch[group_column], "s": s, "e": e})
 
-    def sweep(group: pa.Table) -> pa.Table:
-        s = group["s"].to_numpy(zero_copy_only=False)
-        e = group["e"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((e, s))
-        s, e = s[order], e[order]
-        run_max = np.maximum.accumulate(e)
-        new_island = np.empty(len(s), dtype=bool)
-        new_island[0] = True
+    def sweep(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        s = g["s"].to_numpy(zero_copy_only=False)
+        run_max = _run_cummax(g["e"].to_numpy(zero_copy_only=False), starts)
+        new_island = np.zeros(len(s), dtype=bool)
         new_island[1:] = s[1:] > run_max[:-1]
-        starts = np.flatnonzero(new_island)
-        island_end = np.empty(len(starts), np.int64)
-        island_end[:-1] = run_max[starts[1:] - 1]
-        island_end[-1] = run_max[-1]
-        covered = int((island_end - s[starts]).sum())
+        new_island[starts] = True
+        first = np.flatnonzero(new_island)
+        last = np.append(first[1:], len(s)) - 1
+        per_group = np.searchsorted(first, starts)
         return pa.table({
-            group_column: group["grp"][:1],
-            "n_intervals": pa.array([len(starts)], pa.int64()),
-            "covered": pa.array([covered], pa.int64()),
+            group_column: g["grp"].take(starts),
+            "n_intervals": pa.array(
+                np.diff(np.append(per_group, len(first))), pa.int64()),
+            "covered": pa.array(np.add.reduceat(
+                run_max[last] - s[first], per_group), pa.int64()),
         })
 
-    return (ds.map_batches(prefilter, batch_format="pyarrow")
-              .groupby("grp")
-              .map_groups(sweep, batch_format="pyarrow"))
+    return partitioned_sweep(
+        ds.map_batches(prefilter, batch_format="pyarrow"), "grp", ["s", "e"],
+        sweep)
 
 
 def late_orders_by_priority(orders_ds, lineitem_ds,
@@ -2124,14 +2157,13 @@ def funnel_steps(ds, steps: tuple[str, ...] = ("signup", "view",
     count). Generalizes ``funnel_conversion`` (one edge, per-event) to
     the N-stage per-user rollup.
 
-    One shuffle co-locates each user's step-typed events (non-step
-    types are dropped at the scan side); the per-group sweep walks the
-    ≤len(steps) stages over numpy masks. Per-user output is ONE int
-    (deepest stage reached), folded through per-batch count partials
-    into a len(steps)-row cumulative table — the driver never sees
-    per-user rows, only the ≤(len(steps)+1)-row reached histogram."""
-    from ray.data.aggregate import Sum
-
+    One ``partitioned_sweep`` over each user's step-typed events ordered
+    by ts (non-step types are dropped at the scan side); the kernel
+    loops over the ≤len(steps) stages, not over users: a stage's time
+    per user is its first matching event after the previous stage's.
+    Each partition emits its reached-depth histogram, so the driver
+    sees at most (len(steps)+1) rows per partition, never per-user
+    rows."""
     step_list = list(steps)
 
     def prefilter(batch: pa.Table) -> pa.Table:
@@ -2143,29 +2175,24 @@ def funnel_steps(ds, steps: tuple[str, ...] = ("signup", "view",
                          "ts": pc.cast(batch["ts"], pa.int64()),
                          "event_type": batch["event_type"]}).filter(keep)
 
-    def per_user(group: pa.Table) -> pa.Table:
-        ts = group["ts"].to_numpy(zero_copy_only=False)
-        et = group["event_type"].to_numpy(zero_copy_only=False)
-        t = np.iinfo(np.int64).min
-        reached = 0
+    def per_user(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = g["ts"].to_numpy(zero_copy_only=False)
+        et = g["event_type"].to_numpy(zero_copy_only=False)
+        run = _run_id(starts, len(ts))
+        t = np.full(len(starts), np.iinfo(np.int64).min)
+        alive = np.ones(len(starts), dtype=bool)
+        reached = np.zeros(len(starts), dtype=np.int64)
         for step in step_list:
-            m = (et == step) & (ts > t)
-            if not m.any():
-                break
-            t = ts[m].min()
-            reached += 1
-        return pa.table({"reached": pa.array([reached], pa.int64()),
-                         "n": pa.array([1], pa.int64())})
+            has, t = _first_in_run((et == step) & (ts > t[run]), starts, ts)
+            alive &= has
+            reached += alive
+        return pa.table({
+            "reached": pa.array(np.arange(len(step_list) + 1), pa.int64()),
+            "n": pa.array(np.bincount(reached, minlength=len(step_list) + 1),
+                          pa.int64())})
 
-    def fold_partial(batch: pa.Table) -> pa.Table:
-        return (batch.group_by(["reached"]).aggregate([("n", "sum")])
-                     .rename_columns(["reached", "n"]))
-
-    hist = (ds.map_batches(prefilter, batch_format="pyarrow")
-              .groupby("user_id")
-              .map_groups(per_user, batch_format="pyarrow")
-              .map_batches(fold_partial, batch_format="pyarrow")
-              .groupby("reached").aggregate(Sum("n", alias_name="n")))
+    hist = partitioned_sweep(ds.map_batches(prefilter, batch_format="pyarrow"),
+                             "user_id", ["ts"], per_user)
     users_at = np.zeros(len(step_list) + 1, dtype=np.int64)
     for b in hist.iter_batches(batch_format="pyarrow"):  # none without steps
         np.add.at(users_at, b["reached"].to_numpy(zero_copy_only=False),
@@ -2188,18 +2215,39 @@ def event_type_cooccurrence(ds, ts_column: str = "ts",
     same day") behind next-action and anomaly features.
 
     Per-batch distinct (user, day, type) triples bound the exchange by
-    baskets × types, not events; one (user, day) groupby emits each
-    basket's C(k,2) pairs (k ≤ #event types — single digits); per-batch
-    pair-count partials collapse into a ~|types|²-row final groupby.
-    Day = floor(epoch_us / 86_400_000_000), matching the twin."""
+    baskets × types, not events; one ``partitioned_sweep`` over the
+    (user, day) key emits each basket's C(k,2) pairs (``_run_pairs``,
+    k ≤ #event types — single digits); per-partition pair counts
+    collapse into a ~|types|²-row final groupby. Day =
+    floor(epoch_us / 86_400_000_000), matching the twin."""
     from ray.data.aggregate import Sum
+
+    def emit_pairs(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        _, a, b = _run_pairs(g["etype"].combine_chunks(), starts)
+        return (pa.table({"type_a": a, "type_b": b})
+                .group_by(["type_a", "type_b"])
+                .aggregate([([], "count_all")])
+                .rename_columns(["type_a", "type_b", "n"]))
+
+    triples = _basket_triples(ts_column, user_column, value_column)
+    agg = (partitioned_sweep(ds.map_batches(triples, batch_format="pyarrow"),
+                             ["user", "day"], ["etype"], emit_pairs)
+             .groupby(["type_a", "type_b"])
+             .aggregate(Sum("n", alias_name="support")))
+    return agg.map_batches(
+        lambda b: pa.table({"type_a": b["type_a"], "type_b": b["type_b"],
+                            "support": pc.cast(b["support"], pa.int64())}),
+        batch_format="pyarrow")
+
+
+def _basket_triples(ts_column: str, user_column: str, value_column: str):
+    """Per-batch distinct (user, day, etype) rows of non-null events —
+    the (user, day) baskets of the co-occurrence ops."""
     US_PER_DAY = 86_400_000_000
 
     def triples(batch: pa.Table) -> pa.Table:
-        keep = pc.and_(pc.is_valid(batch[value_column]),
-                       pc.and_(pc.is_valid(batch[user_column]),
-                               pc.is_valid(batch[ts_column])))
-        batch = batch.filter(keep)
+        batch = batch.select([ts_column, user_column, value_column]
+                             ).drop_null()
         day = pc.divide(pc.cast(batch[ts_column], pa.int64()),
                         pa.scalar(US_PER_DAY, pa.int64()))
         t = pa.table({"user": batch[user_column], "day": day,
@@ -2207,30 +2255,7 @@ def event_type_cooccurrence(ds, ts_column: str = "ts",
         return (t.group_by(["user", "day", "etype"]).aggregate([])
                  .rename_columns(["user", "day", "etype"]))
 
-    def emit_pairs(group: pa.Table) -> pa.Table:
-        types = sorted(set(group["etype"].to_pylist()))
-        a = [types[i] for i in range(len(types))
-             for _ in range(len(types) - i - 1)]
-        b = [types[j] for i in range(len(types))
-             for j in range(i + 1, len(types))]
-        return pa.table({"type_a": pa.array(a, pa.string()),
-                         "type_b": pa.array(b, pa.string())})
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        return (batch.group_by(["type_a", "type_b"])
-                     .aggregate([([], "count_all")])
-                     .rename_columns(["type_a", "type_b", "n"]))
-
-    agg = (ds.map_batches(triples, batch_format="pyarrow")
-             .groupby(["user", "day"])
-             .map_groups(emit_pairs, batch_format="pyarrow")
-             .map_batches(count_partial, batch_format="pyarrow")
-             .groupby(["type_a", "type_b"])
-             .aggregate(Sum("n", alias_name="support")))
-    return agg.map_batches(
-        lambda b: pa.table({"type_a": b["type_a"], "type_b": b["type_b"],
-                            "support": pc.cast(b["support"], pa.int64())}),
-        batch_format="pyarrow")
+    return triples
 
 
 def revenue_by_brand(lineitem_ds, part_ds,
@@ -2372,8 +2397,9 @@ def hourly_top_event(ds) -> "ray.data.Dataset":
     type (ties broken by lexicographically smallest type — the
     deterministic ROW_NUMBER rule, same policy as ``argmin_by_group``).
     Per-batch (hour, type) count partials bound the exchange by
-    hours × types; one groupby(hour) folds partials and takes the
-    argmax vectorized inside the group sweep."""
+    hours × types; a native Sum folds them per (hour, type), then
+    ``grouped_topk`` with ``k=1`` takes each hour's argmax."""
+    from ray.data.aggregate import Sum
     _HOUR = 3_600_000_000
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -2386,23 +2412,14 @@ def hourly_top_event(ds) -> "ray.data.Dataset":
                  .aggregate([([], "count_all")])
                  .rename_columns(["hour", "etype", "n"]))
 
-    def argmax(group: pa.Table) -> pa.Table:
-        folded = (group.select(["etype", "n"]).group_by(["etype"])
-                       .aggregate([("n", "sum")])
-                       .rename_columns(["etype", "n"]))
-        et = folded["etype"].to_numpy(zero_copy_only=False)
-        n = folded["n"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((et, -n))  # max count, then smallest type
-        i = order[0]
-        return pa.table({
-            "hour": group["hour"][:1],
-            "top_type": pa.array([et[i]], pa.string()),
-            "n": pa.array([int(n[i])], pa.int64()),
-        })
-
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("hour")
-              .map_groups(argmax, batch_format="pyarrow"))
+    counts = (ds.map_batches(partial, batch_format="pyarrow")
+                .groupby(["hour", "etype"])
+                .aggregate(Sum("n", alias_name="n")))
+    top = grouped_topk(counts, "hour", [("n", "descending"), "etype"], 1)
+    return top.map_batches(
+        lambda b: pa.table({"hour": b["hour"], "top_type": b["etype"],
+                            "n": pc.cast(b["n"], pa.int64())}),
+        batch_format="pyarrow")
 
 
 def conversion_latency_quantiles(ds, from_type: str = "signup",
@@ -2412,12 +2429,13 @@ def conversion_latency_quantiles(ds, from_type: str = "signup",
     (first qualifying pair, in WHOLE SECONDS), rolled up to count /
     median / p90 — the product-funnel health metric.
 
-    Composition of the ``funnel_steps`` per-user sweep (one user-keyed
-    exchange; emits ONE int row per converted user) with the exact
-    value-count quantile fold of ``grouped_quantiles`` (the driver
-    cumsum is bounded by DISTINCT latency values — the floor-to-seconds
-    bin is what keeps that corpus-safe, mirroring the twin's integer
-    division by 1_000_000). ``quantile_disc`` rank ceil(q·n)−1."""
+    Composition of the ``funnel_steps`` per-user sweep (one
+    ``partitioned_sweep`` over the user ordered by ts; each partition
+    emits its latency-value counts) with the exact value-count quantile
+    fold of ``grouped_quantiles`` (the driver cumsum is bounded by
+    DISTINCT latency values — the floor-to-seconds bin is what keeps
+    that corpus-safe, mirroring the twin's integer division by
+    1_000_000). ``quantile_disc`` rank ceil(q·n)−1."""
     from ray.data.aggregate import Sum
 
     def prefilter(batch: pa.Table) -> pa.Table:
@@ -2429,31 +2447,21 @@ def conversion_latency_quantiles(ds, from_type: str = "signup",
                          "ts": pc.cast(batch["ts"], pa.int64()),
                          "event_type": batch["event_type"]}).filter(keep)
 
-    def latency(group: pa.Table) -> pa.Table:
-        ts = group["ts"].to_numpy(zero_copy_only=False)
-        et = group["event_type"].to_numpy(zero_copy_only=False)
-        src = ts[et == from_type]
-        if len(src) == 0:
-            return pa.table({"lat_s": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        t0 = src.min()
-        dst = ts[(et == to_type) & (ts > t0)]
-        if len(dst) == 0:
-            return pa.table({"lat_s": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        return pa.table({
-            "lat_s": pa.array([int((dst.min() - t0) // 1_000_000)],
-                              pa.int64()),
-            "n": pa.array([1], pa.int64())})
+    def latency(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = g["ts"].to_numpy(zero_copy_only=False)
+        et = g["event_type"].to_numpy(zero_copy_only=False)
+        has_src, t0 = _first_in_run(et == from_type, starts, ts)
+        run = _run_id(starts, len(ts))
+        has_dst, t1 = _first_in_run(
+            (et == to_type) & has_src[run] & (ts > t0[run]), starts, ts)
+        lat = (t1 - t0)[has_dst] // 1_000_000
+        return (pa.table({"lat_s": pa.array(lat, pa.int64())})
+                .group_by(["lat_s"]).aggregate([([], "count_all")])
+                .rename_columns(["lat_s", "n"]))
 
-    def fold(batch: pa.Table) -> pa.Table:
-        return (batch.group_by(["lat_s"]).aggregate([("n", "sum")])
-                     .rename_columns(["lat_s", "n"]))
-
-    counts = (ds.map_batches(prefilter, batch_format="pyarrow")
-                .groupby("user_id")
-                .map_groups(latency, batch_format="pyarrow")
-                .map_batches(fold, batch_format="pyarrow")
+    counts = (partitioned_sweep(
+                  ds.map_batches(prefilter, batch_format="pyarrow"),
+                  "user_id", ["ts"], latency)
                 .groupby("lat_s").aggregate(Sum("n", alias_name="n"))
                 .take_all())  # bounded by distinct whole-second latencies
     if not counts:
@@ -2483,52 +2491,33 @@ def event_pair_lift(ds) -> pa.Table:
     the types attract, <1 = they repel).
 
     Single-exchange extension of ``event_type_cooccurrence``: the same
-    basket groupby emits pair rows, per-type singleton rows AND one
-    total-basket row per basket, told apart by the ``kind`` column (so
+    basket sweep emits pair rows, per-type singleton rows AND each
+    partition's basket total, told apart by the ``kind`` column (so
     any string, ``""`` included, is a legal event type — the final table
     is |types|²-bounded so the lift fold is driver-side). The lift
     division converts both BIGINT products to float64 identically on
     both sides (exact < 2^53)."""
     from ray.data.aggregate import Sum
-    US_PER_DAY = 86_400_000_000
     PAIR, SINGLE, BASKET = 0, 1, 2
 
-    def triples(batch: pa.Table) -> pa.Table:
-        keep = pc.and_(pc.is_valid(batch["event_type"]),
-                       pc.and_(pc.is_valid(batch["user_id"]),
-                               pc.is_valid(batch["ts"])))
-        batch = batch.filter(keep)
-        day = pc.divide(pc.cast(batch["ts"], pa.int64()),
-                        pa.scalar(US_PER_DAY, pa.int64()))
-        t = pa.table({"user": batch["user_id"], "day": day,
-                      "etype": batch["event_type"]})
-        return (t.group_by(["user", "day", "etype"]).aggregate([])
-                 .rename_columns(["user", "day", "etype"]))
+    def emit(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        items, a, b = _run_pairs(g["etype"].combine_chunks(), starts)
+        kind = np.repeat([PAIR, SINGLE, BASKET], [len(a), len(items), 1])
+        n = np.ones(len(kind), np.int64)
+        n[-1] = len(starts)
+        # singleton rows are (type, ""), the basket row is ("", "")
+        blank = pa.array([""] * (len(items) + 1), items.type)
+        return (pa.table({
+            "kind": pa.array(kind, pa.int8()),
+            "type_a": pa.concat_arrays([a, items, blank[:1]]),
+            "type_b": pa.concat_arrays([b, blank]),
+            "n": pa.array(n, pa.int64())})
+            .group_by(["kind", "type_a", "type_b"]).aggregate([("n", "sum")])
+            .rename_columns(["kind", "type_a", "type_b", "n"]))
 
-    def emit(group: pa.Table) -> pa.Table:
-        types = sorted(set(group["etype"].to_pylist()))
-        a = [types[i] for i in range(len(types))
-             for _ in range(len(types) - i - 1)]
-        b = [types[j] for i in range(len(types))
-             for j in range(i + 1, len(types))]
-        kind = [PAIR] * len(a) + [SINGLE] * len(types) + [BASKET]
-        a.extend(types)          # singleton rows: (type, "")
-        b.extend([""] * len(types))
-        a.append("")             # basket row: ("", "")
-        b.append("")
-        return pa.table({"kind": pa.array(kind, pa.int8()),
-                         "type_a": pa.array(a, pa.string()),
-                         "type_b": pa.array(b, pa.string())})
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        return (batch.group_by(["kind", "type_a", "type_b"])
-                     .aggregate([([], "count_all")])
-                     .rename_columns(["kind", "type_a", "type_b", "n"]))
-
-    agg = (ds.map_batches(triples, batch_format="pyarrow")
-             .groupby(["user", "day"])
-             .map_groups(emit, batch_format="pyarrow")
-             .map_batches(count_partial, batch_format="pyarrow")
+    triples = _basket_triples("ts", "user_id", "event_type")
+    agg = (partitioned_sweep(ds.map_batches(triples, batch_format="pyarrow"),
+                             ["user", "day"], ["etype"], emit)
              .groupby(["kind", "type_a", "type_b"])
              .aggregate(Sum("n", alias_name="n"))
              .take_all())  # |types|² + |types| + 1 rows
@@ -2688,34 +2677,31 @@ def order_interarrival_quantiles(ds) -> pa.Table:
     customer's consecutive orders, rolled up to global count / p50 /
     p90 — the reorder-cadence metric. The gap multiset of a sorted date
     sequence is tie-order-independent (consecutive differences of a
-    sorted multiset), so the per-customer numpy sort is exactly the
-    twin's LAG window. Whole-day flooring keeps the exact value-count
-    quantile fold bounded (same recipe as
+    sorted multiset), so one ``partitioned_sweep`` over the customer
+    ordered by date is exactly the twin's LAG window; each partition
+    emits its gap-value counts. Whole-day flooring keeps the exact
+    value-count quantile fold bounded (same recipe as
     ``conversion_latency_quantiles``)."""
     from ray.data.aggregate import Sum
     US_PER_DAY = 86_400_000_000
 
     def prefilter(batch: pa.Table) -> pa.Table:
-        keep = pc.and_(pc.is_valid(batch["o_custkey"]),
-                       pc.is_valid(batch["o_orderdate"]))
-        batch = batch.filter(keep)
+        batch = batch.select(["o_custkey", "o_orderdate"]).drop_null()
         return pa.table({"o_custkey": batch["o_custkey"],
                          "us": pc.cast(batch["o_orderdate"], pa.int64())})
 
-    def gaps(group: pa.Table) -> pa.Table:
-        us = np.sort(group["us"].to_numpy(zero_copy_only=False))
-        if len(us) < 2:
-            return pa.table({"gap_d": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        g = np.diff(us) // US_PER_DAY
-        t = pa.table({"gap_d": pa.array(g, pa.int64()),
-                      "n": pa.array(np.ones(len(g), np.int64))})
-        return (t.group_by(["gap_d"]).aggregate([("n", "sum")])
-                 .rename_columns(["gap_d", "n"]))
+    def gaps(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        us = g["us"].to_numpy(zero_copy_only=False)
+        same = np.ones(len(us), dtype=bool)
+        same[starts] = False
+        gap = (us[1:] - us[:-1])[same[1:]] // US_PER_DAY
+        return (pa.table({"gap_d": pa.array(gap, pa.int64())})
+                .group_by(["gap_d"]).aggregate([([], "count_all")])
+                .rename_columns(["gap_d", "n"]))
 
-    counts = (ds.map_batches(prefilter, batch_format="pyarrow")
-                .groupby("o_custkey")
-                .map_groups(gaps, batch_format="pyarrow")
+    counts = (partitioned_sweep(
+                  ds.map_batches(prefilter, batch_format="pyarrow"),
+                  "o_custkey", ["us"], gaps)
                 .groupby("gap_d").aggregate(Sum("n", alias_name="n"))
                 .take_all())  # bounded by distinct whole-day gaps
     if not counts:
@@ -2844,17 +2830,10 @@ def top_customer_per_nation(orders_ds, customer_ds,
     """Biggest-spending customer per nation — the pipeline-composition
     op: integer-cents spend partials per custkey (orders-side
     pre-aggregate), one large×large hash join to customer for the
-    nation key, per-batch argmax partials (one candidate row per
-    (batch, nation) survives), a 25-group argmax merge with the
-    deterministic smallest-custkey tie-break, and the nation name
-    attached from a broadcast 25-row dimension. The ROW_NUMBER twin
-    uses the same (cents DESC, custkey ASC) order."""
-    import ray
+    nation key, ``grouped_topk`` with ``k=1`` under the deterministic
+    (cents DESC, custkey ASC) order — the ROW_NUMBER twin's — and the
+    nation name looked up in the 25-row dimension."""
     from ray.data.aggregate import Sum
-
-    nations = dict(zip(nation_table["n_nationkey"].to_pylist(),
-                       nation_table["n_name"].to_pylist()))
-    n_ref = ray.put(nations)
 
     def spend_partial(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.is_valid(batch["o_custkey"]))
@@ -2874,34 +2853,17 @@ def top_customer_per_nation(orders_ds, customer_ds,
                      ("c_nationkey", pa.int64())],
         right_schema=[("o_custkey", pa.int64()),
                       ("cents", pa.int64())])
+    keys = nation_table["n_nationkey"].combine_chunks()
+    names = nation_table["n_name"].combine_chunks()
 
-    def argmax_partial(batch: pa.Table) -> pa.Table:
-        nk = batch["c_nationkey"].to_numpy(zero_copy_only=False)
-        ck = batch["c_custkey"].to_numpy(zero_copy_only=False)
-        cents = pc.cast(batch["cents"], pa.int64()).to_numpy(
-            zero_copy_only=False)
-        order = np.lexsort((ck, -cents, nk))  # per nation: best first
-        first = np.empty(len(order), dtype=bool)
-        if len(order):
-            first[0] = True
-            first[1:] = nk[order][1:] != nk[order][:-1]
-        keep = order[first]
-        return pa.table({"c_nationkey": pa.array(nk[keep], pa.int64()),
-                         "c_custkey": pa.array(ck[keep], pa.int64()),
-                         "cents": pa.array(cents[keep], pa.int64())})
-
-    def argmax_merge(group: pa.Table) -> pa.Table:
-        ck = group["c_custkey"].to_numpy(zero_copy_only=False)
-        cents = group["cents"].to_numpy(zero_copy_only=False)
-        i = np.lexsort((ck, -cents))[0]
-        n = ray.get(n_ref)
-        nk = group["c_nationkey"][0].as_py()
+    def name(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "n_name": pa.array([n.get(nk)], pa.string()),
-            "top_custkey": pa.array([int(ck[i])], pa.int64()),
-            "spend_cents": pa.array([int(cents[i])], pa.int64()),
+            "n_name": pc.cast(names.take(pc.index_in(
+                batch["c_nationkey"], value_set=keys)), pa.string()),
+            "top_custkey": batch["c_custkey"],
+            "spend_cents": pc.cast(batch["cents"], pa.int64()),
         })
 
-    return (joined.map_batches(argmax_partial, batch_format="pyarrow")
-                  .groupby("c_nationkey")
-                  .map_groups(argmax_merge, batch_format="pyarrow"))
+    top = grouped_topk(joined, "c_nationkey",
+                       [("cents", "descending"), "c_custkey"], 1)
+    return top.map_batches(name, batch_format="pyarrow")

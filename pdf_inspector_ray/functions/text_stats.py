@@ -544,13 +544,14 @@ def top_terms_by_group(ds, group_column: str = "lang", k: int = 10,
     source / domain — the grouped variant of ``top_terms``): per-batch
     vectorized (group, term) count partials combine BEFORE the shuffle,
     a (group, term) sum groupby bounds the exchange by vocabulary ×
-    groups, then a per-group vectorized sort+slice. Ties break (count
-    desc, term asc) so the result is deterministic and SQL-twinnable
-    (``QUALIFY row_number() OVER (PARTITION BY g ORDER BY cnt DESC,
-    term)``)."""
-    import pyarrow as pa
+    groups, then ``grouped_topk`` keeps each group's first ``k``. Ties
+    break (count desc, term asc) so the result is deterministic and
+    SQL-twinnable (``QUALIFY row_number() OVER (PARTITION BY g ORDER BY
+    cnt DESC, term)``)."""
+    from pdf_inspector_ray.functions.relational import grouped_topk
 
     def partial(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(pc.is_valid(batch[text_column]))  # no terms
         tok_lists = pc.split_pattern_regex(batch[text_column], r"\s+")
         toks = pc.list_flatten(tok_lists)
         reps = pc.list_value_length(tok_lists).to_numpy(zero_copy_only=False)
@@ -567,31 +568,18 @@ def top_terms_by_group(ds, group_column: str = "lang", k: int = 10,
     counts = (ds.map_batches(partial, batch_format="pyarrow")
                 .groupby([group_column, "term"])
                 .aggregate(Sum("cnt", alias_name="cnt")))
-
-    def head(group: pa.Table) -> pa.Table:
-        order = pc.sort_indices(group, sort_keys=[("cnt", "descending"),
-                                                  ("term", "ascending")])
-        return group.take(order.slice(0, k))
-
-    return counts.groupby(group_column).map_groups(
-        head, batch_format="pyarrow")
+    return grouped_topk(counts, group_column,
+                        [("cnt", "descending"), "term"], k)
 
 
 def stratified_sample(ds, group_column: str, n_per_group: int = 5,
                       order_column: str = "doc_id"):
     """Deterministic stratified sample: the first ``n_per_group`` rows of
-    each group ordered by ``order_column``. One groupby shuffle; the
-    per-group head is a vectorized sort+slice. For seeded RANDOM strata
-    swap the order key for ``hash(order_column)`` — determinism is what
-    makes this oracle-checkable."""
-    import pyarrow as pa
-
-    def head(group: pa.Table) -> pa.Table:
-        order = pc.sort_indices(group,
-                                sort_keys=[(order_column, "ascending")])
-        return group.take(order.slice(0, n_per_group))
-
-    return ds.groupby(group_column).map_groups(head, batch_format="pyarrow")
+    each group ordered by ``order_column`` — ``grouped_topk``. For
+    seeded RANDOM strata swap the order key for ``hash(order_column)``
+    — determinism is what makes this oracle-checkable."""
+    from pdf_inspector_ray.functions.relational import grouped_topk
+    return grouped_topk(ds, group_column, [order_column], n_per_group)
 
 
 def repetition_stats_batch(batch: pa.Table,
@@ -831,21 +819,19 @@ def chunk_documents(ds, chunk_tokens: int = 64, stride: int = 48,
 
 def dense_rank_column(ds, column: str, id_column: str = "doc_id"):
     """Global ``dense_rank() OVER (ORDER BY column)`` without a global
-    sort: dense rank depends only on the DISTINCT value order, so the
-    value-count sketch (one row per distinct value) broadcasts a sorted
-    distinct-value array and a stateless searchsorted map assigns
-    1 + position — integers end to end, no float boundary anywhere."""
+    sort: dense rank depends only on the DISTINCT value order, so
+    ``Dataset.unique`` over per-batch distinct values gives a sorted
+    distinct-value array to broadcast, and a stateless searchsorted map
+    assigns 1 + position — integers end to end, no float boundary
+    anywhere."""
     import ray
 
     def partial(batch: pa.Table) -> pa.Table:
         return pa.table({"value": pc.unique(batch[column]).drop_null()})
 
-    distinct = (ds.map_batches(partial, batch_format="pyarrow")
-                  .groupby("value").map_groups(
-                      lambda g: g.slice(0, 1), batch_format="pyarrow")
-                  .take_all())  # one row per distinct value
-    values = np.sort(np.asarray([r["value"] for r in distinct],
-                                dtype=np.int64))
+    # one entry per distinct value; None when the dataset is empty
+    distinct = ds.map_batches(partial, batch_format="pyarrow").unique("value")
+    values = np.sort(np.asarray(distinct or [], dtype=np.int64))
     ref = ray.put(values)
 
     def rank(batch: pa.Table) -> pa.Table:
@@ -914,6 +900,7 @@ def inverted_index(ds, min_df: int = 2, text_column: str = "text",
     vocabulary-bounded exchange; the per-term sort is vectorized inside
     the term-partition group."""
     from pdf_inspector_ray.functions.decontam import _gram_rows
+    from pdf_inspector_ray.functions.relational import key_partition
 
     def partial(batch: pa.Table) -> pa.Table:
         idx, terms = _gram_rows(batch[text_column], 1)
@@ -948,11 +935,8 @@ def inverted_index(ds, min_df: int = 2, text_column: str = "text",
         })
 
     def add_part(batch: pa.Table) -> pa.Table:
-        import polars as pl
-        h = pl.from_arrow(batch["term"].combine_chunks()).hash(
-            seed=0).to_numpy()
-        part = (h % np.uint64(64)).astype(np.int32)
-        return batch.append_column("__part", pa.array(part, pa.int32()))
+        return batch.append_column(
+            "__part", pa.array(key_partition(batch["term"], 64), pa.int32()))
 
     return (ds.map_batches(partial, batch_format="pyarrow")
               .map_batches(add_part, batch_format="pyarrow")
@@ -1256,17 +1240,22 @@ def source_vocab_jaccard(ds, group_column: str = "source",
     a source into the training mix.
 
     Dataflow: per-batch distinct (source, term) pairs (vocabulary-
-    bounded, like ``vocab_size_by_group``), one groupby(term) co-locates
-    each term's source set and emits its C(k,2) source pairs (k = #
-    sources containing the term — tiny), per-batch pair-count partials,
-    one final groupby over the ~|sources|² pair table. Vocab sizes ride
-    the same term groups (a (source, NULL-pair) marker row per source
-    per term is wasteful — instead each term group emits one singleton
-    row per member source and the final sweep sums them), so ONE term
-    exchange feeds both the intersection and the union. jaccard =
-    inter / union is a single int/int float64 division (exact for
-    < 2^53 — hash-matches DuckDB's BIGINT ``/``)."""
+    bounded, like ``vocab_size_by_group``), one ``partitioned_sweep``
+    over ``term`` ordered by source emits each term's C(k,2) source
+    pairs (``relational._run_pairs``; k = # sources containing the term
+    — tiny) and counts them per partition, then one final groupby over
+    the ~|sources|² pair table. Vocab sizes ride the same term runs:
+    each term emits one singleton row (src, "") per member source and
+    the final sweep sums them, so ONE term exchange feeds both the
+    intersection and the union. "" not NULL marks a singleton because
+    Ray's sort-based groupby can't order null keys (and no real source
+    name is empty). jaccard = inter / union is a single int/int float64
+    division (exact for < 2^53 — hash-matches DuckDB's BIGINT ``/``)."""
+    from ray.data.aggregate import Sum
+
     from pdf_inspector_ray.functions.decontam import _gram_rows
+    from pdf_inspector_ray.functions.relational import (_run_pairs,
+                                                        partitioned_sweep)
 
     def pairs_partial(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.and_(pc.is_valid(batch[group_column]),
@@ -1278,32 +1267,20 @@ def source_vocab_jaccard(ds, group_column: str = "source",
                 .group_by(["term", "src"]).aggregate([])
                 .rename_columns(["term", "src"]))
 
-    def emit_pairs(group: pa.Table) -> pa.Table:
-        srcs = sorted(set(group["src"].to_pylist()))
-        a, b, n = [], [], len(srcs)
-        for i in range(n):
-            for j in range(i + 1, n):
-                a.append(srcs[i])
-                b.append(srcs[j])
-        # singleton rows (src, "") carry the per-source vocab tally —
-        # "" not NULL because Ray's sort-based groupby can't order null
-        # keys (and no real source name is empty)
-        a.extend(srcs)
-        b.extend([""] * n)
-        return pa.table({"source_a": pa.array(a, pa.string()),
-                         "source_b": pa.array(b, pa.string())})
+    def emit_pairs(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        srcs, a, b = _run_pairs(pc.cast(g["src"], pa.string()
+                                        ).combine_chunks(), starts)
+        return (pa.table({
+            "source_a": pa.concat_arrays([a, srcs]),
+            "source_b": pa.concat_arrays(
+                [b, pa.array([""] * len(srcs), pa.string())])})
+            .group_by(["source_a", "source_b"])
+            .aggregate([([], "count_all")])
+            .rename_columns(["source_a", "source_b", "n"]))
 
-    def count_partial(batch: pa.Table) -> pa.Table:
-        return (batch.group_by(["source_a", "source_b"])
-                     .aggregate([([], "count_all")])
-                     .rename_columns(["source_a", "source_b", "n"]))
-
-    from ray.data.aggregate import Sum
-
-    counts = (ds.map_batches(pairs_partial, batch_format="pyarrow")
-                .groupby("term")
-                .map_groups(emit_pairs, batch_format="pyarrow")
-                .map_batches(count_partial, batch_format="pyarrow")
+    counts = (partitioned_sweep(
+                  ds.map_batches(pairs_partial, batch_format="pyarrow"),
+                  "term", ["src"], emit_pairs)
                 .groupby(["source_a", "source_b"])
                 .aggregate(Sum("n", alias_name="n")))
 

@@ -251,38 +251,40 @@ def conv_turn_gaps(ds: ray.data.Dataset) -> ray.data.Dataset:
     and max in microseconds, under turn_idx order — the signal used to
     split stalled agent sessions and cap runaway tool loops.
 
-    One shuffle (groupby conv_id); the per-group pass is a numpy argsort
-    + diff — all int64, so the twin (SUM/MAX over LAG differences)
-    matches exactly. Single-turn conversations report 0 gaps with
-    NULL total/max, like SQL aggregates over an empty LAG set."""
+    One ``partitioned_sweep`` over the string ``conv_id`` ordered by
+    turn_idx; gaps are the diffs between consecutive rows of one
+    conversation, summed and maxed per conversation with ``reduceat`` —
+    all int64, so the twin (SUM/MAX over LAG differences) matches
+    exactly. Single-turn conversations report 0 gaps with NULL
+    total/max, like SQL aggregates over an empty LAG set."""
     import numpy as np
     import pyarrow.compute as pc
 
+    from ..functions.relational import partitioned_sweep
+
     def prefilter(batch: pa.Table) -> pa.Table:
-        keep = pc.and_(pc.is_valid(batch["conv_id"]),
-                       pc.and_(pc.is_valid(batch["turn_idx"]),
-                               pc.is_valid(batch["ts"])))
-        batch = batch.filter(keep)
+        batch = batch.select(["conv_id", "turn_idx", "ts"]).drop_null()
         return pa.table({
             "conv_id": batch["conv_id"],
             "turn_idx": pc.cast(batch["turn_idx"], pa.int64()),
             "ts_us": pc.cast(batch["ts"], pa.int64()),
         })
 
-    def sweep(group: pa.Table) -> pa.Table:
-        idx = group["turn_idx"].to_numpy(zero_copy_only=False)
-        ts = group["ts_us"].to_numpy(zero_copy_only=False)
-        gaps = np.diff(ts[np.argsort(idx)])
-        n = len(gaps)
+    def sweep(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = g["ts_us"].to_numpy(zero_copy_only=False)
+        gap = np.diff(ts, prepend=ts[:1])
+        first = np.zeros(len(ts), dtype=bool)
+        first[starts] = True   # a conversation's first row has no gap
+        n = np.diff(np.append(starts, len(ts))) - 1
         return pa.table({
-            "conv_id": group["conv_id"][:1],
-            "n_gaps": pa.array([n], pa.int64()),
-            "sum_gap_us": pa.array([int(gaps.sum()) if n else None],
-                                   pa.int64()),
-            "max_gap_us": pa.array([int(gaps.max()) if n else None],
-                                   pa.int64()),
+            "conv_id": g["conv_id"].take(starts),
+            "n_gaps": pa.array(n, pa.int64()),
+            "sum_gap_us": pa.array(np.add.reduceat(
+                np.where(first, 0, gap), starts), pa.int64(), mask=n == 0),
+            "max_gap_us": pa.array(np.maximum.reduceat(
+                np.where(first, np.iinfo(np.int64).min, gap), starts),
+                pa.int64(), mask=n == 0),
         })
 
-    return (ds.map_batches(prefilter, batch_format="pyarrow")
-              .groupby("conv_id")
-              .map_groups(sweep, batch_format="pyarrow"))
+    return partitioned_sweep(ds.map_batches(prefilter, batch_format="pyarrow"),
+                             "conv_id", ["turn_idx"], sweep)

@@ -38,6 +38,27 @@ def test_exact_dedup(ray_session):
     assert 3 in set(out.doc_id) and 40 not in set(out.doc_id)
 
 
+def test_exact_dedup_null_text_matches_duckdb(ray_session):
+    """A null text is one group (SQL's GROUP BY md5(text) gives one NULL
+    digest row) — Ray's sort-based groupby could not order a null
+    string key next to real digests."""
+    import duckdb
+    import ray.data
+
+    from pdf_inspector_ray.functions.dedup import exact_dedup
+
+    t = pa.table({"doc_id": pa.array([1, 2, 3, 4], pa.int64()),
+                  "text": pa.array(["a", None, "a", None], pa.string())})
+    for parts in (1, 2, 4):
+        out = (exact_dedup(ray.data.from_arrow(t).repartition(parts))
+               .to_pandas().sort_values("doc_id").reset_index(drop=True))
+        exp = duckdb.sql("""
+            SELECT md5(text) AS text_md5, min(doc_id) AS doc_id
+            FROM t GROUP BY md5(text) ORDER BY doc_id
+        """).df()
+        pd.testing.assert_frame_equal(out, exp)
+
+
 def test_minhash_finds_near_dups(ray_session):
     import ray.data
 
@@ -1518,7 +1539,7 @@ def test_value_histogram_and_grouped_topk_match_duckdb(ray_session):
     t2 = t.set_column(2, "value",
                       pa.array(np.round(t["value"].to_numpy() / 50) * 50.0))
     top = (grouped_topk(ray.data.from_arrow(t2).repartition(4),
-                        "user_id", "value", 3, "event_id")
+                        "user_id", [("value", "descending"), "event_id"], 3)
            .to_pandas().sort_values(["user_id", "event_id"])
            .reset_index(drop=True))
     exp_t = duckdb.sql("""
@@ -1528,6 +1549,45 @@ def test_value_histogram_and_grouped_topk_match_duckdb(ray_session):
         ORDER BY user_id, event_id
     """).df()
     pd.testing.assert_frame_equal(top, exp_t)
+
+
+def test_partitioned_sweep_string_and_two_column_keys(ray_session):
+    """A string key and an (int, int) key, each with null keys, over 1, 3
+    and 8 blocks: the sweep sees one run per distinct key and one run
+    for the null key (per column for the pair), as SQL's PARTITION BY
+    groups them."""
+    import ray.data
+
+    from pdf_inspector_ray.functions.relational import partitioned_sweep
+
+    rng = np.random.default_rng(17)
+    n = 900
+    t = pa.table({
+        "conv_id": pa.array([f"c{i}" for i in rng.integers(0, 40, n)],
+                            mask=rng.random(n) < 0.05),
+        "user": pa.array(rng.integers(0, 12, n), pa.int64(),
+                         mask=rng.random(n) < 0.05),
+        "day": pa.array(rng.integers(0, 6, n), pa.int64(),
+                        mask=rng.random(n) < 0.05),
+        "i": pa.array(np.arange(n), pa.int64()),
+    })
+    for keys in (["conv_id"], ["user", "day"]):
+        def runs(g: pa.Table, starts: np.ndarray) -> pa.Table:
+            out = g.select(keys).take(pa.array(starts))
+            return out.append_column("n", pa.array(
+                np.diff(np.append(starts, g.num_rows)), pa.int64()))
+
+        exp = (t.group_by(keys).aggregate([([], "count_all")])
+               .rename_columns([*keys, "n"]).to_pandas()
+               .sort_values(keys).reset_index(drop=True))
+        assert exp[keys].isna().any(axis=None)
+        for parts in (1, 3, 8):
+            key = keys[0] if len(keys) == 1 else keys
+            got = (partitioned_sweep(ray.data.from_arrow(t).repartition(parts),
+                                     key, ["i"], runs)
+                   .to_pandas().sort_values(keys).reset_index(drop=True))
+            assert not got.duplicated(keys).any(), (keys, parts)
+            pd.testing.assert_frame_equal(got, exp)
 
 
 def test_real_media_decode_reproduces_goldens(ray_session):
@@ -1929,6 +1989,44 @@ def test_cohort_retention_matches_duckdb(ray_session):
         out, exp.astype({"week_offset": "int64", "n_users": "int64"}))
 
 
+def test_cohort_retention_null_user_matches_duckdb(ray_session):
+    """Null users are not a cohort: the twin's JOIN f USING (user_id)
+    drops them."""
+    import duckdb
+    import ray.data
+
+    from pdf_inspector_ray.functions.relational import cohort_retention
+
+    day = 86_400_000_000
+    t = pa.table({
+        "user_id": pa.array([1, 1, 1, 2, 2, None], pa.int64()),
+        "ts": pa.array((np.array([0, 8, 15, 1, 2, 3]) * day + 5 * day)
+                       .astype("datetime64[us]")),
+    })
+    out = (cohort_retention(ray.data.from_arrow(t).repartition(2))
+           .to_pandas().sort_values(["cohort_week", "week_offset"])
+           .reset_index(drop=True))
+    exp = duckdb.sql("""
+        WITH f AS (
+            SELECT user_id, date_trunc('week', min(ts)) AS cohort_week
+            FROM t GROUP BY user_id
+        ), r AS (
+            SELECT DISTINCT e.user_id, f.cohort_week,
+                   date_diff('week', f.cohort_week,
+                             date_trunc('week', e.ts)) AS week_offset
+            FROM t e JOIN f USING (user_id)
+        )
+        SELECT CAST(cohort_week AS TIMESTAMP) AS cohort_week,
+               week_offset, COUNT(*) AS n_users
+        FROM r GROUP BY 1, 2 ORDER BY 1, 2
+    """).df()
+    assert exp.n_users.iloc[0] == 2
+    out["cohort_week"] = out.cohort_week.astype("datetime64[us]")
+    exp["cohort_week"] = exp.cohort_week.astype("datetime64[us]")
+    pd.testing.assert_frame_equal(
+        out, exp.astype({"week_offset": "int64", "n_users": "int64"}))
+
+
 def test_event_transitions_matches_duckdb(ray_session):
     import duckdb
     import ray.data
@@ -1963,6 +2061,31 @@ def test_event_transitions_matches_duckdb(ray_session):
         GROUP BY 1, 2 ORDER BY 1, 2
     """).df()
     assert out.n.sum() == n - 40  # n_events − one tail per user
+    pd.testing.assert_frame_equal(out, exp.astype({"n": "int64"}))
+
+    # null event types: a null to_type is dropped, a null from_type is a
+    # key; null users are one user, as in the twin's PARTITION BY
+    t = t.set_column(3, "event_type", pa.array(
+        t["event_type"].to_pylist(), mask=rng.random(n) < 0.05))
+    t = t.set_column(2, "user_id", pa.array(
+        t["user_id"].to_numpy(), mask=rng.random(n) < 0.05))
+    out = (event_transitions(ray.data.from_arrow(t).repartition(4))
+           .to_pandas().sort_values(["from_type", "to_type"])
+           .reset_index(drop=True))
+    exp = duckdb.sql("""
+        WITH s AS (
+            SELECT user_id, event_type,
+                   lead(event_type) OVER (
+                       PARTITION BY user_id ORDER BY ts, event_id)
+                       AS next_type
+            FROM t
+        )
+        SELECT event_type AS from_type, next_type AS to_type,
+               COUNT(*) AS n
+        FROM s WHERE next_type IS NOT NULL
+        GROUP BY 1, 2 ORDER BY 1 NULLS LAST, 2
+    """).df()
+    assert exp.from_type.isna().any()
     pd.testing.assert_frame_equal(out, exp.astype({"n": "int64"}))
 
 

@@ -288,19 +288,30 @@ def test_media_decoders_total_on_mutated_payloads(kind, data):
 
 
 def test_round5_ops_partition_invariant(ray_session):
-    """Every round-5 append must give identical results regardless of
-    how the input is partitioned (1, 3, 8 blocks) — the property that
-    catches accidental per-block state (non-combined partials, local
-    dedup standing in for global)."""
+    """Every round-5 append, and every op on ``partitioned_sweep`` /
+    ``grouped_topk``, must give identical results regardless of how the
+    input is partitioned (1, 3, 8 blocks) — the property that catches
+    accidental per-block state (non-combined partials, local dedup
+    standing in for global)."""
     import numpy as np
     import pyarrow as pa
     import ray.data
+    from pdf_inspector_ray.functions.dedup import exact_dedup
     from pdf_inspector_ray.functions.relational import (
-        asof_join_events, customer_rfm, dedup_consecutive, event_kgrams,
-        event_type_cooccurrence, events_weekday_profile, funnel_conversion,
-        grouped_topk, hourly_top_event, longest_run_by_group,
-        merge_intervals_by_group, rolling_active_users, rolling_event_stats,
-        running_totals, session_windows)
+        argmin_by_group, asof_join_events, cohort_retention,
+        collect_distinct_sorted, conversion_latency_quantiles, customer_rfm,
+        dedup_consecutive, event_kgrams, event_pair_lift,
+        event_transitions, event_type_cooccurrence, events_weekday_profile,
+        funnel_conversion, funnel_steps, grouped_topk, hourly_top_event,
+        latest_event_per_user, longest_run_by_group,
+        merge_intervals_by_group, mode_per_group,
+        order_interarrival_quantiles, rolling_active_users,
+        rolling_event_stats, running_totals, session_windows, set_op_ids,
+        shipping_priority, top_customer_per_nation)
+    from pdf_inspector_ray.functions.text_stats import (
+        dense_rank_column, source_vocab_jaccard, stratified_sample,
+        top_terms_by_group)
+    from pdf_inspector_ray.pipelines.flagship import conv_turn_gaps
 
     rng = np.random.default_rng(89)
     n = 1500
@@ -317,6 +328,36 @@ def test_round5_ops_partition_invariant(ray_session):
         "o_orderdate": pa.array((rng.integers(0, 10**6, 300)
                                  * 1_000_000).astype("datetime64[us]")),
         "o_totalprice": pa.array(np.round(rng.uniform(1, 9999, 300), 2)),
+    })
+    orders = orders.append_column(
+        "o_orderkey", pa.array(np.arange(300), pa.int64())).append_column(
+        "o_orderpriority", pa.array(rng.choice(["1-URGENT", "5-LOW"], 300)))
+    customer = pa.table({
+        "c_custkey": pa.array(np.arange(40), pa.int64()),
+        "c_nationkey": pa.array(rng.integers(0, 4, 40), pa.int64())})
+    nation = pa.table({"n_nationkey": pa.array(np.arange(4), pa.int64()),
+                       "n_name": pa.array(["N0", "N1", "N2", "N3"])})
+    lineitem = pa.table({
+        "l_orderkey": pa.array(rng.integers(0, 300, 900), pa.int64()),
+        "l_extendedprice": pa.array(np.round(rng.uniform(1, 999, 900), 2)),
+        "l_discount": pa.array(np.round(rng.uniform(0, 0.1, 900), 2))})
+    # a string key with nulls: conv_turn_gaps drops null conv_ids
+    conv = pa.table({
+        "conv_id": pa.array([f"c{i}" for i in rng.integers(0, 30, 500)],
+                            mask=rng.random(500) < 0.03),
+        "turn_idx": pa.array(rng.permutation(500), pa.int64()),
+        "ts": pa.array((rng.integers(0, 10**6, 500) * 1_000_000)
+                       .astype("datetime64[us]")),
+    })
+    words = np.array(["alpha", "beta", "gamma", "delta", "eps", "zeta"])
+    docs = pa.table({
+        "doc_id": pa.array(np.arange(300), pa.int64()),
+        "text": pa.array([" ".join(rng.choice(words, rng.integers(1, 5)))
+                          for _ in range(300)],
+                         mask=rng.random(300) < 0.03),
+        "lang": pa.array(rng.choice(["en", "de", "fr"], 300)),
+        "source": pa.array(rng.choice(["s1", "s2", "s3", "s4"], 300)),
+        "n_chars": pa.array(rng.integers(0, 40, 300), pa.int64()),
     })
     iv = pa.table({
         "user_id": pa.array(rng.integers(0, 15, 400), pa.int64()),
@@ -345,8 +386,22 @@ def test_round5_ops_partition_invariant(ray_session):
         (lambda d: asof_join_events(d, "a", "b"), sk, ["event_id"]),
         (lambda d: funnel_conversion(d, "a", "b", 2 * 86_400_000_000), sk,
          ["event_id"]),
-        (lambda d: grouped_topk(d, "user_id", "value", 3, "event_id"), sk,
-         ["event_id"]),
+        (lambda d: grouped_topk(d, "user_id",
+                                [("value", "descending"), "event_id"], 3),
+         sk, ["event_id"]),
+        (latest_event_per_user, sk, ["user_id"]),
+        (lambda d: argmin_by_group(d, "user_id", "value", "event_id"), sk,
+         ["user_id"]),
+        (lambda d: mode_per_group(d, "event_type", "user_id"), sk,
+         ["event_type"]),
+        (cohort_retention, sk, ["cohort_week", "week_offset"]),
+        (event_transitions, sk, ["from_type", "to_type"]),
+        (lambda d: funnel_steps(d, ("a", "b", "c")), sk, ["stage_idx"]),
+        (lambda d: conversion_latency_quantiles(d, "a", "b"), sk,
+         ["n_converted"]),
+        (lambda d: collect_distinct_sorted(d, "user_id", "event_type"), sk,
+         ["user_id"]),
+        (event_pair_lift, ev, ["type_a", "type_b"]),
         (lambda d: event_kgrams(d, k=3, min_count=2), ev, ["gram"]),
         (longest_run_by_group, ev, ["user_id"]),
         (event_type_cooccurrence, ev, ["type_a", "type_b"]),
@@ -355,6 +410,24 @@ def test_round5_ops_partition_invariant(ray_session):
         (rolling_active_users, ev.select(["ts", "user_id"]), ["day"]),
         (merge_intervals_by_group, iv, ["user_id"]),
         (customer_rfm, orders, ["o_custkey"]),
+        (order_interarrival_quantiles, orders, ["n_gaps"]),
+        (lambda d: top_customer_per_nation(
+            d, ray.data.from_arrow(customer), nation, num_partitions=8),
+         orders, ["n_name"]),
+        (lambda d: shipping_priority(
+            ray.data.from_arrow(customer), d, ray.data.from_arrow(lineitem),
+            num_partitions=8), orders, ["o_orderkey"]),
+        (conv_turn_gaps, conv, ["conv_id"]),
+        (exact_dedup, docs, ["doc_id"]),
+        (lambda d: top_terms_by_group(d, "lang", k=3), docs,
+         ["lang", "term"]),
+        (lambda d: stratified_sample(d, "lang", 4), docs, ["doc_id"]),
+        (source_vocab_jaccard, docs, ["source_a", "source_b"]),
+        (lambda d: dense_rank_column(d, "n_chars"), docs, ["doc_id"]),
+        (lambda d: set_op_ids(d, ray.data.from_arrow(docs.slice(150)),
+                              "doc_id", "intersect"), docs, ["doc_id"]),
+        (lambda d: set_op_ids(d, ray.data.from_arrow(docs.slice(150)),
+                              "doc_id", "except"), docs, ["doc_id"]),
     ]
     for fn, table, keys in cases:
         base = None

@@ -8,6 +8,10 @@ BASELINE.md.
 - sweep: ``session_windows`` over Zipf(1.25) users on an events table,
   through ``partitioned_sweep``; reports wall time and the largest ÷
   mean rows of its ``JOIN_PARTITIONS`` hash partitions.
+- topk: ``latest_event_per_user`` over the same events, through
+  ``grouped_topk``; reports wall time and the largest ÷ mean rows per
+  hash partition of what its exchange carries: after the per-block
+  top-1, one row per (block, user).
 
 Usage: python tools/skew_probe.py [n_rows] [num_cpus]
 """
@@ -32,7 +36,9 @@ def main() -> None:
                  ignore_reinit_error=True)
     sys.path.insert(0, ".")
     join_probe(n, cpus)
-    sweep_probe(n, cpus)
+    events = _zipf_events(n)
+    sweep_probe(events, cpus)
+    topk_probe(events, cpus)
     ray.shutdown()
 
 
@@ -95,16 +101,10 @@ def join_probe(n: int, cpus: int) -> None:
     }))
 
 
-def sweep_probe(n: int, cpus: int) -> None:
-    import ray.data
-
-    from pdf_inspector_ray.functions.relational import (JOIN_PARTITIONS,
-                                                        key_partition,
-                                                        session_windows)
-
+def _zipf_events(n: int) -> pa.Table:
     rng = np.random.default_rng(101)
     users = rng.zipf(1.25, size=n).astype(np.int64)
-    events = pa.table({
+    return pa.table({
         "event_id": pa.array(np.arange(n), pa.int64()),
         "ts": pa.array((rng.integers(0, 30 * 86_400, n) * 1_000_000)
                        .astype("datetime64[us]")),
@@ -112,23 +112,55 @@ def sweep_probe(n: int, cpus: int) -> None:
         "value": pa.array(np.round(rng.uniform(0, 100, n), 2)),
     })
 
+
+def _timed(op, events: pa.Table, cpus: int) -> tuple[float, int]:
+    import ray.data
+
     def run():
         t0 = time.perf_counter()
-        rows = session_windows(
-            ray.data.from_arrow(events).repartition(cpus)).count()
+        rows = op(ray.data.from_arrow(events).repartition(cpus)).count()
         return time.perf_counter() - t0, rows
 
     run()   # warmup (Ray task launch amortization)
-    wall, sessions = run()
-    part_rows = np.bincount(key_partition(events["user_id"]),
-                            minlength=JOIN_PARTITIONS)
+    return run()
+
+
+def _max_over_mean(key: pa.Array) -> float:
+    from pdf_inspector_ray.functions.relational import (JOIN_PARTITIONS,
+                                                        key_partition)
+    part_rows = np.bincount(key_partition(key), minlength=JOIN_PARTITIONS)
+    return round(float(part_rows.max() / part_rows.mean()), 2)
+
+
+def sweep_probe(events: pa.Table, cpus: int) -> None:
+    from pdf_inspector_ray.functions.relational import (JOIN_PARTITIONS,
+                                                        session_windows)
+
+    users = events["user_id"].to_numpy()
+    wall, sessions = _timed(session_windows, events, cpus)
     print(json.dumps({
-        "n_events": n, "n_users": int(len(np.unique(users))),
+        "n_events": len(users), "n_users": int(len(np.unique(users))),
         "hot_user_share": round(float((users == 1).mean()), 4),
         "num_partitions": JOIN_PARTITIONS, "sessions": sessions,
         "session_windows_sec": round(wall, 2),
-        "part_rows_max_over_mean": round(
-            float(part_rows.max() / part_rows.mean()), 2),
+        "part_rows_max_over_mean": _max_over_mean(events["user_id"]),
+    }))
+
+
+def topk_probe(events: pa.Table, cpus: int) -> None:
+    from pdf_inspector_ray.functions.relational import latest_event_per_user
+
+    wall, users = _timed(latest_event_per_user, events, cpus)
+    # the blocks of repartition(cpus) are contiguous, near-equal slices
+    bounds = np.linspace(0, events.num_rows, cpus + 1).astype(int)
+    shipped = np.concatenate([
+        np.unique(events["user_id"].to_numpy()[lo:hi])
+        for lo, hi in zip(bounds[:-1], bounds[1:])])
+    print(json.dumps({
+        "n_events": events.num_rows, "users": users, "blocks": cpus,
+        "exchange_rows": len(shipped),
+        "latest_event_per_user_sec": round(wall, 2),
+        "part_rows_max_over_mean": _max_over_mean(pa.array(shipped)),
     }))
 
 
