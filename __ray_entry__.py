@@ -1836,15 +1836,14 @@ def _mixed_dir(sf_dir: str) -> str:
 
 
 def _q_routed_extract(sf_dir: str):
-    """Unified main-content extraction: one actor-pool pass sniffs each
+    """Unified main-content extraction: one task-pool pass sniffs each
     payload (PDF vs HTML) and routes to the matching extractor; oracled
     against golden columns frozen by the per-document library."""
     import ray.data
-    from pdf_inspector_ray.stages.routed import RoutedExtract
+    from pdf_inspector_ray.stages.routed import routed_block
 
     ds = ray.data.read_parquet(_mixed_dir(sf_dir), columns=["doc_id", "text"])
-    out = ds.map_batches(RoutedExtract, batch_size=64, concurrency=(1, 4),
-                         num_cpus=1, batch_format="pyarrow")
+    out = ds.map_batches(routed_block, batch_format="pyarrow")
     return out.select_columns(
         ["doc_id", "payload_kind", "markdown", "error_kind"]).map_batches(
             _cast_markdown_str, batch_format="pyarrow")

@@ -13,7 +13,7 @@ num_cpus=$RAY_GRAFT_CPUS)`` (default 32) and prints ONE JSON line:
 scaling efficiency T_32 / (4 * T_8) — the sandbox stand-in for the north
 rule's N→4N-node criterion.
 
-The extract stage runs with the payload LRU cache DISABLED here so the
+The extract stage runs with the payload cache DISABLED here so the
 number is honest per-turn parse throughput, not cache-hit rate (transcript
 bench corpora repeat a small fixture pool; real corpora mostly don't).
 """

@@ -68,9 +68,11 @@ _ROLES = ("user", "assistant", "tool")
 
 
 def _golden_row(data: bytes) -> dict:
-    """Expected pipeline outputs for one payload, using EXACTLY the same
-    code paths and error handling as stages/classify.classify_batch and
-    stages/extract_stage.ExtractRender._process_one."""
+    """Expected pipeline outputs for one payload: the library calls of the
+    classify, extract and plain stages (``detect_pdf_type_mem``,
+    ``process_pdf_mem``, ``extract_text_mem`` → ``to_markdown``) with the
+    error mapping of their shared row guard, ``stages/extract_stage.guarded``
+    (``PdfError`` → its kind, any other exception → ``Parse``)."""
     from ..pdfi.detect import detect_pdf_type_mem
     from ..pdfi.objects import PdfError
     from ..pdfi.process import process_pdf_mem

@@ -3,7 +3,8 @@
 Ray Data mapping of the reference's detect-pdf flow (SURVEY.md §2.2, C1-C8):
 ``ds.map_batches(classify_batch, batch_format="pyarrow")``. Pure CPU-bound
 per-row work, no shared state → task pool, not actors. Errors become columns
-(never raised) so one malformed payload cannot fail a block.
+(never raised) so one malformed payload cannot fail a block. No payload
+cache: every row runs detection.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..pdfi.detect import DetectionConfig, detect_pdf_type_mem
-from ..pdfi.objects import PdfError
+from .extract_stage import guarded, payload_columns, pdf_bytes
 
 CLASSIFY_FIELDS = [
     ("pdf_type", pa.string()),
@@ -30,42 +31,9 @@ def classify_batch(batch: pa.Table,
                    payload_column: str = "text") -> pa.Table:
     """Append classification columns to the batch (input columns pass
     through untouched — zero-copy for everything but the new arrays)."""
-    payloads = batch[payload_column]
-    n = len(payloads)
-    pdf_types: list = [None] * n
-    page_counts: list = [None] * n
-    pages_sampled: list = [None] * n
-    pages_with_text: list = [None] * n
-    confidences: list = [None] * n
-    titles: list = [None] * n
-    ocr_flags: list = [None] * n
-    errors: list = [None] * n
-
-    for i in range(n):
-        val = payloads[i].as_py()
-        if val is None:
-            errors[i] = "Io"
-            continue
-        data = val.encode("latin-1") if isinstance(val, str) else bytes(val)
-        try:
-            r = detect_pdf_type_mem(data, config)
-        except PdfError as e:
-            errors[i] = e.kind
-            continue
-        except Exception:  # poison-pill guard (SURVEY.md §4.2)
-            errors[i] = "Parse"
-            continue
-        pdf_types[i] = r.pdf_type
-        page_counts[i] = r.page_count
-        pages_sampled[i] = r.pages_sampled
-        pages_with_text[i] = r.pages_with_text
-        confidences[i] = r.confidence
-        titles[i] = r.title
-        ocr_flags[i] = r.ocr_recommended
-
-    out = batch
-    values = [pdf_types, page_counts, pages_sampled, pages_with_text,
-              confidences, titles, ocr_flags, errors]
-    for (name, typ), vals in zip(CLASSIFY_FIELDS, values):
-        out = out.append_column(pa.field(name, typ), pa.array(vals, typ))
-    return out
+    def classify_one(payload) -> tuple:
+        r = detect_pdf_type_mem(pdf_bytes(payload), config)
+        return (r.pdf_type, r.page_count, r.pages_sampled, r.pages_with_text,
+                r.confidence, r.title, r.ocr_recommended, None)
+    return payload_columns(batch, payload_column, CLASSIFY_FIELDS,
+                           guarded(CLASSIFY_FIELDS, classify_one))

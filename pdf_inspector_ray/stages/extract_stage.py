@@ -1,4 +1,4 @@
-"""Extract stage (AB): one Ray Data task per block, cache scoped to one call.
+"""Extract stage (SB), and the per-payload row contract every stage shares.
 
 The flagship stage (SURVEY.md §2.3 E1): ``extract_block`` /
 ``extract_and_shard_block`` are stateless function UDFs passed to
@@ -11,24 +11,29 @@ Ray's already-warm task workers instead of paying a new actor process's
 Detection and extraction are fused in one pass per document (the reference
 parses the buffer three times — detect metadata, detect full, extract;
 SURVEY.md §3.3 notes behavior, not structure, is the contract), with an
-optional payload-identity LRU so transcript corpora that repeat attachments
-skip the whole parse. The LRU lives for one call, i.e. one block: the hit
-rate is the payload repetition rate within a block — no cross-block or
-cross-job state (task workers are reused across jobs, so a process-global
-cache would turn a rerun into cache hits), no shuffle.
+optional payload-identity cache so transcript corpora that repeat
+attachments skip the whole parse. The cache lives for one call, i.e. one
+block: the hit rate is the payload repetition rate within a block — no
+cross-block or cross-job state (task workers are reused across jobs, so a
+process-global cache would turn a rerun into cache hits), no shuffle.
+
+``guarded`` + ``payload_columns`` are the one copy of the stage contract
+(SURVEY.md §2.2/§4.2) that the classify, extract, plain, HTML and routed
+stages share: errors become columns, never raised, so one bad payload
+cannot fail a block. Each of those stages is a field list plus a
+per-document function returning one tuple of field values.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 
 import pyarrow as pa
 
 from ..pdfi.detect import DetectionConfig
 from ..pdfi.markdown import MarkdownOptions
 from ..pdfi.objects import PdfError
-from ..pdfi.process import PdfProcessResult, process_pdf_mem
+from ..pdfi.process import process_pdf_mem
 
 EXTRACT_FIELDS = [
     ("pdf_type", pa.string()),
@@ -42,27 +47,57 @@ EXTRACT_FIELDS = [
 ]
 
 
-class _LRU(OrderedDict):
-    def __init__(self, maxsize: int):
-        super().__init__()
-        self.maxsize = maxsize
+def pdf_bytes(payload: str | bytes) -> bytes:
+    """A payload as PDF bytes; the corpus stores them as latin-1 text."""
+    return payload.encode("latin-1") if isinstance(payload, str) else payload
 
-    def get_or(self, key, default=None):
-        if key in self:
-            self.move_to_end(key)
-            return self[key]
-        return default
 
-    def put(self, key, value) -> None:
-        self[key] = value
-        self.move_to_end(key)
-        while len(self) > self.maxsize:
-            self.popitem(last=False)
+def _error_row(fields, kind: str, msg: str) -> tuple:
+    """All-null row but for the ``*error_kind`` and ``error_msg`` fields."""
+    return tuple(kind if name.endswith("error_kind")
+                 else msg if name == "error_msg" else None
+                 for name, _ in fields)
+
+
+def guarded(fields, per_doc, cache: bool = False):
+    """``per_doc(payload) -> tuple`` as a row function that never raises:
+    a ``PdfError`` becomes its ``.kind``, any other exception ``"Parse"``
+    (poison-pill guard, SURVEY.md §4.2). With ``cache``, each distinct
+    payload value is processed once for the life of the returned function
+    (its results are the rows the caller keeps anyway, so no eviction)."""
+    results: dict = {}
+
+    def row(payload) -> tuple:
+        out = results.get(payload) if cache else None
+        if out is None:
+            try:
+                out = per_doc(payload)
+            except PdfError as e:
+                out = _error_row(fields, e.kind, str(e))
+            except Exception as e:  # poison-pill guard
+                out = _error_row(fields, "Parse", repr(e))
+            if cache:
+                results[payload] = out
+        return out
+    return row
+
+
+def payload_columns(batch: pa.Table, column: str, fields, row) -> pa.Table:
+    """``batch`` with ``fields`` appended: ``row(payload)`` for each
+    payload of ``column``, an ``Io`` error row for a null one. Input
+    columns pass through untouched."""
+    null = _error_row(fields, "Io", "null payload")
+    rows = [null if p is None else row(p) for p in batch[column].to_pylist()]
+    cols = zip(*rows) if rows else [()] * len(fields)
+    for (name, typ), vals in zip(fields, cols):
+        batch = batch.append_column(pa.field(name, typ), pa.array(vals, typ))
+    return batch
 
 
 class ExtractRender:
-    """Text payload → (pdf_type, markdown, …) columns; the payload LRU
-    lives as long as the instance (one block under ``extract_block``).
+    """Text payload → EXTRACT_FIELDS columns. ``_process_one`` is the
+    guarded per-row function; its payload cache lives as long as the
+    instance (one block under ``extract_block``).
 
     Parameters mirror the reference's two config structs
     (DetectionConfig detector.rs:46-63, MarkdownOptions markdown.rs:16-56),
@@ -73,61 +108,26 @@ class ExtractRender:
                  detection_config: DetectionConfig | None = None,
                  markdown_options: MarkdownOptions | None = None,
                  payload_column: str = "text",
-                 payload_cache_size: int = 256,
                  use_payload_cache: bool = True):
-        self.detection_config = detection_config or DetectionConfig()
-        self.markdown_options = markdown_options or MarkdownOptions()
         self.payload_column = payload_column
-        self.use_payload_cache = use_payload_cache and payload_cache_size > 0
-        self._result_cache = _LRU(payload_cache_size)
 
-    # -- per-document -------------------------------------------------------
-    def _process_one(self, data: bytes) -> tuple:
-        """Returns the 8-tuple of output column values for one payload."""
-        key = None
-        if self.use_payload_cache:
-            key = hashlib.sha256(data).digest()
-            cached = self._result_cache.get_or(key)
-            if cached is not None:
-                return cached
-        try:
-            r: PdfProcessResult = process_pdf_mem(
-                data, self.detection_config, self.markdown_options)
+        def extract_one(payload) -> tuple:
+            r = process_pdf_mem(pdf_bytes(payload), detection_config,
+                                markdown_options)
             det = r.detection
-            row = (r.pdf_type, r.markdown, r.page_count,
-                   det.confidence if det else None,
-                   det.ocr_recommended if det else None,
-                   r.processing_time_ms, None, None)
-        except PdfError as e:
-            row = (None, None, None, None, None, None, e.kind, str(e))
-        except Exception as e:  # poison-pill guard
-            row = (None, None, None, None, None, None, "Parse", repr(e))
-        if key is not None:
-            self._result_cache.put(key, row)
-        return row
+            return (r.pdf_type, r.markdown, r.page_count,
+                    det.confidence if det else None,
+                    det.ocr_recommended if det else None,
+                    r.processing_time_ms, None, None)
+        self._process_one = guarded(EXTRACT_FIELDS, extract_one,
+                                    use_payload_cache)
 
-    # -- per-batch ----------------------------------------------------------
     def __call__(self, batch: pa.Table) -> pa.Table:
         return self.process_batch(batch)
 
     def process_batch(self, batch: pa.Table) -> pa.Table:
-        payloads = batch[self.payload_column]
-        n = len(payloads)
-        cols: list[list] = [[None] * n for _ in EXTRACT_FIELDS]
-        for i in range(n):
-            val = payloads[i].as_py()
-            if val is None:
-                cols[6][i] = "Io"
-                cols[7][i] = "null payload"
-                continue
-            data = val.encode("latin-1") if isinstance(val, str) else bytes(val)
-            row = self._process_one(data)
-            for c in range(len(EXTRACT_FIELDS)):
-                cols[c][i] = row[c]
-        out = batch
-        for (name, typ), vals in zip(EXTRACT_FIELDS, cols):
-            out = out.append_column(pa.field(name, typ), pa.array(vals, typ))
-        return out
+        return payload_columns(batch, self.payload_column, EXTRACT_FIELDS,
+                               self._process_one)
 
 
 class ExtractAndShard(ExtractRender):

@@ -1,10 +1,10 @@
-"""HTML main-content extraction stage (SB) + the payload router.
+"""HTML main-content extraction stage (SB) + the payload sniffer.
 
 ``html_extract_batch`` is a stateless ``map_batches`` UDF over an ``html``
-string column. ``sniff_payload_kind`` routes mixed corpora (PDF bytes vs
-HTML markup vs unknown) so one pipeline can fan both payload kinds through
-the right extractor — the general "main-content extraction" shape of the
-north rule.
+string column. ``sniff_payload_kind`` tells PDF bytes from HTML markup (or
+neither) for ``stages/routed.py``, which fans a mixed corpus through the
+right extractor — the general "main-content extraction" shape of the north
+rule.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..pdfi.html import extract_main_content
+from .extract_stage import guarded, payload_columns
 
 HTML_FIELDS = [
     ("title", pa.string()),
@@ -41,35 +42,12 @@ def sniff_payload_kind(payload: str | bytes) -> str:
     return "unknown"
 
 
+def _html_one(html) -> tuple:
+    r = extract_main_content(html)
+    return (r.title, r.text, r.markdown, r.n_blocks, r.n_content_blocks,
+            r.boilerplate_ratio, None)
+
+
 def html_extract_batch(batch: pa.Table, html_column: str = "html") -> pa.Table:
-    col = batch[html_column]
-    n = len(col)
-    cols: list[list] = [[None] * n for _ in HTML_FIELDS]
-    for i in range(n):
-        val = col[i].as_py()
-        if val is None:
-            cols[6][i] = "Io"
-            continue
-        try:
-            r = extract_main_content(val)
-        except Exception as e:  # poison-pill guard
-            cols[6][i] = "Parse"
-            continue
-        cols[0][i] = r.title
-        cols[1][i] = r.text
-        cols[2][i] = r.markdown
-        cols[3][i] = r.n_blocks
-        cols[4][i] = r.n_content_blocks
-        cols[5][i] = r.boilerplate_ratio
-    out = batch
-    for (name, typ), vals in zip(HTML_FIELDS, cols):
-        out = out.append_column(pa.field(name, typ), pa.array(vals, typ))
-    return out
-
-
-def route_payload_batch(batch: pa.Table, payload_column: str = "text") -> pa.Table:
-    """Append a ``payload_kind`` column (pdf/html/unknown)."""
-    col = batch[payload_column]
-    kinds = [sniff_payload_kind(col[i].as_py() or "") for i in range(len(col))]
-    return batch.append_column(
-        pa.field("payload_kind", pa.string()), pa.array(kinds, pa.string()))
+    return payload_columns(batch, html_column, HTML_FIELDS,
+                           guarded(HTML_FIELDS, _html_one))

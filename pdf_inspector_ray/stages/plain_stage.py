@@ -1,10 +1,10 @@
-"""Legacy plain-text stage (SB/AB): ``extract_text_mem`` (E2, reference
+"""Legacy plain-text stage (SB): ``extract_text_mem`` (E2, reference
 src/extractor.rs:833-851) → plain-text ``to_markdown`` (M15, reference
-src/markdown.rs:60-113) as an actor-pool ``map_batches`` UDF.
+src/markdown.rs:60-113) as a task-pool ``map_batches`` block function.
 
-Same shape as the flagship ExtractRender: per-actor payload-identity LRU
-(transcript corpora repeat attachments heavily), columnar batch outside /
-per-document loop inside, errors surfaced as a column — never a throw.
+Same shape as the flagship ``extract_block``: a payload-identity cache
+scoped to one call (transcript corpora repeat attachments heavily), errors
+surfaced as a column — never a throw.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import pyarrow as pa
 
 from ..pdfi.extract import extract_text_mem
 from ..pdfi.markdown import to_markdown
-from ..pdfi.objects import PdfError
-from .extract_stage import _LRU
+from .extract_stage import guarded, payload_columns, pdf_bytes
 
 PLAIN_FIELDS = [
     ("plain_text", pa.large_string()),
@@ -23,48 +22,18 @@ PLAIN_FIELDS = [
 ]
 
 
-class PlainTextExtract:
-    """Actor-pool UDF: text payload → (plain_text, plain_markdown,
-    plain_error_kind) columns, keyed off the corpus ``pdf_sha256`` for the
-    per-actor result cache."""
-
-    def __init__(self, payload_cache_size: int = 256,
-                 text_column: str = "text",
-                 sha_column: str = "pdf_sha256"):
-        self.text_column = text_column
-        self.sha_column = sha_column
-        self._cache = _LRU(payload_cache_size)
-
-    def _process_one(self, payload: str) -> tuple:
-        try:
-            plain = extract_text_mem(payload.encode("latin-1"))
-            return (plain, to_markdown(plain), None)
-        except PdfError as e:
-            return (None, None, e.kind)
-        except Exception:
-            return (None, None, "Parse")
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch[self.text_column].to_pylist()
-        shas = (batch[self.sha_column].to_pylist()
-                if self.sha_column in batch.column_names
-                else [None] * len(texts))
-        cols: list[list] = [[None] * len(texts) for _ in PLAIN_FIELDS]
-        for i, (sha, text) in enumerate(zip(shas, texts)):
-            res = self._cache.get_or(sha) if sha is not None else None
-            if res is None:
-                res = self._process_one(text or "")
-                if sha is not None:
-                    self._cache.put(sha, res)
-            for j, v in enumerate(res):
-                cols[j][i] = v
-        out = batch
-        for (name, typ), vals in zip(PLAIN_FIELDS, cols):
-            out = out.append_column(pa.field(name, typ), pa.array(vals, typ))
-        return out
+def _plain_one(payload) -> tuple:
+    plain = extract_text_mem(pdf_bytes(payload))
+    return (plain, to_markdown(plain), None)
 
 
-def plain_text_pipeline(ds, concurrency=(1, 8), batch_size: int = 64):
+def plain_text_block(batch: pa.Table) -> pa.Table:
+    """Task UDF: the ``text`` payloads of one block → PLAIN_FIELDS columns,
+    each distinct payload parsed once."""
+    return payload_columns(batch, "text", PLAIN_FIELDS,
+                           guarded(PLAIN_FIELDS, _plain_one, cache=True))
+
+
+def plain_text_pipeline(ds):
     """Corpus dataset → dataset with the PLAIN_FIELDS columns appended."""
-    return ds.map_batches(PlainTextExtract, concurrency=concurrency,
-                          batch_size=batch_size, batch_format="pyarrow")
+    return ds.map_batches(plain_text_block, batch_format="pyarrow")

@@ -1,12 +1,11 @@
-"""Routed main-content extraction (AB): one actor-pool stage that sniffs
-each payload (PDF bytes vs HTML markup) and runs the matching extractor —
-the north rule's unified "HTML boilerplate strip, PDF/layout parse" shape
-behind a single router, in ONE pass over the corpus (no filter+union
-double-scan).
+"""Routed main-content extraction (SB): one task-pool block function that
+sniffs each payload (PDF bytes vs HTML markup) and runs the matching
+extractor — the north rule's unified "HTML boilerplate strip, PDF/layout
+parse" shape behind a single router, in ONE pass over the corpus (no
+filter+union double-scan).
 
-Usage: ``ds.map_batches(RoutedExtract, concurrency=N, batch_size=B,
-batch_format="pyarrow")``; PDF parsing reuses ExtractRender's per-payload
-LRU so repeated attachments skip the parse.
+Usage: ``ds.map_batches(routed_block, batch_format="pyarrow")``; each
+distinct payload of a block is sniffed and extracted once.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..pdfi.html import extract_main_content
-from ..pdfi.objects import PdfError
-from .extract_stage import ExtractRender
+from ..pdfi.process import process_pdf_mem
+from .extract_stage import guarded, payload_columns, pdf_bytes
 from .html_stage import sniff_payload_kind
 
 ROUTED_FIELDS = [
@@ -25,42 +24,27 @@ ROUTED_FIELDS = [
 ]
 
 
-class RoutedExtract:
-    """Actor-pool UDF: payload → (payload_kind, markdown, error_kind)."""
+def _pdf_markdown(payload) -> tuple:
+    return (process_pdf_mem(pdf_bytes(payload)).markdown, None)
 
-    def __init__(self, payload_column: str = "text", **pdf_kwargs):
-        self.payload_column = payload_column
-        self._pdf = ExtractRender(payload_column=payload_column, **pdf_kwargs)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        col = batch[self.payload_column]
-        n = len(col)
-        kinds: list = [None] * n
-        markdowns: list = [None] * n
-        errors: list = [None] * n
-        for i in range(n):
-            val = col[i].as_py()
-            if val is None:
-                kinds[i] = "unknown"
-                errors[i] = "Io"
-                continue
-            kind = sniff_payload_kind(val)
-            kinds[i] = kind
-            if kind == "pdf":
-                data = val.encode("latin-1") if isinstance(val, str) else bytes(val)
-                (_, markdowns[i], _, _, _, _, errors[i], _) = \
-                    self._pdf._process_one(data)
-            elif kind == "html":
-                try:
-                    markdowns[i] = extract_main_content(val).markdown
-                except PdfError as e:
-                    errors[i] = e.kind
-                except Exception:
-                    errors[i] = "Parse"
-            else:
-                errors[i] = "UnknownPayload"
-        out = batch
-        for (name, typ), vals in zip(ROUTED_FIELDS,
-                                     (kinds, markdowns, errors)):
-            out = out.append_column(pa.field(name, typ), pa.array(vals, typ))
-        return out
+def _html_markdown(payload) -> tuple:
+    return (extract_main_content(payload).markdown, None)
+
+
+# each extractor is guarded on its own, so a failed row keeps its kind
+_EXTRACT = {"pdf": guarded(ROUTED_FIELDS[1:], _pdf_markdown),
+            "html": guarded(ROUTED_FIELDS[1:], _html_markdown)}
+
+
+def _route_one(payload) -> tuple:
+    kind = sniff_payload_kind(payload)
+    if kind in _EXTRACT:
+        return (kind, *_EXTRACT[kind](payload))
+    return (kind, None, "UnknownPayload")
+
+
+def routed_block(batch: pa.Table, payload_column: str = "text") -> pa.Table:
+    """Task UDF: payload → (payload_kind, markdown, error_kind) columns."""
+    return payload_columns(batch, payload_column, ROUTED_FIELDS,
+                           guarded(ROUTED_FIELDS, _route_one, cache=True))

@@ -23,6 +23,38 @@ def _process(data: bytes) -> None:
         pass  # the only allowed failure mode
 
 
+def _stages_total(data: bytes) -> None:
+    """The payload, as latin-1 text and as bytes, next to a null payload,
+    through every PDF payload stage: no call raises, and every row ends as
+    output or a typed ``error_kind``. Routed PDF rows match the extract
+    stage's."""
+    import pyarrow as pa
+
+    from pdf_inspector_ray.stages.classify import classify_batch
+    from pdf_inspector_ray.stages.extract_stage import extract_block
+    from pdf_inspector_ray.stages.plain_stage import plain_text_block
+    from pdf_inspector_ray.stages.routed import routed_block
+
+    stages = [(extract_block, "pdf_type", "error_kind"),
+              (classify_batch, "pdf_type", "error_kind"),
+              (plain_text_block, "plain_text", "plain_error_kind"),
+              (routed_block, "payload_kind", "error_kind")]
+    for payload, typ in ((data.decode("latin-1"), pa.string()),
+                         (data, pa.binary())):
+        block = pa.table({"text": pa.array([payload, None], typ)})
+        outs = {}
+        for fn, out_col, err_col in stages:
+            out = outs[fn] = fn(block)
+            errors = out[err_col].to_pylist()
+            assert errors[1] == "Io"
+            for value, error in zip(out[out_col].to_pylist(), errors):
+                assert value is not None or error is not None, fn.__name__
+        routed, extracted = outs[routed_block], outs[extract_block]
+        if routed["payload_kind"][0].as_py() == "pdf":
+            for col in ("markdown", "error_kind"):
+                assert routed[col][0].as_py() == extracted[col][0].as_py(), col
+
+
 @given(st.binary(min_size=0, max_size=4096))
 @settings(max_examples=120, deadline=None)
 def test_random_bytes_never_crash(data):
@@ -40,6 +72,7 @@ def test_mutated_fixtures_never_crash(idx, data):
         pos = data.draw(st.integers(0, n - 1))
         mutated[pos] = data.draw(st.integers(0, 255))
     _process(bytes(mutated))
+    _stages_total(bytes(mutated))
 
 
 @given(st.integers(0, len(POOL) - 1), st.floats(0.01, 0.99))
@@ -47,6 +80,7 @@ def test_mutated_fixtures_never_crash(idx, data):
 def test_truncated_fixtures_never_crash(idx, frac):
     name, pdf = POOL[idx]
     _process(pdf[: max(1, int(len(pdf) * frac))])
+    _stages_total(pdf[: max(1, int(len(pdf) * frac))])
 
 
 @given(st.integers(0, len(POOL) - 1), st.integers(0, 60))

@@ -90,18 +90,15 @@ def test_fixture_pool_deterministic():
 
 
 def test_mixed_payload_routing_pipeline(ray_session):
-    """Mixed corpus: route payload_kind, then fan PDF rows through the PDF
-    extractor and HTML rows through the boilerplate stripper — the general
-    main-content extraction shape."""
+    """Mixed corpus through the routed block function on Ray: PDF rows get
+    the PDF extractor, HTML rows the boilerplate stripper, and the rest an
+    ``UnknownPayload`` error — the general main-content extraction shape."""
     import pyarrow as pa
-    import pyarrow.compute as pc
     import ray.data
 
     from pdf_inspector_ray.sources.htmlgen import make_article_page
     from pdf_inspector_ray.sources.pdfgen import fixture_pool
-    from pdf_inspector_ray.stages.extract_stage import ExtractRender
-    from pdf_inspector_ray.stages.html_stage import (
-        html_extract_batch, route_payload_batch)
+    from pdf_inspector_ray.stages.routed import routed_block
 
     pdfs = fixture_pool()
     payloads = [pdfs["f01_tj_simple"].decode("latin-1"),
@@ -111,27 +108,20 @@ def test_mixed_payload_routing_pipeline(ray_session):
                 "just plain words"]
     t = pa.table({"doc_id": pa.array(range(len(payloads)), pa.int64()),
                   "text": pa.array(payloads, pa.string())})
-    routed = ray.data.from_arrow(t).map_batches(
-        route_payload_batch, batch_format="pyarrow")
+    out = ray.data.from_arrow(t).map_batches(
+        routed_block, batch_format="pyarrow").to_pandas()
 
-    pdf_rows = routed.filter(expr="payload_kind == 'pdf'")
-    html_rows = routed.filter(expr="payload_kind == 'html'")
-
-    pdf_out = pdf_rows.map_batches(ExtractRender, concurrency=(1, 2),
-                                   batch_format="pyarrow").to_pandas()
-    html_out = html_rows.map_batches(
-        lambda b: html_extract_batch(b, html_column="text"),
-        batch_format="pyarrow").to_pandas()
-
+    pdf_out = out[out.payload_kind == "pdf"]
+    html_out = out[out.payload_kind == "html"]
     assert len(pdf_out) == 2 and len(html_out) == 2
     assert pdf_out.markdown.str.contains("Annual Report").any()
     assert html_out.markdown.str.contains("Deep Dive 0").any()
-    unknown = routed.filter(expr="payload_kind == 'unknown'").count()
-    assert unknown == 1
+    unknown = out[out.payload_kind == "unknown"]
+    assert unknown.error_kind.tolist() == ["UnknownPayload"]
 
 
 def test_routed_extract_stage_unit():
-    """RoutedExtract: one pass routes PDF bytes, HTML markup, and garbage
+    """routed_block: one pass routes PDF bytes, HTML markup, and garbage
     to the right extractor / error column."""
     import pyarrow as pa
 
@@ -139,7 +129,7 @@ def test_routed_extract_stage_unit():
     from pdf_inspector_ray.pdfi.process import process_pdf_mem
     from pdf_inspector_ray.sources.htmlgen import make_article_page
     from pdf_inspector_ray.sources.pdfgen import fixture_pool
-    from pdf_inspector_ray.stages.routed import RoutedExtract
+    from pdf_inspector_ray.stages.routed import routed_block
 
     pdf = sorted(fixture_pool().items())[0][1].decode("latin-1")
     html = make_article_page(3)
@@ -147,7 +137,7 @@ def test_routed_extract_stage_unit():
         "doc_id": pa.array([0, 1, 2], pa.int64()),
         "text": pa.array([pdf, html, "no markup here"], pa.string()),
     })
-    out = RoutedExtract()(batch)
+    out = routed_block(batch)
     kinds = out["payload_kind"].to_pylist()
     assert kinds == ["pdf", "html", "unknown"]
     mds = out["markdown"].to_pylist()

@@ -254,11 +254,13 @@ def test_salted_partition_values_pinned():
 
 
 def test_golden_columns_match_stage_outputs(corpus_table):
-    """The frozen golden_* oracle columns must equal what the classify and
-    extract stages produce for the same payloads (the driver's DuckDB twin
-    SELECTs these columns back, so drift here = a red CORRECTNESS row)."""
+    """The frozen golden_* oracle columns must equal what the classify,
+    extract and plain stages produce for the same payloads (the queries'
+    DuckDB twins SELECT these columns back, so drift here = a red
+    CORRECTNESS row)."""
     from pdf_inspector_ray.stages.classify import classify_batch
     from pdf_inspector_ray.stages.extract_stage import ExtractRender
+    from pdf_inspector_ray.stages.plain_stage import plain_text_block
 
     inp = corpus_table.select(
         ["conv_id", "turn_idx", "role", "text", "tool", "ts", "pdf_sha256"])
@@ -280,6 +282,10 @@ def test_golden_columns_match_stage_outputs(corpus_table):
         ("error_kind", "golden_x_error_kind"),
     ]:
         assert extracted[out_col].to_pylist() == corpus_table[g_col].to_pylist(), out_col
+    plain = plain_text_block(inp)
+    for out_col in ("plain_text", "plain_markdown", "plain_error_kind"):
+        assert plain[out_col].to_pylist() == \
+            corpus_table["golden_" + out_col].to_pylist(), out_col
 
 
 def test_payload_pool_goldens_cover_corpus(corpus_table):
@@ -414,6 +420,57 @@ def test_extract_block_cache_scoped_to_one_call(monkeypatch):
     assert out["markdown"].to_pylist()[:3] == out["markdown"].to_pylist()[3:6]
     extract_stage.extract_block(block)
     assert len(calls) == 6
+
+
+def test_non_latin1_str_payload_is_a_parse_row():
+    """A str payload that latin-1 cannot encode is a typed ``Parse`` row in
+    every PDF stage, and the other rows of its block still come out."""
+    from pdf_inspector_ray.pdfi.detect import detect_pdf_type_mem
+    from pdf_inspector_ray.pdfi.process import process_pdf_mem
+    from pdf_inspector_ray.sources.pdfgen import fixture_pool
+    from pdf_inspector_ray.stages.classify import classify_batch
+    from pdf_inspector_ray.stages.extract_stage import extract_block
+    from pdf_inspector_ray.stages.plain_stage import plain_text_block
+    from pdf_inspector_ray.stages.routed import routed_block
+
+    pdf = fixture_pool()["f01_tj_simple"]
+    block = pa.table({"text": pa.array(
+        [pdf.decode("latin-1"), "plain chat turn \u2014 with a dash",
+         "%PDF-1.4 \u2014 not latin-1", pdf.decode("latin-1")], pa.string())})
+    markdown = process_pdf_mem(pdf).markdown
+    extracted = extract_block(block)
+    assert extracted["error_kind"].to_pylist() == [None, "Parse", "Parse", None]
+    assert extracted["markdown"].to_pylist() == [markdown, None, None, markdown]
+    classified = classify_batch(block)
+    assert classified["error_kind"].to_pylist() == [None, "Parse", "Parse", None]
+    assert classified["pdf_type"][3].as_py() == detect_pdf_type_mem(pdf).pdf_type
+    plain = plain_text_block(block)
+    assert plain["plain_error_kind"].to_pylist() == [None, "Parse", "Parse", None]
+    routed = routed_block(block)
+    assert routed["payload_kind"].to_pylist() == ["pdf", "unknown", "pdf", "pdf"]
+    assert routed["error_kind"].to_pylist() == \
+        [None, "UnknownPayload", "Parse", None]
+    assert routed["markdown"].to_pylist() == [markdown, None, None, markdown]
+
+
+def test_plain_stage_null_and_binary_payloads():
+    """The plain stage gives ``Io`` for a null payload, like every other
+    stage, and the same columns for a binary payload column as for the
+    same bytes stored as latin-1 text."""
+    from pdf_inspector_ray.sources.pdfgen import fixture_pool
+    from pdf_inspector_ray.stages.plain_stage import (
+        PLAIN_FIELDS, plain_text_block)
+
+    pool = fixture_pool()
+    pdfs = [pool[k] for k in sorted(pool)]
+    as_text = plain_text_block(pa.table({"text": pa.array(
+        [p.decode("latin-1") for p in pdfs] + [None], pa.string())}))
+    as_bytes = plain_text_block(pa.table({"text": pa.array(
+        pdfs + [None], pa.binary())}))
+    assert as_text["plain_error_kind"][-1].as_py() == "Io"
+    assert as_text["plain_text"].null_count < len(pdfs) // 2
+    for name, _ in PLAIN_FIELDS:
+        assert as_bytes[name].to_pylist() == as_text[name].to_pylist(), name
 
 
 def test_extract_pipeline_matches_stage(ray_session, corpus_dir, corpus_table):

@@ -1,17 +1,18 @@
-"""Payload-LRU probe (VERDICT r3 #8): measures per-task extract
+"""Payload-cache probe (VERDICT r3 #8): measures per-task extract
 throughput with the payload cache OFF vs ON at controlled
 attachment-repeat profiles, grounding the 100-TB projection for corpora
 where attachments repeat across turns (bench.py keeps the cache OFF for
 honesty because the bench corpus repeats a tiny fixture pool — a ~100%
 hit rate would overstate parse throughput).
 
-The cache lives for one ``extract_block`` call, i.e. one block
-(``ExtractRender._result_cache`` of that call's stage), so the probe runs
-``extract_block`` directly in-process over blocks of ``BLOCK_ROWS`` turns
-— one task's stream, no Ray — which isolates the cache effect from task
-scheduling and host clock drift (interleaved OFF/ON repeats, min of 2).
-The sequence-exact LRU-256 hit rate within each block is reported next to
-each timing; fleet throughput multiplies by the task cap as usual.
+The cache lives for one ``extract_block`` call, i.e. one block (the
+guarded row function of that call's stage parses each distinct payload
+once), so the probe runs ``extract_block`` directly in-process over blocks
+of ``BLOCK_ROWS`` turns — one task's stream, no Ray — which isolates the
+cache effect from task scheduling and host clock drift (interleaved OFF/ON
+repeats, min of 2). The exact hit rate within each block (repeated
+payloads over rows) is reported next to each timing; fleet throughput
+multiplies by the task cap as usual.
 
 Profiles: N turns drawn from D distinct seeded prose PDFs with
 popularity uniform / Zipf(a) — Zipf heads model boilerplate attachments
@@ -25,7 +26,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
@@ -34,20 +34,12 @@ import pyarrow as pa
 BLOCK_ROWS = 1000
 
 
-def _lru_hit_rate(seq: np.ndarray, size: int = 256) -> float:
-    """Hit rate of an LRU that starts empty at every block."""
-    hits = 0
-    for i, k in enumerate(seq.tolist()):
-        if i % BLOCK_ROWS == 0:
-            lru: OrderedDict = OrderedDict()
-        if k in lru:
-            hits += 1
-            lru.move_to_end(k)
-        else:
-            lru[k] = None
-            if len(lru) > size:
-                lru.popitem(last=False)
-    return hits / len(seq)
+def _block_hit_rate(seq: np.ndarray) -> float:
+    """Share of rows whose payload already occurred in the same block."""
+    repeats = sum(len(b) - len(np.unique(b))
+                  for b in np.split(seq, range(BLOCK_ROWS, len(seq),
+                                               BLOCK_ROWS)))
+    return repeats / len(seq)
 
 
 def main() -> None:
@@ -90,7 +82,7 @@ def main() -> None:
         t_off, t_on = min(times[False]), min(times[True])
         results[prof] = {
             "distinct_frac": round(len(np.unique(idx)) / n, 4),
-            "lru256_hit_rate": round(_lru_hit_rate(idx), 4),
+            "block_hit_rate": round(_block_hit_rate(idx), 4),
             "off_sec": round(t_off, 2), "on_sec": round(t_on, 2),
             "speedup": round(t_off / t_on, 2),
             "docs_per_sec_core_on": round(n / t_on, 1),
