@@ -439,49 +439,19 @@ NEARDUP_JACCARD_T = 0.8   # word-3-gram Jaccard threshold for verified pairs
 NEARDUP_COSINE_T = 0.3    # exact-cosine threshold for verified pairs
 
 
-def _docs_lookup(sf_dir: str) -> dict[int, str]:
-    """Broadcast small side for pair verification (ray.put once inside
-    verify_pairs_jaccard). At corpus scale swap for a join on doc_id."""
-    import pyarrow.parquet as pq
-    t = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
-                      columns=["doc_id", "text"])
-    return dict(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
-
-
-# Above this many side rows the broadcast verify path (driver dict +
-# ray.put) risks driver memory; the reduce-side-join variants stream
-# instead (VERDICT r02 fix #5: the shipped query path must BE the scale
-# path above the threshold, not just have one available). Both paths are
-# pinned equal in tests at sf0.1.
-PAIR_VERIFY_BROADCAST_LIMIT = 1_000_000
-
-
-def _parquet_rows(path: str) -> int:
-    """Row count from parquet footer metadata only — no data read."""
-    import pyarrow.parquet as pq
-    return pq.ParquetFile(path).metadata.num_rows
-
-
 def _q_minhash_lsh_pairs(sf_dir: str):
     """MinHash+LSH candidates VERIFIED by exact word-3-gram Jaccard — the
     oracle recomputes the exact self-join in DuckDB, so a recall loss in
-    the LSH stage (or a bad signature) is a red driver row."""
+    the LSH stage (or a bad signature) is a red oracle row. These pairs
+    are also the input of every near-dup dedup query."""
     import ray.data
     from pdf_inspector_ray.functions.dedup import (
         minhash_lsh_candidates, verify_pairs_jaccard)
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                                columns=["doc_id", "text"])
-    cands = minhash_lsh_candidates(ds)
-    if (_parquet_rows(os.path.join(sf_dir, "documents.parquet"))
-            > PAIR_VERIFY_BROADCAST_LIMIT):
-        from pdf_inspector_ray.functions.dedup import (
-            verify_pairs_jaccard_distributed)
-        verified = verify_pairs_jaccard_distributed(
-            cands, ds, threshold=NEARDUP_JACCARD_T)
-    else:
-        verified = verify_pairs_jaccard(cands, _docs_lookup(sf_dir),
-                                        threshold=NEARDUP_JACCARD_T)
-    return verified.select_columns(["doc_a", "doc_b"])
+    return verify_pairs_jaccard(minhash_lsh_candidates(ds), ds,
+                                threshold=NEARDUP_JACCARD_T
+                                ).select_columns(["doc_a", "doc_b"])
 
 
 EXACT_JACCARD_T = 0.7  # the prefix-filter exact join runs at its own tau
@@ -498,16 +468,8 @@ def _q_jaccard_pairs_exact(sf_dir: str):
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                                columns=["doc_id", "text"])
     cands = jaccard_prefix_candidates(ds, threshold=EXACT_JACCARD_T)
-    if (_parquet_rows(os.path.join(sf_dir, "documents.parquet"))
-            > PAIR_VERIFY_BROADCAST_LIMIT):
-        from pdf_inspector_ray.functions.dedup import (
-            verify_pairs_jaccard_distributed)
-        verified = verify_pairs_jaccard_distributed(
-            cands, ds, threshold=EXACT_JACCARD_T)
-    else:
-        verified = verify_pairs_jaccard(cands, _docs_lookup(sf_dir),
-                                        threshold=EXACT_JACCARD_T)
-    return verified.select_columns(["doc_a", "doc_b"])
+    return verify_pairs_jaccard(cands, ds, threshold=EXACT_JACCARD_T
+                                ).select_columns(["doc_a", "doc_b"])
 
 
 SIMHASH_MAX_HAMMING = 7  # = bands − 1: the radius banding guarantees
@@ -544,26 +506,16 @@ def _q_simhash_pairs(sf_dir: str):
     """SimHash banded candidates verified by EXACT hamming ≤ bands−1 —
     the radius banding provably catches (pigeonhole), so the oracle's
     brute-force hamming self-join must match at any scale."""
-    import pyarrow.parquet as pq
     import ray.data
     from pdf_inspector_ray.functions.dedup import (
         simhash_candidates, verify_pairs_hamming)
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                                columns=["doc_id", "text"])
     cands = simhash_candidates(ds)
-    sidecar = os.path.join(_simhash_sidecar(sf_dir), "simhash-00000.parquet")
-    if _parquet_rows(sidecar) > PAIR_VERIFY_BROADCAST_LIMIT:
-        from pdf_inspector_ray.functions.dedup import (
-            verify_pairs_hamming_distributed)
-        verified = verify_pairs_hamming_distributed(
-            cands, ray.data.read_parquet(sidecar),
-            max_hamming=SIMHASH_MAX_HAMMING)
-    else:
-        side = pq.read_table(sidecar)
-        lookup = dict(zip(side["doc_id"].to_pylist(),
-                          side["simhash"].to_pylist()))
-        verified = verify_pairs_hamming(cands, lookup,
-                                        max_hamming=SIMHASH_MAX_HAMMING)
+    sidecar = ray.data.read_parquet(os.path.join(
+        _simhash_sidecar(sf_dir), "simhash-00000.parquet"))
+    verified = verify_pairs_hamming(cands, sidecar,
+                                    max_hamming=SIMHASH_MAX_HAMMING)
     return verified.select_columns(["doc_a", "doc_b"])
 
 
@@ -596,21 +548,8 @@ def _q_neardup_dedup_docs(sf_dir: str):
     with a recursive transitive closure over the exact Jaccard pair set."""
     import ray.data
     from pdf_inspector_ray.functions.dedup import (
-        connected_components, minhash_lsh_candidates, neardup_kept_docs,
-        verify_pairs_jaccard)
-    docs = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                                 columns=["doc_id", "text"])
-    cands = minhash_lsh_candidates(docs)
-    if (_parquet_rows(os.path.join(sf_dir, "documents.parquet"))
-            > PAIR_VERIFY_BROADCAST_LIMIT):
-        from pdf_inspector_ray.functions.dedup import (
-            verify_pairs_jaccard_distributed)
-        verified = verify_pairs_jaccard_distributed(
-            cands, docs, threshold=NEARDUP_JACCARD_T)
-    else:
-        verified = verify_pairs_jaccard(cands, _docs_lookup(sf_dir),
-                                        threshold=NEARDUP_JACCARD_T)
-    comp = connected_components(verified.select_columns(["doc_a", "doc_b"]))
+        connected_components, neardup_kept_docs)
+    comp = connected_components(_q_minhash_lsh_pairs(sf_dir))
     docs_ids = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"])
     return neardup_kept_docs(docs_ids, comp)
@@ -627,24 +566,11 @@ def _q_neardup_best_docs(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
-    from pdf_inspector_ray.functions.dedup import (
-        connected_components, minhash_lsh_candidates, neardup_best_docs,
-        verify_pairs_jaccard)
+    from pdf_inspector_ray.functions.dedup import (connected_components,
+                                                   neardup_best_docs)
     from pdf_inspector_ray.functions.text_stats import (LANG_STOPWORDS,
                                                         _count_padded)
-    docs = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                                 columns=["doc_id", "text"])
-    cands = minhash_lsh_candidates(docs)
-    if (_parquet_rows(os.path.join(sf_dir, "documents.parquet"))
-            > PAIR_VERIFY_BROADCAST_LIMIT):
-        from pdf_inspector_ray.functions.dedup import (
-            verify_pairs_jaccard_distributed)
-        verified = verify_pairs_jaccard_distributed(
-            cands, docs, threshold=NEARDUP_JACCARD_T)
-    else:
-        verified = verify_pairs_jaccard(cands, _docs_lookup(sf_dir),
-                                        threshold=NEARDUP_JACCARD_T)
-    comp = connected_components(verified.select_columns(["doc_a", "doc_b"]))
+    comp = connected_components(_q_minhash_lsh_pairs(sf_dir))
 
     def score_batch(batch: pa.Table) -> pa.Table:
         text = batch["text"]
@@ -674,24 +600,9 @@ def _q_neardup_cluster_sizes(sf_dir: str):
     `neardup_dedup_docs`, then two tiny count aggregates (per-label,
     then per-size)."""
     import pyarrow as pa
-    import ray.data
     from ray.data.aggregate import Sum
-    from pdf_inspector_ray.functions.dedup import (
-        connected_components, minhash_lsh_candidates,
-        verify_pairs_jaccard)
-    docs = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                                 columns=["doc_id", "text"])
-    cands = minhash_lsh_candidates(docs)
-    if (_parquet_rows(os.path.join(sf_dir, "documents.parquet"))
-            > PAIR_VERIFY_BROADCAST_LIMIT):
-        from pdf_inspector_ray.functions.dedup import (
-            verify_pairs_jaccard_distributed)
-        verified = verify_pairs_jaccard_distributed(
-            cands, docs, threshold=NEARDUP_JACCARD_T)
-    else:
-        verified = verify_pairs_jaccard(cands, _docs_lookup(sf_dir),
-                                        threshold=NEARDUP_JACCARD_T)
-    comp = connected_components(verified.select_columns(["doc_a", "doc_b"]))
+    from pdf_inspector_ray.functions.dedup import connected_components
+    comp = connected_components(_q_minhash_lsh_pairs(sf_dir))
 
     def size_partial(batch: pa.Table) -> pa.Table:
         return (batch.select(["label"]).group_by(["label"])
@@ -717,26 +628,12 @@ def _q_embedding_neardup_pairs(sf_dir: str):
     """Axis-aligned multi-table hyperplane LSH candidates verified by exact
     cosine. Axis-aligned planes make the bucketing reproducible in SQL, so
     the oracle recomputes candidates AND verification independently."""
-    import numpy as np
-    import pyarrow.parquet as pq
     import ray.data
     from pdf_inspector_ray.functions.dedup import (
         embedding_neardup_candidates, verify_pairs_cosine)
-    emb_path = os.path.join(sf_dir, "embeddings.parquet")
-    ds = ray.data.read_parquet(emb_path)
+    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
     cands = embedding_neardup_candidates(ds, axis_aligned=True)
-    if _parquet_rows(emb_path) > PAIR_VERIFY_BROADCAST_LIMIT:
-        from pdf_inspector_ray.functions.dedup import (
-            verify_pairs_cosine_distributed)
-        verified = verify_pairs_cosine_distributed(
-            cands, ray.data.read_parquet(emb_path),
-            threshold=NEARDUP_COSINE_T)
-    else:
-        t = pq.read_table(emb_path)
-        vectors = {i: np.asarray(v, dtype=np.float64) for i, v in
-                   zip(t["vec_id"].to_pylist(), t["embedding"].to_pylist())}
-        verified = verify_pairs_cosine(cands, vectors,
-                                       threshold=NEARDUP_COSINE_T)
+    verified = verify_pairs_cosine(cands, ds, threshold=NEARDUP_COSINE_T)
     return verified.select_columns(["doc_a", "doc_b"])
 
 
@@ -1741,19 +1638,14 @@ def _q_conv_turn_gaps(sf_dir: str):
 def _q_neardup_edit_distances(sf_dir: str):
     """Exact edit distance between each verified near-dup pair's first
     64 codepoints (dedup.verify_pairs_levenshtein): byte-exact DuckDB
-    ``levenshtein`` twin; texts attached by reduce-side joins so the
-    corpus never pays the pair join."""
+    ``levenshtein`` twin over the `jaccard_pairs_exact` pairs; texts
+    attached by lookup joins so the corpus never pays the pair join."""
     import ray.data
-    from pdf_inspector_ray.functions.dedup import (
-        jaccard_prefix_candidates, verify_pairs_jaccard,
-        verify_pairs_levenshtein)
+    from pdf_inspector_ray.functions.dedup import verify_pairs_levenshtein
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                                columns=["doc_id", "text"])
-    cands = jaccard_prefix_candidates(ds, threshold=EXACT_JACCARD_T)
-    pairs = verify_pairs_jaccard(cands, _docs_lookup(sf_dir),
-                                 threshold=EXACT_JACCARD_T
-                                 ).select_columns(["doc_a", "doc_b"])
-    return verify_pairs_levenshtein(pairs, ds, cap=64)
+    return verify_pairs_levenshtein(_q_jaccard_pairs_exact(sf_dir), ds,
+                                    cap=64)
 
 
 def _q_cheapest_part_per_brand(sf_dir: str):

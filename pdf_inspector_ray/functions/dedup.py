@@ -10,6 +10,10 @@ Scale design (100 TB):
   emit candidate pairs per bucket, dedupe pairs, then verify candidates
   exactly (Jaccard / hamming / cosine). Buckets are hashes → uniform; the
   only skew risk is a giant duplicate cluster, capped by MAX_BUCKET.
+* verification, connected components and the kept-docs filter attach
+  per-doc values with ONE keyed lookup join, ``_attach_side_column``: it
+  broadcasts a side of at most ``LOOKUP_BROADCAST_ROWS`` rows and
+  shuffles a larger one, a choice made once from the side's size.
 
 All signatures are seed-fixed (numpy default_rng(seed)) → deterministic.
 """
@@ -20,6 +24,7 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from pdf_inspector_ray.functions.relational import grouped_topk, key_partition
 
@@ -387,27 +392,168 @@ def ngram_jaccard(text_a: str, text_b: str, k: int = 3) -> float:
     return inter / union if union else 0.0
 
 
-def verify_pairs_jaccard(pairs_ds, docs_lookup: dict[int, str],
-                         threshold: float = 0.8, k: int = 3):
-    """Verify candidate pairs with exact Jaccard. ``docs_lookup`` is the
-    broadcast small side (ray.put once; read in every task) — for genuinely
-    huge corpora swap for a join on doc_id instead."""
+# -- keyed lookup join + pair verification ---------------------------------
+
+# A lookup side of at most this many rows is collected once and broadcast
+# through the object store to every probe task; a larger side streams
+# through a reduce-side shuffle instead, so the driver never holds it. At
+# 100 TB the doc texts and a 20-30% dup rate's dropped-id set are billions
+# of rows — there the shuffle is the only viable shape.
+LOOKUP_BROADCAST_ROWS = 1_000_000
+
+
+def _lookup_by_key(probe_keys, sorted_keys, vals) -> pa.Array:
+    """Vectorized left-join lookup: for each int64 key in ``probe_keys``
+    return the ``vals`` element whose entry in ``sorted_keys`` (ascending,
+    aligned with ``vals``) matches, else null. numpy searchsorted on the
+    keys, one Arrow ``take`` with null indices for the misses — no Python
+    per-row probe, and it works for ANY value type (Acero's hash join
+    rejects nested payload columns like ``list<float>`` embeddings, which
+    this path must carry)."""
+    vals = vals.combine_chunks() if isinstance(
+        vals, pa.ChunkedArray) else vals
+    n = len(probe_keys)
+    if len(sorted_keys) == 0:
+        return pa.nulls(n, vals.type)
+    sk = np.asarray(sorted_keys.to_numpy(zero_copy_only=False),
+                    dtype=np.int64)
+    pk = np.asarray(probe_keys.to_numpy(zero_copy_only=False),
+                    dtype=np.int64)
+    pos = np.minimum(np.searchsorted(sk, pk), len(sk) - 1)
+    idx = pos.astype(np.float64)
+    idx[sk[pos] != pk] = np.nan  # null indices -> null output rows
+    return vals.take(pa.array(idx, pa.int64(), from_pandas=True))
+
+
+def _attach_side_column(probe_ds, side_ds, out_cols: dict,
+                        side_key: str = "doc_id", side_col: str = "text"):
+    """Keyed left lookup join — the only one in this module. For each
+    ``probe_key: out_col`` entry of ``out_cols``, attach as ``out_col`` the
+    ``side_ds[side_col]`` of the row whose integer ``side_key`` equals the
+    probe row's ``probe_key``, or null when none does. The strategy
+    follows the side's observed size, read in ONE pass that stops after
+    ``LOOKUP_BROADCAST_ROWS + 1`` rows (``limit``, not ``count()``: a
+    map-built side would run its map over every row once more):
+
+    * the side fits → its (key, value) arrays, sorted by key, go into
+      the object store once and every probe batch looks its keys up;
+    * it does not → one reduce-side shuffle per probe key
+      (``_shuffle_lookup``), nothing collected on the driver.
+
+    Output values keep the side column's type. An empty, schema-less
+    probe (Ray reports ``schema() is None``) comes back as is."""
     import ray
 
-    lookup_ref = ray.put(docs_lookup)
+    cols = list(dict.fromkeys((side_key, side_col)))
+    head = [t for t in ray.get(side_ds.select_columns(cols)
+                               .limit(LOOKUP_BROADCAST_ROWS + 1)
+                               .to_arrow_refs()) if t.num_rows]
+    side = (pa.concat_tables(head) if head
+            else pa.table({c: pa.array([], pa.int64()) for c in cols}))
+    if side.num_rows <= LOOKUP_BROADCAST_ROWS:
+        side = side.drop_null().sort_by(side_key)
+        side_ref = ray.put((side[side_key].combine_chunks(),
+                            side[side_col].combine_chunks()))
 
-    def verify(batch: pa.Table, lookup=None) -> pa.Table:
-        lk = ray.get(lookup_ref) if lookup is None else lookup
-        a = batch["doc_a"].to_pylist()
-        b = batch["doc_b"].to_pylist()
-        sims = [ngram_jaccard(lk.get(x, ""), lk.get(y, ""), k) for x, y in zip(a, b)]
-        t = batch.append_column(
-            pa.field("jaccard", pa.float64()),
-            pa.array([round(s, 6) for s in sims], pa.float64()))
-        import pyarrow.compute as pc
-        return t.filter(pc.greater_equal(t["jaccard"], pa.scalar(threshold)))
+        def probe(batch: pa.Table) -> pa.Table:
+            keys, vals = ray.get(side_ref)
+            for probe_key, out_col in out_cols.items():
+                batch = batch.append_column(
+                    out_col, _lookup_by_key(batch[probe_key], keys, vals))
+            return batch
 
-    return pairs_ds.map_batches(verify, batch_format="pyarrow")
+        return probe_ds.map_batches(probe, batch_format="pyarrow")
+
+    schema = probe_ds.schema()
+    if schema is None:
+        return probe_ds
+    fields = [(f.name, f.type) for f in schema.base_schema]
+    out_type = side.schema.field(side_col).type
+    for probe_key, out_col in out_cols.items():
+        probe_ds = _shuffle_lookup(probe_ds, side_ds, fields, probe_key,
+                                   out_col, side_key, side_col, out_type)
+        fields.append((out_col, out_type))
+    return probe_ds
+
+
+def _shuffle_lookup(probe_ds, side_ds, fields: list, probe_key: str,
+                    out_col: str, side_key: str, side_col: str, out_type):
+    """``_attach_side_column``'s reduce-side branch for one probe key:
+    probe rows (``fields``) and side rows are tagged, unioned, co-located
+    by hash(key) % ``PAIR_PARTITIONS`` and matched vectorized in one
+    ``map_groups`` call per partition. Hand-rolled because Ray 2.49's
+    ``Dataset.join`` loses the schema of empty right partitions."""
+    names = [name for name, _ in fields]
+
+    def tag(t: pa.Table, key, val, is_side: bool) -> pa.Table:
+        key = pc.cast(key, pa.int64())
+        return (t.append_column("__key", key)
+                 .append_column(pa.field("__val", out_type), val)
+                 .append_column("__side", pa.repeat(is_side, len(t)))
+                 .append_column("__part", pa.array(
+                     key_partition(key, PAIR_PARTITIONS), pa.int32())))
+
+    def tag_probe(batch: pa.Table) -> pa.Table:
+        return tag(batch.select(names), batch[probe_key],
+                   pa.nulls(len(batch), out_type), False)
+
+    def tag_side(batch: pa.Table) -> pa.Table:
+        pad = pa.table({name: pa.nulls(len(batch), typ)
+                        for name, typ in fields})
+        return tag(pad, batch[side_key],
+                   pc.cast(batch[side_col], out_type), True)
+
+    def probe(group: pa.Table) -> pa.Table:
+        side = group.filter(pc.and_(group["__side"],
+                                    pc.is_valid(group["__key"])))
+        side = side.sort_by("__key")
+        rows = group.filter(pc.invert(group["__side"]))
+        return rows.select(names).append_column(
+            pa.field(out_col, out_type),
+            _lookup_by_key(rows["__key"], side["__key"], side["__val"]))
+
+    return (probe_ds.map_batches(tag_probe, batch_format="pyarrow")
+                    .union(side_ds.map_batches(tag_side,
+                                               batch_format="pyarrow"))
+                    .groupby("__part")
+                    .map_groups(probe, batch_format="pyarrow"))
+
+
+def _verify_pairs(pairs_ds, side_ds, side_key: str, side_col: str,
+                  name: str, typ, score, keep=None):
+    """The shared body of the pair verifiers: attach both docs'
+    ``side_col`` to each (doc_a, doc_b) pair in one lookup join, drop the
+    pairs missing either side row (as the SQL twins' inner joins do),
+    append ``name`` = ``score(values_a, values_b)`` and keep the rows
+    where ``keep(scores)`` holds."""
+    joined = _attach_side_column(pairs_ds, side_ds,
+                                 {"doc_a": "__a", "doc_b": "__b"},
+                                 side_key=side_key, side_col=side_col)
+
+    def verify(batch: pa.Table) -> pa.Table:
+        t = batch.filter(pc.and_(pc.is_valid(batch["__a"]),
+                                 pc.is_valid(batch["__b"])))
+        scores = pa.array(score(t["__a"], t["__b"]), typ)
+        t = t.drop_columns(["__a", "__b"]).append_column(name, scores)
+        return t if keep is None else t.filter(keep(t[name]))
+
+    return joined.map_batches(verify, batch_format="pyarrow")
+
+
+def verify_pairs_jaccard(pairs_ds, docs_ds, threshold: float = 0.8,
+                         k: int = 3):
+    """Verify candidate pairs with exact word-``k``-gram Jaccard. The two
+    texts are attached from ``docs_ds`` (doc_id, text) by the
+    ``_attach_side_column`` lookup join; a pair with either doc missing
+    is dropped."""
+
+    def score(a, b):
+        return [round(ngram_jaccard(x, y, k), 6)
+                for x, y in zip(a.to_pylist(), b.to_pylist())]
+
+    return _verify_pairs(pairs_ds, docs_ds, "doc_id", "text", "jaccard",
+                         pa.float64(), score,
+                         lambda s: pc.greater_equal(s, threshold))
 
 
 # -- simhash ----------------------------------------------------------------
@@ -505,32 +651,35 @@ def hamming64(a: int, b: int) -> int:
     return bin(a ^ b).count("1")
 
 
-def verify_pairs_hamming(pairs_ds, simhashes: dict[int, int],
-                         max_hamming: int = 7):
-    """Verify candidate pairs with exact simhash hamming distance.
-    ``simhashes`` is the broadcast small side (ray.put once); swap for a
-    join on doc_id at corpus scale."""
-    import ray
+def _popcount64(x: np.ndarray) -> np.ndarray:
+    """Vectorized 64-bit popcount (SWAR)."""
+    x = x.astype(np.uint64)
+    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = ((x & np.uint64(0x3333333333333333))
+         + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333)))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    with np.errstate(over="ignore"):
+        return ((x * np.uint64(0x0101010101010101))
+                >> np.uint64(56)).astype(np.int32)
 
-    sh_ref = ray.put(simhashes)
 
-    def verify(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        lk = ray.get(sh_ref)
-        a = batch["doc_a"].to_pylist()
-        b = batch["doc_b"].to_pylist()
-        # A pair with either id missing from the simhash sidecar is
-        # DROPPED (hamming = null), never verified against a sentinel
-        # (ADVICE r02: the old 0 / 1<<63 defaults were hamming-1 apart, so
-        # a doubly-missing pair passed verification spuriously).
-        dist = [hamming64(lk[x], lk[y]) if x in lk and y in lk else None
-                for x, y in zip(a, b)]
-        t = batch.append_column(pa.field("hamming", pa.int32()),
-                                pa.array(dist, pa.int32()))
-        return t.filter(pc.less_equal(t["hamming"],
-                                      pa.scalar(max_hamming, pa.int32())))
+def verify_pairs_hamming(pairs_ds, simhash_ds, max_hamming: int = 7):
+    """Verify candidate pairs with exact simhash hamming distance: the two
+    simhashes are attached from ``simhash_ds`` (doc_id, simhash:uint64)
+    by the ``_attach_side_column`` lookup join, then a vectorized SWAR
+    popcount filter. A pair with either id missing from the sidecar is
+    DROPPED, never verified against a sentinel (ADVICE r02: the old
+    0 / 1<<63 defaults were hamming-1 apart, so a doubly-missing pair
+    passed verification spuriously)."""
 
-    return pairs_ds.map_batches(verify, batch_format="pyarrow")
+    def score(a, b):
+        return _popcount64(np.bitwise_xor(
+            a.to_numpy(zero_copy_only=False).astype(np.uint64),
+            b.to_numpy(zero_copy_only=False).astype(np.uint64)))
+
+    return _verify_pairs(pairs_ds, simhash_ds, "doc_id", "simhash",
+                         "hamming", pa.int32(), score,
+                         lambda s: pc.less_equal(s, max_hamming))
 
 
 # -- embedding cosine near-dup ---------------------------------------------
@@ -622,55 +771,49 @@ def embedding_neardup_candidates(ds, dim: int = 64, num_tables: int = 8,
                          own_band_width=planes_per_table)
 
 
-def verify_pairs_cosine(pairs_ds, vectors: dict[int, "np.ndarray"],
-                        threshold: float = 0.9):
-    """Verify candidate pairs with exact cosine similarity. ``vectors`` is
-    the broadcast small side (ray.put once); swap for a join at corpus
-    scale."""
-    import ray
+def verify_pairs_cosine(pairs_ds, emb_ds, threshold: float = 0.9,
+                        id_column: str = "vec_id",
+                        embedding_column: str = "embedding"):
+    """Verify candidate pairs with exact cosine similarity: the two
+    vectors are attached straight from ``emb_ds`` (``id_column``,
+    ``embedding_column``) by the ``_attach_side_column`` lookup join, then
+    one vectorized normalized dot per batch (a zero vector has norm 1).
+    Pairs with either vector missing are dropped."""
 
-    norm = {k: np.asarray(v, dtype=np.float64) for k, v in vectors.items()}
-    for k, v in norm.items():
-        n = np.linalg.norm(v)
-        norm[k] = v / n if n else v
-    vec_ref = ray.put(norm)
+    def score(a, b):
+        if not len(a):
+            return np.zeros(0)
+        from pdf_inspector_ray.functions.similarity import _to_matrix
+        va, vb = _to_matrix(a), _to_matrix(b)
+        na = np.linalg.norm(va, axis=1)
+        nb = np.linalg.norm(vb, axis=1)
+        na[na == 0] = 1.0
+        nb[nb == 0] = 1.0
+        return np.round((va * vb).sum(axis=1) / (na * nb), 6)
 
-    def verify(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        lk = ray.get(vec_ref)
-        a = batch["doc_a"].to_pylist()
-        b = batch["doc_b"].to_pylist()
-        sims = []
-        for x, y in zip(a, b):
-            va, vb = lk.get(x), lk.get(y)
-            sims.append(round(float(va @ vb), 6)
-                        if va is not None and vb is not None else 0.0)
-        t = batch.append_column(pa.field("cos_sim", pa.float64()),
-                                pa.array(sims, pa.float64()))
-        return t.filter(pc.greater_equal(t["cos_sim"], pa.scalar(threshold)))
-
-    return pairs_ds.map_batches(verify, batch_format="pyarrow")
+    return _verify_pairs(pairs_ds, emb_ds, id_column, embedding_column,
+                         "cos_sim", pa.float64(), score,
+                         lambda s: pc.greater_equal(s, threshold))
 
 
 # -- corpus-level dedup: components over verified pairs ---------------------
 
-def connected_components(pairs_ds, num_partitions: int = 16,
-                         max_iters: int = 32):
+def connected_components(pairs_ds, max_iters: int = 32):
     """Verified near-dup pairs (doc_a, doc_b) → (node, label) with label =
     min doc_id of each connected component, for every doc that appears in
     a pair.
 
-    Distributed iterative min-label propagation: per round, one hash join
-    (labels onto edge sources) + one groupby-min — both shuffle only the
-    EDGE-sized data (the near-dup pair set, a small fraction of the
-    corpus), never the corpus itself. Converges in O(component diameter)
-    rounds; near-dup clusters are dense (band collisions ≈ cliques) so
-    2-4 rounds is typical. The per-round ``materialize()`` pins the small
-    label/edge sets so each iteration reads the previous result instead of
-    re-executing the whole lineage — this is the documented exception to
-    "never materialize mid-pipeline" (tiny side only).
+    Distributed iterative min-label propagation: per round, one lookup
+    join (labels onto edge sources, ``_attach_side_column``) + one
+    groupby-min — both move only EDGE-sized data (the near-dup pair set,
+    a small fraction of the corpus), never the corpus itself. Converges
+    in O(component diameter) rounds; near-dup clusters are dense (band
+    collisions ≈ cliques) so 2-4 rounds is typical. The per-round
+    ``materialize()`` pins the small label/edge sets so each iteration
+    reads the previous result instead of re-executing the whole lineage
+    — this is the documented exception to "never materialize
+    mid-pipeline" (tiny side only).
     """
-    import pyarrow.compute as pc
 
     def to_edges(batch: pa.Table) -> pa.Table:
         a, b = batch["doc_a"], batch["doc_b"]
@@ -687,50 +830,18 @@ def connected_components(pairs_ds, num_partitions: int = 16,
     def init_labels(batch: pa.Table) -> pa.Table:
         return pa.table({"node": batch["src"], "label": batch["src"]})
 
+    def to_candidates(batch: pa.Table) -> pa.Table:
+        return pa.table({"node": batch["dst"], "label": batch["label"]})
+
     labels = (edges.map_batches(init_labels, batch_format="pyarrow")
                    .groupby("node")
                    .aggregate(Min("label", alias_name="label"))
                    .materialize())
-    # Reduce-side hash join, hand-rolled with the coarse-partition pattern:
-    # edge rows and label rows are tagged, unioned, co-located by
-    # hash(key) % P, and matched vectorized inside one map_groups call per
-    # partition. (Dataset.join would express this too, but as of Ray
-    # 2.49 its finalize loses the schema of empty right partitions.)
-    def tag_edges(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        return pa.table({"key": batch["src"], "dst": batch["dst"],
-                         "label": pa.nulls(n, pa.int64())})
-
-    def tag_labels(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        return pa.table({"key": batch["node"], "dst": pa.nulls(n, pa.int64()),
-                         "label": batch["label"]})
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        part = key_partition(batch["key"], num_partitions)
-        return batch.append_column(pa.field("part", pa.int32()),
-                                   pa.array(part, pa.int32()))
-
-    def probe(group: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        is_label = pc.is_valid(group["label"])
-        lab = group.filter(is_label)
-        edge = group.filter(pc.invert(is_label))
-        if edge.num_rows == 0 or lab.num_rows == 0:
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "label": pa.array([], pa.int64())})
-        return pa.table({"node": edge["dst"],
-                         "label": _lookup_by_key(edge["key"], lab["key"],
-                                                 lab["label"])})
-
     prev_sum = None
     for _ in range(max_iters):
-        tagged = (edges.map_batches(tag_edges, batch_format="pyarrow")
-                       .union(labels.map_batches(tag_labels,
-                                                 batch_format="pyarrow")))
-        cand = (tagged.map_batches(add_part, batch_format="pyarrow")
-                      .groupby("part")
-                      .map_groups(probe, batch_format="pyarrow"))
+        cand = _attach_side_column(edges, labels, {"src": "label"},
+                                   side_key="node", side_col="label")
+        cand = cand.map_batches(to_candidates, batch_format="pyarrow")
         labels = (labels.union(cand)
                         .groupby("node")
                         .aggregate(Min("label", alias_name="label"))
@@ -742,123 +853,38 @@ def connected_components(pairs_ds, num_partitions: int = 16,
     return labels
 
 
-def _anti_join_ids(docs_ds, drop_ds, id_column: str = "doc_id",
-                   drop_column: str = "node",
-                   num_partitions: int = PAIR_PARTITIONS):
-    """Reduce-side LEFT ANTI join: keep the ``docs_ds`` rows whose
-    ``id_column`` does NOT appear in ``drop_ds[drop_column]``. Tagged
-    union + coarse hash(id) co-partition + vectorized ``pc.is_in`` probe —
-    the same machinery as ``_attach_texts`` (Ray 2.49 ``Dataset.join``
-    loses the schema of empty right partitions). Nothing is ever
-    collected on the driver; both sides stream through one shuffle."""
-    import pyarrow.compute as pc
-
-    doc_schema = [(f.name, f.type) for f in docs_ds.schema().base_schema]
-
-    def tag_docs(batch: pa.Table) -> pa.Table:
-        t = batch.append_column(pa.field("__key", pa.int64()),
-                                pc.cast(batch[id_column], pa.int64()))
-        return t.append_column(pa.field("__isdrop", pa.bool_()),
-                               pa.nulls(len(batch), pa.bool_()))
-
-    def tag_drops(batch: pa.Table) -> pa.Table:
-        cols = {name: pa.nulls(len(batch), typ) for name, typ in doc_schema}
-        cols["__key"] = pc.cast(batch[drop_column], pa.int64())
-        cols["__isdrop"] = pa.array([True] * len(batch), pa.bool_())
-        return pa.table(cols)
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        part = key_partition(batch["__key"], num_partitions)
-        return batch.append_column(pa.field("__part", pa.int32()),
-                                   pa.array(part, pa.int32()))
-
-    def probe(group: pa.Table) -> pa.Table:
-        is_drop = pc.is_valid(group["__isdrop"])
-        docs = group.filter(pc.invert(is_drop))
-        drops = group.filter(is_drop)
-        if docs.num_rows and drops.num_rows:
-            keep = pc.invert(pc.is_in(docs["__key"],
-                                      value_set=drops["__key"].combine_chunks()))
-            docs = docs.filter(keep)
-        return pa.table({name: docs[name] for name, _ in doc_schema})
-
-    tagged = (docs_ds.map_batches(tag_docs, batch_format="pyarrow")
-                     .union(drop_ds.map_batches(tag_drops,
-                                                batch_format="pyarrow")))
-    return (tagged.map_batches(add_part, batch_format="pyarrow")
-                  .groupby("__part")
-                  .map_groups(probe, batch_format="pyarrow"))
-
-
-# Above this many dropped ids the broadcast-set path risks driver memory;
-# the anti-join path streams instead. At 100 TB with a 20-30% dup rate the
-# dropped set is billions of ids — the join is the only viable shape.
-NEARDUP_BROADCAST_LIMIT = 2_000_000
-
-
-def neardup_kept_docs(docs_ds, components, id_column: str = "doc_id",
-                      distributed: bool | None = None,
-                      broadcast_limit: int = NEARDUP_BROADCAST_LIMIT):
+def neardup_kept_docs(docs_ds, components, id_column: str = "doc_id"):
     """Corpus-level near-dup dedup: keep each component's min doc_id plus
-    every doc not in any pair.
-
-    Default = size-gated (VERDICT r02 fix #2): the dropped-id count is
-    read from the (already materialized, edge-sized) components dataset;
-    below ``broadcast_limit`` the ids are broadcast once with ``ray.put``
-    and applied as a per-batch mask (no shuffle), above it — or with
-    ``distributed=True`` — a reduce-side left anti join streams both
-    sides through one co-partition shuffle with NO driver-side collect.
-    Both paths are pinned equal in tests."""
-    import pyarrow.compute as pc
-    import ray
+    every doc not in any pair. The dropped ids (components rows whose
+    label is below their node) are removed by ``_mask_dropped_ids``."""
 
     def to_dropped(batch: pa.Table) -> pa.Table:
         mask = pc.less(batch["label"], batch["node"])
         return pa.table({"node": batch["node"].filter(mask)})
 
     dropped_ds = components.map_batches(to_dropped, batch_format="pyarrow")
-    return _mask_dropped_ids(docs_ds, dropped_ds, id_column=id_column,
-                             distributed=distributed,
-                             broadcast_limit=broadcast_limit)
+    return _mask_dropped_ids(docs_ds, dropped_ds, id_column=id_column)
 
 
-def _mask_dropped_ids(docs_ds, dropped_ds, id_column: str = "doc_id",
-                      distributed: bool | None = None,
-                      broadcast_limit: int = NEARDUP_BROADCAST_LIMIT):
+def _mask_dropped_ids(docs_ds, dropped_ds, id_column: str = "doc_id"):
     """Filter ``docs_ds`` down to rows whose id is NOT in
     ``dropped_ds["node"]`` — the shared tail of every cluster-dedup
-    operator. Size-gated: below ``broadcast_limit`` the (edge-sized)
-    dropped ids are broadcast once with ``ray.put`` and applied as a
-    per-batch ``pc.is_in`` mask (no shuffle); above it a reduce-side
-    left anti join streams both sides with no driver-side collect."""
-    import pyarrow.compute as pc
-    import ray
-
-    if distributed is None:
-        distributed = dropped_ds.count() > broadcast_limit
-    if distributed:
-        return _anti_join_ids(docs_ds, dropped_ds, id_column=id_column)
-
-    chunks = [batch["node"].combine_chunks()
-              for batch in dropped_ds.iter_batches(batch_format="pyarrow")]
-    dropped = (pc.unique(pa.concat_arrays(chunks)) if chunks
-               else pa.array([], pa.int64()))
-    dropped_ref = ray.put(dropped)
+    operator: a lookup join attaches the matching dropped id as a marker,
+    and the rows that got null are kept (a left anti join)."""
 
     def keep(batch: pa.Table) -> pa.Table:
-        drop = ray.get(dropped_ref)
-        mask = pc.invert(pc.is_in(batch[id_column], value_set=drop))
-        return batch.filter(mask)
+        return (batch.filter(pc.is_null(batch["__dropped"]))
+                     .drop_columns(["__dropped"]))
 
-    return docs_ds.map_batches(keep, batch_format="pyarrow")
+    marked = _attach_side_column(docs_ds, dropped_ds,
+                                 {id_column: "__dropped"},
+                                 side_key="node", side_col="node")
+    return marked.map_batches(keep, batch_format="pyarrow")
 
 
 def neardup_best_docs(docs_ds, components, score_ds,
                       id_column: str = "doc_id",
-                      score_columns: tuple = ("stopword_count", "n_chars"),
-                      distributed: bool | None = None,
-                      broadcast_limit: int = NEARDUP_BROADCAST_LIMIT,
-                      num_partitions: int = PAIR_PARTITIONS):
+                      score_columns: tuple = ("stopword_count", "n_chars")):
     """Quality-aware near-dup dedup: instead of keeping each component's
     MIN doc_id (``neardup_kept_docs``), keep the component member that
     maximizes the quality score — DESC on each ``score_columns`` entry in
@@ -869,25 +895,16 @@ def neardup_best_docs(docs_ds, components, score_ds,
 
     Scores must be integer columns (exact comparisons, hash-stable
     twins). Dataflow: the (edge-sized) components attach their scores via
-    ``_attach_side_column`` reduce-side joins — only component members,
-    never the corpus, pay the join — then ONE tiny groupby(label) picks
-    the winner per component and emits the losers as dropped ids, applied
-    with the same size-gated mask / anti-join tail as
-    ``neardup_kept_docs``. At 100 TB every exchange here is bounded by
-    the verified-pair set, not the corpus."""
-    import pyarrow.compute as pc
-
-    # A pair-free corpus yields an empty, schema-less components dataset
-    # (Ray 2.49 reports schema()=None); nothing is dropped.
-    if components.schema() is None:
-        return docs_ds
-
+    ``_attach_side_column`` lookup joins — only component members, never
+    the corpus, pay the join — then ONE tiny groupby(label) picks the
+    winner per component and emits the losers as dropped ids, applied
+    with the same ``_mask_dropped_ids`` tail as ``neardup_kept_docs``. At
+    100 TB every exchange here is bounded by the verified-pair set, not
+    the corpus."""
     labeled = components
     for col in score_columns:
-        labeled = _attach_side_column(labeled, score_ds, "node", col,
-                                      src_key=id_column, src_col=col,
-                                      out_type=pa.int64(),
-                                      num_partitions=num_partitions)
+        labeled = _attach_side_column(labeled, score_ds, {"node": col},
+                                      side_key=id_column, side_col=col)
 
     cols = tuple(score_columns)
 
@@ -901,227 +918,14 @@ def neardup_best_docs(docs_ds, components, score_ds,
         # for DESC; a missing score (doc absent from score_ds) sorts
         # last via -1.
         for col in reversed(cols):
-            s = pc.coalesce(group[col], pa.scalar(-1, pa.int64()))
+            s = pc.fill_null(group[col], -1)
             keys.append(-s.to_numpy(zero_copy_only=False).astype(np.int64))
         order = np.lexsort(tuple(keys))
         return pa.table({"node": pa.array(node[order[1:]], pa.int64())})
 
     dropped_ds = (labeled.groupby("label")
                          .map_groups(pick_dropped, batch_format="pyarrow"))
-    return _mask_dropped_ids(docs_ds, dropped_ds, id_column=id_column,
-                             distributed=distributed,
-                             broadcast_limit=broadcast_limit)
-
-
-# -- distributed pair verification (the corpus-scale path) ------------------
-
-def _lookup_by_key(probe_keys, src_keys, src_vals) -> pa.Array:
-    """Vectorized left-join lookup: for each int64 key in ``probe_keys``
-    return the ``src_vals`` element whose ``src_keys`` entry matches, else
-    null. numpy argsort+searchsorted on the keys, one Arrow ``take`` with
-    null indices for the misses — no Python per-row probe, and it works
-    for ANY value type (Acero's hash join rejects nested payload columns
-    like ``list<float>`` embeddings, which this path must carry)."""
-    vals = src_vals.combine_chunks() if isinstance(
-        src_vals, pa.ChunkedArray) else src_vals
-    n = len(probe_keys)
-    if len(src_keys) == 0:
-        return pa.nulls(n, vals.type)
-    sk = np.asarray(src_keys.to_numpy(zero_copy_only=False), dtype=np.int64)
-    pk = np.asarray(probe_keys.to_numpy(zero_copy_only=False),
-                    dtype=np.int64)
-    order = np.argsort(sk, kind="stable")
-    sk_sorted = sk[order]
-    pos = np.searchsorted(sk_sorted, pk)
-    pos_c = np.minimum(pos, len(sk_sorted) - 1)
-    found = sk_sorted[pos_c] == pk
-    idx = order[pos_c].astype(np.float64)
-    idx[~found] = np.nan  # null indices -> null output rows
-    return vals.take(pa.array(idx, pa.int64(), from_pandas=True))
-
-
-def _attach_side_column(pairs_ds, src_ds, pair_key: str, out_col: str,
-                        src_key: str = "doc_id", src_col: str = "text",
-                        out_type: "pa.DataType | None" = None,
-                        num_partitions: int = PAIR_PARTITIONS):
-    """Reduce-side hash join: attach ``src_ds[src_col]`` of the row whose
-    ``src_key`` equals the pair's ``pair_key`` to each pair row as
-    ``out_col``. Tagged union + coarse hash(key) co-partition +
-    vectorized probe — the same pattern as connected_components
-    (Dataset.join's empty-partition schema bug). Works for any attachable
-    type (text, uint64 simhash, list<float> embedding)."""
-    import pyarrow.compute as pc
-
-    if out_type is None:
-        out_type = pa.large_string()
-
-    def tag_pairs(batch: pa.Table) -> pa.Table:
-        t = batch.append_column(pa.field("__key", pa.int64()),
-                                batch[pair_key])
-        return t.append_column(pa.field("__side", out_type),
-                               pa.nulls(len(batch), out_type))
-
-    def tag_src(batch: pa.Table) -> pa.Table:
-        cols = {name: pa.nulls(len(batch), typ)
-                for name, typ in pair_schema}
-        cols["__key"] = batch[src_key]
-        cols["__side"] = pc.cast(batch[src_col], out_type)
-        return pa.table(cols)
-
-    # pair schema must be known to make src rows union-compatible
-    pair_schema = [(f.name, f.type) for f in pairs_ds.schema().base_schema]
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        part = key_partition(batch["__key"], num_partitions)
-        return batch.append_column(pa.field("__part", pa.int32()),
-                                   pa.array(part, pa.int32()))
-
-    def probe(group: pa.Table) -> pa.Table:
-        is_src = pc.is_valid(group["__side"])
-        srcs = group.filter(is_src)
-        pairs = group.filter(pc.invert(is_src))
-        if pairs.num_rows == 0:
-            empty = {f: pa.array([], t) for f, t in pair_schema}
-            empty[out_col] = pa.array([], out_type)
-            return pa.table(empty)
-        out = {f: pairs[f] for f, _ in pair_schema}
-        out[out_col] = _lookup_by_key(pairs["__key"], srcs["__key"],
-                                      srcs["__side"])
-        return pa.table(out)
-
-    tagged = (pairs_ds.map_batches(tag_pairs, batch_format="pyarrow")
-                      .union(src_ds.map_batches(tag_src,
-                                                batch_format="pyarrow")))
-    return (tagged.map_batches(add_part, batch_format="pyarrow")
-                  .groupby("__part")
-                  .map_groups(probe, batch_format="pyarrow"))
-
-
-def _attach_texts(pairs_ds, docs_ds, pair_key: str, out_col: str,
-                  num_partitions: int = PAIR_PARTITIONS):
-    return _attach_side_column(pairs_ds, docs_ds, pair_key, out_col,
-                               src_key="doc_id", src_col="text",
-                               out_type=pa.large_string(),
-                               num_partitions=num_partitions)
-
-
-def verify_pairs_jaccard_distributed(pairs_ds, docs_ds,
-                                     threshold: float = 0.8, k: int = 3):
-    """Join-based exact-Jaccard verification — the corpus-scale variant of
-    ``verify_pairs_jaccard`` (whose broadcast dict assumes the doc texts
-    fit one object). Two reduce-side joins attach text_a then text_b
-    (shuffling only pair rows + the doc texts), then the same vectorized
-    Jaccard filter. ``docs_ds`` must have (doc_id, text)."""
-    import pyarrow.compute as pc
-
-    with_a = _attach_texts(pairs_ds, docs_ds, "doc_a", "__text_a")
-    with_ab = _attach_texts(with_a, docs_ds, "doc_b", "__text_b")
-
-    def verify(batch: pa.Table) -> pa.Table:
-        a = batch["__text_a"].to_pylist()
-        b = batch["__text_b"].to_pylist()
-        sims = [ngram_jaccard(x or "", y or "", k) for x, y in zip(a, b)]
-        t = batch.append_column(
-            pa.field("jaccard", pa.float64()),
-            pa.array([round(s, 6) for s in sims], pa.float64()))
-        t = t.filter(pc.greater_equal(t["jaccard"], pa.scalar(threshold)))
-        drop = [c for c in ("__text_a", "__text_b") if c in t.column_names]
-        for c in drop:
-            t = t.remove_column(t.schema.get_field_index(c))
-        return t
-
-    return with_ab.map_batches(verify, batch_format="pyarrow")
-
-
-def _popcount64(x: np.ndarray) -> np.ndarray:
-    """Vectorized 64-bit popcount (SWAR)."""
-    x = x.astype(np.uint64)
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = ((x & np.uint64(0x3333333333333333))
-         + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333)))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    with np.errstate(over="ignore"):
-        return ((x * np.uint64(0x0101010101010101))
-                >> np.uint64(56)).astype(np.int32)
-
-
-def verify_pairs_hamming_distributed(pairs_ds, simhash_ds,
-                                     max_hamming: int = 7):
-    """Join-based exact-hamming verification — the corpus-scale variant of
-    ``verify_pairs_hamming`` (whose broadcast dict assumes the simhash
-    sidecar fits one object). Two reduce-side joins attach the simhashes,
-    then a vectorized SWAR popcount filter. Pairs with either id missing
-    from the sidecar are dropped. ``simhash_ds`` must have
-    (doc_id, simhash:uint64)."""
-    import pyarrow.compute as pc
-
-    with_a = _attach_side_column(pairs_ds, simhash_ds, "doc_a", "__sh_a",
-                                 src_col="simhash", out_type=pa.uint64())
-    with_ab = _attach_side_column(with_a, simhash_ds, "doc_b", "__sh_b",
-                                  src_col="simhash", out_type=pa.uint64())
-
-    def verify(batch: pa.Table) -> pa.Table:
-        valid = pc.and_(pc.is_valid(batch["__sh_a"]),
-                        pc.is_valid(batch["__sh_b"]))
-        t = batch.filter(valid)
-        a = t["__sh_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t["__sh_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        ham = _popcount64(np.bitwise_xor(a, b))
-        t = t.append_column(pa.field("hamming", pa.int32()),
-                            pa.array(ham, pa.int32()))
-        t = t.filter(pc.less_equal(t["hamming"],
-                                   pa.scalar(max_hamming, pa.int32())))
-        for c in ("__sh_a", "__sh_b"):
-            t = t.remove_column(t.schema.get_field_index(c))
-        return t
-
-    return with_ab.map_batches(verify, batch_format="pyarrow")
-
-
-def verify_pairs_cosine_distributed(pairs_ds, emb_ds,
-                                    threshold: float = 0.9,
-                                    id_column: str = "vec_id",
-                                    embedding_column: str = "embedding"):
-    """Join-based exact-cosine verification — the corpus-scale variant of
-    ``verify_pairs_cosine``. Two reduce-side joins attach the vectors
-    (shuffling only pair rows + the referenced embeddings), then a
-    vectorized normalized-dot filter. Pairs with either vector missing
-    are dropped."""
-    import pyarrow.compute as pc
-
-    vec_t = pa.list_(pa.float64())
-    src = emb_ds.map_batches(
-        lambda b: pa.table({"doc_id": pc.cast(b[id_column], pa.int64()),
-                            "vec": pc.cast(b[embedding_column], vec_t)}),
-        batch_format="pyarrow")
-    with_a = _attach_side_column(pairs_ds, src, "doc_a", "__v_a",
-                                 src_col="vec", out_type=vec_t)
-    with_ab = _attach_side_column(with_a, src, "doc_b", "__v_b",
-                                  src_col="vec", out_type=vec_t)
-
-    def verify(batch: pa.Table) -> pa.Table:
-        valid = pc.and_(pc.is_valid(batch["__v_a"]),
-                        pc.is_valid(batch["__v_b"]))
-        t = batch.filter(valid)
-        if t.num_rows:
-            from pdf_inspector_ray.functions.similarity import _to_matrix
-            va = _to_matrix(t["__v_a"])
-            vb = _to_matrix(t["__v_b"])
-            na = np.linalg.norm(va, axis=1)
-            nb = np.linalg.norm(vb, axis=1)
-            na[na == 0] = 1.0
-            nb[nb == 0] = 1.0
-            sims = np.round((va * vb).sum(axis=1) / (na * nb), 6)
-        else:
-            sims = np.zeros(0)
-        t = t.append_column(pa.field("cos_sim", pa.float64()),
-                            pa.array(sims, pa.float64()))
-        t = t.filter(pc.greater_equal(t["cos_sim"], pa.scalar(threshold)))
-        for c in ("__v_a", "__v_b"):
-            t = t.remove_column(t.schema.get_field_index(c))
-        return t
-
-    return with_ab.map_batches(verify, batch_format="pyarrow")
+    return _mask_dropped_ids(docs_ds, dropped_ds, id_column=id_column)
 
 
 # -- exact set-similarity join (AllPairs / PPJoin prefix filtering) ----------
@@ -1134,8 +938,6 @@ def _doc_gram_rows(batch: pa.Table, text_column: str, id_column: str,
     with ≥ k tokens, the whole whitespace-joined text as a single gram
     for docs with 1..k−1 tokens, nothing for empty docs. Distinct within
     the batch IS globally distinct — a doc lives in exactly one row."""
-    import pyarrow.compute as pc
-
     from pdf_inspector_ray.functions.decontam import _gram_rows
 
     texts = batch[text_column]  # ChunkedArray — _gram_rows requires it
@@ -1247,8 +1049,6 @@ def jaccard_prefix_candidates(ds, threshold: float = 0.8, k: int = 3,
     grams (huge posting lists) sit last in the order and enter only the
     prefixes of docs that are mostly MADE of common grams."""
     import functools
-
-    import pyarrow.compute as pc
 
     from pdf_inspector_ray.functions.decontam import _gram_hash
 
@@ -1363,28 +1163,19 @@ def verify_pairs_levenshtein(pairs_ds, docs_ds, cap: int = 64,
     """Attach the exact edit distance of the two docs' first ``cap``
     codepoints to each candidate pair — the cheap lexical-proximity
     check a near-dup pipeline runs between LSH candidacy and expensive
-    full-text verification. Texts are attached via the reduce-side
-    ``_attach_side_column`` joins (pairs pay the join, never the
-    corpus); the cap bounds the per-pair DP at O(cap²) regardless of
-    document length, and is mirrored by ``substr(text, 1, cap)`` in the
-    SQL twin (both sides slice codepoints)."""
-    import pyarrow.compute as pc
+    full-text verification. Texts are attached by the
+    ``_attach_side_column`` lookup join (pairs pay the join, never the
+    corpus), and a pair with either doc missing is dropped; the cap
+    bounds the per-pair DP at O(cap²) regardless of document length, and
+    is mirrored by ``substr(text, 1, cap)`` in the SQL twin (both sides
+    slice codepoints)."""
 
-    if pairs_ds.schema() is None:  # pair-free corpus (Ray empty-ds quirk)
-        return pairs_ds
+    def score(a, b):
+        return [levenshtein(x[:cap], y[:cap])
+                for x, y in zip(a.to_pylist(), b.to_pylist())]
 
-    with_a = _attach_side_column(pairs_ds, docs_ds, "doc_a", "__text_a")
-    with_b = _attach_side_column(with_a, docs_ds, "doc_b", "__text_b")
-
-    def compute(batch: pa.Table) -> pa.Table:
-        ta = batch["__text_a"].to_pylist()
-        tb = batch["__text_b"].to_pylist()
-        lev = [levenshtein((x or "")[:cap], (y or "")[:cap])
-               for x, y in zip(ta, tb)]
-        out = batch.drop_columns(["__text_a", "__text_b"])
-        return out.append_column(alias, pa.array(lev, pa.int64()))
-
-    return with_b.map_batches(compute, batch_format="pyarrow")
+    return _verify_pairs(pairs_ds, docs_ds, "doc_id", "text", alias,
+                         pa.int64(), score)
 
 
 def prefix_contained_docs(ds, text_column: str = "text",
@@ -1413,7 +1204,6 @@ def prefix_contained_docs(ds, text_column: str = "text",
     partition key."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         keep = pc.and_(pc.is_valid(batch[text_column]),
                        pc.greater_equal(
                            pc.utf8_length(batch[text_column]), min_len))

@@ -417,8 +417,8 @@ def hash_join(left_ds, right_ds, on: str, right_on: str | None = None,
     broadcast): tagged union → coarse hash(key) co-partition → per-group
     Acero ``pa.Table.join`` (vectorized C++ hash join, no Python row
     loops). Hand-rolled because Ray 2.49's native ``Dataset.join`` loses
-    the schema of empty right partitions (same reason as
-    ``dedup._attach_side_column``).
+    the schema of empty right partitions (same reason as the shuffle
+    branch of ``dedup._attach_side_column``).
 
     ``join_type`` is passed to Acero: "inner", "left outer",
     "right outer", "full outer", "left semi", "left anti", … Outer/anti

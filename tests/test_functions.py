@@ -69,7 +69,7 @@ def test_minhash_finds_near_dups(ray_session):
     ds = ray.data.from_arrow(t)
     pairs = minhash_lsh_candidates(ds, bands=32)  # high recall for the test
     lookup = dict(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
-    verified = verify_pairs_jaccard(pairs, lookup, threshold=0.5).to_pandas()
+    verified = verify_pairs_jaccard(pairs, ds, threshold=0.5).to_pandas()
     got = {tuple(sorted(p)) for p in zip(verified.doc_a, verified.doc_b)}
     assert (3, 40) in got          # exact dup pair found
     assert (5, 41) in got          # near dup pair found
@@ -227,8 +227,8 @@ def test_embedding_neardup_with_verification(ray_session):
     t = pa.table({"vec_id": pa.array(range(120), pa.int64()),
                   "embedding": pa.array(vecs.tolist(), pa.list_(pa.float32()))})
     cands = embedding_neardup_candidates(ray.data.from_arrow(t), dim=32)
-    lookup = {i: vecs[i] for i in range(120)}
-    verified = verify_pairs_cosine(cands, lookup, threshold=0.95).to_pandas()
+    verified = verify_pairs_cosine(cands, ray.data.from_arrow(t),
+                                   threshold=0.95).to_pandas()
     got = {tuple(sorted(p)) for p in zip(verified.doc_a, verified.doc_b)}
     assert (11, 77) in got
     assert (verified.cos_sim >= 0.95).all()
@@ -368,36 +368,35 @@ def test_minhash_replica_stress_exact_candidate_count(ray_session):
     assert n == 500 * 45 + 25 * 100
 
 
-def test_verify_pairs_jaccard_distributed_matches_broadcast(ray_session):
-    """The join-based corpus-scale verifier must produce exactly the
-    broadcast verifier's output."""
-    import os
-
+def test_verify_pairs_jaccard_broadcast_matches_shuffle(ray_session,
+                                                       monkeypatch):
+    """Both branches of the lookup join — broadcast (the side fits
+    LOOKUP_BROADCAST_ROWS) and the reduce-side shuffle (forced by a zero
+    limit) — verify the same candidates to the same rows as a brute-force
+    ngram_jaccard over those candidates."""
     import pyarrow.parquet as pq
     import ray.data
 
-    from pdf_inspector_ray.functions.dedup import (
-        minhash_lsh_candidates, verify_pairs_jaccard,
-        verify_pairs_jaccard_distributed)
+    from pdf_inspector_ray.functions import dedup
 
     path = "/root/testdata/sf0.01/documents.parquet"
     docs_t = pq.read_table(path, columns=["doc_id", "text"])
-    lookup = dict(zip(docs_t["doc_id"].to_pylist(),
-                      docs_t["text"].to_pylist()))
-    cands = minhash_lsh_candidates(
-        ray.data.read_parquet(path, columns=["doc_id", "text"]))
-    bc = verify_pairs_jaccard(cands, lookup).to_pandas()
-    cands2 = minhash_lsh_candidates(
-        ray.data.read_parquet(path, columns=["doc_id", "text"]))
-    docs_ds = ray.data.read_parquet(path, columns=["doc_id", "text"])
-    dist = verify_pairs_jaccard_distributed(cands2, docs_ds).to_pandas()
+    docs = ray.data.from_arrow(docs_t)
+    cands = dedup.minhash_lsh_candidates(docs).materialize()
+    text = dict(zip(docs_t["doc_id"].to_pylist(), docs_t["text"].to_pylist()))
+    pairs = cands.to_pandas()[["doc_a", "doc_b"]].values.tolist()
+    want = sorted(
+        (a, b, j) for a, b in pairs
+        if (j := round(dedup.ngram_jaccard(text[a], text[b]), 6)) >= 0.8)
 
     def canon(df):
         return sorted(map(tuple, df[["doc_a", "doc_b", "jaccard"]]
                           .values.tolist()))
 
-    assert canon(bc) == canon(dist)
-
+    bc = canon(dedup.verify_pairs_jaccard(cands, docs).to_pandas())
+    monkeypatch.setattr(dedup, "LOOKUP_BROADCAST_ROWS", 0)
+    sh = canon(dedup.verify_pairs_jaccard(cands, docs).to_pandas())
+    assert bc == sh == want and want
 
 def test_label_centroids_match_numpy(ray_session):
     import numpy as np
@@ -467,7 +466,7 @@ def test_simhash_clique_beyond_max_bucket(ray_session):
     import ray.data
 
     from pdf_inspector_ray.functions.dedup import (
-        simhash64, simhash_candidates, verify_pairs_hamming)
+        simhash_batch, simhash_candidates, verify_pairs_hamming)
 
     text = "identical duplicate document body repeated many times over"
     uniq = [f"totally unrelated filler text number {i} with extra words {i*7}"
@@ -476,29 +475,78 @@ def test_simhash_clique_beyond_max_bucket(ray_session):
     t = pa.table({"doc_id": pa.array(range(len(docs)), pa.int64()),
                   "text": pa.array(docs, pa.string())})
     pairs = simhash_candidates(ray.data.from_arrow(t))
-    sh = {i: simhash64(d) for i, d in enumerate(docs)}
-    verified = verify_pairs_hamming(pairs, sh, max_hamming=7).to_pandas()
+    verified = verify_pairs_hamming(
+        pairs, ray.data.from_arrow(simhash_batch(t)),
+        max_hamming=7).to_pandas()
     clique = {(a, b) for a, b in zip(verified.doc_a, verified.doc_b)
               if a < 300 and b < 300}
     assert len(clique) == 300 * 299 // 2
 
 
-def test_verify_pairs_hamming_drops_missing_ids(ray_session):
-    """ADVICE r02: a pair with ids missing from the sidecar must be
-    dropped, not verified against sentinel hashes."""
+def test_verify_pairs_hamming_drops_missing_ids(ray_session, monkeypatch):
+    """ADVICE r02: a pair with ids missing from the side must be dropped,
+    not verified against sentinel hashes. One rule for all three
+    verifiers on both lookup-join branches, even at the loosest bound
+    (threshold 0.0, max hamming 64), as the SQL twins' inner joins do."""
     import ray.data
 
-    from pdf_inspector_ray.functions.dedup import verify_pairs_hamming
+    from pdf_inspector_ray.functions import dedup
 
     pairs = ray.data.from_arrow(pa.table({
         "doc_a": pa.array([1, 1, 7, 9], pa.int64()),
         "doc_b": pa.array([2, 3, 8, 1], pa.int64()),
     }))
-    sh = {1: 0b1010, 2: 0b1010, 3: 0b1011}  # 7,8,9 missing
-    out = verify_pairs_hamming(pairs, sh, max_hamming=7).to_pandas()
-    got = set(zip(out.doc_a, out.doc_b))
-    assert got == {(1, 2), (1, 3)}
+    ids = pa.array([1, 2, 3], pa.int64())  # 7, 8, 9 missing
+    sh = ray.data.from_arrow(pa.table({
+        "doc_id": ids, "simhash": pa.array([0b1010, 0b1010, 0b1011],
+                                           pa.uint64())}))
+    docs = ray.data.from_arrow(pa.table({
+        "doc_id": ids, "text": ["a b c d", "a b c e", "x y z w"]}))
+    emb = ray.data.from_arrow(pa.table({
+        "vec_id": ids, "embedding": pa.array(
+            [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], pa.list_(pa.float32()))}))
+    for limit in (dedup.LOOKUP_BROADCAST_ROWS, 0):
+        monkeypatch.setattr(dedup, "LOOKUP_BROADCAST_ROWS", limit)
+        outs = [dedup.verify_pairs_hamming(pairs, sh, max_hamming=64),
+                dedup.verify_pairs_jaccard(pairs, docs, threshold=0.0),
+                dedup.verify_pairs_cosine(pairs, emb, threshold=0.0)]
+        for out in outs:
+            df = out.to_pandas()
+            assert set(zip(df.doc_a, df.doc_b)) == {(1, 2), (1, 3)}, limit
 
+
+def test_verifiers_pair_free_corpus(ray_session, monkeypatch):
+    """A corpus with no candidate pairs yields an empty, schema-less pair
+    dataset; every verifier returns 0 rows on the shuffle branch (the
+    join used to read the missing schema and crash)."""
+    import ray.data
+
+    from pdf_inspector_ray.functions import dedup
+
+    t = pa.table({"doc_id": pa.array([1, 2, 3], pa.int64()),
+                  "text": ["alpha beta gamma delta epsilon",
+                           "one two three four five six",
+                           "red green blue yellow purple"]})
+    docs = ray.data.from_arrow(t)
+    # axis-aligned sign patterns differ in every table: no shared bucket
+    vecs = np.ones((3, 64))
+    vecs[1] = -1.0
+    vecs[2, ::8] = -1.0
+    emb = ray.data.from_arrow(pa.table({
+        "vec_id": pa.array([1, 2, 3], pa.int64()),
+        "embedding": pa.array(vecs.tolist(), pa.list_(pa.float32()))}))
+    monkeypatch.setattr(dedup, "LOOKUP_BROADCAST_ROWS", 0)
+    mh = dedup.minhash_lsh_candidates(docs)
+    outs = [
+        dedup.verify_pairs_jaccard(mh, docs),
+        dedup.verify_pairs_levenshtein(mh, docs),
+        dedup.verify_pairs_hamming(dedup.simhash_candidates(docs),
+                                   ray.data.from_arrow(
+                                       dedup.simhash_batch(t))),
+        dedup.verify_pairs_cosine(dedup.embedding_neardup_candidates(
+            emb, axis_aligned=True), emb),
+    ]
+    assert [out.count() for out in outs] == [0, 0, 0, 0]
 
 def test_ngram_jaccard_empty_texts_score_zero():
     """ADVICE r02: blank-vs-blank scores 0.0 to match the SQL oracle's
@@ -540,14 +588,15 @@ def test_topk_boundary_ties_keep_smallest_id(ray_session):
     assert got == want
 
 
-def test_neardup_kept_docs_distributed_matches_broadcast(ray_session):
-    """VERDICT r02 fix #2: the anti-join path must equal the broadcast
-    path on a corpus with a forced-large (80%) duplicate rate, without
-    the driver materializing the dropped-id set."""
+def test_neardup_kept_docs_broadcast_matches_shuffle(ray_session,
+                                                    monkeypatch):
+    """VERDICT r02 fix #2: on a corpus with a forced-large (80%) duplicate
+    rate, the drop-marker join keeps exactly each component's min id plus
+    the singletons on both branches: broadcast, and the reduce-side
+    shuffle that never collects the dropped ids on the driver."""
     import ray.data
 
-    from pdf_inspector_ray.functions.dedup import (
-        connected_components, neardup_kept_docs)
+    from pdf_inspector_ray.functions import dedup
 
     # 500 docs in 100 components of 5 → 400 dropped (80%)
     pairs = pa.table({
@@ -556,76 +605,77 @@ def test_neardup_kept_docs_distributed_matches_broadcast(ray_session):
         "doc_b": pa.array([c * 5 + i for c in range(100)
                            for i in range(1, 5)], pa.int64()),
     })
-    comp = connected_components(ray.data.from_arrow(pairs))
+    comp = dedup.connected_components(ray.data.from_arrow(pairs))
     docs = ray.data.from_arrow(pa.table({
         "doc_id": pa.array(range(520), pa.int64()),  # 20 singletons too
         "text": pa.array([f"doc {i}" for i in range(520)], pa.string()),
     })).repartition(8)
-    kept_b = sorted(r["doc_id"] for r in
-                    neardup_kept_docs(docs, comp,
-                                      distributed=False).take_all())
-    kept_d = sorted(r["doc_id"] for r in
-                    neardup_kept_docs(docs, comp,
-                                      distributed=True).take_all())
-    assert kept_b == kept_d
     want = sorted([c * 5 for c in range(100)] + list(range(500, 520)))
-    assert kept_d == want
-    # gate: tiny dropped set → broadcast; forced-low limit → distributed
-    auto = sorted(r["doc_id"] for r in
-                  neardup_kept_docs(docs, comp,
-                                    broadcast_limit=10).take_all())
-    assert auto == want
+    kept_b = sorted(r["doc_id"] for r in
+                    dedup.neardup_kept_docs(docs, comp).take_all())
+    monkeypatch.setattr(dedup, "LOOKUP_BROADCAST_ROWS", 10)
+    kept_s = dedup.neardup_kept_docs(docs, comp).to_pandas()
+    assert kept_b == sorted(kept_s.doc_id) == want
+    assert list(kept_s.columns) == ["doc_id", "text"]
 
 
-def test_distributed_verifiers_match_broadcast_sf01(ray_session):
-    """VERDICT r02 fix #5: the join-based hamming/cosine/jaccard verifiers
-    must equal the broadcast ones at sf0.1 (the scale the driver does NOT
-    test), so the size-gated query path is provably interchangeable."""
-    import numpy as np
+def test_verifiers_broadcast_match_shuffle_sf01(ray_session, monkeypatch):
+    """VERDICT r02 fix #5: at sf0.1 (ten times the sf0.01 test corpus)
+    the jaccard/hamming/cosine verifiers give the same rows on the
+    broadcast branch, on the forced shuffle branch, and in a brute-force
+    reference (ngram_jaccard / hamming64 / numpy cosine) over the same
+    candidate pairs."""
     import pyarrow.parquet as pq
     import ray.data
 
-    from pdf_inspector_ray.functions.dedup import (
-        embedding_neardup_candidates, simhash_batch, simhash_candidates,
-        verify_pairs_cosine, verify_pairs_cosine_distributed,
-        verify_pairs_hamming, verify_pairs_hamming_distributed,
-        verify_pairs_jaccard, verify_pairs_jaccard_distributed)
+    from pdf_inspector_ray.functions import dedup
 
     sf = "/root/testdata/sf0.1"
-    doc_path = f"{sf}/documents.parquet"
-    emb_path = f"{sf}/embeddings.parquet"
+    docs_t = pq.read_table(f"{sf}/documents.parquet",
+                           columns=["doc_id", "text"])
+    emb_t = pq.read_table(f"{sf}/embeddings.parquet")
+    sh_t = dedup.simhash_batch(docs_t)
+    docs = ray.data.from_arrow(docs_t)
+    emb = ray.data.from_arrow(emb_t)
+    sh = ray.data.from_arrow(sh_t)
+    text = dict(zip(docs_t["doc_id"].to_pylist(), docs_t["text"].to_pylist()))
+    simh = dict(zip(sh_t["doc_id"].to_pylist(), sh_t["simhash"].to_pylist()))
+    vecs = dict(zip(emb_t["vec_id"].to_pylist(),
+                    np.asarray(emb_t["embedding"].to_pylist(), np.float64)))
 
-    # -- hamming over simhash candidates -------------------------------
-    docs_t = pq.read_table(doc_path, columns=["doc_id", "text"])
-    sh_t = simhash_batch(docs_t)
-    lookup = dict(zip(sh_t["doc_id"].to_pylist(),
-                      sh_t["simhash"].to_pylist()))
-    cands = simhash_candidates(
-        ray.data.read_parquet(doc_path, columns=["doc_id", "text"]))
-    bc = verify_pairs_hamming(cands, lookup, max_hamming=7).to_pandas()
-    cands2 = simhash_candidates(
-        ray.data.read_parquet(doc_path, columns=["doc_id", "text"]))
-    dist = verify_pairs_hamming_distributed(
-        cands2, ray.data.from_arrow(sh_t), max_hamming=7).to_pandas()
-    key = lambda df: sorted(map(tuple, df[["doc_a", "doc_b", "hamming"]]
-                                .values.tolist()))
-    assert key(bc) == key(dist) and len(bc) > 0
+    def cosine(a, b):
+        va, vb = vecs[a], vecs[b]
+        na, nb = np.linalg.norm(va) or 1.0, np.linalg.norm(vb) or 1.0
+        return round(float((va * vb).sum() / (na * nb)), 6)
 
-    # -- cosine over embedding candidates ------------------------------
-    emb_t = pq.read_table(emb_path)
-    vectors = {i: np.asarray(v, dtype=np.float64) for i, v in
-               zip(emb_t["vec_id"].to_pylist(),
-                   emb_t["embedding"].to_pylist())}
-    ec = embedding_neardup_candidates(ray.data.read_parquet(emb_path),
-                                      axis_aligned=True)
-    bc2 = verify_pairs_cosine(ec, vectors, threshold=0.3).to_pandas()
-    ec2 = embedding_neardup_candidates(ray.data.read_parquet(emb_path),
-                                       axis_aligned=True)
-    dist2 = verify_pairs_cosine_distributed(
-        ec2, ray.data.read_parquet(emb_path), threshold=0.3).to_pandas()
-    key2 = lambda df: sorted(map(tuple, df[["doc_a", "doc_b", "cos_sim"]]
-                                 .values.tolist()))
-    assert key2(bc2) == key2(dist2) and len(bc2) > 0
+    cases = [  # candidates, verify, score column, reference score, keep
+        (dedup.minhash_lsh_candidates(docs),
+         lambda c: dedup.verify_pairs_jaccard(c, docs), "jaccard",
+         lambda a, b: round(dedup.ngram_jaccard(text[a], text[b]), 6),
+         lambda s: s >= 0.8),
+        (dedup.simhash_candidates(docs),
+         lambda c: dedup.verify_pairs_hamming(c, sh, max_hamming=7),
+         "hamming", lambda a, b: dedup.hamming64(simh[a], simh[b]),
+         lambda s: s <= 7),
+        (dedup.embedding_neardup_candidates(emb, axis_aligned=True),
+         lambda c: dedup.verify_pairs_cosine(c, emb, threshold=0.3),
+         "cos_sim", cosine, lambda s: s >= 0.3),
+    ]
+    for cands, verify, col, ref, keep in cases:
+        cands = cands.materialize()
+        pairs = cands.to_pandas()[["doc_a", "doc_b"]].values.tolist()
+        want = sorted((a, b, s) for a, b in pairs if keep(s := ref(a, b)))
+
+        def canon(ds):
+            df = ds.to_pandas()
+            return sorted(map(tuple, df[["doc_a", "doc_b", col]]
+                              .values.tolist()))
+
+        monkeypatch.setattr(dedup, "LOOKUP_BROADCAST_ROWS", 1_000_000)
+        bc = canon(verify(cands))
+        monkeypatch.setattr(dedup, "LOOKUP_BROADCAST_ROWS", 0)
+        sh_rows = canon(verify(cands))
+        assert bc == sh_rows == want and want, col
 
 
 # -- generic large-large hash join ------------------------------------------
@@ -1383,7 +1433,7 @@ def test_jaccard_prefix_candidates_complete(ray_session):
         c = cands.to_pandas()
         got_cands = {tuple(sorted(p)) for p in zip(c.doc_a, c.doc_b)}
         assert truth <= got_cands, (tau, truth - got_cands)
-        verified = verify_pairs_jaccard(cands, lookup,
+        verified = verify_pairs_jaccard(cands, ray.data.from_arrow(t),
                                         threshold=tau).to_pandas()
         got = {tuple(sorted(p))
                for p in zip(verified.doc_a, verified.doc_b)}
@@ -2629,11 +2679,12 @@ def test_rolling_event_stats_rows_frame(ray_session):
         rolling_event_stats(ray.data.from_arrow(t), window=0)
 
 
-def test_neardup_best_docs_picks_argmax(ray_session):
+def test_neardup_best_docs_picks_argmax(ray_session, monkeypatch):
     """Quality-aware cluster dedup keeps the (stopword_count DESC,
     n_chars DESC, doc_id ASC) argmax per component — NOT the min id —
-    and the distributed mask path equals the broadcast path."""
+    on both lookup-join branches (broadcast, forced shuffle)."""
     import ray.data
+    from pdf_inspector_ray.functions import dedup
     from pdf_inspector_ray.functions.dedup import (connected_components,
                                                    neardup_best_docs)
 
@@ -2654,10 +2705,10 @@ def test_neardup_best_docs_picks_argmax(ray_session):
     kept = sorted(r["doc_id"] for r in
                   neardup_best_docs(docs, comp, scores).take_all())
     assert kept == [3, 5, 11, 99]
-    kept_d = sorted(r["doc_id"] for r in
-                    neardup_best_docs(docs, comp, scores,
-                                      distributed=True).take_all())
-    assert kept_d == kept
+    monkeypatch.setattr(dedup, "LOOKUP_BROADCAST_ROWS", 0)
+    kept_s = sorted(r["doc_id"] for r in
+                    neardup_best_docs(docs, comp, scores).take_all())
+    assert kept_s == kept
 
 
 def test_neardup_best_docs_pair_free_corpus(ray_session):
