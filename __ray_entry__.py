@@ -39,6 +39,20 @@ def _sf_of(sf_dir: str) -> str:
     return base[2:] if base.startswith("sf") else "0.01"
 
 
+def _built_once(name: str, build: Callable[[str], None]) -> str:
+    """Return ``_CORPUS_ROOT/name``, first running ``build`` on that
+    directory unless an earlier build finished there (its ``_complete``
+    marker exists)."""
+    out = os.path.join(_CORPUS_ROOT, name)
+    marker = os.path.join(out, "_complete")
+    if not os.path.exists(marker):
+        os.makedirs(out, exist_ok=True)
+        build(out)
+        with open(marker, "w") as f:
+            f.write("ok")
+    return out
+
+
 def _corpus_dir(sf_dir: str) -> str:
     """Build (once) and return the transcript corpus for this scale."""
     from pdf_inspector_ray.sources.pdfgen import fixture_pool
@@ -50,13 +64,8 @@ def _corpus_dir(sf_dir: str) -> str:
     digest = hashlib.md5(
         b"".join(v for _, v in sorted(fixture_pool().items())),
         usedforsecurity=False).hexdigest()[:10] + f"v{GENERATOR_VERSION}"
-    out = os.path.join(_CORPUS_ROOT, f"sf{sf}-{digest}")
-    marker = os.path.join(out, "_complete")
-    if not os.path.exists(marker):
-        write_transcript_corpus(out, n_turns)
-        with open(marker, "w") as f:
-            f.write("ok")
-    return out
+    return _built_once(f"sf{sf}-{digest}",
+                       lambda out: write_transcript_corpus(out, n_turns))
 
 
 # the pipeline's input columns (BASELINE.json input_hint + payload identity);
@@ -79,13 +88,8 @@ def _html_corpus_dir(sf_dir: str) -> str:
     digest = hashlib.md5(
         "".join(k + v for k, v in sorted(pool.items())).encode(),
         usedforsecurity=False).hexdigest()[:10] + f"v{HTML_GENERATOR_VERSION}"
-    out = os.path.join(_CORPUS_ROOT, f"html-sf{sf}-{digest}")
-    marker = os.path.join(out, "_complete")
-    if not os.path.exists(marker):
-        write_html_corpus(out, n)
-        with open(marker, "w") as f:
-            f.write("ok")
-    return out
+    return _built_once(f"html-sf{sf}-{digest}",
+                       lambda out: write_html_corpus(out, n))
 
 
 def _transcripts_ds(sf_dir: str, columns: list[str] | None = None):
@@ -484,22 +488,16 @@ def _simhash_sidecar(sf_dir: str) -> str:
     import pyarrow.parquet as pq
     from pdf_inspector_ray.functions.dedup import simhash64
 
-    sf = _sf_of(sf_dir)
-    out = os.path.join(_CORPUS_ROOT, f"simhash-sf{sf}-v1")
-    marker = os.path.join(out, "_complete")
-    if not os.path.exists(marker):
-        import pyarrow.parquet as _pq
-        t = _pq.read_table(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    def build(out: str) -> None:
+        t = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
+                          columns=["doc_id", "text"])
         hashes = [simhash64(x) for x in t["text"].to_pylist()]
-        os.makedirs(out, exist_ok=True)
         pq.write_table(pa.table({
             "doc_id": t["doc_id"],
             "simhash": pa.array(hashes, pa.uint64()),
         }), os.path.join(out, "simhash-00000.parquet"))
-        with open(marker, "w") as f:
-            f.write("ok")
-    return out
+
+    return _built_once(f"simhash-sf{_sf_of(sf_dir)}-v1", build)
 
 
 def _q_simhash_pairs(sf_dir: str):
@@ -679,15 +677,12 @@ def _ivf_assign_dir(sf_dir: str) -> tuple[str, list[int]]:
         build_ivf_index_distributed)
 
     path = os.path.join(sf_dir, "embeddings.parquet")
-    # v2: centroids come from the distributed seeded-sample + Lloyd build
-    out = os.path.join(_CORPUS_ROOT, f"ivf-sf{_sf_of(sf_dir)}-v2")
-    marker = os.path.join(out, "_complete")
-    if not os.path.exists(marker):
+
+    def build(out: str) -> None:
         index = build_ivf_index_distributed(ray.data.read_parquet(path))
         t = pq.read_table(path, columns=["vec_id", "embedding"])
         from pdf_inspector_ray.functions.similarity import _to_matrix
         assign = index.assign(_to_matrix(t["embedding"])).astype(np.int32)
-        os.makedirs(out, exist_ok=True)
         pq.write_table(pa.table({
             "vec_id": t["vec_id"],
             "cluster": pa.array(assign, pa.int32()),
@@ -697,8 +692,9 @@ def _ivf_assign_dir(sf_dir: str) -> tuple[str, list[int]]:
             _IVF_NPROBE).tolist())
         with open(os.path.join(out, "probes.json"), "w") as f:
             json.dump(probes, f)
-        with open(marker, "w") as f:
-            f.write("ok")
+
+    # v2: centroids come from the distributed seeded-sample + Lloyd build
+    out = _built_once(f"ivf-sf{_sf_of(sf_dir)}-v2", build)
     with open(os.path.join(out, "probes.json")) as f:
         probes = json.load(f)
     return out, probes
@@ -1718,13 +1714,8 @@ def _mixed_dir(sf_dir: str) -> str:
         b"".join(v for _, v in sorted(fixture_pool().items()))
         + "".join(k + v for k, v in sorted(html_fixture_pool().items())).encode(),
         usedforsecurity=False).hexdigest()[:10] + f"v{MIXED_GENERATOR_VERSION}"
-    out = os.path.join(_CORPUS_ROOT, f"mixed-sf{sf}-{digest}")
-    marker = os.path.join(out, "_complete")
-    if not os.path.exists(marker):
-        write_mixed_corpus(out, _MIXED_ROWS.get(sf, 600))
-        with open(marker, "w") as f:
-            f.write("ok")
-    return out
+    return _built_once(f"mixed-sf{sf}-{digest}", lambda out: write_mixed_corpus(
+        out, _MIXED_ROWS.get(sf, 600)))
 
 
 def _q_routed_extract(sf_dir: str):
@@ -1752,15 +1743,10 @@ def _media_dir(sf_dir: str) -> str:
 
     sf = _sf_of(sf_dir)
     n = _MEDIA_ROWS.get(sf, 200)
-    out = os.path.join(_CORPUS_ROOT, f"media-sf{sf}-v{MEDIA_GENERATOR_VERSION}")
-    marker = os.path.join(out, "_complete")
-    if not os.path.exists(marker):
-        os.makedirs(out, exist_ok=True)
-        pq.write_table(synthesize_media_table(n),
-                       os.path.join(out, "media-00000.parquet"))
-        with open(marker, "w") as f:
-            f.write("ok")
-    return out
+    return _built_once(
+        f"media-sf{sf}-v{MEDIA_GENERATOR_VERSION}",
+        lambda out: pq.write_table(synthesize_media_table(n), os.path.join(
+            out, "media-00000.parquet")))
 
 
 def _q_media_frames(sf_dir: str):
@@ -1795,16 +1781,10 @@ def _real_media_dir(sf_dir: str) -> str:
 
     sf = _sf_of(sf_dir)
     n = _MEDIA_ROWS.get(sf, 200)
-    out = os.path.join(_CORPUS_ROOT,
-                       f"media-real-sf{sf}-v{REAL_MEDIA_GENERATOR_VERSION}")
-    marker = os.path.join(out, "_complete")
-    if not os.path.exists(marker):
-        os.makedirs(out, exist_ok=True)
-        pq.write_table(synthesize_real_media_table(n),
-                       os.path.join(out, "media-00000.parquet"))
-        with open(marker, "w") as f:
-            f.write("ok")
-    return out
+    return _built_once(
+        f"media-real-sf{sf}-v{REAL_MEDIA_GENERATOR_VERSION}",
+        lambda out: pq.write_table(synthesize_real_media_table(n), os.path.join(
+            out, "media-00000.parquet")))
 
 
 def _q_media_decode(sf_dir: str):

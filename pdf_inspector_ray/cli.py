@@ -207,7 +207,8 @@ def cmd_debug(args: argparse.Namespace) -> int:
         doc = Document.load_mem(buffer)
         for page_num, page_ref in doc.get_pages().items():
             print(f"--- Page {page_num} ---")
-            for fname, fdict in (doc.get_page_fonts(page_ref) or {}).items():
+            fonts = doc.get_fonts(doc.get_page_resources(page_ref))
+            for fname, fdict in fonts.items():
                 enc = doc.resolve(fdict.get("Encoding")) if isinstance(
                     fdict, dict) else None
                 if enc is None:

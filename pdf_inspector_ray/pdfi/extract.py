@@ -7,6 +7,12 @@ XObjects (extractor.rs:1375-1629), link annotations (extractor.rs:1681-1787),
 column detection (extractor.rs:2010-2186) and line grouping / word-join
 heuristics (extractor.rs:2223-2441, 619-830).
 
+The page interpreter and the reduced form-XObject interpreter keep only
+their operator dispatch, which is where upstream's semantic differences
+live. What they share is in one ``_FontScope`` per resource dictionary: the
+parsed fonts (read from the per-document ``Document.font_cache``), the
+decode cascade, and the one Tj and one TJ body.
+
 Pure per-document code; runs inside the Ray extract actor's ``__call__``.
 """
 
@@ -19,11 +25,11 @@ from typing import Optional
 
 from .fonts import (
     FontWidthInfo,
-    build_font_encodings,
-    build_font_widths,
     compute_string_width_ts,
     decode_with_base_encoding,
     get_declared_encoding_name,
+    parse_font_encoding,
+    parse_font_widths,
 )
 from .objects import (
     Document,
@@ -33,6 +39,7 @@ from .objects import (
     Reference,
     Stream,
     decode_content,
+    get_number,
 )
 from .tounicode import FontCMaps
 
@@ -342,112 +349,189 @@ def multiply_matrices(m1, m2):
     ]
 
 
-def _get_number(obj) -> Optional[float]:
-    if isinstance(obj, bool):
-        return None
-    if isinstance(obj, (int, float)):
-        return float(obj)
-    return None
+class _FontScope:
+    """The fonts of one resource dictionary (a page's or a form XObject's)
+    and the text-showing code both interpreters share: the decode cascade,
+    the Tj and TJ bodies and the item they place. The interpreters keep
+    only their operator dispatch; the text state (font, size, text matrix,
+    CTM) is passed in per call and the text matrix advanced in place."""
 
+    __slots__ = ("widths", "encodings", "declared", "base_names",
+                 "tounicode_refs", "font_cmaps", "page_num")
 
-def extract_text_from_operand(
-    obj,
-    doc: Document,
-    fonts: dict[str, dict],
-    current_font: str,
-    font_cmaps: FontCMaps,
-    font_base_names: dict[str, str],
-    font_tounicode_refs: dict[str, int],
-    font_encodings: dict[str, dict[int, str]],
-) -> Optional[str]:
-    """The decode cascade (extractor.rs:1854-1957). Order is the contract:
-    (1) CMap by ToUnicode obj ref, (2) base-name+obj, (3) base name,
-    (4) resource name, (5) Differences map with printable-byte base fallback,
-    (6) declared base encoding, (7) UTF-16BE BOM, (8) Latin-1."""
-    if not isinstance(obj, PdfString):
-        return None
-    data = bytes(obj)
+    def __init__(self, doc: Document, resources: Optional[dict],
+                 font_cmaps: FontCMaps, page_num: int):
+        self.widths: dict[str, FontWidthInfo] = {}
+        self.encodings: dict[str, dict[int, str]] = {}
+        self.declared: dict[str, str] = {}
+        self.base_names: dict[str, str] = {}
+        self.tounicode_refs: dict[str, int] = {}
+        self.font_cmaps = font_cmaps
+        self.page_num = page_num
+        cache = doc.font_cache
+        for name, font_dict in doc.get_fonts(resources).items():
+            entry = cache.get(id(font_dict))
+            if entry is None:
+                # extractor.rs:64-78 widths, 382-397 Differences, plus the
+                # declared base encoding of cascade step (6)
+                entry = cache[id(font_dict)] = (
+                    parse_font_widths(doc, font_dict),
+                    parse_font_encoding(doc, font_dict),
+                    get_declared_encoding_name(doc, font_dict))
+            widths, encoding, declared = entry
+            if widths is not None:
+                self.widths[name] = widths
+            if encoding is not None:
+                self.encodings[name] = encoding
+            if declared is not None:
+                self.declared[name] = declared
+            base_font = font_dict.get("BaseFont")
+            if isinstance(base_font, Name):
+                self.base_names[name] = str(base_font)
+            tounicode = font_dict.get("ToUnicode")
+            if isinstance(tounicode, Reference):
+                self.tounicode_refs[name] = tounicode.num
 
-    obj_num = font_tounicode_refs.get(current_font)
-    if obj_num is not None:
-        cmap = font_cmaps.get_by_obj(obj_num)
+    def decode(self, obj, font: str) -> Optional[str]:
+        """The decode cascade (extractor.rs:1854-1957). Order is the contract:
+        (1) CMap by ToUnicode obj ref, (2) base-name+obj, (3) base name,
+        (4) resource name, (5) Differences map with printable-byte base
+        fallback, (6) declared base encoding, (7) UTF-16BE BOM, (8) Latin-1."""
+        if not isinstance(obj, PdfString):
+            return None
+        data = bytes(obj)
+        font_cmaps = self.font_cmaps
+
+        obj_num = self.tounicode_refs.get(font)
+        if obj_num is not None:
+            cmap = font_cmaps.get_by_obj(obj_num)
+            if cmap is not None:
+                decoded = cmap.decode_cids(data)
+                if decoded:
+                    return decoded
+
+        base_name = self.base_names.get(font)
+        if base_name is not None and obj_num is not None:
+            cmap = font_cmaps.get_with_obj(base_name, obj_num)
+            if cmap is not None:
+                decoded = cmap.decode_cids(data)
+                if decoded:
+                    return decoded
+
+        if base_name is not None:
+            cmap = font_cmaps.get(base_name)
+            if cmap is not None:
+                decoded = cmap.decode_cids(data)
+                if decoded:
+                    return decoded
+
+        cmap = font_cmaps.get(font)
         if cmap is not None:
             decoded = cmap.decode_cids(data)
             if decoded:
                 return decoded
 
-    base_name = font_base_names.get(current_font)
-    if base_name is not None and obj_num is not None:
-        cmap = font_cmaps.get_with_obj(base_name, obj_num)
-        if cmap is not None:
-            decoded = cmap.decode_cids(data)
-            if decoded:
-                return decoded
+        encoding_map = self.encodings.get(font)
+        if encoding_map is not None:
+            if any(b in encoding_map for b in data):
+                out = []
+                for b in data:
+                    ch = encoding_map.get(b)
+                    if ch is not None:
+                        out.append(ch)
+                    elif b >= 0x20:
+                        out.append(chr(b))
+                decoded = "".join(out)
+                if decoded:
+                    return decoded
 
-    if base_name is not None:
-        cmap = font_cmaps.get(base_name)
-        if cmap is not None:
-            decoded = cmap.decode_cids(data)
-            if decoded:
-                return decoded
-
-    cmap = font_cmaps.get(current_font)
-    if cmap is not None:
-        decoded = cmap.decode_cids(data)
-        if decoded:
-            return decoded
-
-    encoding_map = font_encodings.get(current_font)
-    if encoding_map is not None:
-        if any(b in encoding_map for b in data):
-            out = []
-            for b in data:
-                ch = encoding_map.get(b)
-                if ch is not None:
-                    out.append(ch)
-                elif b >= 0x20:
-                    out.append(chr(b))
-            decoded = "".join(out)
-            if decoded:
-                return decoded
-
-    font_dict = fonts.get(current_font)
-    if font_dict is not None:
-        enc_name = get_declared_encoding_name(doc, font_dict)
+        enc_name = self.declared.get(font)
         if enc_name is not None:
             return decode_with_base_encoding(data, enc_name)
 
-    if len(data) >= 2 and data[0] == 0xFE and data[1] == 0xFF:
-        body = data[2:]
-        if len(body) % 2:
-            body = body[:-1]
-        return body.decode("utf-16-be", errors="replace")
+        if len(data) >= 2 and data[0] == 0xFE and data[1] == 0xFF:
+            body = data[2:]
+            if len(body) % 2:
+                body = body[:-1]
+            return body.decode("utf-16-be", errors="replace")
 
-    return data.decode("latin-1")
+        return data.decode("latin-1")
+
+    def show(self, operand, font: str, size: float, tm: list[float],
+             ctm: list[float], items: list[TextItem]) -> None:
+        """Tj (extractor.rs:1044-1104)."""
+        text = self.decode(operand, font)
+        if text is not None and text.strip():
+            font_info = self.widths.get(font)
+            width_ts = None
+            if font_info is not None:
+                width_ts = compute_string_width_ts(bytes(operand), font_info, size)
+            self.place(text, width_ts, font, size, tm, ctm, items)
+
+    def show_array(self, array: list, font: str, size: float,
+                   tm: list[float], ctm: list[float],
+                   items: list[TextItem]) -> None:
+        """TJ (extractor.rs:1105-1208): strings joined, a kern wider than
+        clamp(0.4 space widths, 80, 200) thousandths (120 without widths)
+        becomes one space."""
+        font_info = self.widths.get(font)
+        if font_info is not None:
+            space_em = font_info.space_width * font_info.units_scale
+            threshold = space_em * 1000.0 * 0.4
+            space_threshold = min(max(threshold, 80.0), 200.0)
+        else:
+            space_threshold = 120.0
+        combined: list[str] = []
+        combined_len = 0
+        total_width_ts = 0.0
+        for element in array:
+            n = get_number(element)
+            if n is not None:
+                total_width_ts += -n / 1000.0 * size
+                if (n < -space_threshold and combined_len > 0
+                        and not combined[-1].endswith(" ")):
+                    combined.append(" ")
+                    combined_len += 1
+                continue
+            if font_info is not None and isinstance(element, PdfString):
+                total_width_ts += compute_string_width_ts(bytes(element), font_info, size)
+            text = self.decode(element, font)
+            if text is not None:
+                combined.append(text)
+                combined_len += len(text)
+        text = "".join(combined)
+        if text.strip():
+            self.place(text, total_width_ts if font_info is not None else None,
+                       font, size, tm, ctm, items)
+
+    def place(self, text: str, width_ts: Optional[float], font: str,
+              size: float, tm: list[float], ctm: list[float],
+              items: list[TextItem]) -> None:
+        """Append ``text`` shown at ``tm`` through ``ctm``; with a width
+        (text-space units) advance ``tm`` past it, without one it is placed
+        at width 0 and ``tm`` stays."""
+        rendered_size = effective_font_size(size, tm)
+        combined = multiply_matrices(tm, ctm)
+        width = 0.0
+        if width_ts is not None:
+            width = abs(width_ts * (tm[0] * ctm[0] + tm[1] * ctm[2]))
+            tm[4] += width_ts * tm[0]
+            tm[5] += width_ts * tm[1]
+        base_font = self.base_names.get(font, font)
+        items.append(TextItem(
+            expand_ligatures(text), combined[4], combined[5], width,
+            rendered_size, font, rendered_size, self.page_num,
+            is_bold_font(base_font), is_italic_font(base_font), ITEM_TEXT))
 
 
-# -- per-page interpreter ---------------------------------------------------
+# -- content-stream interpreters --------------------------------------------
 
-def _collect_font_maps(fonts: dict[str, dict]) -> tuple[dict[str, str], dict[str, int]]:
-    font_base_names: dict[str, str] = {}
-    font_tounicode_refs: dict[str, int] = {}
-    for resource_name, font_dict in fonts.items():
-        base_font = font_dict.get("BaseFont")
-        if isinstance(base_font, Name):
-            font_base_names[resource_name] = str(base_font)
-        tounicode = font_dict.get("ToUnicode")
-        if isinstance(tounicode, Reference):
-            font_tounicode_refs[resource_name] = tounicode.num
-    return font_base_names, font_tounicode_refs
-
-
-def _get_page_xobjects(doc: Document, page_ref: Reference) -> dict[str, tuple[str, Optional[Reference]]]:
+def _get_page_xobjects(doc: Document, resources: Optional[dict]) -> dict[str, tuple[str, Optional[Reference]]]:
     """extractor.rs:1318-1372: name -> ("Image", None) | ("Form", ref)."""
     out: dict[str, tuple[str, Optional[Reference]]] = {}
-    res = doc.get_page_resources(page_ref)
-    if not res:
+    if not resources:
         return out
-    xobjects = doc.get_dict(res.get("XObject"))
+    xobjects = doc.get_dict(resources.get("XObject"))
     if not xobjects:
         return out
     for name, value in xobjects.items():
@@ -466,43 +550,6 @@ def _get_page_xobjects(doc: Document, page_ref: Reference) -> dict[str, tuple[st
     return out
 
 
-def _process_tj_array(
-    array: list,
-    font_info: Optional[FontWidthInfo],
-    current_font_size: float,
-    decode,
-) -> tuple[str, float]:
-    """Shared TJ handler core (extractor.rs:1105-1169)."""
-    if font_info is not None:
-        space_em = font_info.space_width * font_info.units_scale
-        threshold = space_em * 1000.0 * 0.4
-        space_threshold = min(max(threshold, 80.0), 200.0)
-    else:
-        space_threshold = 120.0
-    combined: list[str] = []
-    combined_len = 0
-    total_width_ts = 0.0
-
-    def ends_with_space() -> bool:
-        return bool(combined) and combined[-1].endswith(" ")
-
-    for element in array:
-        n = _get_number(element)
-        if n is not None and not isinstance(element, PdfString):
-            total_width_ts += -n / 1000.0 * current_font_size
-            if n < -space_threshold and combined_len > 0 and not ends_with_space():
-                combined.append(" ")
-                combined_len += 1
-            continue
-        if font_info is not None and isinstance(element, PdfString):
-            total_width_ts += compute_string_width_ts(bytes(element), font_info, current_font_size)
-        text = decode(element)
-        if text is not None:
-            combined.append(text)
-            combined_len += len(text)
-    return "".join(combined), total_width_ts
-
-
 def extract_page_text_items(
     doc: Document,
     page_ref: Reference,
@@ -511,11 +558,9 @@ def extract_page_text_items(
 ) -> list[TextItem]:
     """extractor.rs:909-1298."""
     items: list[TextItem] = []
-    fonts = doc.get_page_fonts(page_ref)
-    font_encodings = build_font_encodings(doc, fonts)
-    font_widths = build_font_widths(doc, fonts)
-    font_base_names, font_tounicode_refs = _collect_font_maps(fonts)
-    xobjects = _get_page_xobjects(doc, page_ref)
+    resources = doc.get_page_resources(page_ref)
+    scope = _FontScope(doc, resources, font_cmaps, page_num)
+    xobjects = _get_page_xobjects(doc, resources)
 
     content_data = doc.get_page_content(page_ref)
     operations = decode_content(content_data)
@@ -528,18 +573,6 @@ def extract_page_text_items(
     line_matrix = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
     in_text_block = False
 
-    def decode(operand):
-        return extract_text_from_operand(
-            operand, doc, fonts, current_font, font_cmaps,
-            font_base_names, font_tounicode_refs, font_encodings)
-
-    def make_item(text: str, x: float, y: float, width: float, rendered_size: float):
-        base_font = font_base_names.get(current_font, current_font)
-        return TextItem(
-            expand_ligatures(text), x, y, width, rendered_size, current_font,
-            rendered_size, page_num, is_bold_font(base_font),
-            is_italic_font(base_font), ITEM_TEXT)
-
     for op in operations:
         operator = op.operator
         operands = op.operands
@@ -550,7 +583,7 @@ def extract_page_text_items(
                 ctm = ctm_stack.pop()
         elif operator == "cm":
             if len(operands) >= 6:
-                nums = [_get_number(operands[i]) for i in range(6)]
+                nums = [get_number(operands[i]) for i in range(6)]
                 new_matrix = [
                     nums[0] if nums[0] is not None else 1.0,
                     nums[1] if nums[1] is not None else 0.0,
@@ -570,20 +603,20 @@ def extract_page_text_items(
             if len(operands) >= 2:
                 if isinstance(operands[0], Name):
                     current_font = str(operands[0])
-                size = _get_number(operands[1])
+                size = get_number(operands[1])
                 if size is not None:
                     current_font_size = size
         elif operator in ("Td", "TD"):
             if len(operands) >= 2:
-                tx = _get_number(operands[0]) or 0.0
-                ty = _get_number(operands[1]) or 0.0
+                tx = get_number(operands[0]) or 0.0
+                ty = get_number(operands[1]) or 0.0
                 line_matrix[4] += tx
                 line_matrix[5] += ty
                 text_matrix = line_matrix[:]
         elif operator == "Tm":
             if len(operands) >= 6:
                 for i in range(6):
-                    v = _get_number(operands[i])
+                    v = get_number(operands[i])
                     text_matrix[i] = v if v is not None else (1.0 if i in (0, 3) else 0.0)
                 line_matrix = text_matrix[:]
         elif operator == "T*":
@@ -591,47 +624,20 @@ def extract_page_text_items(
             text_matrix = line_matrix[:]
         elif operator == "Tj":
             if in_text_block and operands:
-                text = decode(operands[0])
-                if text is not None and text.strip():
-                    rendered_size = effective_font_size(current_font_size, text_matrix)
-                    combined = multiply_matrices(text_matrix, ctm)
-                    x, y = combined[4], combined[5]
-                    width = 0.0
-                    font_info = font_widths.get(current_font)
-                    if font_info is not None and isinstance(operands[0], PdfString):
-                        w_ts = compute_string_width_ts(
-                            bytes(operands[0]), font_info, current_font_size)
-                        text_matrix[4] += w_ts * text_matrix[0]
-                        text_matrix[5] += w_ts * text_matrix[1]
-                        width = abs(w_ts * (text_matrix[0] * ctm[0] + text_matrix[1] * ctm[2]))
-                    items.append(make_item(text, x, y, width, rendered_size))
+                scope.show(operands[0], current_font, current_font_size,
+                           text_matrix, ctm, items)
         elif operator == "TJ":
             if in_text_block and operands and isinstance(operands[0], list):
-                font_info = font_widths.get(current_font)
-                combined_text, total_width_ts = _process_tj_array(
-                    operands[0], font_info, current_font_size, decode)
-                if combined_text.strip():
-                    rendered_size = effective_font_size(current_font_size, text_matrix)
-                    combined = multiply_matrices(text_matrix, ctm)
-                    x, y = combined[4], combined[5]
-                    if font_info is not None:
-                        width = abs(total_width_ts
-                                    * (text_matrix[0] * ctm[0] + text_matrix[1] * ctm[2]))
-                    else:
-                        width = 0.0
-                    items.append(make_item(combined_text, x, y, width, rendered_size))
-                    if font_info is not None:
-                        text_matrix[4] += total_width_ts * text_matrix[0]
-                        text_matrix[5] += total_width_ts * text_matrix[1]
+                scope.show_array(operands[0], current_font, current_font_size,
+                                 text_matrix, ctm, items)
         elif operator == "'":
             line_matrix[5] -= current_font_size * 1.2
             text_matrix = line_matrix[:]
             if operands:
-                text = decode(operands[0])
+                text = scope.decode(operands[0], current_font)
                 if text is not None and text.strip():
-                    rendered_size = effective_font_size(current_font_size, text_matrix)
-                    combined = multiply_matrices(text_matrix, ctm)
-                    items.append(make_item(text, combined[4], combined[5], 0.0, rendered_size))
+                    scope.place(text, None, current_font, current_font_size,
+                                text_matrix, ctm, items)
         elif operator == "Do":
             if operands and isinstance(operands[0], Name):
                 xobj_name = str(operands[0])
@@ -656,7 +662,9 @@ def extract_form_xobject_text(
     font_cmaps: FontCMaps,
     parent_ctm: list[float],
 ) -> list[TextItem]:
-    """extractor.rs:1375-1629 — reduced interpreter over the form's fonts."""
+    """extractor.rs:1375-1629 — reduced interpreter over the form's fonts:
+    no q/Q/cm/T*/'/Do, Td moves the text matrix itself, and a Tf without a
+    numeric size resets it to 12."""
     items: list[TextItem] = []
     try:
         stream = doc.resolve(form_ref)
@@ -669,28 +677,13 @@ def extract_form_xobject_text(
     except PdfError:
         return items
     operations = decode_content(content_data)
-
-    form_fonts = _get_form_fonts(doc, stream.dict)
-    font_encodings = build_font_encodings(doc, form_fonts)
-    font_widths = build_font_widths(doc, form_fonts)
-    font_base_names, font_tounicode_refs = _collect_font_maps(form_fonts)
+    scope = _FontScope(doc, doc.get_dict(stream.dict.get("Resources")),
+                       font_cmaps, page_num)
 
     current_font = ""
     current_font_size = 12.0
     text_matrix = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
     in_text_block = False
-
-    def decode(operand):
-        return extract_text_from_operand(
-            operand, doc, form_fonts, current_font, font_cmaps,
-            font_base_names, font_tounicode_refs, font_encodings)
-
-    def make_item(text: str, x: float, y: float, width: float, rendered_size: float):
-        base_font = font_base_names.get(current_font, current_font)
-        return TextItem(
-            expand_ligatures(text), x, y, width, rendered_size, current_font,
-            rendered_size, page_num, is_bold_font(base_font),
-            is_italic_font(base_font), ITEM_TEXT)
 
     for op in operations:
         operator = op.operator
@@ -704,69 +697,26 @@ def extract_form_xobject_text(
             if len(operands) >= 2:
                 if isinstance(operands[0], Name):
                     current_font = str(operands[0])
-                size = _get_number(operands[1])
+                size = get_number(operands[1])
                 current_font_size = size if size is not None else 12.0
         elif operator in ("Td", "TD"):
             if len(operands) >= 2:
-                text_matrix[4] += _get_number(operands[0]) or 0.0
-                text_matrix[5] += _get_number(operands[1]) or 0.0
+                text_matrix[4] += get_number(operands[0]) or 0.0
+                text_matrix[5] += get_number(operands[1]) or 0.0
         elif operator == "Tm":
             if len(operands) >= 6:
                 for i in range(6):
-                    v = _get_number(operands[i])
+                    v = get_number(operands[i])
                     text_matrix[i] = v if v is not None else (1.0 if i in (0, 3) else 0.0)
         elif operator == "Tj":
             if in_text_block and operands:
-                text = decode(operands[0])
-                if text is not None and text.strip():
-                    rendered_size = effective_font_size(current_font_size, text_matrix)
-                    combined = multiply_matrices(text_matrix, parent_ctm)
-                    x, y = combined[4], combined[5]
-                    width = 0.0
-                    font_info = font_widths.get(current_font)
-                    if font_info is not None and isinstance(operands[0], PdfString):
-                        w_ts = compute_string_width_ts(
-                            bytes(operands[0]), font_info, current_font_size)
-                        text_matrix[4] += w_ts * text_matrix[0]
-                        text_matrix[5] += w_ts * text_matrix[1]
-                        width = abs(w_ts * (text_matrix[0] * parent_ctm[0]
-                                            + text_matrix[1] * parent_ctm[2]))
-                    items.append(make_item(text, x, y, width, rendered_size))
+                scope.show(operands[0], current_font, current_font_size,
+                           text_matrix, parent_ctm, items)
         elif operator == "TJ":
             if in_text_block and operands and isinstance(operands[0], list):
-                font_info = font_widths.get(current_font)
-                combined_text, total_width_ts = _process_tj_array(
-                    operands[0], font_info, current_font_size, decode)
-                if combined_text.strip():
-                    rendered_size = effective_font_size(current_font_size, text_matrix)
-                    combined_mat = multiply_matrices(text_matrix, parent_ctm)
-                    x, y = combined_mat[4], combined_mat[5]
-                    if font_info is not None:
-                        width = abs(total_width_ts * (text_matrix[0] * parent_ctm[0]
-                                                      + text_matrix[1] * parent_ctm[2]))
-                    else:
-                        width = 0.0
-                    items.append(make_item(combined_text, x, y, width, rendered_size))
-                    if font_info is not None:
-                        text_matrix[4] += total_width_ts * text_matrix[0]
-                        text_matrix[5] += total_width_ts * text_matrix[1]
+                scope.show_array(operands[0], current_font, current_font_size,
+                                 text_matrix, parent_ctm, items)
     return items
-
-
-def _get_form_fonts(doc: Document, form_dict: dict) -> dict[str, dict]:
-    """extractor.rs:1632-1678."""
-    fonts: dict[str, dict] = {}
-    resources = doc.get_dict(form_dict.get("Resources"))
-    if not resources:
-        return fonts
-    font_dict = doc.get_dict(resources.get("Font"))
-    if not font_dict:
-        return fonts
-    for name, value in font_dict.items():
-        d = doc.get_dict(value)
-        if d is not None:
-            fonts[str(name)] = d
-    return fonts
 
 
 def extract_page_links(doc: Document, page_ref: Reference, page_num: int) -> list[TextItem]:
@@ -788,7 +738,7 @@ def extract_page_links(doc: Document, page_ref: Reference, page_num: int) -> lis
         rect = None
         rect_array = doc.get_array(annot_dict.get("Rect"))
         if rect_array is not None and len(rect_array) >= 4:
-            vals = [_get_number(doc.resolve(v)) if isinstance(v, Reference) else _get_number(v)
+            vals = [get_number(doc.resolve(v)) if isinstance(v, Reference) else get_number(v)
                     for v in rect_array[:4]]
             x1 = vals[0] or 0.0
             y1 = vals[1] or 0.0

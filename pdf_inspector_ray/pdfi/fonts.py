@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .glyphs import glyph_to_char
-from .objects import Document, Name, PdfError, Reference
+from .objects import Document, Name, PdfError, Reference, get_number
 
 
 class FontWidthInfo:
@@ -51,14 +51,9 @@ def _as_int(doc: Document, obj) -> Optional[int]:
 
 def _as_num(doc: Document, obj) -> Optional[float]:
     try:
-        o = doc.resolve(obj)
+        return get_number(doc.resolve(obj))
     except PdfError:
         return None
-    if isinstance(o, bool):
-        return None
-    if isinstance(o, (int, float)):
-        return float(o)
-    return None
 
 
 def parse_font_widths(doc: Document, font_dict: dict) -> Optional[FontWidthInfo]:
@@ -136,7 +131,7 @@ def parse_cid_w_array(doc: Document, w_array: list, widths: dict[int, int]) -> N
     i = 0
     n = len(w_array)
     while i < n:
-        start = _direct_num(w_array[i])
+        start = get_number(w_array[i])
         if start is None:
             i += 1
             continue
@@ -147,7 +142,7 @@ def parse_cid_w_array(doc: Document, w_array: list, widths: dict[int, int]) -> N
         nxt = w_array[i]
         if isinstance(nxt, list):
             for j, w_obj in enumerate(nxt):
-                w = _direct_num(w_obj)
+                w = get_number(w_obj)
                 if w is None:
                     continue
                 widths[(start_cid + j) & 0xFFFF] = int(w)
@@ -159,19 +154,19 @@ def parse_cid_w_array(doc: Document, w_array: list, widths: dict[int, int]) -> N
                 resolved = None
             if isinstance(resolved, list):
                 for j, w_obj in enumerate(resolved):
-                    w = _direct_num(w_obj)
+                    w = get_number(w_obj)
                     if w is None:
                         continue
                     widths[(start_cid + j) & 0xFFFF] = int(w)
                 i += 1
             else:
                 i += 1  # skip (mirrors the reference's bail)
-        elif _direct_num(nxt) is not None:
-            end_cid = int(_direct_num(nxt)) & 0xFFFF
+        elif get_number(nxt) is not None:
+            end_cid = int(get_number(nxt)) & 0xFFFF
             i += 1
             if i >= n:
                 break
-            w = _direct_num(w_array[i])
+            w = get_number(w_array[i])
             if w is None:
                 i += 1
                 continue
@@ -180,14 +175,6 @@ def parse_cid_w_array(doc: Document, w_array: list, widths: dict[int, int]) -> N
             i += 1
         else:
             i += 1
-
-
-def _direct_num(obj) -> Optional[float]:
-    if isinstance(obj, bool):
-        return None
-    if isinstance(obj, (int, float)):
-        return float(obj)
-    return None
 
 
 def compute_string_width_ts(data: bytes, font_info: FontWidthInfo, font_size: float) -> float:
@@ -210,24 +197,6 @@ def compute_string_width_ts(data: bytes, font_info: FontWidthInfo, font_size: fl
                 widths.get(i, default) for i in range(256)]
         total = float(sum(map(bw.__getitem__, data)))
     return total * font_info.units_scale * font_size
-
-
-def build_font_widths(doc: Document, fonts: dict[str, dict]) -> dict[str, FontWidthInfo]:
-    """extractor.rs:64-78. Parsed width info is cached per Document (pages
-    share font objects, so multi-page docs parse each font once)."""
-    cache = getattr(doc, "_font_width_cache", None)
-    if cache is None:
-        cache = {}
-        doc._font_width_cache = cache  # type: ignore[attr-defined]
-    out: dict[str, FontWidthInfo] = {}
-    for resource_name, font_dict in fonts.items():
-        key = id(font_dict)
-        if key not in cache:
-            cache[key] = parse_font_widths(doc, font_dict)
-        info = cache[key]
-        if info is not None:
-            out[resource_name] = info
-    return out
 
 
 # -- encodings (Differences) -----------------------------------------------
@@ -264,23 +233,6 @@ def parse_font_encoding(doc: Document, font_dict: dict) -> Optional[dict[int, st
     if enc_dict is None:
         return None
     return parse_encoding_dictionary(doc, enc_dict)
-
-
-def build_font_encodings(doc: Document, fonts: dict[str, dict]) -> dict[str, dict[int, str]]:
-    """extractor.rs:382-397 (cached per Document like build_font_widths)."""
-    cache = getattr(doc, "_font_enc_cache", None)
-    if cache is None:
-        cache = {}
-        doc._font_enc_cache = cache  # type: ignore[attr-defined]
-    out: dict[str, dict[int, str]] = {}
-    for resource_name, font_dict in fonts.items():
-        key = id(font_dict)
-        if key not in cache:
-            cache[key] = parse_font_encoding(doc, font_dict)
-        enc = cache[key]
-        if enc is not None:
-            out[resource_name] = enc
-    return out
 
 
 # -- base encoding decode (stand-in for lopdf's get_font_encoding path) ----

@@ -62,6 +62,16 @@ class PdfString(bytes):
     __slots__ = ()
 
 
+def get_number(obj: PdfObject) -> Optional[float]:
+    """A direct numeric object as a float; None for anything else (bool,
+    an int subclass, included)."""
+    if isinstance(obj, bool):
+        return None
+    if isinstance(obj, (int, float)):
+        return float(obj)
+    return None
+
+
 class Stream:
     """A stream object: dictionary + raw (still encoded) data."""
 
@@ -652,6 +662,9 @@ class Document:
         self._cache: dict[int, PdfObject] = {}
         self._objstm_cache: dict[int, dict[int, PdfObject]] = {}
         self._pages: Optional[dict[int, Reference]] = None
+        # id(font dict) -> parsed font entry, filled by extract._FontScope
+        # (pages and forms share font objects: each is parsed once)
+        self.font_cache: dict[int, tuple] = {}
 
     # -- loading -----------------------------------------------------------
     @classmethod
@@ -1008,13 +1021,13 @@ class Document:
                     parts.append(obj.raw)
         return b"\n".join(parts)
 
-    def get_page_fonts(self, page_ref: Reference) -> dict[str, dict]:
-        """Font resource name -> font dictionary (resolved)."""
-        res = self.get_page_resources(page_ref)
+    def get_fonts(self, resources: Optional[dict]) -> dict[str, dict]:
+        """Font resource name -> font dictionary (resolved) of a page's or a
+        form XObject's resource dictionary (extractor.rs:1632-1678)."""
         fonts: dict[str, dict] = {}
-        if not res:
+        if not resources:
             return fonts
-        font_dict = self.get_dict(res.get("Font"))
+        font_dict = self.get_dict(resources.get("Font"))
         if not font_dict:
             return fonts
         for name, val in font_dict.items():

@@ -84,39 +84,21 @@ def process_pdf_mem(
     detection = detect_from_document(doc, doc.page_count(),
                                      detection_config or DetectionConfig())
 
-    if detection.pdf_type == "TextBased":
-        if font_cmaps is None:
-            font_cmaps = FontCMaps.from_pdf_bytes(buffer)
-        items = extract_positioned_text_from_doc(doc, font_cmaps)
-        markdown = to_markdown_from_items(items, markdown_options)
-        return PdfProcessResult(
-            pdf_type="TextBased",
-            text=None,
-            markdown=markdown,
-            page_count=detection.page_count,
-            processing_time_ms=int((time.perf_counter() - start) * 1000),
-            detection=detection,
-        )
-    if detection.pdf_type in ("Scanned", "ImageBased"):
-        return PdfProcessResult(
-            pdf_type=detection.pdf_type,
-            text=None,
-            markdown=None,
-            page_count=detection.page_count,
-            processing_time_ms=int((time.perf_counter() - start) * 1000),
-            detection=detection,
-        )
-    # Mixed: best-effort extraction (errors swallowed — lib.rs:119 .ok())
+    # TextBased and Mixed are extracted; Mixed is best-effort (lib.rs:119
+    # `.ok()`), so only TextBased raises. Scanned/ImageBased stop here with
+    # the OCR flag set by detection.
     markdown = None
-    try:
-        if font_cmaps is None:
-            font_cmaps = FontCMaps.from_pdf_bytes(buffer)
-        items = extract_positioned_text_from_doc(doc, font_cmaps)
-        markdown = to_markdown_from_items(items, markdown_options)
-    except PdfError:
-        pass
+    if detection.pdf_type in ("TextBased", "Mixed"):
+        try:
+            if font_cmaps is None:
+                font_cmaps = FontCMaps.from_pdf_bytes(buffer)
+            items = extract_positioned_text_from_doc(doc, font_cmaps)
+            markdown = to_markdown_from_items(items, markdown_options)
+        except PdfError:
+            if detection.pdf_type == "TextBased":
+                raise
     return PdfProcessResult(
-        pdf_type="Mixed",
+        pdf_type=detection.pdf_type,
         text=None,
         markdown=markdown,
         page_count=detection.page_count,

@@ -251,3 +251,86 @@ class TestLexerFastPaths:
         assert abs(compute_string_width_ts(data, fi, 12.0) - expect) < 1e-9
         # second call exercises the cached table
         assert abs(compute_string_width_ts(data, fi, 12.0) - expect) < 1e-9
+
+
+# -- page vs form-XObject interpreters (extractor.rs:909-1298 vs 1375-1629) --
+
+_SHOW_OPS = (
+    b"BT /F1 10 Tf 10 20 Td (Alpha) Tj 0 -12 Td (Beta) Tj /F1 /Bad Tf "
+    b"(Gamma) Tj T* (Delta) Tj (Eps) ' ET "
+    b"q 2 0 0 2 0 0 cm BT /F1 10 Tf 5 5 Td (Zeta) Tj ET Q")
+
+
+def _show_ops_pdf(in_form: bool, form_calls_itself: bool = False) -> bytes:
+    from pdf_inspector_ray.sources.pdfgen import (
+        PdfWriter, _catalog, _font_simple, _page, _pages_tree)
+    w = PdfWriter()
+    pages = w.reserve()
+    font = _font_simple(w, b"Helvetica")
+    if in_form:
+        form = w.reserve()
+        body = _SHOW_OPS + (b" /Fm1 Do" if form_calls_itself else b"")
+        w.set(form, w.stream(
+            b"/Type /XObject /Subtype /Form /BBox [0 0 500 500] "
+            b"/Resources << /Font << /F1 %d 0 R >> "
+            b"/XObject << /Fm1 %d 0 R >> >>" % (font, form), body))
+        content = w.add(w.stream(b"", b"q 1 0 0 1 100 100 cm /Fm1 Do Q"))
+        resources = b"/Resources << /XObject << /Fm1 %d 0 R >> >> " % form
+    else:
+        content = w.add(w.stream(b"", _SHOW_OPS))
+        resources = b"/Resources << /Font << /F1 %d 0 R >> >> " % font
+    page = _page(w, pages, content, resources=resources)
+    _pages_tree(w, pages, [page])
+    return w.build(_catalog(w, pages))
+
+
+def _shown(data: bytes) -> list[tuple]:
+    from pdf_inspector_ray.pdfi.extract import extract_positioned_text_from_doc
+    from pdf_inspector_ray.pdfi.objects import Document
+    from pdf_inspector_ray.pdfi.tounicode import FontCMaps
+    items = extract_positioned_text_from_doc(
+        Document.load_mem(data), FontCMaps.from_pdf_bytes(data))
+    return [(i.text, i.x, i.y, i.width, i.font_size) for i in items]
+
+
+def test_page_and_form_interpreters_differ_as_upstream():
+    # the page interpreter: Td moves from the line start, a sizeless Tf keeps
+    # the size, T* and ' move down a line (' shows at width 0), cm applies
+    assert _shown(_show_ops_pdf(in_form=False)) == [
+        ("Alpha", 10.0, 20.0, 25.57, 10.0),
+        ("Beta", 10.0, 8.0, 20.57, 10.0),
+        ("Gamma", 30.57, 8.0, 35.56, 10.0),
+        ("Delta", 10.0, -4.0, 23.34, 10.0),
+        ("Eps", 10.0, -16.0, 0.0, 10.0),
+        ("Zeta", 10.0, 10.0, 40.019999999999996, 10.0),
+    ]
+    # the reduced form interpreter: Td moves from the advanced position, a
+    # sizeless Tf resets to 12, T*, ' and the inner cm are not interpreted;
+    # everything is placed through the caller's CTM
+    form = [
+        ("Alpha", 110.0, 120.0, 25.57, 10.0),
+        ("Beta", 135.57, 108.0, 20.57, 10.0),
+        ("Gamma", 156.14, 108.0, 42.672, 12.0),
+        ("Delta", 198.812, 108.0, 28.008000000000003, 12.0),
+        ("Zeta", 105.0, 105.0, 20.009999999999998, 10.0),
+    ]
+    assert _shown(_show_ops_pdf(in_form=True)) == form
+    # a form does not interpret Do, so drawing itself shows its text once
+    assert _shown(_show_ops_pdf(in_form=True, form_calls_itself=True)) == form
+
+
+def test_process_extract_error_swallowed_only_for_mixed(monkeypatch):
+    # lib.rs:119: Mixed extraction is best-effort (`.ok()`), TextBased raises
+    import pytest
+    from pdf_inspector_ray.pdfi import process
+    from pdf_inspector_ray.pdfi.objects import PdfError
+    from pdf_inspector_ray.sources.pdfgen import f01_tj_simple, f07_mixed_template
+
+    def fail(doc, font_cmaps):
+        raise PdfError("injected", kind="Parse")
+
+    monkeypatch.setattr(process, "extract_positioned_text_from_doc", fail)
+    mixed = process.process_pdf_mem(f07_mixed_template())
+    assert mixed.pdf_type == "Mixed" and mixed.markdown is None
+    with pytest.raises(PdfError, match="injected"):
+        process.process_pdf_mem(f01_tj_simple())
