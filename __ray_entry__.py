@@ -725,16 +725,17 @@ def _q_pricing_summary(sf_dir: str):
 
 def _q_orders_by_segment(sf_dir: str):
     import pyarrow as pa
-    import pyarrow.parquet as pq
     import ray.data
     from ray.data.aggregate import Sum
-    from pdf_inspector_ray.functions.relational import broadcast_join_orders_customers
+    from pdf_inspector_ray.functions.relational import hash_join
 
     orders = ray.data.read_parquet(os.path.join(sf_dir, "orders.parquet"),
                                    columns=["o_orderkey", "o_custkey"])
-    customers = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
-                              columns=["c_custkey", "c_mktsegment"])
-    joined = broadcast_join_orders_customers(orders, customers)
+    customers = ray.data.read_parquet(
+        os.path.join(sf_dir, "customer.parquet"),
+        columns=["c_custkey", "c_mktsegment"])
+    joined = hash_join(orders, customers, on="o_custkey",
+                       right_on="c_custkey")
 
     def partial(batch: pa.Table) -> pa.Table:
         return (batch.select(["c_mktsegment"]).group_by(["c_mktsegment"])
@@ -946,7 +947,7 @@ def _q_events_pivot(sf_dir: str):
 
 
 def _q_customers_without_orders(sf_dir: str):
-    """Left ANTI join via the tagged-union co-partition hash_join —
+    """Left ANTI join via relational.hash_join —
     customers with no FULFILLED ('F') order. The status filter is pushed
     into the parquet read (row-level predicate at the source) and keeps
     the result non-empty at every scale."""
@@ -963,8 +964,7 @@ def _q_customers_without_orders(sf_dir: str):
     return hash_join(
         cust, orders, on="c_custkey", right_on="o_custkey",
         join_type="left anti",
-        left_schema=[("c_custkey", pa.int64()), ("c_name", pa.string())],
-        right_schema=[("o_custkey", pa.int64())])
+        left_schema=[("c_custkey", pa.int64()), ("c_name", pa.string())])
 
 
 def _q_customers_with_orders(sf_dir: str):
@@ -979,8 +979,7 @@ def _q_customers_with_orders(sf_dir: str):
     return hash_join(
         cust, orders, on="c_custkey", right_on="o_custkey",
         join_type="left semi",
-        left_schema=[("c_custkey", pa.int64()), ("c_name", pa.string())],
-        right_schema=[("o_custkey", pa.int64())])
+        left_schema=[("c_custkey", pa.int64()), ("c_name", pa.string())])
 
 
 def _q_doc_chunks(sf_dir: str):
@@ -1089,8 +1088,8 @@ def _q_curated_corpus(sf_dir: str):
     gate ∧ language gate (en) ∧ exact-dedup keeper — the shape a real
     training-data curation job runs. Signals compute in a single
     stateless map over each batch (both kernels are vectorized and
-    row-aligned); the dedup-keeper set arrives via a left SEMI hash
-    join, so nothing broadcasts and nothing materializes."""
+    row-aligned); the dedup-keeper set arrives via a left SEMI
+    relational.hash_join."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
@@ -1122,8 +1121,7 @@ def _q_curated_corpus(sf_dir: str):
         filtered, keepers, on="doc_id", right_on="keep_id",
         join_type="left semi",
         left_schema=[("doc_id", pa.int64()),
-                     ("n_chars_computed", pa.int64())],
-        right_schema=[("keep_id", pa.int64())])
+                     ("n_chars_computed", pa.int64())])
 
 
 def _q_event_value_approx_quantiles(sf_dir: str):
@@ -1275,9 +1273,8 @@ def _q_events_in_sessions(sf_dir: str):
 
 
 def _q_order_priority_revenue(sf_dir: str):
-    """Large×large reduce-side hash join (orders ⋈ lineitem) + grouped
-    revenue — exercises relational.hash_join (tagged-union co-partition,
-    per-group Acero join)."""
+    """Large×large hash join (orders ⋈ lineitem) + grouped revenue —
+    exercises relational.hash_join."""
     import ray.data
     from pdf_inspector_ray.functions.relational import order_priority_revenue
     orders = ray.data.read_parquet(
@@ -1292,8 +1289,8 @@ def _q_order_priority_revenue(sf_dir: str):
 
 def _q_revenue_by_nation(sf_dir: str):
     """TPC-H-Q5-flavored multi-way join (relational.revenue_by_nation):
-    broadcast dimension hop (nation ⋈ region, ray.put once) + two
-    large×large reduce-side hash joins + tiny grouped revenue."""
+    driver-side dimension hop (nation ⋈ region) + three hash joins +
+    tiny grouped revenue."""
     import pyarrow.parquet as pq
     import ray.data
     from pdf_inspector_ray.functions.relational import revenue_by_nation
@@ -2075,8 +2072,9 @@ def _q_revenue_by_brand(sf_dir: str):
 def _q_supplier_revenue(sf_dir: str):
     """TPC-H-Q15-flavored per-supplier revenue
     (relational.supplier_revenue): the l_suppkey fact edge with both
-    dimensions (supplier, nation) broadcast driver-side — the only
-    exchange is the supplier-bounded cents groupby."""
+    dimensions (supplier, nation) joined driver-side and broadcast by
+    hash_join — the only exchange is the supplier-bounded cents
+    groupby."""
     import pyarrow.parquet as pq
     import ray.data
     from pdf_inspector_ray.functions.relational import supplier_revenue
@@ -2243,8 +2241,8 @@ def _q_zipf_topk_share(sf_dir: str):
 
 def _q_customers_by_region(sf_dir: str):
     """Snowflake dimension-hop rollup (relational.customers_by_region):
-    both dims broadcast; fact side ships only (nationkey, count)
-    partials."""
+    both dims joined driver-side and broadcast by hash_join; fact side
+    ships only (nationkey, count) partials."""
     import pyarrow.parquet as pq
     import ray.data
     from pdf_inspector_ray.functions.relational import customers_by_region

@@ -11,9 +11,9 @@ Scale design (100 TB):
   exactly (Jaccard / hamming / cosine). Buckets are hashes → uniform; the
   only skew risk is a giant duplicate cluster, capped by MAX_BUCKET.
 * verification, connected components and the kept-docs filter attach
-  per-doc values with ONE keyed lookup join, ``_attach_side_column``: it
-  broadcasts a side of at most ``LOOKUP_BROADCAST_ROWS`` rows and
-  shuffles a larger one, a choice made once from the side's size.
+  per-doc values with ``relational.hash_join``, the library's one
+  equi-join: it broadcasts a right side of at most ``BROADCAST_ROWS``
+  rows and shuffles a larger one, a choice made from the side's size.
 
 All signatures are seed-fixed (numpy default_rng(seed)) → deterministic.
 """
@@ -26,7 +26,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from pdf_inspector_ray.functions.relational import grouped_topk, key_partition
+from pdf_inspector_ray.functions.relational import (grouped_topk, hash_join,
+                                                    key_partition)
 
 MAX_BUCKET = 256  # cap pair expansion in a pathological bucket (logged)
 
@@ -392,143 +393,25 @@ def ngram_jaccard(text_a: str, text_b: str, k: int = 3) -> float:
     return inter / union if union else 0.0
 
 
-# -- keyed lookup join + pair verification ---------------------------------
-
-# A lookup side of at most this many rows is collected once and broadcast
-# through the object store to every probe task; a larger side streams
-# through a reduce-side shuffle instead, so the driver never holds it. At
-# 100 TB the doc texts and a 20-30% dup rate's dropped-id set are billions
-# of rows — there the shuffle is the only viable shape.
-LOOKUP_BROADCAST_ROWS = 1_000_000
-
-
-def _lookup_by_key(probe_keys, sorted_keys, vals) -> pa.Array:
-    """Vectorized left-join lookup: for each int64 key in ``probe_keys``
-    return the ``vals`` element whose entry in ``sorted_keys`` (ascending,
-    aligned with ``vals``) matches, else null. numpy searchsorted on the
-    keys, one Arrow ``take`` with null indices for the misses — no Python
-    per-row probe, and it works for ANY value type (Acero's hash join
-    rejects nested payload columns like ``list<float>`` embeddings, which
-    this path must carry)."""
-    vals = vals.combine_chunks() if isinstance(
-        vals, pa.ChunkedArray) else vals
-    n = len(probe_keys)
-    if len(sorted_keys) == 0:
-        return pa.nulls(n, vals.type)
-    sk = np.asarray(sorted_keys.to_numpy(zero_copy_only=False),
-                    dtype=np.int64)
-    pk = np.asarray(probe_keys.to_numpy(zero_copy_only=False),
-                    dtype=np.int64)
-    pos = np.minimum(np.searchsorted(sk, pk), len(sk) - 1)
-    idx = pos.astype(np.float64)
-    idx[sk[pos] != pk] = np.nan  # null indices -> null output rows
-    return vals.take(pa.array(idx, pa.int64(), from_pandas=True))
-
-
-def _attach_side_column(probe_ds, side_ds, out_cols: dict,
-                        side_key: str = "doc_id", side_col: str = "text"):
-    """Keyed left lookup join — the only one in this module. For each
-    ``probe_key: out_col`` entry of ``out_cols``, attach as ``out_col`` the
-    ``side_ds[side_col]`` of the row whose integer ``side_key`` equals the
-    probe row's ``probe_key``, or null when none does. The strategy
-    follows the side's observed size, read in ONE pass that stops after
-    ``LOOKUP_BROADCAST_ROWS + 1`` rows (``limit``, not ``count()``: a
-    map-built side would run its map over every row once more):
-
-    * the side fits → its (key, value) arrays, sorted by key, go into
-      the object store once and every probe batch looks its keys up;
-    * it does not → one reduce-side shuffle per probe key
-      (``_shuffle_lookup``), nothing collected on the driver.
-
-    Output values keep the side column's type. An empty, schema-less
-    probe (Ray reports ``schema() is None``) comes back as is."""
-    import ray
-
-    cols = list(dict.fromkeys((side_key, side_col)))
-    head = [t for t in ray.get(side_ds.select_columns(cols)
-                               .limit(LOOKUP_BROADCAST_ROWS + 1)
-                               .to_arrow_refs()) if t.num_rows]
-    side = (pa.concat_tables(head) if head
-            else pa.table({c: pa.array([], pa.int64()) for c in cols}))
-    if side.num_rows <= LOOKUP_BROADCAST_ROWS:
-        side = side.drop_null().sort_by(side_key)
-        side_ref = ray.put((side[side_key].combine_chunks(),
-                            side[side_col].combine_chunks()))
-
-        def probe(batch: pa.Table) -> pa.Table:
-            keys, vals = ray.get(side_ref)
-            for probe_key, out_col in out_cols.items():
-                batch = batch.append_column(
-                    out_col, _lookup_by_key(batch[probe_key], keys, vals))
-            return batch
-
-        return probe_ds.map_batches(probe, batch_format="pyarrow")
-
-    schema = probe_ds.schema()
-    if schema is None:
-        return probe_ds
-    fields = [(f.name, f.type) for f in schema.base_schema]
-    out_type = side.schema.field(side_col).type
-    for probe_key, out_col in out_cols.items():
-        probe_ds = _shuffle_lookup(probe_ds, side_ds, fields, probe_key,
-                                   out_col, side_key, side_col, out_type)
-        fields.append((out_col, out_type))
-    return probe_ds
-
-
-def _shuffle_lookup(probe_ds, side_ds, fields: list, probe_key: str,
-                    out_col: str, side_key: str, side_col: str, out_type):
-    """``_attach_side_column``'s reduce-side branch for one probe key:
-    probe rows (``fields``) and side rows are tagged, unioned, co-located
-    by hash(key) % ``PAIR_PARTITIONS`` and matched vectorized in one
-    ``map_groups`` call per partition. Hand-rolled because Ray 2.49's
-    ``Dataset.join`` loses the schema of empty right partitions."""
-    names = [name for name, _ in fields]
-
-    def tag(t: pa.Table, key, val, is_side: bool) -> pa.Table:
-        key = pc.cast(key, pa.int64())
-        return (t.append_column("__key", key)
-                 .append_column(pa.field("__val", out_type), val)
-                 .append_column("__side", pa.repeat(is_side, len(t)))
-                 .append_column("__part", pa.array(
-                     key_partition(key, PAIR_PARTITIONS), pa.int32())))
-
-    def tag_probe(batch: pa.Table) -> pa.Table:
-        return tag(batch.select(names), batch[probe_key],
-                   pa.nulls(len(batch), out_type), False)
-
-    def tag_side(batch: pa.Table) -> pa.Table:
-        pad = pa.table({name: pa.nulls(len(batch), typ)
-                        for name, typ in fields})
-        return tag(pad, batch[side_key],
-                   pc.cast(batch[side_col], out_type), True)
-
-    def probe(group: pa.Table) -> pa.Table:
-        side = group.filter(pc.and_(group["__side"],
-                                    pc.is_valid(group["__key"])))
-        side = side.sort_by("__key")
-        rows = group.filter(pc.invert(group["__side"]))
-        return rows.select(names).append_column(
-            pa.field(out_col, out_type),
-            _lookup_by_key(rows["__key"], side["__key"], side["__val"]))
-
-    return (probe_ds.map_batches(tag_probe, batch_format="pyarrow")
-                    .union(side_ds.map_batches(tag_side,
-                                               batch_format="pyarrow"))
-                    .groupby("__part")
-                    .map_groups(probe, batch_format="pyarrow"))
-
+# -- pair verification -------------------------------------------------------
 
 def _verify_pairs(pairs_ds, side_ds, side_key: str, side_col: str,
                   name: str, typ, score, keep=None):
     """The shared body of the pair verifiers: attach both docs'
-    ``side_col`` to each (doc_a, doc_b) pair in one lookup join, drop the
-    pairs missing either side row (as the SQL twins' inner joins do),
-    append ``name`` = ``score(values_a, values_b)`` and keep the rows
-    where ``keep(scores)`` holds."""
-    joined = _attach_side_column(pairs_ds, side_ds,
-                                 {"doc_a": "__a", "doc_b": "__b"},
-                                 side_key=side_key, side_col=side_col)
+    ``side_col`` to each (doc_a, doc_b) pair with two inner
+    ``hash_join``s, drop the pairs missing either side row or value (as
+    the SQL twins' inner joins and NULL comparisons do), append ``name``
+    = ``score(values_a, values_b)`` and keep the rows where
+    ``keep(scores)`` holds. The side is materialized once, so its
+    upstream runs once for both joins."""
+    values = side_ds.select_columns([side_key, side_col]).materialize()
+
+    def side(key: str, col: str):
+        return values.rename_columns({side_key: key, side_col: col})
+
+    joined = hash_join(hash_join(pairs_ds, side("__ka", "__a"),
+                                 on="doc_a", right_on="__ka"),
+                       side("__kb", "__b"), on="doc_b", right_on="__kb")
 
     def verify(batch: pa.Table) -> pa.Table:
         t = batch.filter(pc.and_(pc.is_valid(batch["__a"]),
@@ -543,9 +426,8 @@ def _verify_pairs(pairs_ds, side_ds, side_key: str, side_col: str,
 def verify_pairs_jaccard(pairs_ds, docs_ds, threshold: float = 0.8,
                          k: int = 3):
     """Verify candidate pairs with exact word-``k``-gram Jaccard. The two
-    texts are attached from ``docs_ds`` (doc_id, text) by the
-    ``_attach_side_column`` lookup join; a pair with either doc missing
-    is dropped."""
+    texts are attached from ``docs_ds`` (doc_id, text) by ``hash_join``;
+    a pair with either doc missing is dropped."""
 
     def score(a, b):
         return [round(ngram_jaccard(x, y, k), 6)
@@ -666,8 +548,7 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
 def verify_pairs_hamming(pairs_ds, simhash_ds, max_hamming: int = 7):
     """Verify candidate pairs with exact simhash hamming distance: the two
     simhashes are attached from ``simhash_ds`` (doc_id, simhash:uint64)
-    by the ``_attach_side_column`` lookup join, then a vectorized SWAR
-    popcount filter. A pair with either id missing from the sidecar is
+    by ``hash_join``, then a vectorized SWAR popcount filter. A pair with either id missing from the sidecar is
     DROPPED, never verified against a sentinel (ADVICE r02: the old
     0 / 1<<63 defaults were hamming-1 apart, so a doubly-missing pair
     passed verification spuriously)."""
@@ -776,8 +657,8 @@ def verify_pairs_cosine(pairs_ds, emb_ds, threshold: float = 0.9,
                         embedding_column: str = "embedding"):
     """Verify candidate pairs with exact cosine similarity: the two
     vectors are attached straight from ``emb_ds`` (``id_column``,
-    ``embedding_column``) by the ``_attach_side_column`` lookup join, then
-    one vectorized normalized dot per batch (a zero vector has norm 1).
+    ``embedding_column``) by ``hash_join``, then one vectorized
+    normalized dot per batch (a zero vector has norm 1).
     Pairs with either vector missing are dropped."""
 
     def score(a, b):
@@ -804,7 +685,7 @@ def connected_components(pairs_ds, max_iters: int = 32):
     a pair.
 
     Distributed iterative min-label propagation: per round, one lookup
-    join (labels onto edge sources, ``_attach_side_column``) + one
+    join (labels onto edge sources, ``hash_join``) + one
     groupby-min — both move only EDGE-sized data (the near-dup pair set,
     a small fraction of the corpus), never the corpus itself. Converges
     in O(component diameter) rounds; near-dup clusters are dense (band
@@ -839,8 +720,7 @@ def connected_components(pairs_ds, max_iters: int = 32):
                    .materialize())
     prev_sum = None
     for _ in range(max_iters):
-        cand = _attach_side_column(edges, labels, {"src": "label"},
-                                   side_key="node", side_col="label")
+        cand = hash_join(edges, labels, on="src", right_on="node")
         cand = cand.map_batches(to_candidates, batch_format="pyarrow")
         labels = (labels.union(cand)
                         .groupby("node")
@@ -869,17 +749,9 @@ def neardup_kept_docs(docs_ds, components, id_column: str = "doc_id"):
 def _mask_dropped_ids(docs_ds, dropped_ds, id_column: str = "doc_id"):
     """Filter ``docs_ds`` down to rows whose id is NOT in
     ``dropped_ds["node"]`` — the shared tail of every cluster-dedup
-    operator: a lookup join attaches the matching dropped id as a marker,
-    and the rows that got null are kept (a left anti join)."""
-
-    def keep(batch: pa.Table) -> pa.Table:
-        return (batch.filter(pc.is_null(batch["__dropped"]))
-                     .drop_columns(["__dropped"]))
-
-    marked = _attach_side_column(docs_ds, dropped_ds,
-                                 {id_column: "__dropped"},
-                                 side_key="node", side_col="node")
-    return marked.map_batches(keep, batch_format="pyarrow")
+    operator, a left anti ``hash_join``."""
+    return hash_join(docs_ds, dropped_ds, on=id_column, right_on="node",
+                     join_type="left anti")
 
 
 def neardup_best_docs(docs_ds, components, score_ds,
@@ -894,19 +766,17 @@ def neardup_best_docs(docs_ds, components, score_ds,
     keeps whichever crawled first; argmax-by-quality keeps the article.
 
     Scores must be integer columns (exact comparisons, hash-stable
-    twins). Dataflow: the (edge-sized) components attach their scores via
-    ``_attach_side_column`` lookup joins — only component members, never
+    twins). Dataflow: the (edge-sized) components attach their scores in
+    one left-outer ``hash_join`` — only component members, never
     the corpus, pay the join — then ONE tiny groupby(label) picks the
     winner per component and emits the losers as dropped ids, applied
     with the same ``_mask_dropped_ids`` tail as ``neardup_kept_docs``. At
     100 TB every exchange here is bounded by the verified-pair set, not
     the corpus."""
-    labeled = components
-    for col in score_columns:
-        labeled = _attach_side_column(labeled, score_ds, {"node": col},
-                                      side_key=id_column, side_col=col)
-
     cols = tuple(score_columns)
+    labeled = hash_join(components,
+                        score_ds.select_columns([id_column, *cols]),
+                        on="node", right_on=id_column, join_type="left outer")
 
     def pick_dropped(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
@@ -1163,9 +1033,8 @@ def verify_pairs_levenshtein(pairs_ds, docs_ds, cap: int = 64,
     """Attach the exact edit distance of the two docs' first ``cap``
     codepoints to each candidate pair — the cheap lexical-proximity
     check a near-dup pipeline runs between LSH candidacy and expensive
-    full-text verification. Texts are attached by the
-    ``_attach_side_column`` lookup join (pairs pay the join, never the
-    corpus), and a pair with either doc missing is dropped; the cap
+    full-text verification. Texts are attached by ``hash_join`` (pairs
+    pay the join, never the corpus), and a pair with either doc missing is dropped; the cap
     bounds the per-pair DP at O(cap²) regardless of document length, and
     is mirrored by ``substr(text, 1, cap)`` in the SQL twin (both sides
     slice codepoints)."""

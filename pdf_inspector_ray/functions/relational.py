@@ -1,6 +1,14 @@
 """Relational / dataflow operators the rebuild adds (SURVEY.md §2.7):
-global aggregates with partial pre-aggregation, broadcast joins, windowed
+global aggregates with partial pre-aggregation, joins, windowed
 (tumbling) aggregates over the events stream table.
+
+Every equi-join in the library is ``hash_join``: it broadcasts a right
+side of at most ``BROADCAST_ROWS`` rows and shuffles a larger one, a
+choice made from the side's observed size, with one join kernel for
+both plans. Keys are one or more columns of any type. Dimension tables
+that arrive on the driver join each other there with Acero, then join
+the fact side through ``hash_join``. ``range_join`` is the one
+non-equi join.
 
 Shuffle discipline: every groupby here pre-aggregates inside map_batches
 (combiner) so the all-to-all exchange moves one row per (batch × key), not
@@ -72,29 +80,6 @@ def pricing_summary(ds) -> pa.Table:
     return (ds.map_batches(partial, batch_format="pyarrow")
               .groupby(["l_returnflag", "l_linestatus"])
               .map_groups(merge, batch_format="pyarrow"))
-
-
-def broadcast_join_orders_customers(orders_ds, customers_table: pa.Table) -> "ray.data.Dataset":
-    """Broadcast hash join: the small side (customer) is ray.put once and
-    looked up inside map_batches — no shuffle of the big side.
-
-    Returns orders + (c_custkey → joined marker columns)."""
-    import ray
-
-    # broadcast the small side ONCE as arrow arrays; the probe is a fully
-    # vectorized pc.index_in + take (no per-row Python — VERDICT r01 fix #4)
-    small_ref = ray.put((customers_table["c_custkey"].combine_chunks(),
-                         customers_table["c_mktsegment"].combine_chunks()))
-
-    def join(batch: pa.Table) -> pa.Table:
-        keys, segments = ray.get(small_ref)
-        idx = pc.index_in(batch["o_custkey"], value_set=keys)
-        segs = pc.take(segments, idx)  # null idx (no match) → null segment
-        return batch.append_column(
-            pa.field("c_mktsegment", pa.string()),
-            pc.cast(segs, pa.string()))
-
-    return orders_ds.map_batches(join, batch_format="pyarrow")
 
 
 def asof_join_events(ds, left_type: str, right_type: str) -> "ray.data.Dataset":
@@ -240,7 +225,7 @@ def hopping_window_counts(ds, window_us: int = 3_600_000_000,
               .map_groups(merge, batch_format="pyarrow"))
 
 
-# -- generic large-large equi-join -------------------------------------------
+# -- hash partitioning and the equi-join -------------------------------------
 
 JOIN_PARTITIONS = 256
 # Fibonacci-hash multiplier for the key and a coprime stride for the salt
@@ -406,82 +391,169 @@ def _changes(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return brk
 
 
-def hash_join(left_ds, right_ds, on: str, right_on: str | None = None,
-              join_type: str = "inner",
-              num_partitions: int = JOIN_PARTITIONS,
-              left_schema: list | None = None,
-              right_schema: list | None = None,
-              hot_keys: list | None = None,
-              salt: int = 8) -> "ray.data.Dataset":
-    """Reduce-side hash join of two LARGE datasets (neither side fits a
-    broadcast): tagged union → coarse hash(key) co-partition → per-group
-    Acero ``pa.Table.join`` (vectorized C++ hash join, no Python row
-    loops). Hand-rolled because Ray 2.49's native ``Dataset.join`` loses
-    the schema of empty right partitions (same reason as the shuffle
-    branch of ``dedup._attach_side_column``).
+# A right side of at most this many rows is collected on the driver once
+# and put in the object store for every left batch; a larger one goes
+# through the tagged-union shuffle.
+BROADCAST_ROWS = 1_000_000
 
-    ``join_type`` is passed to Acero: "inner", "left outer",
-    "right outer", "full outer", "left semi", "left anti", … Outer/anti
-    semantics hold because co-partitioning sends every row of BOTH sides
-    with the same key hash to the same group.
+JOIN_TYPES = ("inner", "left outer", "left semi", "left anti")
 
-    Scale notes: one all-to-all exchange carrying both sides once; each
-    of the ``num_partitions`` groups holds ~1/P of either table, so P
-    bounds per-task memory — raise it with data size. Keys must be
-    integer-typed (castable to int64); non-key column names must not
-    collide across sides — pre-rename or pre-hash string keys to int
-    (e.g. the md5 scheme in ``dedup``).
+# the same join with the sides swapped, for a build on the left side
+_SWAPPED = {"inner": "inner", "left outer": "right outer",
+            "left semi": "right semi", "left anti": "right anti"}
 
-    Skew (``hot_keys`` + ``salt``): a pathologically hot key
-    concentrates its rows in one group. Passing its key values spreads
-    each hot LEFT row over one of ``salt`` sub-partitions
-    (deterministic round-robin) and REPLICATES each hot RIGHT row into
-    all of them, so every left row still meets every matching right row
-    exactly once. Correct for inner / left outer / left semi / left
-    anti (each left row lands in exactly one group and every group
-    holds the full hot right set); right/full outer would emit
-    replicated unmatched right rows and raise. Find hot keys cheaply
-    with ``sketch.cms_counters`` over the key column."""
-    if right_on is None:
-        right_on = on
-    if hot_keys and join_type in ("right outer", "full outer"):
-        raise ValueError(
-            f"salting replicates right-side hot rows — {join_type} would "
-            "emit duplicates; use it on the un-replicated side instead")
 
-    # ``Dataset.schema()`` on a map-produced dataset EXECUTES a limit-1
-    # probe; callers that know their projection pass [(name, type), …]
-    # explicitly to skip it (cheaper, and avoids stacking probe datasets)
-    if left_schema is None:
-        left_schema = [(f.name, f.type)
-                       for f in left_ds.schema().base_schema]
-    if right_schema is None:
-        right_schema = [(f.name, f.type)
-                        for f in right_ds.schema().base_schema]
-    left_names = [n for n, _ in left_schema]
-    overlap = set(left_names) & {n for n, _ in right_schema}
+def _check_disjoint(left_names, right_names) -> None:
+    overlap = set(left_names) & set(right_names)
     if overlap:
         raise ValueError(
             f"hash_join requires disjoint column names; both sides have "
             f"{sorted(overlap)} — rename before joining")
-    union_schema = left_schema + right_schema
 
-    hot = (np.asarray(sorted(hot_keys), dtype=np.int64).astype(np.uint64)
-           if hot_keys else None)
 
-    def tag(is_left: bool, key_col: str, own_schema):
-        own = {n for n, _ in own_schema}
+def _join_kernel(lt: pa.Table, rt: pa.Table, on: list, right_on: list,
+                 join_type: str) -> pa.Table:
+    """Acero joins the key columns plus a row index of each side; the
+    payload columns are then taken by index. Acero rejects nested
+    non-key fields (``list<float>`` embeddings), which this way never
+    reach it, and a duplicate right key still matches many-to-many.
+    Acero builds its hash table on its right input, so the smaller side
+    goes there (the swapped join type keeps the left side's meaning): a
+    broadcast side of 1M rows is probed by each left batch, not hashed
+    again for it. Right keys are cast to the left keys' types (Acero
+    needs equal types, e.g. an aggregated int64 against an int32
+    dimension key). A null key matches nothing, as with SQL's ``=``."""
+    _check_disjoint(lt.column_names, rt.column_names)
+
+    def keys(t, cols, types, idx):
+        return pa.table(
+            [pc.cast(t[c], typ) for c, typ in zip(cols, types)]
+            + [pa.array(np.arange(t.num_rows), pa.int64())],
+            names=[*cols, idx])
+
+    types = [lt.schema.field(c).type for c in on]
+    lk, rk = keys(lt, on, types, "__lidx"), keys(rt, right_on, types, "__ridx")
+    if lt.num_rows < rt.num_rows:
+        m = rk.join(lk, keys=right_on, right_keys=on,
+                    join_type=_SWAPPED[join_type])
+    else:
+        m = lk.join(rk, keys=on, right_keys=right_on, join_type=join_type)
+    out = lt.take(m["__lidx"])
+    if join_type in ("left semi", "left anti"):
+        return out
+    payload = rt.drop_columns(right_on).take(m["__ridx"])
+    for field, col in zip(payload.schema, payload.columns):
+        out = out.append_column(field, col)
+    return out
+
+
+def _valid_keys(keys: list):
+    """Filter expression: every key column is non-null."""
+    expr = pc.field(keys[0]).is_valid()
+    for k in keys[1:]:
+        expr = expr & pc.field(k).is_valid()
+    return expr
+
+
+def hash_join(left_ds, right_ds, on, right_on=None,
+              join_type: str = "inner",
+              num_partitions: int = JOIN_PARTITIONS,
+              left_schema: list | None = None,
+              hot_keys: list | None = None,
+              salt: int = 8) -> "ray.data.Dataset":
+    """The library's equi-join: left columns, then the right side's
+    non-key columns. ``on`` / ``right_on`` name one key column or a
+    list of them, of any type; ``join_type`` is one of ``JOIN_TYPES``.
+    A null key matches nothing, so null-key left rows stay in a
+    ``left outer`` (with null right columns) and a ``left anti`` join.
+    Column names must be disjoint across the two sides: checked at call
+    time when the left schema is known (always on the shuffle plan),
+    and again by every join task.
+
+    The right side is materialized first, at call time, so its upstream
+    runs once whichever plan follows; known cost: all of it is held in
+    the object store (spilled to disk past its capacity) until the join
+    has read it. The plan follows its row count:
+
+    * at most ``BROADCAST_ROWS`` → it is collected, put into the object
+      store once and joined to each left batch, no shuffle;
+    * more → both sides are tagged, unioned and co-partitioned by
+      ``key_partition`` of the key, cast to the left key types
+      (``num_partitions`` groups, one all-to-all carrying each side
+      once), then joined per group. ``left_schema`` ([(name, type), …])
+      names the left columns for the union; without it
+      ``Dataset.schema()`` runs a probe of the left side.
+
+    Both plans run one kernel, ``_join_kernel``. Hand-rolled because
+    Ray 2.49's native ``Dataset.join`` loses the schema of an empty
+    right partition.
+
+    Skew (``hot_keys`` + ``salt``, shuffle plan): a pathologically hot
+    key concentrates its rows in one group. Passing its values (of the
+    first key column) spreads each hot LEFT row over one of ``salt``
+    sub-partitions (deterministic round-robin) and REPLICATES each hot
+    RIGHT row into all of them, so every left row still meets every
+    matching right row exactly once. Find hot keys cheaply with
+    ``sketch.cms_counters`` over the key column. Right and full outer
+    joins are not offered: neither a broadcast nor a replicated right
+    side can emit its unmatched rows exactly once."""
+    import ray
+
+    on = [on] if isinstance(on, str) else list(on)
+    right_on = on if right_on is None else (
+        [right_on] if isinstance(right_on, str) else list(right_on))
+    if join_type not in JOIN_TYPES:
+        raise ValueError(
+            f"hash_join supports {', '.join(JOIN_TYPES)}, not {join_type}: "
+            "a broadcast or salt-replicated right side cannot emit its "
+            "unmatched rows once")
+
+    right_ds = right_ds.materialize()
+    right_schema = right_ds.schema()
+    right_names = right_schema.names if right_schema is not None else []
+    fits = right_ds.count() <= BROADCAST_ROWS
+    if left_schema is None:
+        # the shuffle's union needs the left schema; a broadcast takes it
+        # only where Ray knows it without running the left side
+        schema = left_ds.schema(fetch_if_missing=not fits)
+        if schema is None and not fits:  # empty and schema-less
+            return left_ds
+        left_schema = (None if schema is None else
+                       [(f.name, f.type) for f in schema.base_schema])
+    if left_schema is not None:
+        _check_disjoint([n for n, _ in left_schema], right_names)
+
+    if fits:
+        head = [t for t in ray.get(right_ds.to_arrow_refs()) if t.num_columns]
+        right = (pa.concat_tables(head).filter(_valid_keys(right_on))
+                 .combine_chunks() if head else None)
+        right_ref = ray.put(right)
+
+        def join(batch: pa.Table) -> pa.Table:
+            rt = ray.get(right_ref)
+            if rt is None:  # empty and schema-less: it has no columns
+                rt = pa.table({r: pa.nulls(0, batch[k].type)
+                               for k, r in zip(on, right_on)})
+            return _join_kernel(batch, rt, on, right_on, join_type)
+
+        return left_ds.map_batches(join, batch_format="pyarrow")
+
+    left_names = [n for n, _ in left_schema]
+    key_types = [dict(left_schema)[k] for k in on]
+    union_schema = left_schema + [(f.name, f.type)
+                                  for f in right_schema.base_schema]
+
+    def tag(is_left: bool, keys: list):
+        own = set(left_names if is_left else right_names)
 
         def fn(batch: pa.Table) -> pa.Table:
-            # null keys never match any row (SQL semantics) — drop them
-            # before hashing (a null int64 would round-trip through numpy
-            # as NaN and corrupt the partition assignment)
-            batch = batch.filter(pc.is_valid(batch[key_col]))
-            key = pc.cast(batch[key_col], pa.int64()).to_numpy(
-                zero_copy_only=False).astype(np.uint64)
+            if not is_left:
+                batch = batch.filter(_valid_keys(keys))
             salt_idx = np.zeros(len(batch), dtype=np.uint64)
-            if hot is not None:
-                is_hot = np.isin(key, hot)
+            if hot_keys:
+                is_hot = pc.is_in(batch[keys[0]], value_set=pa.array(
+                    hot_keys, batch[keys[0]].type)).to_numpy(
+                        zero_copy_only=False)
                 if is_left:
                     # deterministic round-robin: same batch → same salts
                     # on retry, so the shuffle stays replay-safe
@@ -491,22 +563,24 @@ def hash_join(left_ds, right_ds, on: str, right_on: str | None = None,
                 elif is_hot.any():
                     # replicate each hot right row into every salt group
                     reps = np.where(is_hot, salt, 1).astype(np.int64)
-                    take = np.repeat(np.arange(len(batch)), reps)
-                    batch = batch.take(pa.array(take))
-                    key = key[take]
-                    salt_idx = np.zeros(len(batch), dtype=np.uint64)
-                    grew = np.repeat(is_hot, reps)
+                    batch = batch.take(pa.array(
+                        np.repeat(np.arange(len(batch)), reps)))
                     # 0..salt-1 within each replicated run
-                    pos = np.arange(len(batch), dtype=np.int64)
-                    run_start = np.repeat(
-                        np.cumsum(np.concatenate([[0], reps[:-1]])), reps)
-                    salt_idx[grew] = (pos - run_start)[grew].astype(
-                        np.uint64)
+                    run_start = np.repeat(np.cumsum(reps) - reps, reps)
+                    salt_idx = np.where(
+                        np.repeat(is_hot, reps),
+                        np.arange(len(batch)) - run_start, 0
+                    ).astype(np.uint64)
             cols = {name: (batch[name] if name in own
                            else pa.nulls(len(batch), typ))
                     for name, typ in union_schema}
+            # both sides hash the key in the left key types, so equal
+            # keys of different widths meet in one partition
+            part = key_partition(pa.table(
+                [pc.cast(batch[k], t) for k, t in zip(keys, key_types)],
+                names=on), num_partitions)
             with np.errstate(over="ignore"):
-                part = ((key * np.uint64(PART_MULT)
+                part = ((part.astype(np.uint64)
                          + salt_idx * np.uint64(SALT_MULT))
                         % np.uint64(num_partitions)).astype(np.int32)
             cols["__part"] = pa.array(part, pa.int32())
@@ -518,15 +592,13 @@ def hash_join(left_ds, right_ds, on: str, right_on: str | None = None,
 
     def join_group(group: pa.Table) -> pa.Table:
         is_left = group["__left"]
-        lt = group.filter(is_left).select(left_names)
-        rt = group.filter(pc.invert(is_left)).select(
-            [n for n, _ in right_schema])
-        return lt.join(rt, keys=[on], right_keys=[right_on],
-                       join_type=join_type)
+        return _join_kernel(group.filter(is_left).select(left_names),
+                            group.filter(pc.invert(is_left))
+                                 .select(right_names),
+                            on, right_on, join_type)
 
-    tagged = (left_ds.map_batches(tag(True, on, left_schema),
-                                  batch_format="pyarrow")
-              .union(right_ds.map_batches(tag(False, right_on, right_schema),
+    tagged = (left_ds.map_batches(tag(True, on), batch_format="pyarrow")
+              .union(right_ds.map_batches(tag(False, right_on),
                                           batch_format="pyarrow")))
     return tagged.groupby("__part").map_groups(join_group,
                                                batch_format="pyarrow")
@@ -670,9 +742,7 @@ def order_priority_revenue(orders_ds, lineitem_ds,
 
     li = lineitem_ds.map_batches(li_partial, batch_format="pyarrow")
     joined = hash_join(orders_ds, li, on="o_orderkey", right_on="l_orderkey",
-                       num_partitions=num_partitions,
-                       right_schema=[("l_orderkey", pa.int64()),
-                                     ("revenue", pa.float64())])
+                       num_partitions=num_partitions)
 
     def pr_partial(batch: pa.Table) -> pa.Table:
         t = pa.table({"o_orderpriority": batch["o_orderpriority"],
@@ -728,17 +798,14 @@ def shipping_priority(customer_ds, orders_ds, lineitem_ds,
         left_schema=[("o_orderkey", pa.int64()),
                      ("o_custkey", pa.int64()),
                      ("o_orderdate", pa.timestamp("us")),
-                     ("o_orderpriority", pa.string())],
-        right_schema=[("c_custkey", pa.int64())])
+                     ("o_orderpriority", pa.string())])
     joined = hash_join(
         seg_orders, li, on="o_orderkey", right_on="l_orderkey",
         num_partitions=num_partitions,
         left_schema=[("o_orderkey", pa.int64()),
                      ("o_custkey", pa.int64()),
                      ("o_orderdate", pa.timestamp("us")),
-                     ("o_orderpriority", pa.string())],
-        right_schema=[("l_orderkey", pa.int64()),
-                      ("cents", pa.int64())])
+                     ("o_orderpriority", pa.string())])
 
     def revenue(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -766,53 +833,32 @@ def revenue_by_nation(customer_ds, orders_ds, lineitem_ds,
                       num_partitions: int = JOIN_PARTITIONS
                       ) -> "ray.data.Dataset":
     """Revenue per customer nation within one region — a TPC-H-Q5-flavored
-    multi-way join mixing BOTH join strategies by side size:
+    multi-way join:
 
-    - nation ⋈ region (25×5 rows) joins on the DRIVER, and the resulting
-      nationkey → n_name map is ``ray.put`` once and probed with
-      ``pc.index_in`` inside customer's map_batches (broadcast join —
-      zero shuffle for the dimension hop, rows of other regions drop
-      before any exchange);
-    - orders ⋈ customer and lineitem ⋈ orders are large×large
-      reduce-side ``hash_join``s; lineitem revenue is pre-aggregated per
-      orderkey inside map_batches before its exchange (distributive sum,
-      ~4× smaller shuffle);
+    - nation ⋈ region (25×5 rows) joins on the DRIVER (Acero), and the
+      result joins customer through ``hash_join``, which broadcasts it
+      — rows of other regions drop before any exchange;
+    - orders ⋈ customer and lineitem ⋈ orders are ``hash_join``s too;
+      lineitem revenue is pre-aggregated per orderkey inside
+      map_batches before the join (distributive sum, ~4× fewer rows);
     - the final groupby(n_name) is a partial+merge over ≤ a handful of
       nations per region.
     """
-    import ray
+    import ray.data
 
     dim = nation.join(region.filter(pc.equal(region["r_name"], region_name)),
                       keys=["n_regionkey"], right_keys=["r_regionkey"],
-                      join_type="inner")
-    dim_ref = ray.put((dim["n_nationkey"].combine_chunks(),
-                       dim["n_name"].combine_chunks()))
-
-    def cust_map(batch: pa.Table) -> pa.Table:
-        keys, names = ray.get(dim_ref)
-        idx = pc.index_in(batch["c_nationkey"], value_set=keys)
-        t = pa.table({"c_custkey": batch["c_custkey"],
-                      "n_name": pc.cast(pc.take(names, idx), pa.string())})
-        return t.filter(pc.is_valid(t["n_name"]))
-
-    cust = customer_ds.map_batches(cust_map, batch_format="pyarrow")
-
-    def oc_proj(t: pa.Table) -> pa.Table:
-        # explicit projection, not select_columns: Ray 2.49's Project op
-        # after map_groups reports a stale (pre-projection) .schema(),
-        # which the downstream hash_join reads to build its union schema
-        return t.select(["o_orderkey", "n_name"])
-
-    # schemas passed explicitly: every intermediate here is map-produced,
-    # and Dataset.schema() on those EXECUTES a limit-1 probe per call
+                      join_type="inner").select(["n_nationkey", "n_name"])
+    cust = hash_join(customer_ds, ray.data.from_arrow(dim),
+                     on="c_nationkey", right_on="n_nationkey")
+    # left schemas passed explicitly: Dataset.schema() on a map-produced
+    # side EXECUTES a limit-1 probe per call
     ord_cust = hash_join(orders_ds, cust,
                          on="o_custkey", right_on="c_custkey",
                          num_partitions=num_partitions,
                          left_schema=[("o_orderkey", pa.int64()),
-                                      ("o_custkey", pa.int64())],
-                         right_schema=[("c_custkey", pa.int64()),
-                                       ("n_name", pa.string())]
-                         ).map_batches(oc_proj, batch_format="pyarrow")
+                                      ("o_custkey", pa.int64())]
+                         ).select_columns(["o_orderkey", "n_name"])
 
     def li_partial(batch: pa.Table) -> pa.Table:
         rev = pc.multiply(batch["l_extendedprice"],
@@ -825,9 +871,7 @@ def revenue_by_nation(customer_ds, orders_ds, lineitem_ds,
     joined = hash_join(li, ord_cust, on="l_orderkey", right_on="o_orderkey",
                        num_partitions=num_partitions,
                        left_schema=[("l_orderkey", pa.int64()),
-                                    ("revenue", pa.float64())],
-                       right_schema=[("o_orderkey", pa.int64()),
-                                     ("n_name", pa.string())])
+                                    ("revenue", pa.float64())])
 
     def n_partial(batch: pa.Table) -> pa.Table:
         t = pa.table({"n_name": batch["n_name"],
@@ -1974,9 +2018,7 @@ def late_orders_by_priority(orders_ds, lineitem_ds,
         num_partitions=num_partitions,
         left_schema=[("o_orderkey", pa.int64()),
                      ("o_orderdate", pa.timestamp("us")),
-                     ("o_orderpriority", pa.string())],
-        right_schema=[("l_orderkey", pa.int64()),
-                      ("max_ship", pa.int64())])
+                     ("o_orderpriority", pa.string())])
 
     def late_partial(batch: pa.Table) -> pa.Table:
         late = pc.greater(batch["max_ship"],
@@ -2021,10 +2063,7 @@ def priority_counts_by_linestatus(orders_ds, lineitem_ds,
         orders_ds, li, on="o_orderkey", right_on="l_orderkey",
         num_partitions=num_partitions,
         left_schema=[("o_orderkey", pa.int64()),
-                     ("o_orderpriority", pa.string())],
-        right_schema=[("l_orderkey", pa.int64()),
-                      ("l_linestatus", pa.string()),
-                      ("cnt", pa.int64())])
+                     ("o_orderpriority", pa.string())])
 
     def case_partial(batch: pa.Table) -> pa.Table:
         hi = pc.is_in(batch["o_orderpriority"],
@@ -2287,9 +2326,7 @@ def revenue_by_brand(lineitem_ds, part_ds,
         num_partitions=num_partitions,
         left_schema=[("l_partkey", pa.int64()),
                      ("cents", pa.int64()),
-                     ("n_lines", pa.int64())],
-        right_schema=[("p_partkey", pa.int64()),
-                      ("p_brand", pa.string())])
+                     ("n_lines", pa.int64())])
 
     def brand_partial(batch: pa.Table) -> pa.Table:
         t = batch.select(["p_brand", "cents", "n_lines"])
@@ -2313,24 +2350,17 @@ def supplier_revenue(lineitem_ds, supplier_table: pa.Table,
                      nation_table: pa.Table) -> "ray.data.Dataset":
     """Discounted revenue per supplier with nation enrichment — the
     TPC-H-Q15 revenue view over the one fact edge no other query here
-    exercises (l_suppkey), with BOTH dimensions (supplier, nation)
-    attached broadcast-side instead of shuffled: the suppkey →
-    (name, nation) map is built driver-side from the two dimension
-    tables (supplier is dimension-small even at warehouse scale;
-    nation is 25 rows), shipped ONCE via ``ray.put``, and applied
-    vectorized after the per-suppkey cents groupby — so the only
-    exchange is supplier-cardinality-bounded partial sums, never a
-    fact-side join shuffle. Integer cents, exact twin."""
-    import ray
+    exercises (l_suppkey). Both dimensions join on the DRIVER (Acero:
+    supplier ⋈ nation) and the result joins the per-suppkey cents
+    groupby through ``hash_join``, which broadcasts it while it fits —
+    so the only fact-side exchange is supplier-cardinality-bounded
+    partial sums. Integer cents, exact twin."""
+    import ray.data
     from ray.data.aggregate import Sum
 
-    nations = dict(zip(nation_table["n_nationkey"].to_pylist(),
-                       nation_table["n_name"].to_pylist()))
-    supp = {k: (nm, nations.get(nk)) for k, nm, nk in zip(
-        supplier_table["s_suppkey"].to_pylist(),
-        supplier_table["s_name"].to_pylist(),
-        supplier_table["s_nationkey"].to_pylist())}
-    supp_ref = ray.put(supp)
+    dims = supplier_table.join(
+        nation_table, keys=["s_nationkey"], right_keys=["n_nationkey"],
+        join_type="inner").select(["s_suppkey", "s_name", "n_name"])
 
     def li_partial(batch: pa.Table) -> pa.Table:
         cents = pc.cast(pc.floor(pc.add(pc.multiply(
@@ -2349,20 +2379,17 @@ def supplier_revenue(lineitem_ds, supplier_table: pa.Table,
                                  Sum("n_lines", alias_name="n_lines")))
 
     def enrich(batch: pa.Table) -> pa.Table:
-        s = ray.get(supp_ref)
-        keys = batch["l_suppkey"].to_pylist()
-        names = [s[k][0] if k in s else None for k in keys]
-        nats = [s[k][1] if k in s else None for k in keys]
-        keep = pa.array([k in s for k in keys])
         return pa.table({
             "s_suppkey": batch["l_suppkey"],
-            "s_name": pa.array(names, pa.string()),
-            "n_name": pa.array(nats, pa.string()),
+            "s_name": batch["s_name"],
+            "n_name": batch["n_name"],
             "revenue_cents": pc.cast(batch["revenue_cents"], pa.int64()),
             "n_lines": pc.cast(batch["n_lines"], pa.int64()),
-        }).filter(keep)
+        })
 
-    return agg.map_batches(enrich, batch_format="pyarrow")
+    return hash_join(agg, ray.data.from_arrow(dims), on="l_suppkey",
+                     right_on="s_suppkey").map_batches(
+                         enrich, batch_format="pyarrow")
 
 
 def daily_event_deltas(ds) -> pa.Table:
@@ -2724,21 +2751,16 @@ def order_interarrival_quantiles(ds) -> pa.Table:
 def customers_by_region(customer_ds, nation_table: pa.Table,
                         region_table: pa.Table) -> "ray.data.Dataset":
     """Customer counts per (region, nation) — the snowflake
-    dimension-hop rollup with BOTH hops broadcast: nation→region name
-    maps are built driver-side (25 / 5 rows), shipped once via
-    ``ray.put``, and the fact side only exchanges per-batch
-    (nationkey, count) partials — 25-row final groupby, never a
-    dimension shuffle."""
-    import ray
+    dimension-hop rollup: nation ⋈ region joins on the DRIVER (Acero,
+    25 / 5 rows), the fact side only exchanges per-batch (nationkey,
+    count) partials, and ``hash_join`` broadcasts the dimension onto the
+    25-row groupby — never a dimension shuffle."""
+    import ray.data
     from ray.data.aggregate import Sum
 
-    regions = dict(zip(region_table["r_regionkey"].to_pylist(),
-                       region_table["r_name"].to_pylist()))
-    nations = {k: (nm, regions.get(rk)) for k, nm, rk in zip(
-        nation_table["n_nationkey"].to_pylist(),
-        nation_table["n_name"].to_pylist(),
-        nation_table["n_regionkey"].to_pylist())}
-    dims_ref = ray.put(nations)
+    dims = nation_table.join(
+        region_table, keys=["n_regionkey"], right_keys=["r_regionkey"],
+        join_type="inner").select(["n_nationkey", "n_name", "r_name"])
 
     def partial(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.is_valid(batch["c_nationkey"]))
@@ -2752,18 +2774,15 @@ def customers_by_region(customer_ds, nation_table: pa.Table,
                       .aggregate(Sum("n", alias_name="n_customers")))
 
     def enrich(batch: pa.Table) -> pa.Table:
-        d = ray.get(dims_ref)
-        keys = batch["nk"].to_pylist()
-        keep = pa.array([k in d for k in keys])
         return pa.table({
-            "r_name": pa.array([d[k][1] if k in d else None
-                                for k in keys], pa.string()),
-            "n_name": pa.array([d[k][0] if k in d else None
-                                for k in keys], pa.string()),
+            "r_name": batch["r_name"],
+            "n_name": batch["n_name"],
             "n_customers": pc.cast(batch["n_customers"], pa.int64()),
-        }).filter(keep)
+        })
 
-    return agg.map_batches(enrich, batch_format="pyarrow")
+    return hash_join(agg, ray.data.from_arrow(dims), on="nk",
+                     right_on="n_nationkey").map_batches(
+                         enrich, batch_format="pyarrow")
 
 
 def user_activity_gini(ds, user_column: str = "user_id") -> pa.Table:
@@ -2832,7 +2851,8 @@ def top_customer_per_nation(orders_ds, customer_ds,
     pre-aggregate), one large×large hash join to customer for the
     nation key, ``grouped_topk`` with ``k=1`` under the deterministic
     (cents DESC, custkey ASC) order — the ROW_NUMBER twin's — and the
-    nation name looked up in the 25-row dimension."""
+    nation name joined from the 25-row dimension."""
+    import ray.data
     from ray.data.aggregate import Sum
 
     def spend_partial(batch: pa.Table) -> pa.Table:
@@ -2850,20 +2870,18 @@ def top_customer_per_nation(orders_ds, customer_ds,
         customer_ds, spend, on="c_custkey", right_on="o_custkey",
         num_partitions=num_partitions,
         left_schema=[("c_custkey", pa.int64()),
-                     ("c_nationkey", pa.int64())],
-        right_schema=[("o_custkey", pa.int64()),
-                      ("cents", pa.int64())])
-    keys = nation_table["n_nationkey"].combine_chunks()
-    names = nation_table["n_name"].combine_chunks()
+                     ("c_nationkey", pa.int64())])
+    top = grouped_topk(joined, "c_nationkey",
+                       [("cents", "descending"), "c_custkey"], 1)
+    named = hash_join(top, ray.data.from_arrow(
+        nation_table.select(["n_nationkey", "n_name"])),
+        on="c_nationkey", right_on="n_nationkey", join_type="left outer")
 
-    def name(batch: pa.Table) -> pa.Table:
+    def project(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "n_name": pc.cast(names.take(pc.index_in(
-                batch["c_nationkey"], value_set=keys)), pa.string()),
+            "n_name": pc.cast(batch["n_name"], pa.string()),
             "top_custkey": batch["c_custkey"],
             "spend_cents": pc.cast(batch["cents"], pa.int64()),
         })
 
-    top = grouped_topk(joined, "c_nationkey",
-                       [("cents", "descending"), "c_custkey"], 1)
-    return top.map_batches(name, batch_format="pyarrow")
+    return named.map_batches(project, batch_format="pyarrow")

@@ -304,25 +304,6 @@ def build_ivf_index_distributed(ds, n_clusters: int = 16, iters: int = 4,
     return index
 
 
-def build_ivf_index_local(parquet_path: str, n_clusters: int = 16,
-                          seed: int = 42, sample_limit: int = 2048,
-                          embedding_column: str = "embedding") -> IVFIndex:
-    """Deterministic local index build (driver-scale): seeded numpy sample
-    of the parquet rows → IVFIndex. The distributed path inside
-    ``ivf_topk`` (seeded ``ds.random_sample``) is the corpus-scale
-    equivalent; this variant exists so an external checker (the driver's
-    DuckDB oracle) and the query can share bit-identical centroids."""
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(parquet_path, columns=[embedding_column])
-    vecs = _to_matrix(t[embedding_column])
-    rng = np.random.default_rng(seed)
-    n = len(vecs)
-    take = min(sample_limit, n)
-    idx = np.sort(rng.choice(n, size=take, replace=False))
-    return IVFIndex(vecs[idx], n_clusters=n_clusters, seed=seed)
-
-
 def label_centroids(ds, label_column: str = "label",
                     embedding_column: str = "embedding"):
     """Per-label mean embedding (class centroids), exploded to one row per

@@ -88,11 +88,6 @@ def mulmod61(x: np.ndarray, a: int) -> np.ndarray:
     return _muladdmod61(x, a, 0)
 
 
-def _addmod(x: np.ndarray, b: int) -> np.ndarray:
-    acc = _fold2(x + np.uint64(b))
-    return np.where(acc >= _M, acc - _M, acc)
-
-
 def hash61(vals: np.ndarray) -> np.ndarray:
     """Vectorized 61-bit hash of an int64 array. SQL twin (HUGEINT):
     ``x = ((v % M) + M) % M; h = (x*A1+B1) % M; h = xor(h, h>>29);

@@ -111,11 +111,6 @@ def _golden_row(data: bytes) -> dict:
     return row
 
 
-def payload_goldens(payloads: "dict[str, bytes]") -> dict[str, dict]:
-    """sha-or-tag → golden-row dict, one library run per distinct payload."""
-    return {h: _golden_row(data) for h, data in payloads.items()}
-
-
 def _payload_pools() -> tuple[list[str], list[str], list[str], list[str]]:
     """(clean_strs, corrupt_strs, clean_hashes, corrupt_hashes) — the
     distinct-payload pools every corpus row dictionary-indexes into."""

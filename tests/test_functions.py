@@ -371,13 +371,13 @@ def test_minhash_replica_stress_exact_candidate_count(ray_session):
 def test_verify_pairs_jaccard_broadcast_matches_shuffle(ray_session,
                                                        monkeypatch):
     """Both branches of the lookup join — broadcast (the side fits
-    LOOKUP_BROADCAST_ROWS) and the reduce-side shuffle (forced by a zero
+    BROADCAST_ROWS) and the reduce-side shuffle (forced by a zero
     limit) — verify the same candidates to the same rows as a brute-force
     ngram_jaccard over those candidates."""
     import pyarrow.parquet as pq
     import ray.data
 
-    from pdf_inspector_ray.functions import dedup
+    from pdf_inspector_ray.functions import dedup, relational
 
     path = "/root/testdata/sf0.01/documents.parquet"
     docs_t = pq.read_table(path, columns=["doc_id", "text"])
@@ -394,7 +394,7 @@ def test_verify_pairs_jaccard_broadcast_matches_shuffle(ray_session,
                           .values.tolist()))
 
     bc = canon(dedup.verify_pairs_jaccard(cands, docs).to_pandas())
-    monkeypatch.setattr(dedup, "LOOKUP_BROADCAST_ROWS", 0)
+    monkeypatch.setattr(relational, "BROADCAST_ROWS", 0)
     sh = canon(dedup.verify_pairs_jaccard(cands, docs).to_pandas())
     assert bc == sh == want and want
 
@@ -490,7 +490,7 @@ def test_verify_pairs_hamming_drops_missing_ids(ray_session, monkeypatch):
     (threshold 0.0, max hamming 64), as the SQL twins' inner joins do."""
     import ray.data
 
-    from pdf_inspector_ray.functions import dedup
+    from pdf_inspector_ray.functions import dedup, relational
 
     pairs = ray.data.from_arrow(pa.table({
         "doc_a": pa.array([1, 1, 7, 9], pa.int64()),
@@ -505,8 +505,8 @@ def test_verify_pairs_hamming_drops_missing_ids(ray_session, monkeypatch):
     emb = ray.data.from_arrow(pa.table({
         "vec_id": ids, "embedding": pa.array(
             [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], pa.list_(pa.float32()))}))
-    for limit in (dedup.LOOKUP_BROADCAST_ROWS, 0):
-        monkeypatch.setattr(dedup, "LOOKUP_BROADCAST_ROWS", limit)
+    for limit in (relational.BROADCAST_ROWS, 0):
+        monkeypatch.setattr(relational, "BROADCAST_ROWS", limit)
         outs = [dedup.verify_pairs_hamming(pairs, sh, max_hamming=64),
                 dedup.verify_pairs_jaccard(pairs, docs, threshold=0.0),
                 dedup.verify_pairs_cosine(pairs, emb, threshold=0.0)]
@@ -521,7 +521,7 @@ def test_verifiers_pair_free_corpus(ray_session, monkeypatch):
     join used to read the missing schema and crash)."""
     import ray.data
 
-    from pdf_inspector_ray.functions import dedup
+    from pdf_inspector_ray.functions import dedup, relational
 
     t = pa.table({"doc_id": pa.array([1, 2, 3], pa.int64()),
                   "text": ["alpha beta gamma delta epsilon",
@@ -535,7 +535,7 @@ def test_verifiers_pair_free_corpus(ray_session, monkeypatch):
     emb = ray.data.from_arrow(pa.table({
         "vec_id": pa.array([1, 2, 3], pa.int64()),
         "embedding": pa.array(vecs.tolist(), pa.list_(pa.float32()))}))
-    monkeypatch.setattr(dedup, "LOOKUP_BROADCAST_ROWS", 0)
+    monkeypatch.setattr(relational, "BROADCAST_ROWS", 0)
     mh = dedup.minhash_lsh_candidates(docs)
     outs = [
         dedup.verify_pairs_jaccard(mh, docs),
@@ -596,7 +596,7 @@ def test_neardup_kept_docs_broadcast_matches_shuffle(ray_session,
     shuffle that never collects the dropped ids on the driver."""
     import ray.data
 
-    from pdf_inspector_ray.functions import dedup
+    from pdf_inspector_ray.functions import dedup, relational
 
     # 500 docs in 100 components of 5 → 400 dropped (80%)
     pairs = pa.table({
@@ -613,7 +613,7 @@ def test_neardup_kept_docs_broadcast_matches_shuffle(ray_session,
     want = sorted([c * 5 for c in range(100)] + list(range(500, 520)))
     kept_b = sorted(r["doc_id"] for r in
                     dedup.neardup_kept_docs(docs, comp).take_all())
-    monkeypatch.setattr(dedup, "LOOKUP_BROADCAST_ROWS", 10)
+    monkeypatch.setattr(relational, "BROADCAST_ROWS", 10)
     kept_s = dedup.neardup_kept_docs(docs, comp).to_pandas()
     assert kept_b == sorted(kept_s.doc_id) == want
     assert list(kept_s.columns) == ["doc_id", "text"]
@@ -628,7 +628,7 @@ def test_verifiers_broadcast_match_shuffle_sf01(ray_session, monkeypatch):
     import pyarrow.parquet as pq
     import ray.data
 
-    from pdf_inspector_ray.functions import dedup
+    from pdf_inspector_ray.functions import dedup, relational
 
     sf = "/root/testdata/sf0.1"
     docs_t = pq.read_table(f"{sf}/documents.parquet",
@@ -671,9 +671,9 @@ def test_verifiers_broadcast_match_shuffle_sf01(ray_session, monkeypatch):
             return sorted(map(tuple, df[["doc_a", "doc_b", col]]
                               .values.tolist()))
 
-        monkeypatch.setattr(dedup, "LOOKUP_BROADCAST_ROWS", 1_000_000)
+        monkeypatch.setattr(relational, "BROADCAST_ROWS", 1_000_000)
         bc = canon(verify(cands))
-        monkeypatch.setattr(dedup, "LOOKUP_BROADCAST_ROWS", 0)
+        monkeypatch.setattr(relational, "BROADCAST_ROWS", 0)
         sh_rows = canon(verify(cands))
         assert bc == sh_rows == want and want, col
 
@@ -696,59 +696,163 @@ def _join_sides():
     return left, right
 
 
-def test_hash_join_inner_matches_duckdb(ray_session):
+def _join_plans(monkeypatch, relational):
+    """Run the loop body once per hash_join plan: the broadcast (every
+    test right side fits BROADCAST_ROWS) and the forced shuffle."""
+    for limit in (relational.BROADCAST_ROWS, 0):
+        monkeypatch.setattr(relational, "BROADCAST_ROWS", limit)
+        yield limit
+
+
+def test_hash_join_inner_matches_duckdb(ray_session, monkeypatch):
+    """Inner joins equal their DuckDB twin on both plans: an int key with
+    duplicate right keys (many-to-many), int32 against int64 keys, a
+    string key, a two-column key (also int32 against int64), a float64
+    right key against an int64 left key (the shuffle must hash both in
+    the left key type), and a ``list<float>`` payload (Acero rejects it
+    as a non-key field)."""
     import duckdb
     import ray.data
-    from pdf_inspector_ray.functions.relational import hash_join
+    from pdf_inspector_ray.functions import relational
 
     left, right = _join_sides()
-    out = hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
-                    on="okey", right_on="lkey", num_partitions=8).to_pandas()
+    rng = np.random.default_rng(5)
+    many = pa.table({  # every key repeats on both sides
+        "mk": pa.array(rng.integers(0, 7, 60), pa.int64()),
+        "mv": pa.array(np.arange(60), pa.int64())})
+    many_r = pa.table({
+        "mrk": pa.array(rng.integers(3, 10, 40), pa.int64()),
+        "mrv": pa.array(np.arange(40), pa.int64())})
+    skey = pa.table({"name": [f"n{i % 13}" for i in range(50)] + [None],
+                     "sv": pa.array(range(51), pa.int64())})
+    skey_r = pa.table({"rname": [f"n{i}" for i in range(5, 20)] + ["n5"],
+                       "rsv": pa.array(range(16), pa.int64())})
+    two = pa.table({"a": pa.array([i % 4 for i in range(40)], pa.int64()),
+                    "b": [f"b{i % 3}" for i in range(40)],
+                    "tv": pa.array(range(40), pa.int64())})
+    two_r = pa.table({"ra": pa.array([i % 5 for i in range(30)], pa.int64()),
+                      "rb": [f"b{i % 2}" for i in range(30)],
+                      "rtv": pa.array(range(30), pa.int64())})
+    vec_r = pa.table({
+        "vk": pa.array(range(20, 120, 2), pa.int64()),
+        "emb": pa.array([[float(i), -1.0] for i in range(20, 120, 2)],
+                        pa.list_(pa.float32()))})
+    narrow = left.set_column(0, "okey", left["okey"].cast(pa.int32()))
+    wide = right.set_column(0, "lkey", right["lkey"].cast(pa.float64()))
+    two32 = pa.table({"a": pa.array([i % 4 for i in range(40)], pa.int32()),
+                      "c": pa.array([i % 3 for i in range(40)], pa.int32()),
+                      "tv": pa.array(range(40), pa.int64())})
+    two64_r = pa.table({"ra": pa.array([i % 5 for i in range(30)], pa.int64()),
+                        "rc": pa.array([i % 2 for i in range(30)], pa.int64()),
+                        "rtv": pa.array(range(30), pa.int64())})
+    cases = [  # left, right, on, right_on, twin
+        (left, right, "okey", "lkey",
+         "SELECT okey, priority, amount FROM l JOIN r ON okey = lkey"),
+        (narrow, right, "okey", "lkey",  # int32 against int64 keys
+         "SELECT okey, priority, amount FROM l JOIN r ON okey = lkey"),
+        (many, many_r, "mk", "mrk",
+         "SELECT mk, mv, mrv FROM l JOIN r ON mk = mrk"),
+        (skey, skey_r, "name", "rname",
+         "SELECT name, sv, rsv FROM l JOIN r ON name = rname"),
+        (two, two_r, ["a", "b"], ["ra", "rb"],
+         "SELECT a, b, tv, rtv FROM l JOIN r ON a = ra AND b = rb"),
+        (two32, two64_r, ["a", "c"], ["ra", "rc"],  # int32 against int64
+         "SELECT a, c, tv, rtv FROM l JOIN r ON a = ra AND c = rc"),
+        (left, wide, "okey", "lkey",  # int64 against float64 keys
+         "SELECT okey, priority, amount FROM l JOIN r ON okey = lkey"),
+        (left, vec_r, "okey", "vk",
+         "SELECT okey, priority, emb FROM l JOIN r ON okey = vk"),
+    ]
     con = duckdb.connect()
-    con.register("l", left)
-    con.register("r", right)
-    exp = con.execute("""
-        SELECT okey, priority, amount FROM l JOIN r ON okey = lkey
-    """).df()
-    key = lambda df: sorted(map(tuple, df[["okey", "priority", "amount"]]
-                                .values.tolist()))
-    assert key(out) == key(exp)
-    assert len(out) == 240  # keys 20..99 x 3
+
+    def rows(df):
+        return sorted(tuple(tuple(v) if isinstance(v, (list, np.ndarray))
+                            else v for v in r) for r in df.values.tolist())
+
+    for _ in _join_plans(monkeypatch, relational):
+        for lt, rt, on, right_on, sql in cases:
+            con.register("l", lt)
+            con.register("r", rt)
+            exp = con.execute(sql).df()
+            out = relational.hash_join(
+                ray.data.from_arrow(lt).repartition(3),
+                ray.data.from_arrow(rt), on=on, right_on=right_on,
+                num_partitions=8).to_pandas()
+            assert rows(out[list(exp.columns)]) == rows(exp) and len(exp)
+        assert len(relational.hash_join(
+            ray.data.from_arrow(left), ray.data.from_arrow(right),
+            on="okey", right_on="lkey", num_partitions=8).to_pandas()) \
+            == 240  # keys 20..99 x 3
 
 
-def test_hash_join_outer_semi_anti(ray_session):
+def test_hash_join_outer_semi_anti(ray_session, monkeypatch):
     import ray.data
-    from pdf_inspector_ray.functions.relational import hash_join
+    from pdf_inspector_ray.functions import relational
 
-    left, right = _join_sides()
+    left, full = _join_sides()
 
-    louter = hash_join(ray.data.from_arrow(left),
-                       ray.data.from_arrow(right), on="okey",
-                       right_on="lkey", join_type="left outer",
-                       num_partitions=8).to_pandas()
-    # unmatched left keys 0..19 appear once with null amount
-    unmatched = louter[louter["amount"].isna()]
-    assert sorted(unmatched["okey"]) == list(range(20))
-    assert len(louter) == 240 + 20
+    def join(jt):
+        return relational.hash_join(
+            ray.data.from_arrow(left), ray.data.from_arrow(right),
+            on="okey", right_on="lkey", join_type=jt,
+            num_partitions=8).to_pandas()
 
-    semi = hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
-                     on="okey", right_on="lkey", join_type="left semi",
-                     num_partitions=8).to_pandas()
-    assert sorted(semi["okey"]) == list(range(20, 100))
-    assert list(semi.columns) == ["okey", "priority"]
+    # the full right side (300 rows) outnumbers the left (100), so the
+    # kernel builds on the left; its first 60 rows (keys 20..39) do not
+    for right, hit in ((full, range(20, 100)), (full.slice(0, 60),
+                                                 range(20, 40))):
+        miss = sorted(set(range(100)) - set(hit))
+        for limit in _join_plans(monkeypatch, relational):
+            louter = join("left outer")
+            # unmatched left keys appear once with null amount
+            unmatched = louter[louter["amount"].isna()]
+            assert sorted(unmatched["okey"]) == miss, limit
+            assert len(louter) == 3 * len(hit) + len(miss), limit
 
-    anti = hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
-                     on="okey", right_on="lkey", join_type="left anti",
-                     num_partitions=8).to_pandas()
-    assert sorted(anti["okey"]) == list(range(20))
+            semi = join("left semi")
+            assert sorted(semi["okey"]) == list(hit), limit
+            assert list(semi.columns) == ["okey", "priority"], limit
+
+            anti = join("left anti")
+            assert sorted(anti["okey"]) == miss, limit
 
 
-def test_hash_join_salted_matches_unsalted(ray_session):
+def test_hash_join_null_left_keys_kept_by_outer_and_anti(ray_session,
+                                                        monkeypatch):
+    """A null left key matches nothing, so ``left outer`` and ``left
+    anti`` keep its row, as DuckDB's LEFT JOIN and NOT EXISTS do; null
+    right keys are dropped. On both plans."""
+    import ray.data
+    from pdf_inspector_ray.functions import relational
+
+    left = pa.table({"k": pa.array([1, None, 3], pa.int64()),
+                     "lv": ["a", "b", "c"]})
+    right = pa.table({"rk": pa.array([1, None], pa.int64()),
+                      "rv": pa.array([10, 99], pa.int64())})
+    for limit in _join_plans(monkeypatch, relational):
+        def join(jt):
+            return relational.hash_join(
+                ray.data.from_arrow(left), ray.data.from_arrow(right),
+                on="k", right_on="rk", join_type=jt,
+                num_partitions=4).to_pandas().sort_values("lv")
+
+        anti = join("left anti")
+        assert anti.lv.tolist() == ["b", "c"], limit
+        outer = join("left outer")
+        assert outer.lv.tolist() == ["a", "b", "c"], limit
+        assert outer.rv.fillna(-1).tolist() == [10, -1, -1], limit
+
+
+def test_hash_join_salted_matches_unsalted(ray_session, monkeypatch):
     """Skew salting must not change ANY allowed join's result: hot left
     rows spread over salt sub-partitions, hot right rows replicate into
-    all of them, so every pair still meets exactly once."""
+    all of them, so every pair still meets exactly once. Salting is a
+    shuffle-plan feature, so the shuffle is forced."""
     import ray.data
+    from pdf_inspector_ray.functions import relational
     from pdf_inspector_ray.functions.relational import hash_join
+
+    monkeypatch.setattr(relational, "BROADCAST_ROWS", 0)
 
     rng = np.random.default_rng(29)
     # 70% of left rows hit key 42 (the hot key); right has multiplicity 3
@@ -777,22 +881,27 @@ def test_hash_join_salted_matches_unsalted(ray_session):
             plain.sort_values(cols).reset_index(drop=True),
             salted.sort_values(cols).reset_index(drop=True))
 
-    with pytest.raises(ValueError, match="replicates"):
+    with pytest.raises(ValueError, match="replicated right side"):
         hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
                   on="k", right_on="rk", join_type="right outer",
                   hot_keys=[42])
 
 
-def test_hash_join_salting_balances_zipf_skew(ray_session):
+def test_hash_join_salting_balances_zipf_skew(ray_session, monkeypatch):
     """VERDICT r3 #6: at real Zipf skew (hottest key ≈30% of rows) the
     salted exchange must (a) produce the identical result and (b) cut
     the hottest partition's row share by ≈ the salt factor. The spread
     is computed with the join's own partitioner constants
-    (relational.PART_MULT/SALT_MULT), so it measures the real exchange."""
+    (relational.PART_MULT/SALT_MULT), so it measures the real exchange;
+    the shuffle plan is forced, as the right side would fit a
+    broadcast."""
     import ray.data
+    from pdf_inspector_ray.functions import relational
     from pdf_inspector_ray.functions.relational import (PART_MULT,
                                                         SALT_MULT,
                                                         hash_join)
+
+    monkeypatch.setattr(relational, "BROADCAST_ROWS", 0)
 
     rng = np.random.default_rng(97)
     n = 60_000
@@ -841,14 +950,25 @@ def test_hash_join_salting_balances_zipf_skew(ray_session):
     assert max_salted < max_plain / 2
 
 
-def test_hash_join_column_collision_raises(ray_session):
+def test_hash_join_column_collision_raises(ray_session, monkeypatch):
+    """A name clash raises at call time when the left schema is known. A
+    left side built by ``map_batches`` has no schema until it runs; its
+    clash still raises, in the join task, on both plans."""
     import ray.data
+    from pdf_inspector_ray.functions import relational
     from pdf_inspector_ray.functions.relational import hash_join
 
-    left, _ = _join_sides()
+    left, right = _join_sides()
     with pytest.raises(ValueError, match="disjoint"):
         hash_join(ray.data.from_arrow(left), ray.data.from_arrow(left),
                   on="okey")
+    clash = right.append_column("priority", right["amount"])
+    for limit in _join_plans(monkeypatch, relational):
+        mapped = ray.data.from_arrow(left).map_batches(
+            lambda b: b, batch_format="pyarrow")
+        with pytest.raises(Exception, match="disjoint"):
+            hash_join(mapped, ray.data.from_arrow(clash), on="okey",
+                      right_on="lkey", num_partitions=4).take_all()
 
 
 def test_order_priority_revenue_matches_duckdb(ray_session):
@@ -878,6 +998,31 @@ def test_order_priority_revenue_matches_duckdb(ray_session):
     out = out.sort_values("o_orderpriority").reset_index(drop=True)
     assert list(out["o_orderpriority"]) == list(exp["o_orderpriority"])
     assert np.allclose(out["revenue"], exp["revenue"], atol=0.02)
+
+
+def test_order_priority_revenue_broadcast_matches_shuffle(ray_session,
+                                                         monkeypatch):
+    """The TPC-H large-join family: orders ⋈ lineitem revenue at sf0.01
+    gives the same rows on both hash_join plans."""
+    import os
+
+    import ray.data
+    from pdf_inspector_ray.functions import relational
+
+    sf = "/root/testdata/sf0.01"
+    outs = []
+    for _ in _join_plans(monkeypatch, relational):
+        orders = ray.data.read_parquet(
+            os.path.join(sf, "orders.parquet"),
+            columns=["o_orderkey", "o_orderpriority"])
+        lineitem = ray.data.read_parquet(
+            os.path.join(sf, "lineitem.parquet"),
+            columns=["l_orderkey", "l_extendedprice", "l_discount"])
+        outs.append(relational.order_priority_revenue(
+            orders, lineitem, num_partitions=16).to_pandas()
+            .sort_values("o_orderpriority").reset_index(drop=True))
+    assert len(outs[0]) == 5
+    pd.testing.assert_frame_equal(outs[0], outs[1])
 
 
 def test_revenue_by_nation_matches_duckdb(ray_session):
@@ -2684,7 +2829,7 @@ def test_neardup_best_docs_picks_argmax(ray_session, monkeypatch):
     n_chars DESC, doc_id ASC) argmax per component — NOT the min id —
     on both lookup-join branches (broadcast, forced shuffle)."""
     import ray.data
-    from pdf_inspector_ray.functions import dedup
+    from pdf_inspector_ray.functions import relational
     from pdf_inspector_ray.functions.dedup import (connected_components,
                                                    neardup_best_docs)
 
@@ -2705,7 +2850,7 @@ def test_neardup_best_docs_picks_argmax(ray_session, monkeypatch):
     kept = sorted(r["doc_id"] for r in
                   neardup_best_docs(docs, comp, scores).take_all())
     assert kept == [3, 5, 11, 99]
-    monkeypatch.setattr(dedup, "LOOKUP_BROADCAST_ROWS", 0)
+    monkeypatch.setattr(relational, "BROADCAST_ROWS", 0)
     kept_s = sorted(r["doc_id"] for r in
                     neardup_best_docs(docs, comp, scores).take_all())
     assert kept_s == kept
@@ -2713,7 +2858,7 @@ def test_neardup_best_docs_picks_argmax(ray_session, monkeypatch):
 
 def test_neardup_best_docs_pair_free_corpus(ray_session):
     """Zero verified pairs -> schema-less empty components dataset ->
-    every doc is kept (regression: _attach_side_column crashed on
+    every doc is kept (regression: the lookup join crashed on
     schema()=None)."""
     import ray.data
     from pdf_inspector_ray.functions.dedup import (connected_components,
@@ -3484,10 +3629,12 @@ def test_revenue_by_brand_cents_exact(ray_session):
     assert out.n_lines.tolist() == want.n.tolist()
 
 
-def test_supplier_revenue_broadcast_dims(ray_session):
+def test_supplier_revenue_broadcast_dims(ray_session, monkeypatch):
+    """The dimension-join family: the driver-joined supplier ⋈ nation
+    dimension gives the DuckDB twin's rows on both hash_join plans."""
     import duckdb
     import ray.data
-    from pdf_inspector_ray.functions.relational import supplier_revenue
+    from pdf_inspector_ray.functions import relational
 
     rng = np.random.default_rng(73)
     n_lines = 600
@@ -3506,9 +3653,6 @@ def test_supplier_revenue_broadcast_dims(ray_session):
             np.round(rng.uniform(1, 500, n_lines), 2)),
         "l_discount": pa.array(np.round(rng.uniform(0, 0.1, n_lines), 2)),
     })
-    out = (supplier_revenue(ray.data.from_arrow(lineitem).repartition(4),
-                            supplier, nation)
-           .to_pandas().sort_values("s_suppkey").reset_index(drop=True))
     con = duckdb.connect()
     con.register("supplier", supplier)
     con.register("nation", nation)
@@ -3523,11 +3667,16 @@ def test_supplier_revenue_broadcast_dims(ray_session):
         JOIN supplier s ON l.l_suppkey = s.s_suppkey
         JOIN nation n ON s.s_nationkey = n.n_nationkey
         GROUP BY 1, 2, 3 ORDER BY 1""").df()
-    assert out.s_suppkey.tolist() == want.s_suppkey.tolist()
-    assert out.s_name.tolist() == want.s_name.tolist()
-    assert out.n_name.tolist() == want.n_name.tolist()
-    assert out.revenue_cents.tolist() == want.cents.tolist()
-    assert out.n_lines.tolist() == want.n.tolist()
+    for limit in _join_plans(monkeypatch, relational):
+        out = (relational.supplier_revenue(
+                   ray.data.from_arrow(lineitem).repartition(4),
+                   supplier, nation)
+               .to_pandas().sort_values("s_suppkey").reset_index(drop=True))
+        assert out.s_suppkey.tolist() == want.s_suppkey.tolist(), limit
+        assert out.s_name.tolist() == want.s_name.tolist(), limit
+        assert out.n_name.tolist() == want.n_name.tolist(), limit
+        assert out.revenue_cents.tolist() == want.cents.tolist(), limit
+        assert out.n_lines.tolist() == want.n.tolist(), limit
 
 
 def test_daily_event_deltas_gap_is_a_drop(ray_session):

@@ -2,9 +2,9 @@
 BASELINE.md.
 
 - join (VERDICT r3 #6): joins a Zipf-skewed left table (hottest key ~30%
-  of rows) against a dimension table with and without ``hot_keys``
-  salting, reports wall time and the exchange's per-partition row
-  spread under both plans.
+  of rows) against a dimension table on ``hash_join``'s shuffle plan
+  (forced) with and without ``hot_keys`` salting, reports wall time and
+  the exchange's per-partition row spread under both plans.
 - sweep: ``session_windows`` over Zipf(1.25) users on an events table,
   through ``partitioned_sweep``; reports wall time and the largest ÷
   mean rows of its ``JOIN_PARTITIONS`` hash partitions.
@@ -45,9 +45,14 @@ def main() -> None:
 def join_probe(n: int, cpus: int) -> None:
     import ray.data
 
+    from pdf_inspector_ray.functions import relational
     from pdf_inspector_ray.functions.relational import (PART_MULT,
                                                         SALT_MULT,
                                                         hash_join)
+
+    # the dimension side would fit a broadcast; salting is a shuffle
+    # feature, so force the shuffle plan
+    relational.BROADCAST_ROWS = 0
 
     rng = np.random.default_rng(97)
     zipf = rng.zipf(1.25, size=n)
