@@ -15,14 +15,14 @@ Shape (scale-first):
    document's text lives in ONE row, so a per-batch ``group_by`` distinct
    over (gram, doc) pairs is already globally distinct — no pre-shuffle
    dedup pass needed.
-2. One all-to-all exchange co-partitions gram rows by a 64-bit gram hash
-   (polars xxhash, seed-pinned — deterministic across workers). The hash
-   is only a ROUTER: equality inside a partition is decided on the gram
-   strings themselves (dictionary encode), so hash collisions merely
-   co-locate two grams and can never fabricate a contamination hit.
-   ``num_partitions`` bounds per-task memory, one UDF call per coarse
-   partition (not per gram — same discipline as ``dedup``'s
-   ``PAIR_PARTITIONS``).
+2. One ``relational.keyed_exchange`` on the gram co-partitions gram
+   rows (the library's one keyed exchange; its row hash is seed-pinned,
+   so deterministic across workers). The hash is only a ROUTER: equality
+   inside a partition is decided on the gram strings themselves
+   (dictionary encode), so hash collisions merely co-locate two grams
+   and can never fabricate a contamination hit. ``num_partitions``
+   bounds per-task memory, one UDF call per coarse partition (not per
+   gram).
 3. Inside a partition every gram's rows are together: a gram is
    *contaminating* iff it has ≥1 eval row; each train row of such a gram
    is one hit. The sweep is numpy boolean indexing over dictionary codes,
@@ -49,6 +49,8 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from pdf_inspector_ray.functions.relational import keyed_exchange
 
 GRAM_PARTITIONS = 256
 
@@ -114,8 +116,8 @@ def _bloom_test(bitmap: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 
 def _gram_hash(grams: pa.Array) -> np.ndarray:
-    """Seed-pinned 64-bit gram hash (polars xxhash) — the same basis
-    routes partitions and probes the Bloom prescreen."""
+    """Seed-pinned 64-bit gram hash (polars xxhash): the Bloom
+    prescreen's basis, and ``jaccard_prefix_candidates``' bucket key."""
     import polars as pl
     return pl.from_arrow(grams).hash(seed=0).to_numpy()
 
@@ -206,16 +208,13 @@ def contaminated_train_docs(ds, k: int = 5, train_bp: int = 8000,
         })
         # distinct (doc, gram) pairs — global because one doc = one row
         t = t.group_by(["doc_id", "gram", "is_eval"]).aggregate([])
-        h = _gram_hash(t["gram"].combine_chunks())
         if bloom_ref is not None and t.num_rows:
             import ray
-            bitmap = ray.get(bloom_ref)
-            maybe = _bloom_test(bitmap,
-                                _bloom_positions(h, m_bits, n_hashes))
-            keep = maybe | t["is_eval"].to_numpy(zero_copy_only=False)
-            t, h = t.filter(pa.array(keep)), h[keep]
-        part = (h % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("__part", pa.array(part, pa.int32()))
+            maybe = _bloom_test(ray.get(bloom_ref), _bloom_positions(
+                _gram_hash(t["gram"].combine_chunks()), m_bits, n_hashes))
+            t = t.filter(pa.array(
+                maybe | t["is_eval"].to_numpy(zero_copy_only=False)))
+        return t
 
     def per_part(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
@@ -232,6 +231,6 @@ def contaminated_train_docs(ds, k: int = 5, train_bp: int = 8000,
                     .rename_columns(["doc_id", "hits"]))
 
     from ray.data.aggregate import Sum
-    return (ds.map_batches(to_rows, batch_format="pyarrow")
-              .groupby("__part").map_groups(per_part, batch_format="pyarrow")
+    return (keyed_exchange(ds.map_batches(to_rows, batch_format="pyarrow"),
+                           "gram", per_part, num_partitions)
               .groupby("doc_id").aggregate(Sum("hits", alias_name="n_hits")))

@@ -6,8 +6,9 @@ Scale design (100 TB):
   the digest keeps the min doc_id per digest. One shuffle, keys are
   uniform digests → no skew.
 * MinHash/SimHash/embedding-LSH — signature per doc (map_batches, numpy),
-  ``flat_map`` to (band_hash, doc_id) bucket rows, ``groupby`` bucket,
-  emit candidate pairs per bucket, dedupe pairs, then verify candidates
+  ``flat_map`` to (band_hash, doc_id) bucket rows, ``keyed_exchange`` on
+  the bucket, emit candidate pairs per bucket, dedupe pairs (a second
+  ``keyed_exchange``, on the pair), then verify candidates
   exactly (Jaccard / hamming / cosine). Buckets are hashes → uniform; the
   only skew risk is a giant duplicate cluster, capped by MAX_BUCKET.
 * verification, connected components and the kept-docs filter attach
@@ -26,8 +27,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from pdf_inspector_ray.functions.relational import (grouped_topk, hash_join,
-                                                    key_partition)
+from pdf_inspector_ray.functions.relational import (_run_start, _sorted_runs,
+                                                    grouped_topk, hash_join,
+                                                    keyed_exchange,
+                                                    partitioned_sweep)
 
 MAX_BUCKET = 256  # cap pair expansion in a pathological bucket (logged)
 
@@ -175,10 +178,11 @@ class MinHashSignatures:
         })
 
 
-# Coarse hash partitions for the pair machinery: a groupby on the RAW
-# bucket/pair key makes Ray call the group UDF once per tiny group (tens of
-# thousands of Python calls); grouping on hash(key) % P instead co-locates
-# whole key families so each UDF call processes ~n/P rows vectorized.
+# Coarse hash partitions for the pair machinery. Every bucket, pair, gram
+# and doc exchange here is a ``keyed_exchange``: a groupby on the RAW key
+# would make Ray call the group UDF once per tiny group (tens of thousands
+# of Python calls), while one call per partition processes ~n/P rows
+# vectorized.
 PAIR_PARTITIONS = 256
 
 
@@ -188,15 +192,6 @@ def _bucket_key(band: int, payload48: int) -> int:
     fully vectorized (the old string keys cost a Python crc32 per bucket
     ROW — one per (doc, band) — in the shuffle's map side)."""
     return (band << 48) | (payload48 & ((1 << 48) - 1))
-
-
-def _add_bucket_part(batch: pa.Table) -> pa.Table:
-    key = batch["bucket"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        part = (((key ^ (key >> np.uint64(29))) * np.uint64(2654435761))
-                % np.uint64(PAIR_PARTITIONS)).astype(np.int32)
-    return batch.append_column(pa.field("part", pa.int32()),
-                               pa.array(part, pa.int32()))
 
 
 _EMPTY_PAIRS = pa.table({"doc_a": pa.array([], pa.int64()),
@@ -325,33 +320,21 @@ def _bucket_pairs(buckets_ds, n_chunks: int = 8,
     import functools
     fn = functools.partial(_pairs_from_bucket_block, n_chunks=n_chunks,
                            own_band_width=own_band_width)
-    pairs = (buckets_ds.map_batches(_add_bucket_part, batch_format="pyarrow")
-                       .groupby("part")
-                       .map_groups(fn, batch_format="pyarrow"))
-    return _dedupe_pairs(pairs)
+    return _dedupe_pairs(
+        keyed_exchange(buckets_ds, "bucket", fn, PAIR_PARTITIONS))
 
 
 def _dedupe_pairs(pairs_ds):
     """Drop duplicate (doc_a, doc_b) rows produced by multiple bands/tables:
-    coarse-partition groupby, then a vectorized arrow distinct per block."""
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        a = batch["doc_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = batch["doc_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            part = ((a * np.uint64(2654435761) + b)
-                    % np.uint64(PAIR_PARTITIONS)).astype(np.int32)
-        return batch.append_column(pa.field("part", pa.int32()),
-                                   pa.array(part, pa.int32()))
+    a ``keyed_exchange`` on the pair, then a vectorized arrow distinct per
+    partition."""
 
     def distinct(group: pa.Table) -> pa.Table:
         return (group.select(["doc_a", "doc_b"])
                      .group_by(["doc_a", "doc_b"]).aggregate([]))
 
-    return (pairs_ds.map_batches(add_part, batch_format="pyarrow")
-                    .groupby("part")
-                    .map_groups(distinct, batch_format="pyarrow")
-                    .select_columns(["doc_a", "doc_b"]))
+    return keyed_exchange(pairs_ds, ["doc_a", "doc_b"], distinct,
+                          PAIR_PARTITIONS)
 
 
 def minhash_lsh_candidates(ds, num_perm: int = 128, bands: int = 32,
@@ -768,33 +751,30 @@ def neardup_best_docs(docs_ds, components, score_ds,
     Scores must be integer columns (exact comparisons, hash-stable
     twins). Dataflow: the (edge-sized) components attach their scores in
     one left-outer ``hash_join`` — only component members, never
-    the corpus, pay the join — then ONE tiny groupby(label) picks the
-    winner per component and emits the losers as dropped ids, applied
-    with the same ``_mask_dropped_ids`` tail as ``neardup_kept_docs``. At
-    100 TB every exchange here is bounded by the verified-pair set, not
-    the corpus."""
+    the corpus, pay the join — then one ``partitioned_sweep`` over the
+    label, ordered by the scores DESC and the id, emits every member but
+    each component's first as dropped ids (``grouped_topk``'s
+    complement), applied with the same ``_mask_dropped_ids`` tail as
+    ``neardup_kept_docs``. At 100 TB every exchange here is bounded by
+    the verified-pair set, not the corpus."""
     cols = tuple(score_columns)
     labeled = hash_join(components,
                         score_ds.select_columns([id_column, *cols]),
                         on="node", right_on=id_column, join_type="left outer")
 
-    def pick_dropped(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({"node": pa.array([], pa.int64())})
-        node = group["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        keys = [node]
-        # np.lexsort sorts by the LAST key first: append scores in
-        # reverse so the FIRST score column is the primary sort, negated
-        # for DESC; a missing score (doc absent from score_ds) sorts
-        # last via -1.
-        for col in reversed(cols):
-            s = pc.fill_null(group[col], -1)
-            keys.append(-s.to_numpy(zero_copy_only=False).astype(np.int64))
-        order = np.lexsort(tuple(keys))
-        return pa.table({"node": pa.array(node[order[1:]], pa.int64())})
+    def fill_missing(batch: pa.Table) -> pa.Table:
+        # a missing score (doc absent from score_ds) sorts last via -1
+        return pa.table({"label": batch["label"], "node": batch["node"],
+                         **{c: pc.fill_null(batch[c], -1) for c in cols}})
 
-    dropped_ds = (labeled.groupby("label")
-                         .map_groups(pick_dropped, batch_format="pyarrow"))
+    def dropped(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        rank = np.arange(g.num_rows) - _run_start(starts, g.num_rows)
+        return pa.table({"node": pc.cast(g["node"], pa.int64())
+                         .filter(pa.array(rank > 0))})
+
+    dropped_ds = partitioned_sweep(
+        labeled.map_batches(fill_missing, batch_format="pyarrow"), "label",
+        [(c, "descending") for c in cols] + ["node"], dropped)
     return _mask_dropped_ids(docs_ds, dropped_ds, id_column=id_column)
 
 
@@ -922,13 +902,6 @@ def jaccard_prefix_candidates(ds, threshold: float = 0.8, k: int = 3,
 
     from pdf_inspector_ray.functions.decontam import _gram_hash
 
-    def to_rows(batch: pa.Table) -> pa.Table:
-        t = _doc_gram_rows(batch, text_column, id_column, k)
-        h = (_gram_hash(t["gram"].combine_chunks()) if t.num_rows
-             else np.zeros(0, dtype=np.uint64))
-        part = (h % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("__part", pa.array(part, pa.int32()))
-
     _ROWS_SCHEMA = pa.schema([(id_column, pa.int64()),
                               ("gram", pa.string()), ("sz", pa.int64()),
                               ("df", pa.int64())])
@@ -946,60 +919,30 @@ def jaccard_prefix_candidates(ds, threshold: float = 0.8, k: int = 3,
             "df": pa.array(df[codes], pa.int64()),
         })
 
-    def add_doc_part(batch: pa.Table) -> pa.Table:
-        part = key_partition(batch[id_column], num_partitions)
-        return batch.append_column("__dpart", pa.array(part, pa.int32()))
-
-    _PREFIX_SCHEMA = pa.schema([("doc_id", pa.int64()),
-                                ("bucket", pa.uint64()),
-                                ("sz", pa.int64())])
-
-    def prefix_rows(group: pa.Table) -> pa.Table:
-        """Per doc-partition: keep each doc's df-order prefix. The
-        (doc, df, gram) multi-key sort runs in Arrow C++ — gram strings
-        never materialize into Python."""
-        if group.num_rows == 0:
-            return _PREFIX_SCHEMA.empty_table()
-        order = pc.sort_indices(group, sort_keys=[
-            (id_column, "ascending"), ("df", "ascending"),
-            ("gram", "ascending")])  # global order = (df asc, gram asc)
-        g = group.take(order)
-        doc = g[id_column].to_numpy(zero_copy_only=False)
+    def prefix_rows(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        """Per doc-partition, sorted by (doc, df, gram) — the global
+        order is (df asc, gram asc) — keep each doc's prefix. The sort
+        runs in Arrow C++: gram strings never materialize into Python."""
+        rank = np.arange(g.num_rows) - _run_start(starts, g.num_rows)
         sz = g["sz"].to_numpy(zero_copy_only=False)
-        run_start = np.flatnonzero(np.concatenate(
-            [[True], doc[1:] != doc[:-1]]))
-        rank = np.arange(len(doc)) - np.repeat(
-            run_start,
-            np.diff(np.concatenate([run_start, [len(doc)]])))
-        p = sz - np.ceil(threshold * sz) + 1
-        kept = g.filter(pa.array(rank < p))
-        h = _gram_hash(kept["gram"].combine_chunks())
+        kept = g.filter(pa.array(rank < sz - np.ceil(threshold * sz) + 1))
         return pa.table({
             "doc_id": pc.cast(kept[id_column], pa.int64()),
-            "bucket": pa.array(h, pa.uint64()),
+            "bucket": pa.array(_gram_hash(kept["gram"].combine_chunks()),
+                               pa.uint64()),
             "sz": pc.cast(kept["sz"], pa.int64()),
         })
 
-    rows = (ds.map_batches(to_rows, batch_format="pyarrow")
-              .groupby("__part").map_groups(with_df,
-                                            batch_format="pyarrow")
-              .map_batches(add_doc_part, batch_format="pyarrow")
-              .groupby("__dpart").map_groups(prefix_rows,
-                                             batch_format="pyarrow"))
-
-    def block_part(batch: pa.Table) -> pa.Table:
-        key = batch["bucket"].to_numpy(
-            zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            part = (((key ^ (key >> np.uint64(29)))
-                     * np.uint64(2654435761))
-                    % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("part", pa.array(part, pa.int32()))
-
+    grams = keyed_exchange(
+        ds.map_batches(_doc_gram_rows, fn_args=(text_column, id_column, k),
+                       batch_format="pyarrow"),
+        "gram", with_df, num_partitions)
+    rows = keyed_exchange(
+        grams, id_column,
+        lambda g: prefix_rows(*_sorted_runs(g, [id_column], ["df", "gram"])),
+        num_partitions)
     expand = functools.partial(_prefix_pairs_block, threshold=threshold)
-    pairs = (rows.map_batches(block_part, batch_format="pyarrow")
-                 .groupby("part").map_groups(expand,
-                                             batch_format="pyarrow"))
+    pairs = keyed_exchange(rows, "bucket", expand, num_partitions)
     return _dedupe_pairs(pairs)
 
 
@@ -1056,15 +999,17 @@ def prefix_contained_docs(ds, text_column: str = "text",
     document and should be dropped.
 
     Dataflow: bucket by the first ``min_len`` codepoints (a strict
-    prefix pair necessarily shares them, so the bucket groupby is an
-    exact candidate partition — no recall loss); within each bucket,
-    sort the UNIQUE texts and test each against only its immediate
-    successor. That adjacency test is exact, not a heuristic: in any
-    lexicographic order, every string strictly between a prefix ``s``
-    and its superstring ``t`` itself starts with ``s``, so ``s`` is a
-    prefix of some bucket-mate iff it is a prefix of its immediate
-    sorted successor. Per-bucket work is O(u log u) on u unique texts
-    (numpy unique + one startswith per adjacent pair), never all-pairs.
+    prefix pair necessarily shares them, so a ``keyed_exchange`` on the
+    bucket is an exact candidate partition — no recall loss); within
+    each partition (every row of one or more buckets), sort the UNIQUE
+    texts and test each against only its immediate successor. That
+    adjacency test is exact for any set of strings, not a heuristic: in
+    any lexicographic order, every string strictly between a prefix
+    ``s`` and its superstring ``t`` itself starts with ``s``, so ``s``
+    is a prefix of some partition-mate iff it is a prefix of its
+    immediate sorted successor. Per-partition work is O(u log u) on u
+    unique texts (numpy unique + one startswith per adjacent pair),
+    never all-pairs.
 
     Docs shorter than ``min_len`` are out of scope (mirror the SQL twin
     with ``len(text) >= min_len``; they're covered by ``exact_dedup``).
@@ -1082,17 +1027,16 @@ def prefix_contained_docs(ds, text_column: str = "text",
                          "doc_id": batch[id_column],
                          "text": batch[text_column]})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("bucket")
-              .map_groups(_prefix_contained_in_bucket,
-                          batch_format="pyarrow"))
+    return keyed_exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                          "bucket", _prefix_contained_in_bucket)
 
 
 def _prefix_contained_in_bucket(group: pa.Table) -> pa.Table:
-    """``prefix_contained_docs``' per-bucket pass: ids whose text is a
-    strict prefix of its sorted unique successor. The successor test runs
-    on the object array (``str.startswith``): a fixed-width U-dtype copy
-    would pad every text to the bucket's longest at 4 bytes/char."""
+    """``prefix_contained_docs``' per-partition pass over whole buckets:
+    ids whose text is a strict prefix of its sorted unique successor.
+    The successor test runs on the object array (``str.startswith``): a
+    fixed-width U-dtype copy would pad every text to the bucket's
+    longest at 4 bytes/char."""
     ids = group["doc_id"].to_numpy(zero_copy_only=False)
     texts = group["text"].to_numpy(zero_copy_only=False)
     uniq, inv = np.unique(texts, return_inverse=True)

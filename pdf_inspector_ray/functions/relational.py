@@ -13,13 +13,17 @@ non-equi join.
 Shuffle discipline: every groupby here pre-aggregates inside map_batches
 (combiner) so the all-to-all exchange moves one row per (batch × key), not
 one per input row. Per-entity work — every op that needs all rows of one
-user, order, customer, conversation, digest or term — goes through one of
-two primitives, never one Python UDF call per key:
+user, order, customer, conversation, digest, term, gram or bucket — goes
+through one of three primitives, never one Python UDF call per key:
 
-* ``partitioned_sweep`` — one ``map_groups`` call per hash partition
-  (``JOIN_PARTITIONS`` of them) of a key of one or more columns of any
-  type, one sort and one vectorized sweep over all keys of that
-  partition; for order-dependent ops.
+* ``keyed_exchange`` — the library's one hash-partition groupby: rows
+  co-locate by ``key_partition`` of a key of one or more columns of any
+  type, and one call per partition (``num_partitions`` of them) sees all
+  rows of each of its keys, unsorted. The join shuffles, the dedup pair
+  machinery and the gram / term exchanges run on it.
+* ``partitioned_sweep`` — ``keyed_exchange`` plus one sort per partition
+  and one vectorized sweep over all keys of that partition; for
+  order-dependent ops.
 * ``grouped_topk`` — the first ``k`` rows per key under an order, with a
   per-batch top-k before the exchange; ``k=1`` is argmin / argmax /
   first-by-ts.
@@ -238,11 +242,16 @@ SALT_MULT = 40503
 def key_partition(key, num_partitions: int = JOIN_PARTITIONS) -> np.ndarray:
     """Coarse hash partition (int32 in ``[0, num_partitions)``) of each
     row's key: one column, or a table of key columns. One integer
-    column takes the Fibonacci hash (``PART_MULT``); a null key hashes
-    as 0, since it would round-trip through numpy as NaN. Any other key
-    (a string column, or several columns) takes polars' row hash pinned
-    to ``seed=0``, which is stable across processes and hashes every
-    null key alike. Either way all null-key rows share one partition."""
+    column takes the Fibonacci hash ``(k·PART_MULT) mod 2^64 mod P``,
+    with ``k`` cast to int64 with wraparound, so a uint64 key of 2^63 or
+    more keeps its bits; a null key hashes as 0, since it would
+    round-trip through numpy as NaN. ``PART_MULT`` is odd, so
+    ``(k·PART_MULT) mod 2^b`` is a permutation of ``k mod 2^b``: for a
+    power-of-two ``P = 2^b`` only the key's low ``b`` bits pick the
+    partition. Any other key (a string column, or several columns)
+    takes polars' row hash pinned to ``seed=0``, which is stable across
+    processes and hashes every null key alike. Either way all null-key
+    rows share one partition."""
     if isinstance(key, pa.Table) and key.num_columns == 1:
         key = key.column(0)
     if isinstance(key, pa.Table) or not pa.types.is_integer(key.type):
@@ -250,11 +259,43 @@ def key_partition(key, num_partitions: int = JOIN_PARTITIONS) -> np.ndarray:
         rows = key if isinstance(key, pa.Table) else pa.table({"k": key})
         h = pl.from_arrow(rows).hash_rows(seed=0).to_numpy()
         return (h % np.uint64(num_partitions)).astype(np.int32)
-    k = pc.fill_null(pc.cast(key, pa.int64()), 0).to_numpy(
+    k = pc.fill_null(pc.cast(key, pa.int64(), safe=False), 0).to_numpy(
         zero_copy_only=False).astype(np.uint64)
     with np.errstate(over="ignore"):
         return ((k * np.uint64(PART_MULT))
                 % np.uint64(num_partitions)).astype(np.int32)
+
+
+def keyed_exchange(ds, key, fn, num_partitions: int = JOIN_PARTITIONS):
+    """The library's one keyed exchange: ``fn`` is called once per hash
+    partition of ``key``, not once per key value, with every row of each
+    of that partition's keys. ``key`` is a column name or a list of
+    names, of any type; rows co-locate by ``key_partition`` of the key
+    columns (``num_partitions`` groups, so the exchange sorts that many
+    distinct values). ``fn`` gets the partition's rows in no particular
+    order and returns a table; every partition's output must share one
+    schema. Partitioning assumption: one partition — about
+    1/``num_partitions`` of the rows, plus any heavy key whole — fits a
+    task.
+
+    ``ds`` may also be a list of datasets of one schema (a join's
+    tagged sides), co-partitioned in the same exchange: each is
+    partitioned before their union, so the partition column is computed
+    in the task of each side's own last map, not in an extra pass."""
+    keys = [key] if isinstance(key, str) else list(key)
+
+    def add_part(batch: pa.Table) -> pa.Table:
+        return batch.append_column("__part", pa.array(
+            key_partition(batch.select(keys), num_partitions), pa.int32()))
+
+    def per_partition(group: pa.Table) -> pa.Table:
+        return fn(group.drop_columns(["__part"]))
+
+    first, *rest = [d.map_batches(add_part, batch_format="pyarrow")
+                    for d in (ds if isinstance(ds, list) else [ds])]
+    return ((first.union(*rest) if rest else first)
+            .groupby("__part")
+            .map_groups(per_partition, batch_format="pyarrow"))
 
 
 def _sorted_runs(t: pa.Table, keys: list[str], order_cols
@@ -275,35 +316,21 @@ def _sorted_runs(t: pa.Table, keys: list[str], order_cols
 
 
 def partitioned_sweep(ds, key, order_cols, kernel):
-    """Sorted per-key sweep with one ``map_groups`` call per hash
-    partition of ``key``, not one per key value. ``key`` is a column
-    name or a list of names, of any type. Rows co-locate by
-    ``key_partition`` (``JOIN_PARTITIONS`` groups, so the exchange
-    sorts that many distinct values), then each partition is sorted by
-    ``(*key, *order_cols)`` once and handed to ``kernel(g, starts)``.
-    ``g`` is the sorted partition; ``starts`` holds the index of each
-    key's first row. Kernels compute per-key results with boundary
-    masks, ``_run_start`` offsets, cumsum differences and ``reduceat``
-    — no Python loop over keys.
+    """Sorted per-key sweep on ``keyed_exchange`` (``JOIN_PARTITIONS``
+    partitions): each partition is sorted by ``(*key, *order_cols)``
+    once and handed to ``kernel(g, starts)``. ``key`` is a column name
+    or a list of names, of any type. ``g`` is the sorted partition;
+    ``starts`` holds the index of each key's first row. Kernels compute
+    per-key results with boundary masks, ``_run_start`` offsets, cumsum
+    differences and ``reduceat`` — no Python loop over keys.
 
     ``order_cols`` are column names sorted ascending, or
     ``(name, "descending")`` pairs; nulls sort last in every column.
     Null keys form ONE key, after all others, as SQL's ``PARTITION BY``
-    groups them; a multi-column key is null-equal column by column.
-    Partitioning assumption: one partition — about 1/``JOIN_PARTITIONS``
-    of the rows, plus any heavy key whole — fits a task."""
+    groups them; a multi-column key is null-equal column by column."""
     keys = [key] if isinstance(key, str) else list(key)
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__part", pa.array(key_partition(batch.select(keys)), pa.int32()))
-
-    def sweep(group: pa.Table) -> pa.Table:
-        return kernel(*_sorted_runs(group.drop_columns(["__part"]), keys,
-                                    order_cols))
-
-    return (ds.map_batches(add_part, batch_format="pyarrow")
-              .groupby("__part").map_groups(sweep, batch_format="pyarrow"))
+    return keyed_exchange(
+        ds, keys, lambda g: kernel(*_sorted_runs(g, keys, order_cols)))
 
 
 def grouped_topk(ds, key, order_cols, k: int):
@@ -480,9 +507,10 @@ def hash_join(left_ds, right_ds, on, right_on=None,
     * more → both sides are tagged, unioned and co-partitioned by
       ``key_partition`` of the key, cast to the left key types
       (``num_partitions`` groups, one all-to-all carrying each side
-      once), then joined per group. ``left_schema`` ([(name, type), …])
-      names the left columns for the union; without it
-      ``Dataset.schema()`` runs a probe of the left side.
+      once, through ``keyed_exchange``), then joined per group.
+      ``left_schema`` ([(name, type), …]) names the left columns for
+      the union; without it ``Dataset.schema()`` runs a probe of the
+      left side.
 
     Both plans run one kernel, ``_join_kernel``. Hand-rolled because
     Ray 2.49's native ``Dataset.join`` loses the schema of an empty
@@ -575,15 +603,15 @@ def hash_join(left_ds, right_ds, on, right_on=None,
                            else pa.nulls(len(batch), typ))
                     for name, typ in union_schema}
             # both sides hash the key in the left key types, so equal
-            # keys of different widths meet in one partition
-            part = key_partition(pa.table(
+            # keys of different widths meet in one slot
+            slot = key_partition(pa.table(
                 [pc.cast(batch[k], t) for k, t in zip(keys, key_types)],
                 names=on), num_partitions)
             with np.errstate(over="ignore"):
-                part = ((part.astype(np.uint64)
+                slot = ((slot.astype(np.uint64)
                          + salt_idx * np.uint64(SALT_MULT))
                         % np.uint64(num_partitions)).astype(np.int32)
-            cols["__part"] = pa.array(part, pa.int32())
+            cols["__slot"] = pa.array(slot, pa.int32())
             cols["__left"] = pa.array(
                 np.full(len(batch), is_left), pa.bool_())
             return pa.table(cols)
@@ -597,11 +625,13 @@ def hash_join(left_ds, right_ds, on, right_on=None,
                                  .select(right_names),
                             on, right_on, join_type)
 
-    tagged = (left_ds.map_batches(tag(True, on), batch_format="pyarrow")
-              .union(right_ds.map_batches(tag(False, right_on),
-                                          batch_format="pyarrow")))
-    return tagged.groupby("__part").map_groups(join_group,
-                                               batch_format="pyarrow")
+    # the exchange hashes the slot once more: PART_MULT is prime, so
+    # key_partition maps the slots [0, P) one-to-one onto the partitions
+    # and each group holds exactly one slot's rows
+    return keyed_exchange(
+        [left_ds.map_batches(tag(True, on), batch_format="pyarrow"),
+         right_ds.map_batches(tag(False, right_on), batch_format="pyarrow")],
+        "__slot", join_group, num_partitions)
 
 
 def range_join(left_ds, right_ds, key: str, left_ts: str,
@@ -613,9 +643,9 @@ def range_join(left_ds, right_ds, key: str, left_ts: str,
     for: attach to each left row the right-side interval
     ``[right_start, right_end]`` of the same ``key`` that contains
     ``left_ts`` (inclusive bounds). Composed as a tagged union
-    co-partitioned by key hash (one all-to-all carrying both sides once)
-    followed by a vectorized ``np.searchsorted`` probe per group — no
-    per-row Python.
+    co-partitioned by ``keyed_exchange`` on the int64-cast key (one
+    all-to-all carrying both sides once) followed by a vectorized
+    ``np.searchsorted`` probe per group — no per-row Python.
 
     Partitioning assumptions (documented per SURVEY §2.7 discipline):
     all intervals+rows of one key meet in one group (same as the asof/
@@ -653,8 +683,6 @@ def range_join(left_ds, right_ds, key: str, left_ts: str,
                            else pa.nulls(len(batch), typ))
                     for name, typ in union_schema}
             cols["__key"] = pc.cast(batch[key], pa.int64())
-            cols["__part"] = pa.array(
-                key_partition(batch[key], num_partitions), pa.int32())
             cols["__left"] = pa.array(np.full(len(batch), is_left), pa.bool_())
             return pa.table(cols)
 
@@ -713,12 +741,11 @@ def range_join(left_ds, right_ds, key: str, left_ts: str,
             out[nm] = matched[nm]
         return pa.table(out) if len(keep_l) else empty
 
-    tagged = (left_ds.map_batches(tag(True, left_schema),
-                                  batch_format="pyarrow")
-              .union(right_ds.map_batches(tag(False, out_right + [(key, dict(right_schema)[key])]),
-                                          batch_format="pyarrow")))
-    return tagged.groupby("__part").map_groups(probe,
-                                               batch_format="pyarrow")
+    right_own = out_right + [(key, dict(right_schema)[key])]
+    return keyed_exchange(
+        [left_ds.map_batches(tag(True, left_schema), batch_format="pyarrow"),
+         right_ds.map_batches(tag(False, right_own), batch_format="pyarrow")],
+        "__key", probe, num_partitions)
 
 
 def order_priority_revenue(orders_ds, lineitem_ds,

@@ -900,48 +900,35 @@ def inverted_index(ds, min_df: int = 2, text_column: str = "text",
     vocabulary-bounded exchange; the per-term sort is vectorized inside
     the term-partition group."""
     from pdf_inspector_ray.functions.decontam import _gram_rows
-    from pdf_inspector_ray.functions.relational import key_partition
+    from pdf_inspector_ray.functions.relational import (_sorted_runs,
+                                                        keyed_exchange)
 
     def partial(batch: pa.Table) -> pa.Table:
         idx, terms = _gram_rows(batch[text_column], 1)
         ids = pc.cast(batch[id_column], pa.int64()).to_numpy(
             zero_copy_only=False)
-        t = (pa.table({"term": terms,
-                       id_column: pa.array(ids[idx], pa.int64())})
-             .group_by(["term", id_column]).aggregate([]))
-        return t
+        return (pa.table({"term": terms,
+                          id_column: pa.array(ids[idx], pa.int64())})
+                .group_by(["term", id_column]).aggregate([]))
 
-    def build(group: pa.Table) -> pa.Table:
-        # one coarse partition holds ALL rows of each of its terms
-        order = pc.sort_indices(group, sort_keys=[
-            ("term", "ascending"), (id_column, "ascending")])
-        g = group.take(order)
-        terms = g["term"]
-        ids = g[id_column].to_numpy(zero_copy_only=False)
-        t_np = np.asarray(terms.to_pylist(), dtype=object)
-        run_start = np.flatnonzero(np.concatenate(
-            [[True], t_np[1:] != t_np[:-1]]))
-        run_end = np.concatenate([run_start[1:], [len(t_np)]])
-        df = run_end - run_start
-        keep = df >= min_df
-        out_terms, postings = [], []
-        for s, e in zip(run_start[keep], run_end[keep]):
-            out_terms.append(t_np[s])
-            postings.append(",".join(map(str, ids[s:e])))
+    def build(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        # one coarse partition holds ALL rows of each of its terms,
+        # sorted by (term, id): each term's postings are one list slice
+        bounds = np.append(starts, g.num_rows)
+        df = np.diff(bounds)
+        keep = pa.array(df >= min_df)
+        postings = pa.ListArray.from_arrays(
+            pa.array(bounds, pa.int32()),
+            pc.cast(g[id_column], pa.string()).combine_chunks())
         return pa.table({
-            "term": pa.array(out_terms, pa.string()),
-            "postings": pa.array(postings, pa.string()),
-            "df": pa.array(df[keep], pa.int64()),
+            "term": g["term"].take(pa.array(starts)).filter(keep),
+            "postings": pc.binary_join(postings.filter(keep), ","),
+            "df": pa.array(df, pa.int64()).filter(keep),
         })
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__part", pa.array(key_partition(batch["term"], 64), pa.int32()))
-
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .map_batches(add_part, batch_format="pyarrow")
-              .groupby("__part")
-              .map_groups(build, batch_format="pyarrow"))
+    return keyed_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), "term",
+        lambda g: build(*_sorted_runs(g, ["term"], [id_column])), 64)
 
 
 def top_collocations(ds, k: int = 20, min_count: int = 5,

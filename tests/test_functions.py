@@ -1785,6 +1785,36 @@ def test_partitioned_sweep_string_and_two_column_keys(ray_session):
             pd.testing.assert_frame_equal(got, exp)
 
 
+def test_key_partition_full_range_uint64():
+    """A uint64 key of 2^63 or more (a gram hash, an LSH bucket key) maps
+    into [0, P) with its bits kept, so equal keys share a partition; an
+    int64-range key keeps the partition it had before, so no existing
+    sweep moves."""
+    from pdf_inspector_ray.functions.relational import (PART_MULT,
+                                                        key_partition)
+
+    big = np.array([2**63 + 5, 2**64 - 1, 2**63, 1, 2**63 + 5],
+                   dtype=np.uint64)
+    for p in (256, 100):
+        part = key_partition(pa.array(big, pa.uint64()), p)
+        assert part.dtype == np.int32
+        assert ((part >= 0) & (part < p)).all(), (p, part)
+        assert part[0] == part[4], p
+        with np.errstate(over="ignore"):
+            want = (big * np.uint64(PART_MULT)) % np.uint64(p)
+        assert part.tolist() == want.tolist(), p
+    # pinned from the int64-only partitioner this one replaced
+    i64 = pa.array([-3, 0, 1, 7, 2**40 + 3, 2**63 - 1], pa.int64())
+    assert key_partition(i64).tolist() == [237, 0, 177, 215, 19, 79]
+    assert key_partition(i64, 100).tolist() == [33, 0, 61, 27, 91, 47]
+    assert (key_partition(pa.array([1, 7], pa.uint64())).tolist()
+            == [177, 215])
+    # PART_MULT is coprime to P: the join's slots [0, P) land one per
+    # partition when the exchange hashes them once more
+    slots = pa.array(np.arange(256), pa.int32())
+    assert sorted(key_partition(slots).tolist()) == list(range(256))
+
+
 def test_real_media_decode_reproduces_goldens(ray_session):
     import ray.data
 
@@ -3312,6 +3342,22 @@ def test_prefix_contained_docs_exact(ray_session):
                .to_pandas())
         assert sorted(out.doc_id.tolist()) == [0, 1, 5], parts
 
+    # two buckets in one exchange partition: each keeps its own chain
+    from pdf_inspector_ray.functions.relational import key_partition
+    first = base[:16]
+    part = key_partition(pa.array([first]))[0]
+    other = next(h for h in (f"bucket num {i:05d}" for i in range(4000))
+                 if key_partition(pa.array([h]))[0] == part)
+    t2 = pa.table({
+        "doc_id": pa.array(range(6), pa.int64()),
+        "text": pa.array([base, base + "x", other, other + "yy",
+                          other + "yy", other + "z"]),
+    })
+    for parts in (1, 3):
+        out = prefix_contained_docs(
+            ray.data.from_arrow(t2).repartition(parts)).to_pandas()
+        assert sorted(out.doc_id.tolist()) == [0, 2], parts
+
 
 def test_prefix_contained_bucket_long_doc_small_memory():
     """One 200 KB document in a bucket with 200 short mates sharing its
@@ -3339,6 +3385,43 @@ def test_prefix_contained_bucket_long_doc_small_memory():
         tracemalloc.stop()
     assert out["doc_id"].to_pylist() == want
     assert peak < 20 * 2**20, peak
+
+
+def test_prefix_contained_partition_of_buckets_equals_per_bucket():
+    """A ``keyed_exchange`` partition holds whole buckets, several at
+    once: the pass over their concatenation — with duplicate texts and
+    prefix chains inside each bucket, none across — gives the union of
+    the per-bucket passes."""
+    from pdf_inspector_ray.functions.dedup import _prefix_contained_in_bucket
+
+    rng = np.random.default_rng(23)
+    heads = ["shared header 16", "other header 016", "zz last bucket16",
+             "shared header 17"]
+    groups = []
+    next_id = 0
+    for head in heads:
+        suffixes = ["".join(rng.choice(list("ab"), rng.integers(0, 5)))
+                    for _ in range(30)]
+        texts = [head + s for s in suffixes]
+        groups.append(pa.table({
+            "bucket": pa.array([head] * len(texts)),
+            "doc_id": pa.array(range(next_id, next_id + len(texts)),
+                               pa.int64()),
+            "text": pa.array(texts)}))
+        next_id += len(texts)
+    per_bucket = sorted(i for g in groups
+                        for i in _prefix_contained_in_bucket(g)["doc_id"]
+                        .to_pylist())
+    both = pa.concat_tables(groups)
+    texts = both["text"].to_pylist()
+    brute = [i for i, a in zip(both["doc_id"].to_pylist(), texts)
+             if any(b != a and b.startswith(a) for b in texts)]
+    assert len(brute) > 20 and len(set(texts)) < len(texts)
+    assert per_bucket == sorted(brute)
+    merged = pa.concat_tables([groups[2], groups[0], groups[3], groups[1]])
+    for t in (both, merged.take(pa.array(rng.permutation(merged.num_rows)))):
+        assert (_prefix_contained_in_bucket(t)["doc_id"].to_pylist()
+                == per_bucket)
 
 
 def test_late_orders_by_priority_matches_duckdb(ray_session):

@@ -322,15 +322,18 @@ def test_media_decoders_total_on_mutated_payloads(kind, data):
 
 
 def test_round5_ops_partition_invariant(ray_session):
-    """Every round-5 append, and every op on ``partitioned_sweep`` /
-    ``grouped_topk``, must give identical results regardless of how the
-    input is partitioned (1, 3, 8 blocks) — the property that catches
-    accidental per-block state (non-combined partials, local dedup
-    standing in for global)."""
+    """Every round-5 append, and every op on ``keyed_exchange`` /
+    ``partitioned_sweep`` / ``grouped_topk``, must give identical results
+    regardless of how the input is partitioned (1, 3, 8 blocks) — the
+    property that catches accidental per-block state (non-combined
+    partials, local dedup standing in for global)."""
     import numpy as np
     import pyarrow as pa
     import ray.data
-    from pdf_inspector_ray.functions.dedup import exact_dedup
+    from pdf_inspector_ray.functions.decontam import contaminated_train_docs
+    from pdf_inspector_ray.functions.dedup import (
+        exact_dedup, jaccard_prefix_candidates, minhash_lsh_candidates,
+        neardup_best_docs, prefix_contained_docs)
     from pdf_inspector_ray.functions.relational import (
         argmin_by_group, asof_join_events, cohort_retention,
         collect_distinct_sorted, conversion_latency_quantiles, customer_rfm,
@@ -340,11 +343,11 @@ def test_round5_ops_partition_invariant(ray_session):
         latest_event_per_user, longest_run_by_group,
         merge_intervals_by_group, mode_per_group,
         order_interarrival_quantiles, rolling_active_users,
-        rolling_event_stats, running_totals, session_windows, set_op_ids,
-        shipping_priority, top_customer_per_nation)
+        range_join, rolling_event_stats, running_totals, session_windows,
+        set_op_ids, shipping_priority, top_customer_per_nation)
     from pdf_inspector_ray.functions.text_stats import (
-        dense_rank_column, source_vocab_jaccard, stratified_sample,
-        top_terms_by_group)
+        dense_rank_column, inverted_index, source_vocab_jaccard,
+        stratified_sample, top_terms_by_group)
     from pdf_inspector_ray.pipelines.flagship import conv_turn_gaps
 
     rng = np.random.default_rng(89)
@@ -397,6 +400,40 @@ def test_round5_ops_partition_invariant(ray_session):
         "user_id": pa.array(rng.integers(0, 15, 400), pa.int64()),
         "s": pa.array(rng.integers(0, 10**6, 400), pa.int64()),
         "e": pa.array(rng.integers(0, 10**6, 400), pa.int64()),
+    })
+
+    # near-duplicate docs for the dedup exchanges: each of 40 stems has a
+    # few copies with one word swapped or a truncated tail, so buckets,
+    # pairs, prefix chains and shared grams all occur
+    vocab = np.array([f"w{i}" for i in range(30)])
+    near = []
+    for stem in range(40):
+        words = list(rng.choice(vocab, rng.integers(6, 14)))
+        for _ in range(rng.integers(1, 4)):
+            v = list(words)
+            v[rng.integers(len(v))] = str(rng.choice(vocab))
+            near.append(" ".join(v))
+        near.append(" ".join(words[:rng.integers(3, len(words))]))
+        near.append(" ".join(words))
+    nd = pa.table({"doc_id": pa.array(rng.permutation(len(near)) * 3,
+                                      pa.int64()),
+                   "text": pa.array(near),
+                   "n_chars": pa.array([len(x) % 7 for x in near],
+                                       pa.int64())})
+    comp_nodes = nd["doc_id"].to_numpy()[:60]
+    comp = pa.table({"node": pa.array(np.append(comp_nodes, [-1, -2]),
+                                      pa.int64()),
+                     "label": pa.array(np.append(
+                         comp_nodes // 25, [-7, -7]), pa.int64())})
+    # per-user non-overlapping intervals for the range join
+    iv_user = np.repeat(np.arange(25), 4)
+    iv_start = (np.tile(np.arange(4) * 5, 25) * 86_400
+                + rng.integers(0, 2 * 86_400, 100)) * 1_000_000
+    ivs = pa.table({
+        "user_id": pa.array(iv_user, pa.int64()),
+        "s": pa.array(iv_start.astype("datetime64[us]")),
+        "e": pa.array((iv_start + rng.integers(0, 3 * 86_400, 100)
+                       * 1_000_000).astype("datetime64[us]")),
     })
 
     # per-user sweeps: user 7 holds about half the rows, 12 rows have a
@@ -462,6 +499,18 @@ def test_round5_ops_partition_invariant(ray_session):
                               "doc_id", "intersect"), docs, ["doc_id"]),
         (lambda d: set_op_ids(d, ray.data.from_arrow(docs.slice(150)),
                               "doc_id", "except"), docs, ["doc_id"]),
+        (inverted_index, nd, ["term"]),
+        (lambda d: contaminated_train_docs(d, k=2), nd, ["doc_id"]),
+        (lambda d: jaccard_prefix_candidates(d, threshold=0.6), nd,
+         ["doc_a", "doc_b"]),
+        (lambda d: minhash_lsh_candidates(d, num_perm=32, bands=16), nd,
+         ["doc_a", "doc_b"]),
+        (lambda d: prefix_contained_docs(d, min_len=8), nd, ["doc_id"]),
+        (lambda d: neardup_best_docs(d, ray.data.from_arrow(comp), d,
+                                     score_columns=("n_chars",)), nd,
+         ["doc_id"]),
+        (lambda d: range_join(d, ray.data.from_arrow(ivs), "user_id", "ts",
+                              "s", "e"), sk, ["event_id"]),
     ]
     for fn, table, keys in cases:
         base = None
