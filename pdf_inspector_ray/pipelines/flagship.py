@@ -136,12 +136,13 @@ def run_to_partitioned_output(ds: ray.data.Dataset,
     holds this run's rows only.
 
     Extract tasks (one per block, at most ``concurrency`` at once) drop the
-    payload column and append per-partition parquet shards while extraction
-    streams (overlapped), then one finalize task per partition
-    reads+sorts+writes — no object-store all-to-all, no post-extraction
-    barrier beyond the per-partition reads. The shard root lives under
-    ``out_dir``; a run removes it when it ends, even on error, and stale
-    ones of crashed runs when it starts.
+    payload column and write one LZ4 Arrow IPC shard per (block, partition)
+    while extraction streams (overlapped); then one finalize task per
+    cluster CPU reads, sorts and writes its share of the touched partitions
+    — no object-store all-to-all, no post-extraction barrier beyond the
+    per-partition reads. The shard root lives under ``out_dir``; a run
+    removes it when it ends, even on error, and stale ones of crashed runs
+    when it starts.
     """
     os.makedirs(out_dir, exist_ok=True)
     if not resume:
@@ -167,11 +168,8 @@ def run_to_partitioned_output(ds: ray.data.Dataset,
     def _finalize(batch: pa.Table) -> pa.Table:
         recs = [finalize_partition(int(p), shard_root, out_dir, **layout)
                 for p in batch["part"].to_pylist()]
-        return pa.table({
-            "part": pa.array([r["part"] for r in recs], pa.int32()),
-            "rows": pa.array([r["rows"] for r in recs], pa.int64()),
-            "skipped": pa.array([r["skipped"] for r in recs], pa.bool_()),
-        })
+        return pa.table({"skipped": pa.array([r["skipped"] for r in recs],
+                                             pa.bool_())})
 
     try:
         manifests = salted.map_batches(
@@ -189,9 +187,12 @@ def run_to_partitioned_output(ds: ray.data.Dataset,
         touched_parts = sorted({
             p for b in manifests.iter_batches(batch_format="pyarrow")
             for p in b["part"].to_pylist()})
+        cpus = int(ray.cluster_resources().get("CPU", 1))  # finalize tasks
         lineage = ray.data.from_items(
-            [{"part": p} for p in touched_parts]).map_batches(
-                _finalize, batch_size=1, batch_format="pyarrow").to_pandas()
+            [{"part": p} for p in touched_parts],
+            override_num_blocks=max(1, min(len(touched_parts), cpus)),
+        ).map_batches(_finalize, batch_size=None,
+                      batch_format="pyarrow").to_pandas()
     finally:
         shutil.rmtree(shard_root, ignore_errors=True)
 

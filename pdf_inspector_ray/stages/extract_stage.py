@@ -26,14 +26,13 @@ per-document function returning one tuple of field values.
 
 from __future__ import annotations
 
-import hashlib
-
 import pyarrow as pa
 
 from ..pdfi.detect import DetectionConfig
 from ..pdfi.markdown import MarkdownOptions
 from ..pdfi.objects import PdfError
 from ..pdfi.process import process_pdf_mem
+from ..state.checkpoint import content_hash, write_shard
 
 EXTRACT_FIELDS = [
     ("pdf_type", pa.string()),
@@ -133,13 +132,14 @@ class ExtractRender:
 class ExtractAndShard(ExtractRender):
     """Extract fused with map-side shard writing (the file-shuffle's map
     phase, SURVEY.md §4.2 skew/partitioning). Runs inside the extract task
-    so the parquet encode overlaps the other tasks' extraction instead of
-    waiting for a slot of its own. Returns only a tiny (part, rows)
-    manifest — the data goes straight to the partition shard files.
+    so the shard encode overlaps the other tasks' extraction instead of
+    waiting for a slot of its own: one LZ4 Arrow IPC shard per partition
+    the block touches (``checkpoint.write_shard``). Returns only a tiny
+    (part, rows) manifest — the data goes straight to the shard files.
 
-    Shard names are deterministic over the batch's key column, so a Ray
-    task retry overwrites its own half-written shards instead of
-    duplicating rows.
+    Shard names are a hash of the block's ``(conv_id, turn_idx)`` values,
+    so a Ray task retry overwrites its own shards instead of duplicating
+    rows, and two blocks with different keys never share a name.
     """
 
     def __init__(self, shard_root: str, drop_columns: list[str] | None = None,
@@ -149,43 +149,19 @@ class ExtractAndShard(ExtractRender):
         self.drop = drop_columns or []
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import os
-
         import pyarrow.compute as pc
-        import pyarrow.parquet as pq
 
         out = self.process_batch(batch)
-        for col in self.drop:
-            if col in out.column_names:
-                out = out.remove_column(out.schema.get_field_index(col))
-        if out.num_rows == 0:
-            return pa.table({"part": pa.array([], pa.int32()),
-                             "rows": pa.array([], pa.int64())})
-        # deterministic per-batch nonce: hash of the batch's key columns
-        key_digest = hashlib.md5(usedforsecurity=False)
-        for col in ("conv_id", "turn_idx"):
-            if col in out.column_names:
-                for chunk in out[col].chunks:
-                    for buf in chunk.buffers():
-                        if buf is not None:
-                            key_digest.update(buf)
-        nonce = key_digest.hexdigest()[:16]
-        parts_col = out["part"]
-        uniq = pc.unique(parts_col).to_pylist()
-        man_parts: list[int] = []
-        man_rows: list[int] = []
-        for part in uniq:
-            mask = pc.equal(parts_col, pa.scalar(part, parts_col.type))
-            sub = out.filter(mask)
-            pdir = os.path.join(self.shard_root, f"part={int(part)}")
-            os.makedirs(pdir, exist_ok=True)
-            tmp = os.path.join(pdir, f".{nonce}.tmp")
-            pq.write_table(sub, tmp, row_group_size=65536, compression="snappy")
-            os.replace(tmp, os.path.join(pdir, f"{nonce}.parquet"))
-            man_parts.append(int(part))
-            man_rows.append(sub.num_rows)
-        return pa.table({"part": pa.array(man_parts, pa.int32()),
-                         "rows": pa.array(man_rows, pa.int64())})
+        out = out.drop_columns([c for c in self.drop if c in out.column_names])
+        nonce = content_hash(out, ["conv_id", "turn_idx"])[:16]
+        parts = pc.unique(out["part"])
+        rows = []
+        for part in parts.to_pylist():
+            sub = out.filter(pc.equal(out["part"], part))
+            write_shard(sub, self.shard_root, part, nonce)
+            rows.append(sub.num_rows)
+        return pa.table({"part": parts.cast(pa.int32()),
+                         "rows": pa.array(rows, pa.int64())})
 
 
 def extract_block(batch: pa.Table, **kwargs) -> pa.Table:

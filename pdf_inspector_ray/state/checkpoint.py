@@ -7,11 +7,12 @@ run checks the layout, lists completed partition ids and filters them out
 of the input plan before execution — no reprocessing, byte-identical final
 output.
 
-Exchange (a file shuffle): the extract tasks append each block's rows to
-per-partition parquet shards under a run-scoped shard root while extraction
-is still streaming; then ``finalize_partition``, one task per partition,
-reads that partition's shards, sorts them by ``(conv_id, turn_idx)`` and
-writes ``data.parquet`` + the sidecar. It is the only writer of both files.
+Exchange (a file shuffle): the extract tasks write each block's rows as
+per-partition LZ4 Arrow IPC shards (``write_shard``) under a run-scoped
+shard root while extraction is still streaming; then ``finalize_partition``
+(run by one task per CPU, each over its share of the partitions) reads a
+partition's shards, sorts them by ``(conv_id, turn_idx)`` and writes
+``data.parquet`` + the sidecar. It is the only writer of both files.
 The sidecar is written only after the data file is durably renamed into
 place (crash between the two ⇒ partition is retried, never half-counted).
 On a multi-node cluster the shard root, like the output, must be shared
@@ -26,6 +27,7 @@ import os
 import time
 
 import pyarrow as pa
+import pyarrow.ipc as ipc
 import pyarrow.parquet as pq
 
 # the columns the sidecar's content_sha256 covers
@@ -77,8 +79,6 @@ def content_hash(table: pa.Table, columns: list[str]) -> str:
     """Order-sensitive content hash over the named columns (Arrow IPC
     serialization hashed at C speed — a Python per-row loop here costs
     tens of core-seconds per million rows)."""
-    import pyarrow.ipc as ipc
-
     cols = [c for c in columns if c in table.column_names]
     sub = table.select(cols).combine_chunks()
     sink = pa.BufferOutputStream()
@@ -86,6 +86,21 @@ def content_hash(table: pa.Table, columns: list[str]) -> str:
         writer.write_table(sub)
     h = hashlib.sha256(sink.getvalue().to_pybytes())
     return h.hexdigest()
+
+
+def write_shard(table: pa.Table, shard_root: str, part: int,
+                name: str) -> None:
+    """``table`` as the LZ4 Arrow IPC shard ``part={part}/{name}.arrow``:
+    tmp file + rename, so a reader never sees half a shard and a rewrite
+    under the same name replaces it."""
+    pdir = os.path.join(shard_root, f"part={part}")
+    os.makedirs(pdir, exist_ok=True)
+    tmp = os.path.join(pdir, f".{name}.tmp")
+    with pa.OSFile(tmp, "wb") as sink, ipc.new_file(
+            sink, table.schema,
+            options=ipc.IpcWriteOptions(compression="lz4")) as writer:
+        writer.write_table(table)
+    os.replace(tmp, os.path.join(pdir, f"{name}.arrow"))
 
 
 def _count_errors(group: pa.Table) -> int:
@@ -100,7 +115,7 @@ def _count_errors(group: pa.Table) -> int:
 def finalize_partition(part: int, shard_root: str, out_dir: str,
                        num_buckets: int | None = None,
                        stride: int | None = None) -> dict:
-    """Reduce-side: one partition's shards → sorted data.parquet + lineage.
+    """Reduce side: one partition's shards → sorted data.parquet + lineage.
     ``num_buckets`` / ``stride`` are the salting layout, recorded for
     ``check_layout``. A partition whose sidecar exists is skipped."""
     import glob as _glob
@@ -115,11 +130,16 @@ def finalize_partition(part: int, shard_root: str, out_dir: str,
                 "content_sha256": rec["content_sha256"], "wall_ms": 0,
                 "skipped": True}
     start = time.perf_counter()
-    shard_files = sorted(_glob.glob(os.path.join(shard_root, f"part={part}", "*.parquet")))
+    shard_files = sorted(_glob.glob(os.path.join(shard_root, f"part={part}",
+                                                 "*.arrow")))
     if not shard_files:
         return {"part": part, "rows": 0, "content_sha256": "", "wall_ms": 0,
                 "skipped": False}
-    table = pa.concat_tables([pq.read_table(f) for f in shard_files])
+    tables = []
+    for f in shard_files:
+        with pa.memory_map(f) as src:
+            tables.append(ipc.open_file(src).read_all())
+    table = pa.concat_tables(tables)
     order = pc.sort_indices(table, sort_keys=[("conv_id", "ascending"),
                                               ("turn_idx", "ascending")])
     table = table.take(order)

@@ -4,6 +4,8 @@ import json
 import os
 
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from pdf_inspector_ray.state.checkpoint import (
     aggregate_metrics,
@@ -11,6 +13,7 @@ from pdf_inspector_ray.state.checkpoint import (
     finalize_partition,
     lineage_path,
     list_completed_partitions,
+    write_shard,
 )
 
 
@@ -37,12 +40,9 @@ def test_content_hash_order_sensitive():
 
 
 def test_finalize_partition_lineage_and_metrics(tmp_path):
-    import pyarrow.parquet as pq
-
     out = str(tmp_path / "out")
     shard_root = str(tmp_path / "shards")
-    os.makedirs(os.path.join(shard_root, "part=3"))
-    pq.write_table(_group(), os.path.join(shard_root, "part=3", "a.parquet"))
+    write_shard(_group(), shard_root, 3, "a")
     rec = finalize_partition(3, shard_root, out, num_buckets=8, stride=512)
     assert rec["part"] == 3 and rec["rows"] == 10 and not rec["skipped"]
     assert list_completed_partitions(out) == {3}
@@ -59,15 +59,12 @@ def test_finalize_partition_lineage_and_metrics(tmp_path):
 
 
 def test_finalize_partition_sorts_and_is_idempotent(tmp_path):
-    import pyarrow.parquet as pq
-
     out = str(tmp_path / "out")
     shard_root = str(tmp_path / "shards")
-    os.makedirs(os.path.join(shard_root, "part=5"))
     g = _group(part=5)
     # write two shards in reverse row order
-    pq.write_table(g.slice(5, 5), os.path.join(shard_root, "part=5", "b.parquet"))
-    pq.write_table(g.slice(0, 5), os.path.join(shard_root, "part=5", "a.parquet"))
+    write_shard(g.slice(5, 5), shard_root, 5, "b")
+    write_shard(g.slice(0, 5), shard_root, 5, "a")
     os.makedirs(out)
     rec = finalize_partition(5, shard_root, out)
     assert rec["rows"] == 10 and not rec["skipped"]
@@ -81,3 +78,68 @@ def test_finalize_partition_sorts_and_is_idempotent(tmp_path):
 def test_empty_partition_dir(tmp_path):
     assert list_completed_partitions(str(tmp_path)) == set()
     assert aggregate_metrics(str(tmp_path))["rows"] == 0
+
+
+def _salted_block(n=100, num_buckets=8):
+    from pdf_inspector_ray.pipelines.flagship import INPUT_COLUMNS
+    from pdf_inspector_ray.pipelines.ordering import add_salted_partition
+    from pdf_inspector_ray.sources.transcripts import build_transcript_table
+
+    t = build_transcript_table(n, include_goldens=False).select(INPUT_COLUMNS)
+    return add_salted_partition(t, num_buckets=num_buckets)
+
+
+def _finalize_all(shard_root, out):
+    """Finalize every partition the shard root holds; the written rows."""
+    parts = sorted(int(d.split("=", 1)[1]) for d in os.listdir(shard_root))
+    for part in parts:
+        finalize_partition(part, shard_root, out)
+    return pa.concat_tables(
+        pq.read_table(os.path.join(out, f"part={p}", "data.parquet"))
+        for p in parts)
+
+
+def _shard_files(shard_root):
+    return sorted(os.path.relpath(os.path.join(d, f), shard_root)
+                  for d, _, files in os.walk(shard_root) for f in files)
+
+
+def _keys(t):
+    return sorted(zip(t["conv_id"].to_pylist(), t["turn_idx"].to_pylist()))
+
+
+def test_zero_copy_slices_of_one_table_keep_all_rows(tmp_path):
+    """Two blocks that are slices of one table share its buffers; their
+    shards must still get distinct names, or one overwrites the other."""
+    from pdf_inspector_ray.stages.extract_stage import ExtractAndShard
+
+    block = _salted_block()
+    shard_root = str(tmp_path / "shards")
+    stage = ExtractAndShard(shard_root=shard_root, drop_columns=["text"])
+    stage(block.slice(0, 50))
+    stage(block.slice(50, 50))
+    got = _finalize_all(shard_root, str(tmp_path / "out"))
+    assert got.num_rows == 100
+    assert _keys(got) == _keys(block)
+
+
+def test_task_retry_overwrites_its_shards(tmp_path):
+    """Running the map side twice on the same block (a Ray task retry)
+    leaves the same shard files and no duplicated rows, also for a block
+    whose rows all fall in one partition."""
+    from pdf_inspector_ray.stages.extract_stage import ExtractAndShard
+
+    block = _salted_block()
+    one_part = block.filter(pc.equal(block["part"], block["part"][0]))
+    assert one_part.num_rows > 1
+    for i, b in enumerate([block, one_part]):
+        shard_root = str(tmp_path / f"shards{i}")
+        stage = ExtractAndShard(shard_root=shard_root, drop_columns=["text"])
+        stage(b)
+        first = _shard_files(shard_root)
+        stage(b)
+        assert _shard_files(shard_root) == first
+        got = _finalize_all(shard_root, str(tmp_path / f"out{i}"))
+        assert got.num_rows == b.num_rows
+        assert _keys(got) == _keys(b)
+    assert len(first) == 1  # the one-part block wrote a single shard

@@ -143,6 +143,36 @@ def test_resume_skips_completed(ray_session, corpus_dir, tmp_path):
     assert before == after
 
 
+def test_more_partitions_than_cpus_then_full_resume(ray_session, corpus_dir,
+                                                    tmp_path):
+    """64 buckets on a 4-CPU session: the finalize tasks each take several
+    partitions, every touched partition gets its sidecar, and a resumed
+    run over the completed output touches none."""
+    import glob
+    import os
+
+    import ray
+
+    from pdf_inspector_ray.pipelines.flagship import (
+        read_transcripts, run_to_partitioned_output)
+
+    out_dir = str(tmp_path / "out64")
+    m1 = run_to_partitioned_output(read_transcripts(corpus_dir), out_dir,
+                                   num_buckets=64, concurrency=4)
+    parts = glob.glob(out_dir + "/part=*")
+    assert len(parts) > ray.cluster_resources()["CPU"]
+    assert all(os.path.exists(p + "/_lineage.json") for p in parts)
+    assert m1["rows"] == N_TURNS
+    assert m1["partitions"] == len(parts)
+    assert m1["partitions_written_this_run"] == len(parts)
+    assert m1["partitions_skipped_this_run"] == 0
+    m2 = run_to_partitioned_output(read_transcripts(corpus_dir), out_dir,
+                                   num_buckets=64, concurrency=4)
+    assert m2["rows"] == N_TURNS
+    assert m2["partitions_written_this_run"] == 0
+    assert m2["partitions_skipped_this_run"] == len(parts)
+
+
 def test_partial_resume(ray_session, corpus_dir, tmp_path):
     """Kill-after-k simulation: delete some partitions' lineage, re-run,
     only those partitions are reprocessed and the result is identical."""

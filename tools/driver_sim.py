@@ -28,7 +28,9 @@ def _to_arrow(res):
     import ray
     import ray.data
     if isinstance(res, ray.data.Dataset):
-        refs = res.to_arrow_refs()
+        # to_arrow_refs() on an unexecuted plan runs it a second time for
+        # its schema, under a limit-1 probe: execute it once here
+        refs = res.materialize().to_arrow_refs()
         tables = [t for t in ray.get(refs) if t.num_rows or len(refs) == 1]
         if not tables:
             tables = ray.get(refs)[:1]
