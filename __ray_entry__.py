@@ -316,33 +316,32 @@ def _q_pdf_equality_rate(sf_dir: str):
 def _q_pdf_type_histogram(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    from pdf_inspector_ray.functions.relational import grouped_aggregate
     from pdf_inspector_ray.pipelines.flagship import extract_pipeline
 
     ds = _transcripts_ds(sf_dir)
     out = extract_pipeline(ds, concurrency=8)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"pdf_type": pc.fill_null(batch["pdf_type"], "Error")})
-        return (t.group_by(["pdf_type"]).aggregate([([], "count_all")])
-                 .rename_columns(["pdf_type", "n_turns"]))
-
-    return (out.map_batches(partial, batch_format="pyarrow")
-               .groupby("pdf_type")
-               .aggregate(Sum("n_turns", alias_name="n_turns")))
+    return grouped_aggregate(
+        out.map_batches(lambda b: pa.table(
+            {"pdf_type": pc.fill_null(b["pdf_type"], "Error")}),
+            batch_format="pyarrow"),
+        "pdf_type", {"n_turns": "count"})
 
 
 def _q_docs_by_lang(sf_dir: str):
-    """Native Dataset groupby/aggregate (Count + Sum) — no custom combiner."""
+    """Doc count and total chars per language: ``grouped_aggregate``
+    over the parquet read."""
+    import pyarrow as pa
     import ray.data
-    from ray.data.aggregate import Count, Sum
+    from pdf_inspector_ray.functions.relational import grouped_aggregate
 
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                                columns=["lang", "n_chars"])
-    out = ds.groupby("lang").aggregate(
-        Count(alias_name="n_docs"),
-        Sum("n_chars", alias_name="total_chars"))
-    return out
+    return grouped_aggregate(
+        ds.map_batches(lambda b: pa.table({"lang": b["lang"],
+                                           "total_chars": b["n_chars"]}),
+                       batch_format="pyarrow"),
+        "lang", {"n_docs": "count", "total_chars": "sum"})
 
 
 def _q_docs_head(sf_dir: str):
@@ -597,29 +596,11 @@ def _q_neardup_cluster_sizes(sf_dir: str):
     explosions. Same verified-pair → connected-components dataflow as
     `neardup_dedup_docs`, then two tiny count aggregates (per-label,
     then per-size)."""
-    import pyarrow as pa
-    from ray.data.aggregate import Sum
     from pdf_inspector_ray.functions.dedup import connected_components
+    from pdf_inspector_ray.functions.relational import grouped_aggregate
     comp = connected_components(_q_minhash_lsh_pairs(sf_dir))
-
-    def size_partial(batch: pa.Table) -> pa.Table:
-        return (batch.select(["label"]).group_by(["label"])
-                     .aggregate([([], "count_all")])
-                     .rename_columns(["label", "sz"]))
-
-    sizes = (comp.map_batches(size_partial, batch_format="pyarrow")
-                 .groupby("label").aggregate(Sum("sz", alias_name="sz")))
-
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        return (batch.select(["sz"]).group_by(["sz"])
-                     .aggregate([([], "count_all")])
-                     .rename_columns(["sz", "n"]))
-
-    return (sizes.map_batches(hist_partial, batch_format="pyarrow")
-                 .groupby("sz").aggregate(Sum("n", alias_name="n_clusters"))
-                 .map_batches(lambda b: b.rename_columns(
-                     ["cluster_size", "n_clusters"]),
-                     batch_format="pyarrow"))
+    sizes = grouped_aggregate(comp, "label", {"cluster_size": "count"})
+    return grouped_aggregate(sizes, "cluster_size", {"n_clusters": "count"})
 
 
 def _q_embedding_neardup_pairs(sf_dir: str):
@@ -724,10 +705,9 @@ def _q_pricing_summary(sf_dir: str):
 
 
 def _q_orders_by_segment(sf_dir: str):
-    import pyarrow as pa
     import ray.data
-    from ray.data.aggregate import Sum
-    from pdf_inspector_ray.functions.relational import hash_join
+    from pdf_inspector_ray.functions.relational import (grouped_aggregate,
+                                                        hash_join)
 
     orders = ray.data.read_parquet(os.path.join(sf_dir, "orders.parquet"),
                                    columns=["o_orderkey", "o_custkey"])
@@ -736,15 +716,7 @@ def _q_orders_by_segment(sf_dir: str):
         columns=["c_custkey", "c_mktsegment"])
     joined = hash_join(orders, customers, on="o_custkey",
                        right_on="c_custkey")
-
-    def partial(batch: pa.Table) -> pa.Table:
-        return (batch.select(["c_mktsegment"]).group_by(["c_mktsegment"])
-                     .aggregate([([], "count_all")])
-                     .rename_columns(["c_mktsegment", "n_orders"]))
-
-    return (joined.map_batches(partial, batch_format="pyarrow")
-                  .groupby("c_mktsegment")
-                  .aggregate(Sum("n_orders", alias_name="n_orders")))
+    return grouped_aggregate(joined, "c_mktsegment", {"n_orders": "count"})
 
 
 def _q_top_terms_by_lang(sf_dir: str):

@@ -25,11 +25,10 @@ Shape (scale-first):
    gram).
 3. Inside a partition every gram's rows are together: a gram is
    *contaminating* iff it has ≥1 eval row; each train row of such a gram
-   is one hit. The sweep is numpy boolean indexing over dictionary codes,
-   then a per-partition (doc_id → hits) combiner shrinks the second
-   exchange to ≤ one row per (partition, doc).
-4. A final ``groupby(doc_id)`` sum yields ``n_hits`` = COUNT(DISTINCT
-   contaminated grams) per train doc.
+   is one hit. The sweep is numpy boolean indexing over dictionary codes.
+4. A ``grouped_aggregate`` count per doc_id yields ``n_hits`` =
+   COUNT(DISTINCT contaminated grams) per train doc; its per-batch
+   partial shrinks the second exchange to ≤ one row per (batch, doc).
 
 At 10^12-doc scale the exchange in (2) carries every train/test gram
 once (~k words each) — that is the bottleneck, and ``bloom_prescreen``
@@ -50,7 +49,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from pdf_inspector_ray.functions.relational import keyed_exchange
+from pdf_inspector_ray.functions.relational import (grouped_aggregate,
+                                                    keyed_exchange)
 
 GRAM_PARTITIONS = 256
 
@@ -218,19 +218,16 @@ def contaminated_train_docs(ds, k: int = 5, train_bp: int = 8000,
 
     def per_part(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "hits": pa.array([], pa.int64())})
+            return pa.table({"doc_id": pa.array([], pa.int64())})
         enc = group["gram"].combine_chunks().dictionary_encode()
         codes = enc.indices.to_numpy(zero_copy_only=False)
         is_eval = group["is_eval"].to_numpy(zero_copy_only=False)
         has_eval = np.zeros(len(enc.dictionary), dtype=bool)
         has_eval[codes[is_eval]] = True
         keep = has_eval[codes] & ~is_eval
-        hits = pa.table({"doc_id": group["doc_id"].filter(pa.array(keep))})
-        return (hits.group_by(["doc_id"]).aggregate([([], "count_all")])
-                    .rename_columns(["doc_id", "hits"]))
+        return pa.table({"doc_id": group["doc_id"].filter(pa.array(keep))})
 
-    from ray.data.aggregate import Sum
-    return (keyed_exchange(ds.map_batches(to_rows, batch_format="pyarrow"),
-                           "gram", per_part, num_partitions)
-              .groupby("doc_id").aggregate(Sum("hits", alias_name="n_hits")))
+    return grouped_aggregate(
+        keyed_exchange(ds.map_batches(to_rows, batch_format="pyarrow"),
+                       "gram", per_part, num_partitions),
+        "doc_id", {"n_hits": "count"})

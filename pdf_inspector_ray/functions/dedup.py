@@ -28,6 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from pdf_inspector_ray.functions.relational import (_run_start, _sorted_runs,
+                                                    grouped_aggregate,
                                                     grouped_topk, hash_join,
                                                     keyed_exchange,
                                                     partitioned_sweep)
@@ -667,16 +668,15 @@ def connected_components(pairs_ds, max_iters: int = 32):
     min doc_id of each connected component, for every doc that appears in
     a pair.
 
-    Distributed iterative min-label propagation: per round, one lookup
-    join (labels onto edge sources, ``hash_join``) + one
-    groupby-min — both move only EDGE-sized data (the near-dup pair set,
-    a small fraction of the corpus), never the corpus itself. Converges
-    in O(component diameter) rounds; near-dup clusters are dense (band
-    collisions ≈ cliques) so 2-4 rounds is typical. The per-round
-    ``materialize()`` pins the small label/edge sets so each iteration
-    reads the previous result instead of re-executing the whole lineage
-    — this is the documented exception to "never materialize
-    mid-pipeline" (tiny side only).
+    Distributed iterative min-label propagation: per round, one lookup join
+    (labels onto edge sources, ``hash_join``) + one ``grouped_aggregate`` min —
+    both move only EDGE-sized data (the near-dup pair set, a small fraction of
+    the corpus), never the corpus itself. Converges in O(component diameter)
+    rounds; near-dup clusters are dense (band collisions ≈ cliques) so 2-4
+    rounds is typical. The per-round ``materialize()`` pins the small
+    label/edge sets so each iteration reads the previous result instead of
+    re-executing the whole lineage — this is the documented exception to "never
+    materialize mid-pipeline" (tiny side only).
     """
 
     def to_edges(batch: pa.Table) -> pa.Table:
@@ -689,26 +689,21 @@ def connected_components(pairs_ds, max_iters: int = 32):
     edges = pairs_ds.map_batches(to_edges,
                                  batch_format="pyarrow").materialize()
 
-    from ray.data.aggregate import Min
-
     def init_labels(batch: pa.Table) -> pa.Table:
         return pa.table({"node": batch["src"], "label": batch["src"]})
 
     def to_candidates(batch: pa.Table) -> pa.Table:
         return pa.table({"node": batch["dst"], "label": batch["label"]})
 
-    labels = (edges.map_batches(init_labels, batch_format="pyarrow")
-                   .groupby("node")
-                   .aggregate(Min("label", alias_name="label"))
-                   .materialize())
+    labels = grouped_aggregate(
+        edges.map_batches(init_labels, batch_format="pyarrow"), "node",
+        {"label": "min"}).materialize()
     prev_sum = None
     for _ in range(max_iters):
         cand = hash_join(edges, labels, on="src", right_on="node")
         cand = cand.map_batches(to_candidates, batch_format="pyarrow")
-        labels = (labels.union(cand)
-                        .groupby("node")
-                        .aggregate(Min("label", alias_name="label"))
-                        .materialize())
+        labels = grouped_aggregate(labels.union(cand), "node",
+                                   {"label": "min"}).materialize()
         cur = labels.sum("label")  # monotone non-increasing per node
         if cur == prev_sum:
             break

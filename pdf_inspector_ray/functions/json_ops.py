@@ -34,20 +34,15 @@ def extract_json_int_batch(batch: pa.Table, json_column: str = "props",
 def json_int_sum_by_group(ds, group_column: str,
                           json_column: str = "props", key: str = "k"):
     """SUM of an extracted integer property per group: the regex extract
-    and a per-batch partial (sum, count) combine BEFORE the shuffle, so
-    the exchange carries one row per (batch, group) — integers sum
-    exactly in any accumulation order."""
-    from ray.data.aggregate import Sum
+    feeds one (sum, count) ``grouped_aggregate``, whose per-batch
+    partial makes the exchange carry one row per (batch, group) —
+    integers sum exactly in any accumulation order."""
+    from pdf_inspector_ray.functions.relational import grouped_aggregate
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def values(batch: pa.Table) -> pa.Table:
         t = extract_json_int_batch(batch, json_column, key,
-                                   out_column="v", keep=(group_column,))
-        t = t.filter(pc.is_valid(t["v"]))
-        return (t.group_by([group_column])
-                 .aggregate([("v", "sum"), ([], "count_all")])
-                 .rename_columns([group_column, "sum_v", "n_v"]))
+                                   out_column="sum_v", keep=(group_column,))
+        return t.filter(pc.is_valid(t["sum_v"]))
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby(group_column)
-              .aggregate(Sum("sum_v", alias_name="sum_v"),
-                         Sum("n_v", alias_name="n_v")))
+    return grouped_aggregate(ds.map_batches(values, batch_format="pyarrow"),
+                             group_column, {"sum_v": "sum", "n_v": "count"})

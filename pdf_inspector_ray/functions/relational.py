@@ -10,11 +10,8 @@ that arrive on the driver join each other there with Acero, then join
 the fact side through ``hash_join``. ``range_join`` is the one
 non-equi join.
 
-Shuffle discipline: every groupby here pre-aggregates inside map_batches
-(combiner) so the all-to-all exchange moves one row per (batch × key), not
-one per input row. Per-entity work — every op that needs all rows of one
-user, order, customer, conversation, digest, term, gram or bucket — goes
-through one of three primitives, never one Python UDF call per key:
+Shuffle discipline: per-key work goes through one of four primitives,
+never one Python UDF call per key:
 
 * ``keyed_exchange`` — the library's one hash-partition groupby: rows
   co-locate by ``key_partition`` of a key of one or more columns of any
@@ -27,11 +24,17 @@ through one of three primitives, never one Python UDF call per key:
 * ``grouped_topk`` — the first ``k`` rows per key under an order, with a
   per-batch top-k before the exchange; ``k=1`` is argmin / argmax /
   first-by-ts.
+* ``grouped_aggregate`` — sums, mins, maxes and row counts per key: a
+  per-batch Arrow partial (the exchange moves one row per batch × key,
+  not one per input row), ``keyed_exchange``, and one Arrow merge per
+  partition.
 
-Plain sums, mins and maxes use Ray's native ``groupby().aggregate()``.
-A null key is one key for every key type, as in SQL's ``PARTITION BY``;
-the join-like operators (``asof_join_events``, ``funnel_conversion``)
-match nothing on a null key, as SQL's ``=`` does.
+Five per-group kernels (``distinct_count``, ``grouped_covariance``,
+``ntile_by_group``, ``cume_dist_by_group``, ``rolling_active_users``) still
+make one ``groupby().map_groups`` call per key. A null key is one key for every
+key type, as in SQL's ``PARTITION BY``; the join-like operators
+(``asof_join_events``, ``funnel_conversion``) match nothing on a null key, as
+SQL's ``=`` does.
 """
 
 from __future__ import annotations
@@ -43,47 +46,30 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def pricing_summary(ds) -> pa.Table:
-    """TPC-H Q1-style pricing summary over lineitem: partial aggregation in
-    map_batches, then a tiny groupby on (returnflag, linestatus)."""
+def pricing_summary(ds) -> "ray.data.Dataset":
+    """TPC-H Q1-style pricing summary over lineitem: one
+    ``grouped_aggregate`` on (returnflag, linestatus), the four float
+    sums rounded to 2 dp after the merge."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         disc_price = pc.multiply(batch["l_extendedprice"],
                                  pc.subtract(pa.scalar(1.0), batch["l_discount"]))
-        charge = pc.multiply(disc_price,
-                             pc.add(pa.scalar(1.0), batch["l_tax"]))
-        t = pa.table({
+        return pa.table({
             "l_returnflag": batch["l_returnflag"],
             "l_linestatus": batch["l_linestatus"],
             "sum_qty": batch["l_quantity"],
             "sum_base_price": batch["l_extendedprice"],
             "sum_disc_price": disc_price,
-            "sum_charge": charge,
-            "count_order": pa.array(np.ones(len(batch), dtype=np.int64)),
-        })
-        # combine within the batch
-        return t.group_by(["l_returnflag", "l_linestatus"]).aggregate([
-            ("sum_qty", "sum"), ("sum_base_price", "sum"),
-            ("sum_disc_price", "sum"), ("sum_charge", "sum"),
-            ("count_order", "sum"),
-        ]).rename_columns(["l_returnflag", "l_linestatus", "sum_qty",
-                           "sum_base_price", "sum_disc_price", "sum_charge",
-                           "count_order"])
-
-    def merge(group: pa.Table) -> pa.Table:
-        return pa.table({
-            "l_returnflag": [group["l_returnflag"][0].as_py()],
-            "l_linestatus": [group["l_linestatus"][0].as_py()],
-            "sum_qty": [round(pc.sum(group["sum_qty"]).as_py(), 2)],
-            "sum_base_price": [round(pc.sum(group["sum_base_price"]).as_py(), 2)],
-            "sum_disc_price": [round(pc.sum(group["sum_disc_price"]).as_py(), 2)],
-            "sum_charge": [round(pc.sum(group["sum_charge"]).as_py(), 2)],
-            "count_order": [pc.sum(group["count_order"]).as_py()],
+            "sum_charge": pc.multiply(disc_price,
+                                      pc.add(pa.scalar(1.0), batch["l_tax"])),
         })
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby(["l_returnflag", "l_linestatus"])
-              .map_groups(merge, batch_format="pyarrow"))
+    sums = ["sum_qty", "sum_base_price", "sum_disc_price", "sum_charge"]
+    return grouped_aggregate(
+        ds.map_batches(rows, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        {**dict.fromkeys(sums, "sum"), "count_order": "count"},
+    ).map_batches(_round_columns(sums), batch_format="pyarrow")
 
 
 def asof_join_events(ds, left_type: str, right_type: str) -> "ray.data.Dataset":
@@ -158,36 +144,24 @@ def session_windows(ds, gap_minutes: int = 30) -> "ray.data.Dataset":
 
 def windowed_event_counts(ds, window: str = "hour") -> "ray.data.Dataset":
     """Tumbling-window aggregate over the events table: count + sum(value)
-    per (window_start, event_type). Pre-aggregated per batch before the
-    shuffle."""
+    per (window_start, event_type), one ``grouped_aggregate``."""
     unit_us = {"hour": 3_600_000_000, "day": 86_400_000_000}[window]
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         ts = pc.cast(batch["ts"], pa.int64())
         win = pc.multiply(pc.divide(ts, pa.scalar(unit_us, pa.int64())),
                           pa.scalar(unit_us, pa.int64()))
-        t = pa.table({
+        return pa.table({
             "window_start": pc.cast(win, pa.timestamp("us")),
             "event_type": batch["event_type"],
-            "n_events": pa.array(np.ones(len(batch), dtype=np.int64)),
             "sum_value": batch["value"],
         })
-        return (t.group_by(["window_start", "event_type"])
-                 .aggregate([("n_events", "sum"), ("sum_value", "sum")])
-                 .rename_columns(["window_start", "event_type",
-                                  "n_events", "sum_value"]))
 
-    def merge(group: pa.Table) -> pa.Table:
-        return pa.table({
-            "window_start": [group["window_start"][0].as_py()],
-            "event_type": [group["event_type"][0].as_py()],
-            "n_events": [pc.sum(group["n_events"]).as_py()],
-            "sum_value": [round(pc.sum(group["sum_value"]).as_py(), 2)],
-        })
-
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby(["window_start", "event_type"])
-              .map_groups(merge, batch_format="pyarrow"))
+    return grouped_aggregate(
+        ds.map_batches(rows, batch_format="pyarrow"),
+        ["window_start", "event_type"],
+        {"n_events": "count", "sum_value": "sum"},
+    ).map_batches(_round_columns(["sum_value"]), batch_format="pyarrow")
 
 
 def hopping_window_counts(ds, window_us: int = 3_600_000_000,
@@ -195,38 +169,28 @@ def hopping_window_counts(ds, window_us: int = 3_600_000_000,
     """Hopping (sliding) window aggregate: each event lands in
     ``window_us / hop_us`` overlapping windows; assignment is a vectorized
     flat-map expansion inside ``map_batches`` followed by the same
-    partial-then-merge groupby as the tumbling case. Window k for event t:
+    ``grouped_aggregate`` as the tumbling case. Window k for event t:
     starts ``floor(t/hop)·hop − i·hop`` for i in [0, window/hop) with
     start > t − window."""
     assert window_us % hop_us == 0
     k = window_us // hop_us
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         ts = pc.cast(batch["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         base = (ts // hop_us) * hop_us
         starts = np.concatenate([base - i * hop_us for i in range(k)])
         rep_value = np.tile(
             batch["value"].to_numpy(zero_copy_only=False), k)
-        t = pa.table({
+        return pa.table({
             "window_start": pa.array(starts, pa.int64()).cast(
                 pa.timestamp("us")),
-            "n_events": pa.array(np.ones(len(starts), dtype=np.int64)),
             "sum_value": pa.array(rep_value, pa.float64()),
         })
-        return (t.group_by(["window_start"])
-                 .aggregate([("n_events", "sum"), ("sum_value", "sum")])
-                 .rename_columns(["window_start", "n_events", "sum_value"]))
 
-    def merge(group: pa.Table) -> pa.Table:
-        return pa.table({
-            "window_start": [group["window_start"][0].as_py()],
-            "n_events": [pc.sum(group["n_events"]).as_py()],
-            "sum_value": [round(pc.sum(group["sum_value"]).as_py(), 2)],
-        })
-
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby(["window_start"])
-              .map_groups(merge, batch_format="pyarrow"))
+    return grouped_aggregate(
+        ds.map_batches(rows, batch_format="pyarrow"), "window_start",
+        {"n_events": "count", "sum_value": "sum"},
+    ).map_batches(_round_columns(["sum_value"]), batch_format="pyarrow")
 
 
 # -- hash partitioning and the equi-join -------------------------------------
@@ -296,6 +260,69 @@ def keyed_exchange(ds, key, fn, num_partitions: int = JOIN_PARTITIONS):
     return ((first.union(*rest) if rest else first)
             .groupby("__part")
             .map_groups(per_partition, batch_format="pyarrow"))
+
+
+# how a grouped aggregate's per-batch partials merge after the exchange
+_MERGE_OPS = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
+
+
+def grouped_aggregate(ds, keys, aggs: dict) -> "ray.data.Dataset":
+    """The library's one grouped aggregate, SQL's ``SELECT keys, op(…)
+    GROUP BY keys``. ``keys`` is a column name or a list of names, of
+    any type. ``aggs`` maps each output column to its op: ``"sum"``,
+    ``"min"`` or ``"max"`` of the input column of that name, or
+    ``"count"``, the group's row count (no input column needed). The
+    output holds the key columns, then one column per ``aggs`` entry,
+    in no particular row order.
+
+    Three steps: a per-batch Arrow ``group_by`` partial (it fuses with
+    the caller's own map), ``keyed_exchange`` on the keys, and one Arrow
+    ``group_by`` per partition merging the partials: sum and count by
+    sum, min by min, max by max. A hot key costs one partial row per
+    batch, not its rows, so it needs no split. A null key is one group,
+    as in SQL; a sum, min or max skips null values and is null for a
+    group of only nulls. Types are Arrow's: keys, mins and maxes keep
+    theirs, an integer sum or a count is int64, a float sum float64.
+
+    An empty input leaves the exchange without a schema; a materialized
+    one (``from_arrow``, ``materialize()``) still gives the typed empty
+    table, whose types are known without running anything."""
+    import ray.data
+    from ray.data.dataset import MaterializedDataset
+
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    merge = {name: _MERGE_OPS[op] for name, op in aggs.items()}
+
+    def fold(t: pa.Table, ops: dict) -> pa.Table:
+        spec = [([], "count_all") if op == "count" else (name, op)
+                for name, op in ops.items()]
+        return (t.group_by(keys, use_threads=False).aggregate(spec)
+                 .rename_columns(keys + list(ops)))
+
+    out = keyed_exchange(
+        ds.map_batches(fold, fn_args=(aggs,), batch_format="pyarrow"),
+        keys, lambda g: fold(g, merge))
+    schema = ds.schema() if isinstance(ds, MaterializedDataset) else None
+    if schema is None:
+        return out
+    empty = fold(fold(schema.base_schema.empty_table(), aggs), merge)
+    return ray.data.from_arrow(empty).union(out)
+
+
+def _round_columns(names: list[str], ndigits: int = 2):
+    """A batch map applying Python's ``round`` to the float columns
+    ``names`` of a grouped aggregate's output: a twin's ROUND happens
+    after the merge, never on a partial."""
+
+    def fn(batch: pa.Table) -> pa.Table:
+        for name in names:
+            batch = batch.set_column(
+                batch.schema.get_field_index(name), name,
+                pa.array([round(v, ndigits) for v in batch[name].to_pylist()],
+                         pa.float64()))
+        return batch
+
+    return fn
 
 
 def _sorted_runs(t: pa.Table, keys: list[str], order_cols
@@ -752,13 +779,13 @@ def order_priority_revenue(orders_ds, lineitem_ds,
                            num_partitions: int = JOIN_PARTITIONS
                            ) -> "ray.data.Dataset":
     """Revenue per order priority — a large×large join pipeline (TPC-H
-    Q4-flavored): lineitem revenue is partially pre-aggregated per
-    orderkey inside map_batches (shrinks the exchange ~4×, sum is
-    distributive so cross-batch partials need no reduce before the join),
-    hash-joined to orders, then a tiny partial+merge groupby on
-    priority. Size ``num_partitions`` to the data (rows/partition bounds
-    per-task memory; at toy scale fewer partitions avoid paying the
-    per-task floor 256 times)."""
+    Q4-flavored): lineitem revenue is partially pre-aggregated per orderkey
+    inside map_batches (shrinks the exchange ~4×, sum is distributive so
+    cross-batch partials need no reduce before the join), hash-joined to
+    orders, then a ``grouped_aggregate`` on priority, rounded to 2 dp after the
+    merge. Size ``num_partitions`` to the data (rows/partition bounds per-task
+    memory; at toy scale fewer partitions avoid paying the per-task floor 256
+    times)."""
 
     def li_partial(batch: pa.Table) -> pa.Table:
         rev = pc.multiply(batch["l_extendedprice"],
@@ -770,23 +797,9 @@ def order_priority_revenue(orders_ds, lineitem_ds,
     li = lineitem_ds.map_batches(li_partial, batch_format="pyarrow")
     joined = hash_join(orders_ds, li, on="o_orderkey", right_on="l_orderkey",
                        num_partitions=num_partitions)
-
-    def pr_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"o_orderpriority": batch["o_orderpriority"],
-                      "revenue": batch["revenue"]})
-        return (t.group_by(["o_orderpriority"])
-                 .aggregate([("revenue", "sum")])
-                 .rename_columns(["o_orderpriority", "revenue"]))
-
-    def merge(group: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderpriority": [group["o_orderpriority"][0].as_py()],
-            "revenue": [round(pc.sum(group["revenue"]).as_py(), 2)],
-        })
-
-    return (joined.map_batches(pr_partial, batch_format="pyarrow")
-                  .groupby("o_orderpriority")
-                  .map_groups(merge, batch_format="pyarrow"))
+    return grouped_aggregate(
+        joined, "o_orderpriority", {"revenue": "sum"}).map_batches(
+            _round_columns(["revenue"]), batch_format="pyarrow")
 
 
 def shipping_priority(customer_ds, orders_ds, lineitem_ds,
@@ -802,9 +815,8 @@ def shipping_priority(customer_ds, orders_ds, lineitem_ds,
     map_batches (exchange shrinks to unique orderkeys per batch; cents
     make the sum order-free so it can't diverge from a SQL twin),
     orders LEFT-SEMI joins the filtered customer keys, then one
-    large×large hash join + a native per-order cents Sum. Result is
-    ``limit`` rows — driver-side take is bounded."""
-    from ray.data.aggregate import Sum
+    large×large hash join + a per-order cents ``grouped_aggregate``.
+    Result is ``limit`` rows — driver-side take is bounded."""
 
     def li_partial(batch: pa.Table) -> pa.Table:
         cents = pc.cast(pc.floor(pc.add(pc.multiply(
@@ -845,10 +857,9 @@ def shipping_priority(customer_ds, orders_ds, lineitem_ds,
 
     # o_orderdate and o_orderpriority are functions of o_orderkey, so
     # grouping by all three is grouping by the order
-    per_order = (joined.groupby(["o_orderkey", "o_orderdate",
-                                 "o_orderpriority"])
-                       .aggregate(Sum("cents", alias_name="cents"))
-                       .map_batches(revenue, batch_format="pyarrow"))
+    per_order = grouped_aggregate(
+        joined, ["o_orderkey", "o_orderdate", "o_orderpriority"],
+        {"cents": "sum"}).map_batches(revenue, batch_format="pyarrow")
     top = per_order.sort(["revenue", "o_orderkey"],
                          descending=[True, False]).limit(limit)
     return pa.concat_tables(list(top.iter_batches(batch_format="pyarrow")))
@@ -868,8 +879,8 @@ def revenue_by_nation(customer_ds, orders_ds, lineitem_ds,
     - orders ⋈ customer and lineitem ⋈ orders are ``hash_join``s too;
       lineitem revenue is pre-aggregated per orderkey inside
       map_batches before the join (distributive sum, ~4× fewer rows);
-    - the final groupby(n_name) is a partial+merge over ≤ a handful of
-      nations per region.
+    - the final ``grouped_aggregate`` on n_name covers ≤ a handful of
+      nations per region, rounded to 2 dp after the merge.
     """
     import ray.data
 
@@ -900,40 +911,25 @@ def revenue_by_nation(customer_ds, orders_ds, lineitem_ds,
                        left_schema=[("l_orderkey", pa.int64()),
                                     ("revenue", pa.float64())])
 
-    def n_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"n_name": batch["n_name"],
-                      "revenue": batch["revenue"]})
-        return (t.group_by(["n_name"]).aggregate([("revenue", "sum")])
-                 .rename_columns(["n_name", "revenue"]))
-
-    def merge(group: pa.Table) -> pa.Table:
-        return pa.table({
-            "n_name": [group["n_name"][0].as_py()],
-            "revenue": [round(pc.sum(group["revenue"]).as_py(), 2)],
-        })
-
-    return (joined.map_batches(n_partial, batch_format="pyarrow")
-                  .groupby("n_name")
-                  .map_groups(merge, batch_format="pyarrow"))
+    return grouped_aggregate(joined, "n_name", {"revenue": "sum"}).map_batches(
+        _round_columns(["revenue"]), batch_format="pyarrow")
 
 
 def top_revenue_orders(lineitem_ds, k: int = 100) -> "ray.data.Dataset":
     """Global top-k orders by lineitem revenue — the ORDER BY … LIMIT
-    shape: per-orderkey partial revenue inside map_batches, one
-    groupby(orderkey) exchange, then Ray's distributed sample-based sort
-    on (revenue DESC, orderkey ASC) with the limit pushed against the
-    sorted stream. Revenue accumulates in integer CENTS (exact in any
-    order — the ``running_totals`` discipline) so the value, and with
-    the orderkey tie-break the top-k set, is a total order the SQL twin
-    shares bit-for-bit.
+    shape: one ``grouped_aggregate`` of revenue per orderkey, then Ray's
+    distributed sample-based sort on (revenue DESC, orderkey ASC) with the
+    limit pushed against the sorted stream. Revenue accumulates in integer
+    CENTS (exact in any order — the ``running_totals`` discipline) so the
+    value, and with the orderkey tie-break the top-k set, is a total order the
+    SQL twin shares bit-for-bit.
 
     Scale note: the sort's input is one row per ORDER (already reduced),
     not per lineitem — at 100 TB the exchange is ~1% of the raw table;
     a top-k that skipped the per-key aggregate could instead per-batch
     prune, but revenue spans batches so the aggregate is required."""
-    from ray.data.aggregate import Sum
 
-    def li_partial(batch: pa.Table) -> pa.Table:
+    def li_cents(batch: pa.Table) -> pa.Table:
         # integer CENTS per lineitem (floor(x·100 + 0.5) = the SQL twin's
         # exact per-row expression): int64 partials sum exactly in any
         # accumulation order, where a float sum rounded at the end flips
@@ -942,10 +938,8 @@ def top_revenue_orders(lineitem_ds, k: int = 100) -> "ray.data.Dataset":
                           pc.subtract(pa.scalar(1.0), batch["l_discount"])
                           ).to_numpy(zero_copy_only=False)
         cents = np.floor(rev * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"l_orderkey": batch["l_orderkey"],
-                      "cents": pa.array(cents, pa.int64())})
-        return (t.group_by(["l_orderkey"]).aggregate([("cents", "sum")])
-                 .rename_columns(["l_orderkey", "cents"]))
+        return pa.table({"l_orderkey": batch["l_orderkey"],
+                         "cents": pa.array(cents, pa.int64())})
 
     def to_revenue(batch: pa.Table) -> pa.Table:
         rev = pc.divide(pc.cast(batch["cents"], pa.float64()),
@@ -953,9 +947,9 @@ def top_revenue_orders(lineitem_ds, k: int = 100) -> "ray.data.Dataset":
         return pa.table({"l_orderkey": batch["l_orderkey"],
                          "revenue": rev})
 
-    return (lineitem_ds.map_batches(li_partial, batch_format="pyarrow")
-            .groupby("l_orderkey")
-            .aggregate(Sum("cents", alias_name="cents"))
+    return (grouped_aggregate(
+                lineitem_ds.map_batches(li_cents, batch_format="pyarrow"),
+                "l_orderkey", {"cents": "sum"})
             .map_batches(to_revenue, batch_format="pyarrow")
             .sort(["revenue", "l_orderkey"], descending=[True, False])
             .limit(k))
@@ -1072,9 +1066,8 @@ def weighted_avg_by_group(ds, group_column: str, value_column: str,
 
     SQL twin: ``CAST(CAST(SUM(cents·w) AS BIGINT) AS DOUBLE)
     / (100.0 * CAST(SUM(w) AS BIGINT)) GROUP BY group``."""
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         mask = pc.and_(pc.is_valid(batch[value_column]),
                        pc.is_valid(batch[weight_column]))
         batch = batch.filter(mask)
@@ -1082,13 +1075,11 @@ def weighted_avg_by_group(ds, group_column: str, value_column: str,
             pc.multiply(batch[value_column], pa.scalar(100.0)),
             pa.scalar(0.5))), pa.int64())
         w = pc.cast(batch[weight_column], pa.int64())  # safe: raises if lossy
-        t = pa.table({
+        return pa.table({
             "grp": batch[group_column],
             "cw": pc.multiply(cents, w),
             "w": w,
         })
-        return (t.group_by(["grp"]).aggregate([("cw", "sum"), ("w", "sum")])
-                 .rename_columns(["grp", "cw", "w"]))
 
     def finish(batch: pa.Table) -> pa.Table:
         num = batch["cw"].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -1098,10 +1089,9 @@ def weighted_avg_by_group(ds, group_column: str, value_column: str,
             alias: pa.array(num / (100.0 * den), pa.float64()),
         })
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("grp")
-              .aggregate(Sum("cw", alias_name="cw"), Sum("w", alias_name="w"))
-              .map_batches(finish, batch_format="pyarrow"))
+    return grouped_aggregate(ds.map_batches(rows, batch_format="pyarrow"),
+                             "grp", {"cw": "sum", "w": "sum"}
+                             ).map_batches(finish, batch_format="pyarrow")
 
 
 def distinct_count(ds, group_column: str, value_column: str,
@@ -1173,21 +1163,18 @@ def set_op_ids(left_ds, right_ds, column: str, op: str = "intersect"
     DISTINCT FROM) and may emit one NULL row; callers whose key column
     can be null and who need SQL semantics must pre-map null to a
     sentinel.  Per-batch dedupe shrinks each side to unique keys per
-    batch, then ONE native groupby(key) takes the Min and Max of the
-    side flag (1 = left, 2 = right): intersect keeps (1, 2), except
+    batch, then ONE ``grouped_aggregate`` on the key takes the min and
+    max of the side flag (1 = left, 2 = right): intersect keeps (1, 2), except
     keeps (1, 1). The exchange carries unique (batch, key) rows, never
     the raw row count."""
-    from ray.data.aggregate import Max, Min
     if op not in ("intersect", "except"):
         raise ValueError(op)
 
     def tag(flag: int):
         def fn(batch: pa.Table) -> pa.Table:
             vals = pc.unique(batch[column]).drop_null()
-            return pa.table({
-                column: vals,
-                "side": pa.array(np.full(len(vals), flag), pa.int64()),
-            })
+            side = pa.array(np.full(len(vals), flag), pa.int64())
+            return pa.table({column: vals, "lo": side, "hi": side})
         return fn
 
     want_hi = 2 if op == "intersect" else 1
@@ -1199,10 +1186,8 @@ def set_op_ids(left_ds, right_ds, column: str, op: str = "intersect"
 
     tagged = (left_ds.map_batches(tag(1), batch_format="pyarrow")
               .union(right_ds.map_batches(tag(2), batch_format="pyarrow")))
-    return (tagged.groupby(column)
-                  .aggregate(Min("side", alias_name="lo"),
-                             Max("side", alias_name="hi"))
-                  .map_batches(keep, batch_format="pyarrow"))
+    return grouped_aggregate(tagged, column, {"lo": "min", "hi": "max"}
+                             ).map_batches(keep, batch_format="pyarrow")
 
 
 def forecast_revenue_q6(lineitem_ds) -> pa.Table:
@@ -1305,19 +1290,14 @@ def resample_daily_counts(ds) -> pa.Table:
         batch = batch.filter(pc.and_(pc.is_valid(batch["ts"]),
                                      pc.is_valid(batch["event_type"])))
         ts = pc.cast(batch["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "day": pa.array((ts // _DAY) * _DAY, pa.int64()),
             "event_type": batch["event_type"],
         })
-        return (t.group_by(["day", "event_type"])
-                 .aggregate([([], "count_all")])
-                 .rename_columns(["day", "event_type", "n"]))
 
-    from ray.data.aggregate import Sum
-    rows = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby(["day", "event_type"])
-              .aggregate(Sum("n", alias_name="n"))
-              .take_all())  # bounded: days × types
+    rows = grouped_aggregate(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["day", "event_type"], {"n": "count"}).take_all()  # days × types
     if not rows:
         return pa.table({"day": pa.array([], pa.timestamp("us")),
                          "event_type": pa.array([], pa.string()),
@@ -1340,28 +1320,69 @@ def resample_daily_counts(ds) -> pa.Table:
 def mode_per_group(ds, group_column: str, value_column: str
                    ) -> "ray.data.Dataset":
     """Most frequent value per group (mode), ties → smallest value —
-    deterministic, SQL-twin-exact. Per-batch (group, value) counts
-    shrink the exchange to unique pairs per batch; one groupby(group,
-    value) sums partials; ``grouped_topk`` with ``k=1`` takes the argmax
+    deterministic, SQL-twin-exact. One ``grouped_aggregate`` counts each
+    (group, value); ``grouped_topk`` with ``k=1`` takes the argmax
     (its input is one row per distinct (group, value), never raw
     rows)."""
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table({"grp": batch[group_column],
                       "val": batch[value_column]})
-        t = t.filter(pc.and_(pc.is_valid(t["grp"]), pc.is_valid(t["val"])))
-        return (t.group_by(["grp", "val"]).aggregate([([], "count_all")])
-                 .rename_columns(["grp", "val", "cnt"]))
+        return t.filter(pc.and_(pc.is_valid(t["grp"]),
+                                pc.is_valid(t["val"])))
 
-    from ray.data.aggregate import Sum
-    pair_counts = (ds.map_batches(partial, batch_format="pyarrow")
-                     .groupby(["grp", "val"])
-                     .aggregate(Sum("cnt", alias_name="cnt")))
+    pair_counts = grouped_aggregate(
+        ds.map_batches(partial, batch_format="pyarrow"), ["grp", "val"],
+        {"cnt": "count"})
     top = grouped_topk(pair_counts, "grp", [("cnt", "descending"), "val"], 1)
     return top.map_batches(
         lambda b: pa.table({group_column: b["grp"], "mode_value": b["val"],
                             "mode_count": b["cnt"]}),
         batch_format="pyarrow")
+
+
+def _cents_by_group(ds, group_cols: list[str], value_column: str
+                    ) -> pa.Table:
+    """The finest level of ``rollup_agg`` and ``cube_agg``: int64
+    ``sum_cents`` of ``floor(value·100 + 0.5)`` and ``n_rows`` per
+    string ``group_cols``, one ``grouped_aggregate`` collected on the
+    driver (bounded by group cardinality, never the input)."""
+
+    def cents(batch: pa.Table) -> pa.Table:
+        return batch.select(group_cols).append_column(
+            "sum_cents", pc.cast(pc.floor(pc.add(pc.multiply(
+                pc.cast(batch[value_column], pa.float64()), 100.0), 0.5)),
+                pa.int64()))
+
+    rows = grouped_aggregate(
+        ds.map_batches(cents, batch_format="pyarrow"), group_cols,
+        {"sum_cents": "sum", "n_rows": "count"}).take_all()
+    return pa.table({
+        **{c: pa.array([r[c] for r in rows], pa.string())
+           for c in group_cols},
+        "sum_cents": pa.array([r["sum_cents"] for r in rows], pa.int64()),
+        "n_rows": pa.array([r["n_rows"] for r in rows], pa.int64()),
+    })
+
+
+def _grouping_set(base: pa.Table, group_cols: list[str], keep: list[str]
+                  ) -> pa.Table:
+    """One level of a ROLLUP / CUBE: ``base``'s sums re-grouped by
+    ``keep``, the other ``group_cols`` NULL."""
+    agg = (base.group_by(keep)
+               .aggregate([("sum_cents", "sum"), ("n_rows", "sum")])
+           if keep else pa.table({
+               "sum_cents_sum": pa.array(
+                   [pc.sum(base["sum_cents"]).as_py() or 0], pa.int64()),
+               "n_rows_sum": pa.array(
+                   [pc.sum(base["n_rows"]).as_py() or 0], pa.int64()),
+           }))
+    cols = {c: (agg[c] if c in keep
+                else pa.nulls(agg.num_rows, pa.string()))
+            for c in group_cols}
+    cols["sum_cents"] = agg["sum_cents_sum"]
+    cols["n_rows"] = agg["n_rows_sum"]
+    return pa.table(cols)
 
 
 def rollup_agg(ds, group_cols: list[str], value_column: str):
@@ -1370,107 +1391,46 @@ def rollup_agg(ds, group_cols: list[str], value_column: str):
     rolled-up columns — ``sum_cents`` (int64 cents, so accumulation
     order can't diverge from a SQL twin) and ``n_rows``.
 
-    Dataflow: ONE distributed partial-agg + groupby at the FINEST level
-    (the only data-sized work), then the coarser levels fold from the
-    finest result, which is group-cardinality-bounded (take_all of a
-    few-hundred-row table, never the input)."""
-    import pyarrow.compute as pc
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.floor(pc.add(pc.multiply(
-            pc.cast(batch[value_column], pa.float64()), 100.0), 0.5)),
-            pa.int64())
-        t = batch.select(group_cols).append_column("cents", cents)
-        return (t.group_by(group_cols)
-                 .aggregate([("cents", "sum"), ([], "count_all")])
-                 .rename_columns(group_cols + ["sum_cents", "n_rows"]))
-
-    from ray.data.aggregate import Sum
-    finest = (ds.map_batches(partial, batch_format="pyarrow")
-                .groupby(group_cols)
-                .aggregate(Sum("sum_cents", alias_name="sum_cents"),
-                           Sum("n_rows", alias_name="n_rows")))
-    rows = finest.take_all()  # bounded by finest group cardinality
-    base = pa.table({
-        **{c: pa.array([r[c] for r in rows], pa.string())
-           for c in group_cols},
-        "sum_cents": pa.array([r["sum_cents"] for r in rows], pa.int64()),
-        "n_rows": pa.array([r["n_rows"] for r in rows], pa.int64()),
-    })
-    levels = [base]
-    for lvl in range(len(group_cols) - 1, -1, -1):
-        keep = group_cols[:lvl]
-        agg = (base.group_by(keep)
-                   .aggregate([("sum_cents", "sum"), ("n_rows", "sum")])
-               if keep else pa.table({
-                   "sum_cents_sum": pa.array(
-                       [pc.sum(base["sum_cents"]).as_py() or 0], pa.int64()),
-                   "n_rows_sum": pa.array(
-                       [pc.sum(base["n_rows"]).as_py() or 0], pa.int64()),
-               }))
-        cols = {c: (agg[c] if c in keep
-                    else pa.nulls(agg.num_rows, pa.string()))
-                for c in group_cols}
-        cols["sum_cents"] = agg["sum_cents_sum"]
-        cols["n_rows"] = agg["n_rows_sum"]
-        levels.append(pa.table(cols))
-    return pa.concat_tables(levels)
+    Dataflow: ONE ``grouped_aggregate`` at the FINEST level (the only
+    data-sized work), then the coarser levels fold from the finest
+    result on the driver."""
+    base = _cents_by_group(ds, group_cols, value_column)
+    return pa.concat_tables([base] + [
+        _grouping_set(base, group_cols, group_cols[:lvl])
+        for lvl in range(len(group_cols) - 1, -1, -1)])
 
 
 def pivot_counts(ds, group_column: str, pivot_column: str,
                  categories: list[str]):
     """Long→wide conditional-count pivot: one output row per
     ``group_column`` value with an ``n_<category>`` int64 column per
-    category (unlisted categories are ignored). Classic two-phase
-    aggregate: per-batch vectorized partials (dictionary-encode + 2-D
-    bincount — no Python row loop), then ONE groupby summing the
-    per-category partial columns; the exchange carries one row per
-    (batch, group), never the events."""
-    import pyarrow.compute as pc
+    category (unlisted categories are ignored). Each row carries a 0/1
+    indicator per category and one ``grouped_aggregate`` sums them; the
+    exchange carries one row per (batch, group), never the events."""
 
-    cat_index = {c: i for i, c in enumerate(categories)}
-    cat_set = pa.array(categories)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
-        grp = batch[group_column]
-        enc_g = grp.combine_chunks().dictionary_encode()
-        gcodes = enc_g.indices.to_numpy(zero_copy_only=False)
-        pos = _pc.index_in(batch[pivot_column], value_set=cat_set)
-        ccodes = _pc.fill_null(pos, -1).to_numpy(zero_copy_only=False)
-        keep = ccodes >= 0
-        n_g, n_c = len(enc_g.dictionary), len(categories)
-        counts = np.zeros((n_g, n_c), dtype=np.int64)
-        np.add.at(counts, (gcodes[keep], ccodes[keep]), 1)
-        cols = {group_column: enc_g.dictionary}
-        for c, i in cat_index.items():
-            cols[f"n_{c}"] = pa.array(counts[:, i], pa.int64())
+    def indicators(batch: pa.Table) -> pa.Table:
+        cols = {group_column: batch[group_column]}
+        for c in categories:
+            cols[f"n_{c}"] = pc.cast(pc.fill_null(
+                pc.equal(batch[pivot_column], c), False), pa.int64())
         return pa.table(cols)
 
-    from ray.data.aggregate import Sum
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby(group_column)
-              .aggregate(*[Sum(f"n_{c}", alias_name=f"n_{c}")
-                           for c in categories]))
+    return grouped_aggregate(
+        ds.map_batches(indicators, batch_format="pyarrow"), group_column,
+        {f"n_{c}": "sum" for c in categories})
 
 
 def value_histogram(ds, column: str, width: float):
     """Fixed-width histogram: ``bin = floor(value / width)`` (int64) →
-    count. Per-batch vectorized bin partials, one tiny groupby-sum
-    exchange (one row per (batch, bin))."""
-    import pyarrow.compute as pc
+    count, one ``grouped_aggregate``."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        bins = pc.cast(pc.floor(pc.divide(
+    def bins(batch: pa.Table) -> pa.Table:
+        return pa.table({"bin": pc.cast(pc.floor(pc.divide(
             pc.cast(batch[column], pa.float64()), float(width))),
-            pa.int64())
-        return (pa.table({"bin": bins})
-                .group_by(["bin"]).aggregate([([], "count_all")])
-                .rename_columns(["bin", "n"]))
+            pa.int64())})
 
-    from ray.data.aggregate import Sum
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("bin").aggregate(Sum("n", alias_name="n")))
+    return grouped_aggregate(ds.map_batches(bins, batch_format="pyarrow"),
+                             "bin", {"n": "count"})
 
 
 def funnel_conversion(ds, from_type: str, to_type: str,
@@ -1525,50 +1485,12 @@ def cube_agg(ds, group_cols: list[str], value_column: str):
     2^k − 1 levels folded from its group-cardinality-bounded result."""
     import itertools
 
-    import pyarrow.compute as pc
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.floor(pc.add(pc.multiply(
-            pc.cast(batch[value_column], pa.float64()), 100.0), 0.5)),
-            pa.int64())
-        t = batch.select(group_cols).append_column("cents", cents)
-        return (t.group_by(group_cols)
-                 .aggregate([("cents", "sum"), ([], "count_all")])
-                 .rename_columns(group_cols + ["sum_cents", "n_rows"]))
-
-    from ray.data.aggregate import Sum
-    finest = (ds.map_batches(partial, batch_format="pyarrow")
-                .groupby(group_cols)
-                .aggregate(Sum("sum_cents", alias_name="sum_cents"),
-                           Sum("n_rows", alias_name="n_rows")))
-    rows = finest.take_all()  # bounded by finest group cardinality
-    base = pa.table({
-        **{c: pa.array([r[c] for r in rows], pa.string())
-           for c in group_cols},
-        "sum_cents": pa.array([r["sum_cents"] for r in rows], pa.int64()),
-        "n_rows": pa.array([r["n_rows"] for r in rows], pa.int64()),
-    })
-    levels = [base]
+    base = _cents_by_group(ds, group_cols, value_column)
     subsets = itertools.chain.from_iterable(
         itertools.combinations(group_cols, k)
         for k in range(len(group_cols)))
-    for keep in subsets:
-        keep = list(keep)
-        agg = (base.group_by(keep)
-                   .aggregate([("sum_cents", "sum"), ("n_rows", "sum")])
-               if keep else pa.table({
-                   "sum_cents_sum": pa.array(
-                       [pc.sum(base["sum_cents"]).as_py() or 0], pa.int64()),
-                   "n_rows_sum": pa.array(
-                       [pc.sum(base["n_rows"]).as_py() or 0], pa.int64()),
-               }))
-        cols = {c: (agg[c] if c in keep
-                    else pa.nulls(agg.num_rows, pa.string()))
-                for c in group_cols}
-        cols["sum_cents"] = agg["sum_cents_sum"]
-        cols["n_rows"] = agg["n_rows_sum"]
-        levels.append(pa.table(cols))
-    return pa.concat_tables(levels)
+    return pa.concat_tables([base] + [
+        _grouping_set(base, group_cols, list(keep)) for keep in subsets])
 
 
 def grouped_moments(ds, group_column: str, value_column: str,
@@ -1581,20 +1503,13 @@ def grouped_moments(ds, group_column: str, value_column: str,
     ``var = (Σx²/n − (Σx/n)²)/scale²`` are bit-identical to a SQL twin
     computing the same expressions from the same integers — accumulation
     order can never diverge."""
-    import pyarrow.compute as pc
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def scaled(batch: pa.Table) -> pa.Table:
         v = pc.cast(pc.floor(pc.add(pc.multiply(
             pc.cast(batch[value_column], pa.float64()), float(scale)),
             0.5)), pa.int64())
-        t = pa.table({group_column: batch[group_column], "x": v,
-                      "xx": pc.multiply(v, v)})
-        return (t.group_by([group_column])
-                 .aggregate([("x", "sum"), ("xx", "sum"),
-                             ([], "count_all")])
-                 .rename_columns([group_column, "sx", "sxx", "n"]))
-
-    from ray.data.aggregate import Sum
+        return pa.table({group_column: batch[group_column], "sx": v,
+                         "sxx": pc.multiply(v, v)})
 
     def finish(batch: pa.Table) -> pa.Table:
         sx = batch["sx"].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -1610,12 +1525,10 @@ def grouped_moments(ds, group_column: str, value_column: str,
             "var_value": pa.array(var_s / (scale * scale), pa.float64()),
         })
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby(group_column)
-              .aggregate(Sum("sx", alias_name="sx"),
-                         Sum("sxx", alias_name="sxx"),
-                         Sum("n", alias_name="n"))
-              .map_batches(finish, batch_format="pyarrow"))
+    return grouped_aggregate(
+        ds.map_batches(scaled, batch_format="pyarrow"), group_column,
+        {"sx": "sum", "sxx": "sum", "n": "count"}
+    ).map_batches(finish, batch_format="pyarrow")
 
 
 _WEEK_US = 7 * 86_400_000_000
@@ -1632,15 +1545,13 @@ def _week_start_us(ts_us: np.ndarray) -> np.ndarray:
 
 def cohort_retention(ds):
     """Cohort retention matrix: users grouped by the ISO week of their
-    FIRST event; for each (cohort_week, week_offset) count the distinct
-    users active that week. Two shuffles: one ``partitioned_sweep`` over
-    ``user_id`` ordered by ts — a user's cohort is the week of its first
-    row, and a user's distinct offsets are the rows where the offset
-    changes — emitting each user's distinct (cohort, offset) rows with
-    no join, then one count-aggregate whose exchange carries one row per
-    (partition, cohort, offset). Null users are dropped, as the twin's
-    ``JOIN f USING (user_id)`` drops them, and so are rows with a null
-    ts."""
+    FIRST event; for each (cohort_week, week_offset) count the distinct users
+    active that week. Two shuffles: one ``partitioned_sweep`` over ``user_id``
+    ordered by ts — a user's cohort is the week of its first row, and a user's
+    distinct offsets are the rows where the offset changes — emitting each
+    user's distinct (cohort, offset) rows with no join, then one
+    ``grouped_aggregate`` counting them. Null users are dropped, as the twin's
+    ``JOIN f USING (user_id)`` drops them, and so are rows with a null ts."""
 
     def per_user(g: pa.Table, starts: np.ndarray) -> pa.Table:
         weeks = _week_start_us(pc.cast(g["ts"], pa.int64()).to_numpy(
@@ -1648,11 +1559,8 @@ def cohort_retention(ds):
         cohort = weeks[_run_start(starts, len(weeks))]
         offsets = (weeks - cohort) // _WEEK_US
         new = _changes(offsets, starts)
-        return (pa.table({"cohort_week": pa.array(cohort[new], pa.int64()),
-                          "week_offset": pa.array(offsets[new], pa.int64())})
-                .group_by(["cohort_week", "week_offset"])
-                .aggregate([([], "count_all")])
-                .rename_columns(["cohort_week", "week_offset", "n_users"]))
+        return pa.table({"cohort_week": pa.array(cohort[new], pa.int64()),
+                         "week_offset": pa.array(offsets[new], pa.int64())})
 
     def to_timestamp(batch: pa.Table) -> pa.Table:
         # the week start rides the exchange as int64 µs
@@ -1660,15 +1568,14 @@ def cohort_retention(ds):
             batch.schema.get_field_index("cohort_week"), "cohort_week",
             pc.cast(batch["cohort_week"], pa.timestamp("us")))
 
-    from ray.data.aggregate import Sum
     valid = ds.map_batches(
         lambda b: b.filter(pc.and_(pc.is_valid(b["user_id"]),
                                    pc.is_valid(b["ts"]))),
         batch_format="pyarrow")
-    return (partitioned_sweep(valid, "user_id", ["ts"], per_user)
-              .groupby(["cohort_week", "week_offset"])
-              .aggregate(Sum("n_users", alias_name="n_users"))
-              .map_batches(to_timestamp, batch_format="pyarrow"))
+    return grouped_aggregate(
+        partitioned_sweep(valid, "user_id", ["ts"], per_user),
+        ["cohort_week", "week_offset"], {"n_users": "count"}
+    ).map_batches(to_timestamp, batch_format="pyarrow")
 
 
 def event_transitions(ds):
@@ -1676,11 +1583,10 @@ def event_transitions(ds):
     event stream: (from_type, to_type) → count — the Markov-matrix /
     path-analysis primitive. One ``partitioned_sweep`` over
     ``user_id`` ordered by (ts, event_id): every row that is not its
-    user's last pairs with the next row, and each partition counts its
-    pairs. A second, |types|²-bounded sweep over (from_type, to_type)
-    sums the counts; unlike Ray's sort-based groupby it takes a null
-    ``from_type`` as a key. Pairs with a null ``to_type`` are dropped,
-    as the twin's ``WHERE next_type IS NOT NULL`` does."""
+    user's last pairs with the next row; one ``grouped_aggregate``
+    counts the pairs, a null ``from_type`` as one key. Pairs with a
+    null ``to_type`` are dropped, as the twin's ``WHERE next_type IS
+    NOT NULL`` does."""
 
     def per_user(g: pa.Table, starts: np.ndarray) -> pa.Table:
         types = g["event_type"].combine_chunks()
@@ -1691,17 +1597,11 @@ def event_transitions(ds):
         src = np.flatnonzero(has_next)
         t = pa.table({"from_type": types.take(src),
                       "to_type": types.take(src + 1)})
-        return (t.filter(pc.is_valid(t["to_type"]))
-                .group_by(["from_type", "to_type"])
-                .aggregate([([], "count_all")])
-                .rename_columns(["from_type", "to_type", "n"]))
+        return t.filter(pc.is_valid(t["to_type"]))
 
-    def total(g: pa.Table, starts: np.ndarray) -> pa.Table:
-        return g.take(starts).set_column(2, "n", pa.array(
-            np.add.reduceat(g["n"].to_numpy(), starts), pa.int64()))
-
-    pairs = partitioned_sweep(ds, "user_id", ["ts", "event_id"], per_user)
-    return partitioned_sweep(pairs, ["from_type", "to_type"], [], total)
+    return grouped_aggregate(
+        partitioned_sweep(ds, "user_id", ["ts", "event_id"], per_user),
+        ["from_type", "to_type"], {"n": "count"})
 
 
 def ntile_by_group(ds, group_column: str, order_column: str,
@@ -1755,9 +1655,8 @@ def ntile_by_group(ds, group_column: str, order_column: str,
 def share_of_total(ds, group_column: str, value_column: str,
                    alias: str = "share") -> pa.Table:
     """Ratio-to-report: each group's share of the grand total —
-    SUM(cents) per group / SUM over all groups. Exact int64 cents
-    partials (one row per batch × group on the exchange), ONE small
-    groupby; the grand total is folded on the driver over the
+    SUM(cents) per group / SUM over all groups. Exact int64 cents in
+    ONE ``grouped_aggregate``; the grand total is folded on the driver over the
     aggregated result, which is bounded by group cardinality, not row
     count. Float64 appears only in the final division of two exactly
     representable integers (exact below 2^53 total cents ≈ $90T), so
@@ -1765,22 +1664,19 @@ def share_of_total(ds, group_column: str, value_column: str,
 
     SQL twin: ``CAST(sum_cents AS DOUBLE) /
     CAST(SUM(sum_cents) OVER () AS DOUBLE)`` over the grouped CTE."""
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cents(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.and_(pc.is_valid(batch[group_column]),
                                      pc.is_valid(batch[value_column])))
-        cents = pc.cast(pc.floor(pc.add(
-            pc.multiply(batch[value_column], pa.scalar(100.0)),
-            pa.scalar(0.5))), pa.int64())
-        t = pa.table({"grp": batch[group_column], "cents": cents})
-        return (t.group_by(["grp"]).aggregate([("cents", "sum")])
-                 .rename_columns(["grp", "cents"]))
+        return pa.table({"grp": batch[group_column],
+                         "cents": pc.cast(pc.floor(pc.add(
+                             pc.multiply(batch[value_column],
+                                         pa.scalar(100.0)),
+                             pa.scalar(0.5))), pa.int64())})
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby("grp")
-             .aggregate(Sum("cents", alias_name="cents")))
-    rows = agg.take_all()  # bounded by group cardinality
+    rows = grouped_aggregate(
+        ds.map_batches(cents, batch_format="pyarrow"), "grp",
+        {"cents": "sum"}).take_all()  # bounded by group cardinality
     grp = [r["grp"] for r in rows]
     cents = np.array([r["cents"] for r in rows], dtype=np.int64)
     total = float(cents.sum())
@@ -1923,9 +1819,9 @@ def event_kgrams(ds, k: int = 3, min_count: int = 2,
     One ``partitioned_sweep`` over the user ordered by (ts, id); a gram
     starts at every row whose ``k - 1`` successors belong to the same
     user, and ``k`` shifted slices join it (no Python loop over events).
-    Each partition folds its grams to (gram, count) partials, so the
-    second exchange is gram-vocabulary-bounded — at most
-    |event_types|^k distinct rows per partition — never event-bounded.
+    One ``grouped_aggregate`` counts the grams; its per-batch partial
+    bounds the second exchange by the gram vocabulary — at most
+    |event_types|^k distinct rows per batch — never by events.
     Null values/keys are dropped up front (the SQL twin's WHERE; grams
     are over the surviving sequence, matching ``lag`` over the filtered
     stream). Grams with global count < ``min_count`` are dropped.
@@ -1940,26 +1836,16 @@ def event_kgrams(ds, k: int = 3, min_count: int = 2,
         n = max(g.num_rows - k + 1, 0)
         first = np.flatnonzero(run[:n] == run[k - 1:])
         vals = g[value_column].combine_chunks()
-        grams = pc.binary_join_element_wise(
-            *[vals.take(first + j) for j in range(k)], ">")
-        return (pa.table({"gram": grams})
-                .group_by(["gram"]).aggregate([([], "count_all")])
-                .rename_columns(["gram", "cnt"]))
+        return pa.table({"gram": pc.binary_join_element_wise(
+            *[vals.take(first + j) for j in range(k)], ">")})
 
-    from ray.data.aggregate import Sum
-
-    counts = (partitioned_sweep(
+    counts = grouped_aggregate(partitioned_sweep(
         ds.map_batches(lambda b: b.select(cols).drop_null(),
                        batch_format="pyarrow"),
-        group_column, list(order_columns), sweep)
-        .groupby("gram").aggregate(Sum("cnt", alias_name="n")))
-
-    def finish(batch: pa.Table) -> pa.Table:
-        t = pa.table({"gram": batch["gram"],
-                      "n": pc.cast(batch["n"], pa.int64())})
-        return t.filter(pc.greater_equal(t["n"], min_count))
-
-    return counts.map_batches(finish, batch_format="pyarrow")
+        group_column, list(order_columns), sweep), "gram", {"n": "count"})
+    return counts.map_batches(
+        lambda b: b.filter(pc.greater_equal(b["n"], min_count)),
+        batch_format="pyarrow")
 
 
 def merge_intervals_by_group(ds, group_column: str = "user_id",
@@ -2024,22 +1910,20 @@ def late_orders_by_priority(orders_ds, lineitem_ds,
     aggregate: EXISTS(l_shipdate > o_orderdate) ⟺
     MAX(l_shipdate) > o_orderdate, so lineitem collapses to one
     (orderkey, max_ship) row BEFORE the join instead of probing per
-    line. Per-batch max partials shrink the first exchange ~4×; the
-    exact per-order max is one keyed groupby; one large×large hash
-    join; the priority rollup is partial-merged (tiny final exchange).
+    line. The exact per-order max is one ``grouped_aggregate`` (its
+    per-batch partials shrink the exchange ~4×); one large×large hash
+    join; the priority count is a second, tiny ``grouped_aggregate``.
     All comparisons are int64 microseconds — the SQL twin hashes
     exactly."""
-    from ray.data.aggregate import Max, Sum
 
-    def li_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"l_orderkey": batch["l_orderkey"],
-                      "ship_us": pc.cast(batch["l_shipdate"], pa.int64())})
-        return (t.group_by(["l_orderkey"]).aggregate([("ship_us", "max")])
-                 .rename_columns(["l_orderkey", "ship_us"]))
+    def ship_us(batch: pa.Table) -> pa.Table:
+        return pa.table({"l_orderkey": batch["l_orderkey"],
+                         "max_ship": pc.cast(batch["l_shipdate"],
+                                             pa.int64())})
 
-    last_ship = (lineitem_ds.map_batches(li_partial, batch_format="pyarrow")
-                 .groupby("l_orderkey")
-                 .aggregate(Max("ship_us", alias_name="max_ship")))
+    last_ship = grouped_aggregate(
+        lineitem_ds.map_batches(ship_us, batch_format="pyarrow"),
+        "l_orderkey", {"max_ship": "max"})
     joined = hash_join(
         orders_ds, last_ship, on="o_orderkey", right_on="l_orderkey",
         num_partitions=num_partitions,
@@ -2047,23 +1931,12 @@ def late_orders_by_priority(orders_ds, lineitem_ds,
                      ("o_orderdate", pa.timestamp("us")),
                      ("o_orderpriority", pa.string())])
 
-    def late_partial(batch: pa.Table) -> pa.Table:
-        late = pc.greater(batch["max_ship"],
-                          pc.cast(batch["o_orderdate"], pa.int64()))
-        t = pa.table({"o_orderpriority": batch["o_orderpriority"]}
-                     ).filter(late)
-        return (t.group_by(["o_orderpriority"])
-                 .aggregate([([], "count_all")])
-                 .rename_columns(["o_orderpriority", "n"]))
+    def late(batch: pa.Table) -> pa.Table:
+        return batch.select(["o_orderpriority"]).filter(pc.greater(
+            batch["max_ship"], pc.cast(batch["o_orderdate"], pa.int64())))
 
-    counts = (joined.map_batches(late_partial, batch_format="pyarrow")
-                    .groupby("o_orderpriority")
-                    .aggregate(Sum("n", alias_name="late_order_count")))
-    return counts.map_batches(
-        lambda b: pa.table({
-            "o_orderpriority": b["o_orderpriority"],
-            "late_order_count": pc.cast(b["late_order_count"], pa.int64()),
-        }), batch_format="pyarrow")
+    return grouped_aggregate(joined.map_batches(late, batch_format="pyarrow"),
+                             "o_orderpriority", {"late_order_count": "count"})
 
 
 def priority_counts_by_linestatus(orders_ds, lineitem_ds,
@@ -2074,10 +1947,9 @@ def priority_counts_by_linestatus(orders_ds, lineitem_ds,
     vs everything else. Lineitem pre-aggregates (orderkey, linestatus)
     COUNT partials inside map_batches (count is distributive — partials
     need no reduce before the join), one large×large hash join carries
-    the tiny count column, then per-batch CASE-WHEN partials fold into
-    a 2-row final groupby. All-integer, so the SQL twin's
+    the tiny count column, then CASE-WHEN columns fold in a 2-row
+    ``grouped_aggregate``. All-integer, so the SQL twin's
     SUM(CASE WHEN ...) hashes exactly."""
-    from ray.data.aggregate import Sum
 
     def li_partial(batch: pa.Table) -> pa.Table:
         t = batch.select(["l_orderkey", "l_linestatus"])
@@ -2092,30 +1964,20 @@ def priority_counts_by_linestatus(orders_ds, lineitem_ds,
         left_schema=[("o_orderkey", pa.int64()),
                      ("o_orderpriority", pa.string())])
 
-    def case_partial(batch: pa.Table) -> pa.Table:
+    def case_when(batch: pa.Table) -> pa.Table:
         hi = pc.is_in(batch["o_orderpriority"],
                       value_set=pa.array(["1-URGENT", "2-HIGH"]))
         cnt = batch["cnt"].to_numpy(zero_copy_only=False)
         him = hi.to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "l_linestatus": batch["l_linestatus"],
-            "hi": pa.array(np.where(him, cnt, 0), pa.int64()),
-            "lo": pa.array(np.where(him, 0, cnt), pa.int64()),
+            "high_line_count": pa.array(np.where(him, cnt, 0), pa.int64()),
+            "low_line_count": pa.array(np.where(him, 0, cnt), pa.int64()),
         })
-        return (t.group_by(["l_linestatus"])
-                 .aggregate([("hi", "sum"), ("lo", "sum")])
-                 .rename_columns(["l_linestatus", "hi", "lo"]))
 
-    agg = (joined.map_batches(case_partial, batch_format="pyarrow")
-                 .groupby("l_linestatus")
-                 .aggregate(Sum("hi", alias_name="high_line_count"),
-                            Sum("lo", alias_name="low_line_count")))
-    return agg.map_batches(
-        lambda b: pa.table({
-            "l_linestatus": b["l_linestatus"],
-            "high_line_count": pc.cast(b["high_line_count"], pa.int64()),
-            "low_line_count": pc.cast(b["low_line_count"], pa.int64()),
-        }), batch_format="pyarrow")
+    return grouped_aggregate(
+        joined.map_batches(case_when, batch_format="pyarrow"),
+        "l_linestatus", {"high_line_count": "sum", "low_line_count": "sum"})
 
 
 def longest_run_by_group(ds, group_column: str = "user_id",
@@ -2283,27 +2145,19 @@ def event_type_cooccurrence(ds, ts_column: str = "ts",
     Per-batch distinct (user, day, type) triples bound the exchange by
     baskets × types, not events; one ``partitioned_sweep`` over the
     (user, day) key emits each basket's C(k,2) pairs (``_run_pairs``,
-    k ≤ #event types — single digits); per-partition pair counts
-    collapse into a ~|types|²-row final groupby. Day =
+    k ≤ #event types — single digits); one ``grouped_aggregate``
+    counts the pairs into a ~|types|²-row table. Day =
     floor(epoch_us / 86_400_000_000), matching the twin."""
-    from ray.data.aggregate import Sum
 
     def emit_pairs(g: pa.Table, starts: np.ndarray) -> pa.Table:
         _, a, b = _run_pairs(g["etype"].combine_chunks(), starts)
-        return (pa.table({"type_a": a, "type_b": b})
-                .group_by(["type_a", "type_b"])
-                .aggregate([([], "count_all")])
-                .rename_columns(["type_a", "type_b", "n"]))
+        return pa.table({"type_a": a, "type_b": b})
 
     triples = _basket_triples(ts_column, user_column, value_column)
-    agg = (partitioned_sweep(ds.map_batches(triples, batch_format="pyarrow"),
-                             ["user", "day"], ["etype"], emit_pairs)
-             .groupby(["type_a", "type_b"])
-             .aggregate(Sum("n", alias_name="support")))
-    return agg.map_batches(
-        lambda b: pa.table({"type_a": b["type_a"], "type_b": b["type_b"],
-                            "support": pc.cast(b["support"], pa.int64())}),
-        batch_format="pyarrow")
+    return grouped_aggregate(
+        partitioned_sweep(ds.map_batches(triples, batch_format="pyarrow"),
+                          ["user", "day"], ["etype"], emit_pairs),
+        ["type_a", "type_b"], {"support": "count"})
 
 
 def _basket_triples(ts_column: str, user_column: str, value_column: str):
@@ -2333,8 +2187,7 @@ def revenue_by_brand(lineitem_ds, part_ds,
     (floor(price·(1−disc)·100 + 0.5), the repo-wide recipe) partial-
     summed per partkey inside map_batches BEFORE the hash join, so the
     exchange carries one row per (batch, partkey); the brand rollup is
-    a tiny 25-row final groupby."""
-    from ray.data.aggregate import Sum
+    a tiny 25-row ``grouped_aggregate``."""
 
     def li_partial(batch: pa.Table) -> pa.Table:
         cents = pc.cast(pc.floor(pc.add(pc.multiply(
@@ -2345,32 +2198,18 @@ def revenue_by_brand(lineitem_ds, part_ds,
                       "one": pa.array(np.ones(len(batch), np.int64))})
         return (t.group_by(["l_partkey"])
                  .aggregate([("cents", "sum"), ("one", "sum")])
-                 .rename_columns(["l_partkey", "cents", "n_lines"]))
+                 .rename_columns(["l_partkey", "revenue_cents", "n_lines"]))
 
     li = lineitem_ds.map_batches(li_partial, batch_format="pyarrow")
     joined = hash_join(
         li, part_ds, on="l_partkey", right_on="p_partkey",
         num_partitions=num_partitions,
         left_schema=[("l_partkey", pa.int64()),
-                     ("cents", pa.int64()),
+                     ("revenue_cents", pa.int64()),
                      ("n_lines", pa.int64())])
 
-    def brand_partial(batch: pa.Table) -> pa.Table:
-        t = batch.select(["p_brand", "cents", "n_lines"])
-        return (t.group_by(["p_brand"])
-                 .aggregate([("cents", "sum"), ("n_lines", "sum")])
-                 .rename_columns(["p_brand", "cents", "n_lines"]))
-
-    agg = (joined.map_batches(brand_partial, batch_format="pyarrow")
-                 .groupby("p_brand")
-                 .aggregate(Sum("cents", alias_name="revenue_cents"),
-                            Sum("n_lines", alias_name="n_lines")))
-    return agg.map_batches(
-        lambda b: pa.table({
-            "p_brand": b["p_brand"],
-            "revenue_cents": pc.cast(b["revenue_cents"], pa.int64()),
-            "n_lines": pc.cast(b["n_lines"], pa.int64()),
-        }), batch_format="pyarrow")
+    return grouped_aggregate(joined, "p_brand",
+                             {"revenue_cents": "sum", "n_lines": "sum"})
 
 
 def supplier_revenue(lineitem_ds, supplier_table: pa.Table,
@@ -2379,39 +2218,36 @@ def supplier_revenue(lineitem_ds, supplier_table: pa.Table,
     TPC-H-Q15 revenue view over the one fact edge no other query here
     exercises (l_suppkey). Both dimensions join on the DRIVER (Acero:
     supplier ⋈ nation) and the result joins the per-suppkey cents
-    groupby through ``hash_join``, which broadcasts it while it fits —
-    so the only fact-side exchange is supplier-cardinality-bounded
-    partial sums. Integer cents, exact twin."""
+    ``grouped_aggregate`` through ``hash_join``, which broadcasts it
+    while it fits — so the only fact-side exchange is
+    supplier-cardinality-bounded partial sums. Integer cents, exact
+    twin."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     dims = supplier_table.join(
         nation_table, keys=["s_nationkey"], right_keys=["n_nationkey"],
         join_type="inner").select(["s_suppkey", "s_name", "n_name"])
 
-    def li_partial(batch: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.floor(pc.add(pc.multiply(
-            pc.multiply(batch["l_extendedprice"],
-                        pc.subtract(pa.scalar(1.0), batch["l_discount"])),
-            100.0), 0.5)), pa.int64())
-        t = pa.table({"l_suppkey": batch["l_suppkey"], "cents": cents,
-                      "one": pa.array(np.ones(len(batch), np.int64))})
-        return (t.group_by(["l_suppkey"])
-                 .aggregate([("cents", "sum"), ("one", "sum")])
-                 .rename_columns(["l_suppkey", "cents", "n_lines"]))
+    def li_cents(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "l_suppkey": batch["l_suppkey"],
+            "revenue_cents": pc.cast(pc.floor(pc.add(pc.multiply(
+                pc.multiply(batch["l_extendedprice"],
+                            pc.subtract(pa.scalar(1.0),
+                                        batch["l_discount"])),
+                100.0), 0.5)), pa.int64())})
 
-    agg = (lineitem_ds.map_batches(li_partial, batch_format="pyarrow")
-                      .groupby("l_suppkey")
-                      .aggregate(Sum("cents", alias_name="revenue_cents"),
-                                 Sum("n_lines", alias_name="n_lines")))
+    agg = grouped_aggregate(
+        lineitem_ds.map_batches(li_cents, batch_format="pyarrow"),
+        "l_suppkey", {"revenue_cents": "sum", "n_lines": "count"})
 
     def enrich(batch: pa.Table) -> pa.Table:
         return pa.table({
             "s_suppkey": batch["l_suppkey"],
             "s_name": batch["s_name"],
             "n_name": batch["n_name"],
-            "revenue_cents": pc.cast(batch["revenue_cents"], pa.int64()),
-            "n_lines": pc.cast(batch["n_lines"], pa.int64()),
+            "revenue_cents": batch["revenue_cents"],
+            "n_lines": batch["n_lines"],
         })
 
     return hash_join(agg, ray.data.from_arrow(dims), on="l_suppkey",
@@ -2450,29 +2286,23 @@ def hourly_top_event(ds) -> "ray.data.Dataset":
     """Windowed argmax: for every hour bucket, the most frequent event
     type (ties broken by lexicographically smallest type — the
     deterministic ROW_NUMBER rule, same policy as ``argmin_by_group``).
-    Per-batch (hour, type) count partials bound the exchange by
-    hours × types; a native Sum folds them per (hour, type), then
+    One ``grouped_aggregate`` counts each (hour, type), then
     ``grouped_topk`` with ``k=1`` takes each hour's argmax."""
-    from ray.data.aggregate import Sum
     _HOUR = 3_600_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def hours(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.and_(pc.is_valid(batch["ts"]),
                                      pc.is_valid(batch["event_type"])))
         ts = pc.cast(batch["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        t = pa.table({"hour": pa.array(ts // _HOUR, pa.int64()),
-                      "etype": batch["event_type"]})
-        return (t.group_by(["hour", "etype"])
-                 .aggregate([([], "count_all")])
-                 .rename_columns(["hour", "etype", "n"]))
+        return pa.table({"hour": pa.array(ts // _HOUR, pa.int64()),
+                         "etype": batch["event_type"]})
 
-    counts = (ds.map_batches(partial, batch_format="pyarrow")
-                .groupby(["hour", "etype"])
-                .aggregate(Sum("n", alias_name="n")))
+    counts = grouped_aggregate(ds.map_batches(hours, batch_format="pyarrow"),
+                               ["hour", "etype"], {"n": "count"})
     top = grouped_topk(counts, "hour", [("n", "descending"), "etype"], 1)
     return top.map_batches(
         lambda b: pa.table({"hour": b["hour"], "top_type": b["etype"],
-                            "n": pc.cast(b["n"], pa.int64())}),
+                            "n": b["n"]}),
         batch_format="pyarrow")
 
 
@@ -2484,13 +2314,12 @@ def conversion_latency_quantiles(ds, from_type: str = "signup",
     median / p90 — the product-funnel health metric.
 
     Composition of the ``funnel_steps`` per-user sweep (one
-    ``partitioned_sweep`` over the user ordered by ts; each partition
-    emits its latency-value counts) with the exact value-count quantile
-    fold of ``grouped_quantiles`` (the driver cumsum is bounded by
-    DISTINCT latency values — the floor-to-seconds bin is what keeps
-    that corpus-safe, mirroring the twin's integer division by
-    1_000_000). ``quantile_disc`` rank ceil(q·n)−1."""
-    from ray.data.aggregate import Sum
+    ``partitioned_sweep`` over the user ordered by ts; one
+    ``grouped_aggregate`` counts each latency) with the exact value-count
+    quantile fold of ``grouped_quantiles`` (the driver cumsum is bounded by
+    DISTINCT latency values — the floor-to-seconds bin is what keeps that
+    corpus-safe, mirroring the twin's integer division by 1_000_000).
+    ``quantile_disc`` rank ceil(q·n)−1."""
 
     def prefilter(batch: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_in(batch["event_type"],
@@ -2509,15 +2338,13 @@ def conversion_latency_quantiles(ds, from_type: str = "signup",
         has_dst, t1 = _first_in_run(
             (et == to_type) & has_src[run] & (ts > t0[run]), starts, ts)
         lat = (t1 - t0)[has_dst] // 1_000_000
-        return (pa.table({"lat_s": pa.array(lat, pa.int64())})
-                .group_by(["lat_s"]).aggregate([([], "count_all")])
-                .rename_columns(["lat_s", "n"]))
+        return pa.table({"lat_s": pa.array(lat, pa.int64())})
 
-    counts = (partitioned_sweep(
-                  ds.map_batches(prefilter, batch_format="pyarrow"),
-                  "user_id", ["ts"], latency)
-                .groupby("lat_s").aggregate(Sum("n", alias_name="n"))
-                .take_all())  # bounded by distinct whole-second latencies
+    counts = grouped_aggregate(
+        partitioned_sweep(ds.map_batches(prefilter, batch_format="pyarrow"),
+                          "user_id", ["ts"], latency),
+        "lat_s", {"n": "count"}
+    ).take_all()  # bounded by distinct whole-second latencies
     if not counts:
         return pa.table({"n_converted": pa.array([0], pa.int64()),
                          "p50_s": pa.array([None], pa.int64()),
@@ -2551,7 +2378,6 @@ def event_pair_lift(ds) -> pa.Table:
     is |types|²-bounded so the lift fold is driver-side). The lift
     division converts both BIGINT products to float64 identically on
     both sides (exact < 2^53)."""
-    from ray.data.aggregate import Sum
     PAIR, SINGLE, BASKET = 0, 1, 2
 
     def emit(g: pa.Table, starts: np.ndarray) -> pa.Table:
@@ -2561,20 +2387,18 @@ def event_pair_lift(ds) -> pa.Table:
         n[-1] = len(starts)
         # singleton rows are (type, ""), the basket row is ("", "")
         blank = pa.array([""] * (len(items) + 1), items.type)
-        return (pa.table({
+        return pa.table({
             "kind": pa.array(kind, pa.int8()),
             "type_a": pa.concat_arrays([a, items, blank[:1]]),
             "type_b": pa.concat_arrays([b, blank]),
             "n": pa.array(n, pa.int64())})
-            .group_by(["kind", "type_a", "type_b"]).aggregate([("n", "sum")])
-            .rename_columns(["kind", "type_a", "type_b", "n"]))
 
     triples = _basket_triples("ts", "user_id", "event_type")
-    agg = (partitioned_sweep(ds.map_batches(triples, batch_format="pyarrow"),
-                             ["user", "day"], ["etype"], emit)
-             .groupby(["kind", "type_a", "type_b"])
-             .aggregate(Sum("n", alias_name="n"))
-             .take_all())  # |types|² + |types| + 1 rows
+    agg = grouped_aggregate(
+        partitioned_sweep(ds.map_batches(triples, batch_format="pyarrow"),
+                          ["user", "day"], ["etype"], emit),
+        ["kind", "type_a", "type_b"], {"n": "sum"}
+    ).take_all()  # |types|² + |types| + 1 rows
     n_baskets = 0
     singles: dict[str, int] = {}
     pairs = []
@@ -2600,12 +2424,10 @@ def event_pair_lift(ds) -> pa.Table:
 def orders_by_month(ds) -> "ray.data.Dataset":
     """Monthly order volume and revenue: calendar-month truncation
     (numpy ``datetime64[M]`` — true calendar months, not 30-day bins,
-    matching ``date_trunc('month', …)``), integer-cents totals. Per-
-    batch (month, count, cents) partials bound the exchange by months
-    per batch; the final groupby is months-bounded."""
-    from ray.data.aggregate import Sum
+    matching ``date_trunc('month', …)``), integer-cents totals, one
+    months-bounded ``grouped_aggregate``."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def months(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.is_valid(batch["o_orderdate"]))
         us = pc.cast(batch["o_orderdate"], pa.int64()).to_numpy(
             zero_copy_only=False)
@@ -2613,59 +2435,32 @@ def orders_by_month(ds) -> "ray.data.Dataset":
                  .astype("datetime64[us]").astype(np.int64))
         cents = pc.cast(pc.floor(pc.add(pc.multiply(
             batch["o_totalprice"], 100.0), 0.5)), pa.int64())
-        t = pa.table({"month": pa.array(month, pa.int64()),
-                      "cents": cents,
-                      "one": pa.array(np.ones(len(batch), np.int64))})
-        return (t.group_by(["month"])
-                 .aggregate([("cents", "sum"), ("one", "sum")])
-                 .rename_columns(["month", "cents", "n_orders"]))
+        return pa.table({
+            "month": pa.array(month, pa.int64()).cast(pa.timestamp("us")),
+            "revenue_cents": cents})
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby("month")
-             .aggregate(Sum("cents", alias_name="revenue_cents"),
-                        Sum("n_orders", alias_name="n_orders")))
-    return agg.map_batches(
-        lambda b: pa.table({
-            "month": pc.cast(b["month"], pa.timestamp("us")),
-            "n_orders": pc.cast(b["n_orders"], pa.int64()),
-            "revenue_cents": pc.cast(b["revenue_cents"], pa.int64()),
-        }), batch_format="pyarrow")
+    return grouped_aggregate(
+        ds.map_batches(months, batch_format="pyarrow"), "month",
+        {"n_orders": "count", "revenue_cents": "sum"})
 
 
 def customer_rfm(ds) -> "ray.data.Dataset":
     """RFM profile per customer — recency (last order date), frequency
     (order count), monetary (integer-cents lifetime spend) — the
-    segmentation input every growth pipeline starts from. Per-batch
-    partials (max / count / sum are all distributive) shrink the
-    exchange to one row per (batch, customer); one customer-keyed
-    groupby merges."""
-    from ray.data.aggregate import Max, Sum
+    segmentation input every growth pipeline starts from. One
+    customer-keyed ``grouped_aggregate`` (max / count / sum)."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.is_valid(batch["o_custkey"]))
-        cents = pc.cast(pc.floor(pc.add(pc.multiply(
-            batch["o_totalprice"], 100.0), 0.5)), pa.int64())
-        t = pa.table({"o_custkey": batch["o_custkey"],
-                      "last_us": pc.cast(batch["o_orderdate"], pa.int64()),
-                      "cents": cents,
-                      "one": pa.array(np.ones(len(batch), np.int64))})
-        return (t.group_by(["o_custkey"])
-                 .aggregate([("last_us", "max"), ("cents", "sum"),
-                             ("one", "sum")])
-                 .rename_columns(["o_custkey", "last_us", "cents", "n"]))
+        return pa.table({
+            "o_custkey": batch["o_custkey"],
+            "last_order": pc.cast(batch["o_orderdate"], pa.timestamp("us")),
+            "spend_cents": pc.cast(pc.floor(pc.add(pc.multiply(
+                batch["o_totalprice"], 100.0), 0.5)), pa.int64())})
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby("o_custkey")
-             .aggregate(Max("last_us", alias_name="last_us"),
-                        Sum("cents", alias_name="spend_cents"),
-                        Sum("n", alias_name="n_orders")))
-    return agg.map_batches(
-        lambda b: pa.table({
-            "o_custkey": b["o_custkey"],
-            "last_order": pc.cast(b["last_us"], pa.timestamp("us")),
-            "n_orders": pc.cast(b["n_orders"], pa.int64()),
-            "spend_cents": pc.cast(b["spend_cents"], pa.int64()),
-        }), batch_format="pyarrow")
+    return grouped_aggregate(
+        ds.map_batches(rows, batch_format="pyarrow"), "o_custkey",
+        {"last_order": "max", "n_orders": "count", "spend_cents": "sum"})
 
 
 def null_audit(ds, columns: list[str]) -> pa.Table:
@@ -2673,70 +2468,55 @@ def null_audit(ds, columns: list[str]) -> pa.Table:
     counts in ONE streaming pass — the schema-health check run before
     admitting a new data drop into the pipeline. Per-batch partials are
     a single row of integers (``pc.sum(pc.is_null(...))`` per column),
-    so the reduce is a len(columns)-wide scalar fold; no shuffle of
-    data rows ever happens."""
+    so the reduce is one Dataset-level sum of len(columns) + 1 scalars;
+    no shuffle of data rows ever happens."""
     from ray.data.aggregate import Sum
+
+    names = ["n_rows"] + [f"n_null_{c}" for c in columns]
 
     def partial(batch: pa.Table) -> pa.Table:
         cols = {"n_rows": pa.array([len(batch)], pa.int64())}
         for c in columns:
             n = pc.sum(pc.cast(pc.is_null(batch[c]), pa.int64())).as_py()
             cols[f"n_null_{c}"] = pa.array([int(n or 0)], pa.int64())
-        cols["_k"] = pa.array([0], pa.int64())
         return pa.table(cols)
 
-    aggs = [Sum("n_rows", alias_name="n_rows")]
-    aggs += [Sum(f"n_null_{c}", alias_name=f"n_null_{c}")
-             for c in columns]
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby("_k").aggregate(*aggs))
-    t = pa.concat_tables(list(agg.iter_batches(batch_format="pyarrow")),
-                         promote_options="default")
-    return pa.table({name: pc.cast(t[name], pa.int64())
-                     for name in ["n_rows"] + [f"n_null_{c}"
-                                               for c in columns]})
+    totals = ds.map_batches(partial, batch_format="pyarrow").aggregate(
+        *[Sum(name, alias_name=name) for name in names]) or {}
+    return pa.table({name: pa.array([totals.get(name) or 0], pa.int64())
+                     for name in names})
 
 
 def events_weekday_profile(ds) -> "ray.data.Dataset":
     """Day-of-week × event-type activity profile (the seasonality
     fingerprint): counts per (weekday, type), weekday in DuckDB's
     Sunday=0 convention — epoch day 0 (1970-01-01) was a Thursday, so
-    ``dow = (epoch_days + 4) % 7``. Per-batch partials bound the
-    exchange by 7 × |types| rows per batch."""
-    from ray.data.aggregate import Sum
+    ``dow = (epoch_days + 4) % 7``. One ``grouped_aggregate``; its
+    per-batch partials bound the exchange by 7 × |types| rows per
+    batch."""
     US_PER_DAY = 86_400_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def weekdays(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.and_(pc.is_valid(batch["ts"]),
                                      pc.is_valid(batch["event_type"])))
         ts = pc.cast(batch["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         dow = (ts // US_PER_DAY + 4) % 7
-        t = pa.table({"dow": pa.array(dow, pa.int64()),
-                      "event_type": batch["event_type"]})
-        return (t.group_by(["dow", "event_type"])
-                 .aggregate([([], "count_all")])
-                 .rename_columns(["dow", "event_type", "n"]))
+        return pa.table({"dow": pa.array(dow, pa.int64()),
+                         "event_type": batch["event_type"]})
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby(["dow", "event_type"])
-             .aggregate(Sum("n", alias_name="n")))
-    return agg.map_batches(
-        lambda b: pa.table({"dow": b["dow"], "event_type": b["event_type"],
-                            "n": pc.cast(b["n"], pa.int64())}),
-        batch_format="pyarrow")
+    return grouped_aggregate(ds.map_batches(weekdays, batch_format="pyarrow"),
+                             ["dow", "event_type"], {"n": "count"})
 
 
 def order_interarrival_quantiles(ds) -> pa.Table:
     """Inter-order gap distribution: whole-day gaps between a
-    customer's consecutive orders, rolled up to global count / p50 /
-    p90 — the reorder-cadence metric. The gap multiset of a sorted date
-    sequence is tie-order-independent (consecutive differences of a
-    sorted multiset), so one ``partitioned_sweep`` over the customer
-    ordered by date is exactly the twin's LAG window; each partition
-    emits its gap-value counts. Whole-day flooring keeps the exact
-    value-count quantile fold bounded (same recipe as
-    ``conversion_latency_quantiles``)."""
-    from ray.data.aggregate import Sum
+    customer's consecutive orders, rolled up to global count / p50 / p90 — the
+    reorder-cadence metric. The gap multiset of a sorted date sequence is
+    tie-order-independent (consecutive differences of a sorted multiset), so
+    one ``partitioned_sweep`` over the customer ordered by date is exactly the
+    twin's LAG window; one ``grouped_aggregate`` counts each gap value.
+    Whole-day flooring keeps the exact value-count quantile fold bounded (same
+    recipe as ``conversion_latency_quantiles``)."""
     US_PER_DAY = 86_400_000_000
 
     def prefilter(batch: pa.Table) -> pa.Table:
@@ -2749,15 +2529,12 @@ def order_interarrival_quantiles(ds) -> pa.Table:
         same = np.ones(len(us), dtype=bool)
         same[starts] = False
         gap = (us[1:] - us[:-1])[same[1:]] // US_PER_DAY
-        return (pa.table({"gap_d": pa.array(gap, pa.int64())})
-                .group_by(["gap_d"]).aggregate([([], "count_all")])
-                .rename_columns(["gap_d", "n"]))
+        return pa.table({"gap_d": pa.array(gap, pa.int64())})
 
-    counts = (partitioned_sweep(
-                  ds.map_batches(prefilter, batch_format="pyarrow"),
-                  "o_custkey", ["us"], gaps)
-                .groupby("gap_d").aggregate(Sum("n", alias_name="n"))
-                .take_all())  # bounded by distinct whole-day gaps
+    counts = grouped_aggregate(
+        partitioned_sweep(ds.map_batches(prefilter, batch_format="pyarrow"),
+                          "o_custkey", ["us"], gaps),
+        "gap_d", {"n": "count"}).take_all()  # distinct whole-day gaps
     if not counts:
         return pa.table({"n_gaps": pa.array([0], pa.int64()),
                          "p50_d": pa.array([None], pa.int64()),
@@ -2779,37 +2556,23 @@ def customers_by_region(customer_ds, nation_table: pa.Table,
                         region_table: pa.Table) -> "ray.data.Dataset":
     """Customer counts per (region, nation) — the snowflake
     dimension-hop rollup: nation ⋈ region joins on the DRIVER (Acero,
-    25 / 5 rows), the fact side only exchanges per-batch (nationkey,
-    count) partials, and ``hash_join`` broadcasts the dimension onto the
-    25-row groupby — never a dimension shuffle."""
+    25 / 5 rows), the fact side is one (nationkey → count)
+    ``grouped_aggregate``, and ``hash_join`` broadcasts the dimension
+    onto its 25 rows — never a dimension shuffle."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     dims = nation_table.join(
         region_table, keys=["n_regionkey"], right_keys=["r_regionkey"],
         join_type="inner").select(["n_nationkey", "n_name", "r_name"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pc.is_valid(batch["c_nationkey"]))
-        t = pa.table({"nk": batch["c_nationkey"],
-                      "one": pa.array(np.ones(len(batch), np.int64))})
-        return (t.group_by(["nk"]).aggregate([("one", "sum")])
-                 .rename_columns(["nk", "n"]))
-
-    agg = (customer_ds.map_batches(partial, batch_format="pyarrow")
-                      .groupby("nk")
-                      .aggregate(Sum("n", alias_name="n_customers")))
-
-    def enrich(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "r_name": batch["r_name"],
-            "n_name": batch["n_name"],
-            "n_customers": pc.cast(batch["n_customers"], pa.int64()),
-        })
-
+    agg = grouped_aggregate(
+        customer_ds.map_batches(
+            lambda b: pa.table({"nk": b["c_nationkey"]}).filter(
+                pc.is_valid(b["c_nationkey"])), batch_format="pyarrow"),
+        "nk", {"n_customers": "count"})
     return hash_join(agg, ray.data.from_arrow(dims), on="nk",
-                     right_on="n_nationkey").map_batches(
-                         enrich, batch_format="pyarrow")
+                     right_on="n_nationkey").select_columns(
+                         ["r_name", "n_name", "n_customers"])
 
 
 def user_activity_gini(ds, user_column: str = "user_id") -> pa.Table:
@@ -2826,27 +2589,12 @@ def user_activity_gini(ds, user_column: str = "user_id") -> pa.Table:
     is independent of tie order — exactly the twin's ROW_NUMBER sum.
     All integers until the final mirrored float64 expression
     ``(2·S)/(n·T) − (n+1)/n``."""
-    from ray.data.aggregate import Sum
-
-    def per_user_partial(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pc.is_valid(batch[user_column]))
-        t = pa.table({"u": batch[user_column],
-                      "n": pa.array(np.ones(len(batch), np.int64))})
-        return (t.group_by(["u"]).aggregate([("n", "sum")])
-                 .rename_columns(["u", "n"]))
-
-    user_counts = (ds.map_batches(per_user_partial, batch_format="pyarrow")
-                     .groupby("u").aggregate(Sum("n", alias_name="n")))
-
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"v": pc.cast(batch["n"], pa.int64()),
-                      "c": pa.array(np.ones(len(batch), np.int64))})
-        return (t.group_by(["v"]).aggregate([("c", "sum")])
-                 .rename_columns(["v", "c"]))
-
-    hist = (user_counts.map_batches(hist_partial, batch_format="pyarrow")
-                       .groupby("v").aggregate(Sum("c", alias_name="c"))
-                       .take_all())  # bounded by distinct activity levels
+    user_counts = grouped_aggregate(
+        ds.map_batches(lambda b: pa.table({"u": b[user_column]}).filter(
+            pc.is_valid(b[user_column])), batch_format="pyarrow"),
+        "u", {"v": "count"})
+    hist = grouped_aggregate(user_counts, "v", {"c": "count"}
+                             ).take_all()  # distinct activity levels
     if not hist:
         return pa.table({"n_users": pa.array([0], pa.int64()),
                          "n_events": pa.array([0], pa.int64()),
@@ -2874,25 +2622,23 @@ def top_customer_per_nation(orders_ds, customer_ds,
                             num_partitions: int = JOIN_PARTITIONS
                             ) -> "ray.data.Dataset":
     """Biggest-spending customer per nation — the pipeline-composition
-    op: integer-cents spend partials per custkey (orders-side
-    pre-aggregate), one large×large hash join to customer for the
+    op: an integer-cents spend ``grouped_aggregate`` per custkey, one
+    large×large hash join to customer for the
     nation key, ``grouped_topk`` with ``k=1`` under the deterministic
     (cents DESC, custkey ASC) order — the ROW_NUMBER twin's — and the
     nation name joined from the 25-row dimension."""
     import ray.data
-    from ray.data.aggregate import Sum
 
-    def spend_partial(batch: pa.Table) -> pa.Table:
+    def spend_cents(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.is_valid(batch["o_custkey"]))
-        cents = pc.cast(pc.floor(pc.add(pc.multiply(
-            batch["o_totalprice"], 100.0), 0.5)), pa.int64())
-        t = pa.table({"o_custkey": batch["o_custkey"], "cents": cents})
-        return (t.group_by(["o_custkey"]).aggregate([("cents", "sum")])
-                 .rename_columns(["o_custkey", "cents"]))
+        return pa.table({"o_custkey": batch["o_custkey"],
+                         "cents": pc.cast(pc.floor(pc.add(pc.multiply(
+                             batch["o_totalprice"], 100.0), 0.5)),
+                             pa.int64())})
 
-    spend = (orders_ds.map_batches(spend_partial, batch_format="pyarrow")
-                      .groupby("o_custkey")
-                      .aggregate(Sum("cents", alias_name="cents")))
+    spend = grouped_aggregate(
+        orders_ds.map_batches(spend_cents, batch_format="pyarrow"),
+        "o_custkey", {"cents": "sum"})
     joined = hash_join(
         customer_ds, spend, on="c_custkey", right_on="o_custkey",
         num_partitions=num_partitions,

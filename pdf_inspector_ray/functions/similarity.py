@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from pdf_inspector_ray.functions.relational import grouped_aggregate
+
 
 def _to_matrix(col) -> np.ndarray:
     """list<float> column → (n, d) float64 matrix WITHOUT a Python-object
@@ -214,7 +216,6 @@ def build_ivf_index_distributed(ds, n_clusters: int = 16, iters: int = 4,
     """
     import ray
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from pdf_inspector_ray.functions.sketch import hash61
 
@@ -287,11 +288,9 @@ def build_ivf_index_distributed(ds, n_clusters: int = 16, iters: int = 4,
                 "n": pa.array(np.repeat(counts, dd), pa.int64()),
             })
 
-        rows = (ds.map_batches(partial, batch_format="pyarrow")
-                  .groupby(["cluster", "pos"])
-                  .aggregate(Sum("v_sum", alias_name="v_sum"),
-                             Sum("n", alias_name="n"))
-                  .take_all())  # exactly clusters × dims rows
+        rows = grouped_aggregate(  # exactly clusters × dims rows
+            ds.map_batches(partial, batch_format="pyarrow"),
+            ["cluster", "pos"], {"v_sum": "sum", "n": "sum"}).take_all()
         sums = np.zeros((k, d), np.float64)
         cnt = np.zeros(k, np.float64)
         for r in rows:
@@ -308,11 +307,12 @@ def label_centroids(ds, label_column: str = "label",
                     embedding_column: str = "embedding"):
     """Per-label mean embedding (class centroids), exploded to one row per
     (label, pos) for exact comparability: per-batch vectorized partial
-    (sum vector + count per label), a tiny groupby merge over
-    labels × dims rows, then the division. No full-vector shuffle — the
-    exchange carries one partial centroid per (batch, label)."""
-    import pyarrow as pa
+    (sum vector + count per label), a tiny ``grouped_aggregate`` over
+    labels × dims rows, then the division, rounded to 6 dp. No
+    full-vector shuffle — the exchange carries one partial centroid per
+    (batch, label)."""
     import pyarrow.compute as pc
+
 
     def partial(batch: pa.Table) -> pa.Table:
         vecs = _to_matrix(batch[embedding_column])
@@ -333,18 +333,18 @@ def label_centroids(ds, label_column: str = "label",
             "n": pa.array(out_n, pa.int64()),
         })
 
-    def merge(group: pa.Table) -> pa.Table:
-        s = pc.sum(group["v_sum"]).as_py()
-        n = pc.sum(group["n"]).as_py()
+    def mean(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "label": [group["label"][0].as_py()],
-            "pos": [group["pos"][0].as_py()],
-            "mean_v": pa.array([round(s / n, 6)], pa.float64()),
+            "label": pc.cast(batch["label"], pa.int64()),
+            "pos": pc.cast(batch["pos"], pa.int64()),
+            "mean_v": pa.array([round(s / n, 6) for s, n in zip(
+                batch["v_sum"].to_pylist(), batch["n"].to_pylist())],
+                pa.float64()),
         })
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby(["label", "pos"])
-              .map_groups(merge, batch_format="pyarrow"))
+    return grouped_aggregate(
+        ds.map_batches(partial, batch_format="pyarrow"), ["label", "pos"],
+        {"v_sum": "sum", "n": "sum"}).map_batches(mean, batch_format="pyarrow")
 
 
 def kmeans_assign(ds, centroids: np.ndarray,
@@ -382,15 +382,15 @@ def quantize_embeddings(ds, dim: int,
                         embedding_column: str = "embedding",
                         id_column: str = "vec_id"):
     """Scalar (per-dimension min-max) int8-style quantization — the
-    standard vector-compression step before shipping embeddings to an
-    ANN index. Two stages: per-batch (dim, min, max) partials → one
-    TINY groupby (``dim`` rows total) → per-dim scale broadcast in the
-    closure → vectorized quantize map emitting long-form
-    (vec_id, dim, q) with q = floor((x − mn) / (mx − mn) · 255) in
-    float64 — the exact IEEE expression a SQL twin computes, so the
-    oracle is bit-identical. Degenerate dims (mx = mn) quantize to 0."""
+    standard vector-compression step before shipping embeddings to an ANN
+    index. Two stages: per-batch (dim, min, max) partials → one TINY
+    ``grouped_aggregate`` (``dim`` rows total) → per-dim scale broadcast in the
+    closure → vectorized quantize map emitting long-form (vec_id, dim, q) with
+    q = floor((x − mn) / (mx − mn) · 255) in float64 — the exact IEEE
+    expression a SQL twin computes, so the oracle is bit-identical. Degenerate
+    dims (mx = mn) quantize to 0."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Max, Min
+
 
     def rng_partial(batch: pa.Table) -> pa.Table:
         m = _to_matrix(batch[embedding_column])
@@ -400,11 +400,9 @@ def quantize_embeddings(ds, dim: int,
             "mx": pa.array(m.max(axis=0), pa.float64()),
         })
 
-    rows = (ds.map_batches(rng_partial, batch_format="pyarrow")
-              .groupby("dim")
-              .aggregate(Min("mn", alias_name="mn"),
-                         Max("mx", alias_name="mx"))
-              .take_all())  # exactly ``dim`` rows
+    rows = grouped_aggregate(  # exactly ``dim`` rows
+        ds.map_batches(rng_partial, batch_format="pyarrow"), "dim",
+        {"mn": "min", "mx": "max"}).take_all()
     mn = np.empty(dim, np.float64)
     mx = np.empty(dim, np.float64)
     for r in rows:
@@ -455,7 +453,6 @@ def embedding_dim_minmax(ds, embedding_column: str = "embedding"
     are cast back to float32 to match the column's storage type (and
     the SQL twin's FLOAT). Dims are 1-based like
     ``generate_subscripts``."""
-    from ray.data.aggregate import Max, Min
 
     def finish(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -465,9 +462,8 @@ def embedding_dim_minmax(ds, embedding_column: str = "embedding"
             "mx": pc.cast(b["mx"], pa.float32()),
         })
 
-    return (ds.map_batches(_dim_minmax_partial, batch_format="pyarrow",
-                           fn_kwargs={"embedding_column": embedding_column})
-              .groupby("dim")
-              .aggregate(Min("mn", alias_name="mn"),
-                         Max("mx", alias_name="mx"))
-              .map_batches(finish, batch_format="pyarrow"))
+    return grouped_aggregate(
+        ds.map_batches(_dim_minmax_partial, batch_format="pyarrow",
+                       fn_kwargs={"embedding_column": embedding_column}),
+        "dim", {"mn": "min", "mx": "max"}
+    ).map_batches(finish, batch_format="pyarrow")

@@ -4,8 +4,8 @@ constant-memory cardinality operator for 100-TB streams where exact
 
 Dataflow: per batch, values dedupe locally and fold into (bucket,
 max rho) register rows — at most ``m = 2**b`` rows leave a batch no
-matter its size; one tiny ``groupby(bucket).max(rho)`` merges them
-(registers are a max-monoid, so merging is associative, idempotent and
+matter its size; one tiny bucket-keyed ``grouped_aggregate`` max merges
+them (registers are a max-monoid, so merging is associative, idempotent and
 order-free — the same property that lets two CLUSTERS' sketches merge
 by row-wise max). The driver-side estimator touches only m rows.
 
@@ -33,6 +33,8 @@ import math
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from pdf_inspector_ray.functions.relational import grouped_aggregate
 
 HLL_B = 10  # 2**10 = 1024 registers → ~3.3% standard error
 
@@ -147,8 +149,6 @@ def hll_registers(ds, column: str, b: int = HLL_B):
     64−b under the md5 fallback otherwise). Hash collisions are part of
     the sketch definition (both the estimate's error model and the SQL
     twin see the same hashed multiset), so register equality is exact."""
-    from ray.data.aggregate import Max
-
     m = 1 << b
 
     def batch_regs(batch: pa.Table) -> pa.Table:
@@ -175,8 +175,9 @@ def hll_registers(ds, column: str, b: int = HLL_B):
         return pa.table({"bucket": pa.array(list(acc), pa.int64()),
                          "rho": pa.array(list(acc.values()), pa.int64())})
 
-    return (ds.map_batches(batch_regs, batch_format="pyarrow")
-              .groupby("bucket").aggregate(Max("rho", alias_name="rho")))
+    return grouped_aggregate(
+        ds.map_batches(batch_regs, batch_format="pyarrow"), "bucket",
+        {"rho": "max"})
 
 
 def hll_estimate(registers: pa.Table, b: int = HLL_B) -> float:
@@ -205,12 +206,11 @@ def cms_counters(ds, column: str, depth: int = CMS_DEPTH,
     mod width over the mixed hash61 value) × ``width`` buckets. Per
     batch, local value counts fold into at most depth×width counter
     rows regardless of batch size — one ``np.add.at`` scatter per
-    depth, no Python loop over values; one tiny
-    ``groupby((depth, bucket)).sum`` merges partials (counters are a
+    depth, no Python loop over values; one tiny (depth, bucket)
+    ``grouped_aggregate`` sum merges partials (counters are a
     sum-monoid, so cross-cluster sketches merge by row-wise addition).
     Exact integer arithmetic end-to-end → every counter is recomputable
     in SQL; the oracle checks the sketch, not an estimate."""
-    from ray.data.aggregate import Sum
 
     def batch_counters(batch: pa.Table) -> pa.Table:
         vc = batch[column].value_counts()
@@ -251,9 +251,9 @@ def cms_counters(ds, column: str, depth: int = CMS_DEPTH,
             "cnt": pa.array(list(acc.values()), pa.int64()),
         })
 
-    return (ds.map_batches(batch_counters, batch_format="pyarrow")
-              .groupby(["depth", "bucket"])
-              .aggregate(Sum("cnt", alias_name="cnt")))
+    return grouped_aggregate(
+        ds.map_batches(batch_counters, batch_format="pyarrow"),
+        ["depth", "bucket"], {"cnt": "sum"})
 
 
 def cms_query(counters: pa.Table, value, depth: int = CMS_DEPTH,
@@ -304,7 +304,7 @@ def heavy_hitters(ds, column: str, min_count: int,
     Pass 2 (exact counts): broadcast the candidate set (tiny), emit per
     batch the exact counts of candidate values only plus one total-row
     per batch (``is_total=1`` carrying the batch's non-null count), one
-    tiny groupby-sum, then a driver-side threshold filter over
+    tiny ``grouped_aggregate`` sum, then a driver-side threshold filter over
     |candidates|+1 rows. Returns (value, cnt) sorted by cnt desc, value
     asc. Candidate-union size is bounded by the number of per-batch
     survivors (≤ m per batch; in practice ≈ the true hitter count on
@@ -359,10 +359,9 @@ def heavy_hitters(ds, column: str, min_count: int,
         return pa.table({"value": vals.filter(pa.array(keep)),
                          "cnt": pa.array(cnts[keep], pa.int64())})
 
-    from ray.data.aggregate import Sum
-    cand_rows = (ds.map_batches(pass1, batch_format="pyarrow")
-                   .groupby("value").aggregate(Sum("cnt", alias_name="cnt"))
-                   .take_all())  # bounded: per-batch survivors only
+    cand_rows = grouped_aggregate(  # bounded: per-batch survivors only
+        ds.map_batches(pass1, batch_format="pyarrow"), "value",
+        {"cnt": "sum"}).take_all()
     candidates = np.array(sorted(r["value"] for r in cand_rows))
     if stats is not None:  # scale-shape evidence: exchange is candidates,
         stats["m"] = m     # never the full key cardinality
@@ -389,10 +388,9 @@ def heavy_hitters(ds, column: str, min_count: int,
                          "cnt": pa.array(out_c, pa.int64()),
                          "is_total": pa.array(is_total, pa.int8())})
 
-    rows = (ds.map_batches(pass2, batch_format="pyarrow")
-              .groupby(["is_total", "value"])
-              .aggregate(Sum("cnt", alias_name="cnt"))
-              .take_all())  # tiny: |candidates| + 1 rows
+    rows = grouped_aggregate(  # tiny: |candidates| + 1 rows
+        ds.map_batches(pass2, batch_format="pyarrow"), ["is_total", "value"],
+        {"cnt": "sum"}).take_all()
     out = [(r["value"], r["cnt"]) for r in rows
            if r["is_total"] == 0 and r["cnt"] >= min_count]
     out.sort(key=lambda t: (-t[1], t[0]))
@@ -438,12 +436,12 @@ def hll_registers_by_group(ds, group_column: str, column: str,
                            b: int = HLL_B):
     """Per-group HyperLogLog registers — COUNT(DISTINCT …) GROUP BY at
     sketch cost: ≤ m register rows per (batch, group) leave any batch,
-    merged by one ``groupby((group, bucket)).max`` exchange. Registers
+    merged by one (group, bucket) ``grouped_aggregate`` max. Registers
     per group merge exactly like the global sketch's (max-monoid), so a
     100-TB job's per-shard grouped sketches union by row-wise max.
-    Hashing is the vectorized hash61 for integer columns; the per-batch
-    (group, bucket) max runs in Arrow's C++ group_by — no Python loop."""
-    from ray.data.aggregate import Max
+    Hashing is the vectorized hash61 for integer columns, whose
+    per-batch (group, bucket) max is the aggregate's Arrow partial — no
+    Python loop."""
 
     def batch_regs(batch: pa.Table) -> pa.Table:
         pairs = (pa.table({"g": batch[group_column], "v": batch[column]})
@@ -453,12 +451,9 @@ def hll_registers_by_group(ds, group_column: str, column: str,
         if _is_int_column(pairs["v"]):
             vals = pairs["v"].to_numpy(zero_copy_only=False).astype(np.int64)
             bucket, rho = _hll_parts_int(vals, b)
-            folded = (pa.table({group_column: pairs["g"],
-                                "bucket": pa.array(bucket, pa.int64()),
-                                "rho": pa.array(rho, pa.int64())})
-                      .group_by([group_column, "bucket"])
-                      .aggregate([("rho", "max")]))
-            return folded.rename_columns([group_column, "bucket", "rho"])
+            return pa.table({group_column: pairs["g"],
+                             "bucket": pa.array(bucket, pa.int64()),
+                             "rho": pa.array(rho, pa.int64())})
         suffix_bits = 64 - b
         mask = (1 << suffix_bits) - 1
         regs: dict[tuple, int] = {}
@@ -476,6 +471,6 @@ def hll_registers_by_group(ds, group_column: str, column: str,
             "rho": pa.array(list(regs.values()), pa.int64()),
         })
 
-    return (ds.map_batches(batch_regs, batch_format="pyarrow")
-              .groupby([group_column, "bucket"])
-              .aggregate(Max("rho", alias_name="rho")))
+    return grouped_aggregate(
+        ds.map_batches(batch_regs, batch_format="pyarrow"),
+        [group_column, "bucket"], {"rho": "max"})

@@ -19,6 +19,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from pdf_inspector_ray.functions.relational import (
+    _run_pairs, _sorted_runs, grouped_aggregate, grouped_topk,
+    keyed_exchange, partitioned_sweep)
+
 # Stopword sets for the heuristic language scorer. Scores are counts of
 # " word " occurrences (space-delimited so SQL length/replace tricks give
 # identical counts).
@@ -155,7 +159,7 @@ def pack_sequences(ds, id_column: str = "doc_id",
     global ``id_column`` order — ``pack_id = (cumsum_exclusive(cost)) //
     bin_budget``. The classic pre-tokenization packing step, computed as
     a DISTRIBUTED PREFIX SUM rather than a global sort: (1) one tiny
-    exchange sums ``cost`` per id-shard (``id // shard_size``; the
+    ``grouped_aggregate`` sums ``cost`` per id-shard (``id // shard_size``; the
     driver-side offset fold is bounded by #shards — pick ``shard_size``
     so max_id/shard_size stays ~10^5-10^6 at corpus scale), (2) the
     exclusive shard offsets are broadcast once with ``ray.put``, (3) one
@@ -166,31 +170,9 @@ def pack_sequences(ds, id_column: str = "doc_id",
     SQL twin: ``(SUM(cost) OVER (ORDER BY id ROWS UNBOUNDED PRECEDING)
     - cost) // bin_budget``."""
     import ray
-    from ray.data.aggregate import Sum
 
     if bin_budget < 1:
         raise ValueError(f"bin_budget must be >= 1, got {bin_budget}")
-
-    def shard_partial(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pc.and_(pc.is_valid(batch[id_column]),
-                                     pc.is_valid(batch[cost_column])))
-        t = pa.table({
-            "shard": pc.divide(batch[id_column],
-                               pa.scalar(shard_size, pa.int64())),
-            "cost": pc.cast(batch[cost_column], pa.int64()),
-        })
-        return (t.group_by(["shard"]).aggregate([("cost", "sum")])
-                 .rename_columns(["shard", "cost"]))
-
-    shard_sums = (ds.map_batches(shard_partial, batch_format="pyarrow")
-                    .groupby("shard")
-                    .aggregate(Sum("cost", alias_name="cost")).take_all())
-    shard_sums.sort(key=lambda r: r["shard"])
-    offsets, acc = {}, 0
-    for r in shard_sums:
-        offsets[r["shard"]] = acc
-        acc += r["cost"]
-    offsets_ref = ray.put(offsets)
 
     def tag_shard(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.and_(pc.is_valid(batch[id_column]),
@@ -201,6 +183,16 @@ def pack_sequences(ds, id_column: str = "doc_id",
             "shard": pc.divide(batch[id_column],
                                pa.scalar(shard_size, pa.int64())),
         })
+
+    tagged = ds.map_batches(tag_shard, batch_format="pyarrow")
+    shard_sums = grouped_aggregate(tagged, "shard", {"cost": "sum"}
+                                   ).take_all()
+    shard_sums.sort(key=lambda r: r["shard"])
+    offsets, acc = {}, 0
+    for r in shard_sums:
+        offsets[r["shard"]] = acc
+        acc += r["cost"]
+    offsets_ref = ray.put(offsets)
 
     def sweep(group: pa.Table) -> pa.Table:
         base = ray.get(offsets_ref)[group["shard"][0].as_py()]
@@ -216,9 +208,7 @@ def pack_sequences(ds, id_column: str = "doc_id",
             "pack_id": pa.array(start // bin_budget, pa.int64()),
         })
 
-    return (ds.map_batches(tag_shard, batch_format="pyarrow")
-              .groupby("shard")
-              .map_groups(sweep, batch_format="pyarrow"))
+    return tagged.groupby("shard").map_groups(sweep, batch_format="pyarrow")
 
 
 def assign_split_batch(batch: pa.Table, id_column: str = "doc_id",
@@ -309,30 +299,32 @@ def _rolling_fingerprint(text: str, window: int = _ROLL_WINDOW) -> int:
     return int(acc.min())
 
 
-def value_quantiles(ds, column: str, qs: tuple[float, ...] = (0.25, 0.5, 0.75, 0.95)):
-    """Exact distributed quantiles of an integer column via a value-count
-    sketch: per-batch arrow ``group_by(...).count`` partials, a global
-    (value → count) sum groupby, then a tiny driver cumsum over the
-    DISTINCT values (bounded for discrete columns like lengths; pre-bin
-    continuous columns before calling this at corpus scale). Quantile rule
-    is rank ``ceil(q·n)−1`` over the sorted multiset — DuckDB's
-    ``quantile_disc`` rule, verified empirically for n∈{7,10,11,500,502}
-    (the older ``floor(q·(n−1))`` rule coincides only when q·n is integral).
-    """
-    import pyarrow as pa
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"value": batch[column]})
-        return (t.group_by(["value"]).aggregate([([], "count_all")])
-                 .rename_columns(["value", "cnt"]))
-
-    from ray.data.aggregate import Sum
-    counts = (ds.map_batches(partial, batch_format="pyarrow")
-                .groupby("value").aggregate(Sum("cnt", alias_name="cnt")))
-    rows = counts.take_all()  # tiny: one row per distinct value
+def _sorted_value_counts(ds, column: str) -> tuple[np.ndarray, np.ndarray]:
+    """The value-count sketch of an integer ``column``: its distinct
+    non-null values in ascending order and their cumulative row counts,
+    from one ``grouped_aggregate`` collected on the driver (bounded by
+    the DISTINCT values — pre-bin continuous columns at corpus scale).
+    Null values are not counted, as SQL's quantile aggregates skip
+    them."""
+    rows = grouped_aggregate(
+        ds.map_batches(lambda b: pa.table({"value": b[column]}).filter(
+            pc.is_valid(b[column])), batch_format="pyarrow"),
+        "value", {"n": "count"}).take_all()
     rows.sort(key=lambda r: r["value"])
-    values = np.asarray([r["value"] for r in rows], dtype=np.int64)
-    cum = np.cumsum([r["cnt"] for r in rows])
+    return (np.asarray([r["value"] for r in rows], dtype=np.int64),
+            np.cumsum(np.asarray([r["n"] for r in rows], dtype=np.int64)))
+
+
+def value_quantiles(ds, column: str, qs: tuple[float, ...] = (0.25, 0.5, 0.75, 0.95)):
+    """Exact distributed quantiles of an integer column via the
+    value-count sketch (``_sorted_value_counts``) and a tiny driver
+    search over its cumulative counts. Quantile rule is rank
+    ``ceil(q·n)−1`` over the sorted multiset — DuckDB's
+    ``quantile_disc`` rule, verified empirically for n∈{7,10,11,500,502}
+    (the older ``floor(q·(n−1))`` rule coincides only when q·n is
+    integral). Null values are skipped, as ``quantile_disc`` does.
+    """
+    values, cum = _sorted_value_counts(ds, column)
     n = int(cum[-1]) if len(cum) else 0
     out = {}
     for q in qs:
@@ -346,29 +338,14 @@ def quantile_cont_values(ds, column: str,
                          qs: tuple[float, ...] = (0.25, 0.5, 0.75, 0.95)):
     """Exact distributed CONTINUOUS (interpolated) quantiles of an integer
     column — the ``quantile_cont`` / numpy-type-7 shape the disc-rule
-    sketches (``value_quantiles``) don't cover. Same dataflow: per-batch
-    value-count partials, one (value → count) sum groupby, tiny driver
-    cumsum over the distinct values; the two order statistics around
-    ``h = q·(n−1)`` are read exactly from the cumulative counts, then ONE
-    mirrored float64 convex combination ``(1−frac)·lo + frac·hi`` —
-    pinned empirically as DuckDB's exact expression order (the
-    ``lo + (hi−lo)·frac`` form differs in IEEE and hash-mismatches).
-    Float only in that final expression; everything upstream is int64."""
-    import pyarrow as pa
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"value": batch[column]})
-        t = t.filter(pc.is_valid(t["value"]))
-        return (t.group_by(["value"]).aggregate([([], "count_all")])
-                 .rename_columns(["value", "cnt"]))
-
-    from ray.data.aggregate import Sum
-    counts = (ds.map_batches(partial, batch_format="pyarrow")
-                .groupby("value").aggregate(Sum("cnt", alias_name="cnt")))
-    rows = counts.take_all()  # tiny: one row per distinct value
-    rows.sort(key=lambda r: r["value"])
-    values = np.asarray([r["value"] for r in rows], dtype=np.int64)
-    cum = np.cumsum([r["cnt"] for r in rows])
+    sketches (``value_quantiles``) don't cover. Same value-count sketch;
+    the two order statistics around ``h = q·(n−1)`` are read exactly
+    from the cumulative counts, then ONE mirrored float64 convex
+    combination ``(1−frac)·lo + frac·hi`` — pinned empirically as
+    DuckDB's exact expression order (the ``lo + (hi−lo)·frac`` form
+    differs in IEEE and hash-mismatches). Float only in that final
+    expression; everything upstream is int64."""
+    values, cum = _sorted_value_counts(ds, column)
     n = int(cum[-1]) if len(cum) else 0
     out = {}
     for q in qs:
@@ -388,25 +365,21 @@ def grouped_quantiles(ds, group_column: str, value_column: str,
                       qs: tuple[float, ...] = (0.25, 0.5, 0.75, 0.95)):
     """Exact distributed per-group quantiles of an integer column: the
     same value-count sketch as ``value_quantiles`` keyed by
-    ``(group, value)`` — per-batch arrow ``group_by`` count partials, one
-    global sum groupby, then a tiny driver cumsum per group (bounded by
-    #groups × #distinct values; pre-bin continuous columns first at
-    corpus scale). Quantile rule is DuckDB's ``quantile_disc``
-    rank ``ceil(q·n)−1`` per group."""
-    import pyarrow as pa
+    ``(group, value)`` — one ``grouped_aggregate``, then a tiny driver
+    cumsum per group (bounded by #groups × #distinct values; pre-bin
+    continuous columns first at corpus scale). Quantile rule is DuckDB's
+    ``quantile_disc`` rank ``ceil(q·n)−1`` per group."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def pairs(batch: pa.Table) -> pa.Table:
         t = pa.table({"grp": batch[group_column], "value": batch[value_column]})
         # null group or value rows carry no quantile information; dropping
         # here also keeps the driver-side sorted() fold None-free
-        t = t.filter(pc.and_(pc.is_valid(t["grp"]), pc.is_valid(t["value"])))
-        return (t.group_by(["grp", "value"]).aggregate([([], "count_all")])
-                 .rename_columns(["grp", "value", "cnt"]))
+        return t.filter(pc.and_(pc.is_valid(t["grp"]),
+                                pc.is_valid(t["value"])))
 
-    from ray.data.aggregate import Sum
-    counts = (ds.map_batches(partial, batch_format="pyarrow")
-                .groupby(["grp", "value"]).aggregate(Sum("cnt", alias_name="cnt")))
-    rows = counts.take_all()  # tiny: one row per (group, distinct value)
+    rows = grouped_aggregate(
+        ds.map_batches(pairs, batch_format="pyarrow"), ["grp", "value"],
+        {"cnt": "count"}).take_all()  # one row per (group, distinct value)
     by_grp: dict = {}
     for r in rows:
         by_grp.setdefault(r["grp"], []).append((r["value"], r["cnt"]))
@@ -507,24 +480,19 @@ def explode_tokens(ds, id_column: str = "doc_id",
 
 
 def top_terms(ds, k: int = 20, text_column: str = "text"):
-    """Corpus-level term frequency top-k: per-batch vectorized token counts
-    (arrow split + group_by partial combine), a (term → count) sum groupby
-    over the bounded vocabulary, then per-batch top-k prune + tiny driver
-    merge (no global sort). Tokenization = whitespace split, empties
-    dropped — the same rule as the Jaccard oracle's ``toks`` CTE."""
-    import pyarrow as pa
+    """Corpus-level term frequency top-k: a (term → count)
+    ``grouped_aggregate`` over the bounded vocabulary, then per-batch top-k
+    prune + tiny driver merge (no global sort). Tokenization = whitespace
+    split, empties dropped — the same rule as the Jaccard oracle's ``toks``
+    CTE."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def terms(batch: pa.Table) -> pa.Table:
         toks = pc.list_flatten(
             pc.split_pattern_regex(batch[text_column], r"\s+"))
-        toks = toks.filter(pc.not_equal(toks, ""))
-        t = pa.table({"term": toks})
-        return (t.group_by(["term"]).aggregate([([], "count_all")])
-                 .rename_columns(["term", "cnt"]))
+        return pa.table({"term": toks.filter(pc.not_equal(toks, ""))})
 
-    from ray.data.aggregate import Sum
-    counts = (ds.map_batches(partial, batch_format="pyarrow")
-                .groupby("term").aggregate(Sum("cnt", alias_name="cnt")))
+    counts = grouped_aggregate(ds.map_batches(terms, batch_format="pyarrow"),
+                               "term", {"cnt": "count"})
 
     def prune(batch: pa.Table) -> pa.Table:
         order = pc.sort_indices(batch, sort_keys=[("cnt", "descending"),
@@ -541,16 +509,13 @@ def top_terms(ds, k: int = 20, text_column: str = "text"):
 def top_terms_by_group(ds, group_column: str = "lang", k: int = 10,
                        text_column: str = "text"):
     """Per-group term-frequency top-k (heavy hitters per language /
-    source / domain — the grouped variant of ``top_terms``): per-batch
-    vectorized (group, term) count partials combine BEFORE the shuffle,
-    a (group, term) sum groupby bounds the exchange by vocabulary ×
-    groups, then ``grouped_topk`` keeps each group's first ``k``. Ties
-    break (count desc, term asc) so the result is deterministic and
-    SQL-twinnable (``QUALIFY row_number() OVER (PARTITION BY g ORDER BY
-    cnt DESC, term)``)."""
-    from pdf_inspector_ray.functions.relational import grouped_topk
+    source / domain — the grouped variant of ``top_terms``): a (group, term)
+    ``grouped_aggregate`` bounds the exchange by vocabulary × groups, then
+    ``grouped_topk`` keeps each group's first ``k``. Ties break (count desc,
+    term asc) so the result is deterministic and SQL-twinnable (``QUALIFY
+    row_number() OVER (PARTITION BY g ORDER BY cnt DESC, term)``)."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def terms(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.is_valid(batch[text_column]))  # no terms
         tok_lists = pc.split_pattern_regex(batch[text_column], r"\s+")
         toks = pc.list_flatten(tok_lists)
@@ -558,16 +523,11 @@ def top_terms_by_group(ds, group_column: str = "lang", k: int = 10,
         groups = batch[group_column].take(
             pa.array(np.repeat(np.arange(len(batch)), reps), pa.int64()))
         mask = pc.not_equal(toks, "")
-        t = pa.table({group_column: groups.filter(mask),
-                      "term": toks.filter(mask)})
-        return (t.group_by([group_column, "term"])
-                 .aggregate([([], "count_all")])
-                 .rename_columns([group_column, "term", "cnt"]))
+        return pa.table({group_column: groups.filter(mask),
+                         "term": toks.filter(mask)})
 
-    from ray.data.aggregate import Sum
-    counts = (ds.map_batches(partial, batch_format="pyarrow")
-                .groupby([group_column, "term"])
-                .aggregate(Sum("cnt", alias_name="cnt")))
+    counts = grouped_aggregate(ds.map_batches(terms, batch_format="pyarrow"),
+                               [group_column, "term"], {"cnt": "count"})
     return grouped_topk(counts, group_column,
                         [("cnt", "descending"), "term"], k)
 
@@ -578,7 +538,6 @@ def stratified_sample(ds, group_column: str, n_per_group: int = 5,
     each group ordered by ``order_column`` — ``grouped_topk``. For
     seeded RANDOM strata swap the order key for ``hash(order_column)``
     — determinism is what makes this oracle-checkable."""
-    from pdf_inspector_ray.functions.relational import grouped_topk
     return grouped_topk(ds, group_column, [order_column], n_per_group)
 
 
@@ -639,27 +598,19 @@ def term_doc_frequency(ds, text_column: str = "text",
 
     Dataflow: per-batch (term, doc) pairs dedupe locally (one doc = one
     row, so local distinct is globally distinct — same argument as
-    ``decontam``), then fold to per-batch (term, partial_df) counts, so
-    the single exchange carries one row per (batch, term) — vocabulary-
-    bounded, not corpus-bounded. Tokenizer is the corpus-wide whitespace
-    rule, so the SQL twin is exact."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from ray.data.aggregate import Sum
-
+    ``decontam``), then one ``grouped_aggregate`` counts them per term;
+    its per-batch partial carries one row per (batch, term) over the
+    exchange — vocabulary-bounded, not corpus-bounded. Tokenizer is the
+    corpus-wide whitespace rule, so the SQL twin is exact."""
     from pdf_inspector_ray.functions.decontam import _gram_rows
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def pairs(batch: pa.Table) -> pa.Table:
         idx, terms = _gram_rows(batch[text_column], 1)
-        pairs = (pa.table({"term": terms,
-                           "d": pa.array(idx, pa.int64())})
-                 .group_by(["term", "d"]).aggregate([]))
-        return (pairs.group_by(["term"]).aggregate([([], "count_all")])
-                     .rename_columns(["term", "df"]))
+        return (pa.table({"term": terms, "d": pa.array(idx, pa.int64())})
+                .group_by(["term", "d"]).aggregate([]))
 
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby("term").aggregate(Sum("df", alias_name="df")))
+    out = grouped_aggregate(ds.map_batches(pairs, batch_format="pyarrow"),
+                            "term", {"df": "count"})
 
     def prune(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.greater_equal(batch["df"], min_df))
@@ -860,20 +811,9 @@ def percent_rank_column(ds, column: str, id_column: str = "doc_id"):
     continuous columns."""
     import ray
 
-    def partial(batch: pa.Table) -> pa.Table:
-        return (pa.table({"value": batch[column]})
-                .group_by(["value"]).aggregate([([], "count_all")])
-                .rename_columns(["value", "cnt"]))
-
-    from ray.data.aggregate import Sum
-    rows = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("value").aggregate(Sum("cnt", alias_name="cnt"))
-              .take_all())  # one row per distinct value
-    rows.sort(key=lambda r: r["value"])
-    values = np.asarray([r["value"] for r in rows], dtype=np.int64)
-    counts = np.asarray([r["cnt"] for r in rows], dtype=np.int64)
-    below = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    n = int(counts.sum())
+    values, cum = _sorted_value_counts(ds, column)
+    below = np.concatenate([[0], cum[:-1]])
+    n = int(cum[-1]) if len(cum) else 0
     ref = ray.put((values, below))
 
     def rank(batch: pa.Table) -> pa.Table:
@@ -900,8 +840,6 @@ def inverted_index(ds, min_df: int = 2, text_column: str = "text",
     vocabulary-bounded exchange; the per-term sort is vectorized inside
     the term-partition group."""
     from pdf_inspector_ray.functions.decontam import _gram_rows
-    from pdf_inspector_ray.functions.relational import (_sorted_runs,
-                                                        keyed_exchange)
 
     def partial(batch: pa.Table) -> pa.Table:
         idx, terms = _gram_rows(batch[text_column], 1)
@@ -939,15 +877,16 @@ def top_collocations(ds, k: int = 20, min_count: int = 5,
     integer counts, so no log/rounding drift. Ties break by
     (left, right) ascending.
 
-    Dataflow: per-batch (left, right) pair-count partials → ONE
-    vocabulary²-bounded groupby (materialized — it is the small
-    derived table, not the corpus); totals fold from the unigram/bigram
-    count tables; unigram counts broadcast in the closure
-    (vocabulary-bounded); scoring is one vectorized map; the final
+    Dataflow: ONE vocabulary²-bounded (left, right) ``grouped_aggregate``
+    (materialized — it is the small derived table, not the corpus); totals fold
+    from the unigram/bigram count tables; unigram counts broadcast in the
+    closure (vocabulary-bounded); scoring is one vectorized map; the final
     top-k is a distributed sort + limit over bigram rows."""
     from ray.data.aggregate import Sum
 
-    def bi_partial(batch: pa.Table) -> pa.Table:
+    from pdf_inspector_ray.functions.decontam import _gram_rows
+
+    def bigrams(batch: pa.Table) -> pa.Table:
         tok_lists = pc.split_pattern_regex(batch[text_column], r"\s+")
         toks = pc.list_flatten(tok_lists).combine_chunks()
         reps = pc.list_value_length(tok_lists).to_numpy(
@@ -959,32 +898,24 @@ def top_collocations(ds, k: int = 20, min_count: int = 5,
         n = len(toks)
         if n < 2:
             return pa.table({"a": pa.array([], pa.string()),
-                             "b": pa.array([], pa.string()),
-                             "c": pa.array([], pa.int64())})
-        valid = row[:n - 1] == row[1:]
-        t = pa.table({"a": toks.slice(0, n - 1).filter(pa.array(valid)),
-                      "b": toks.slice(1, n - 1).filter(pa.array(valid))})
-        return (t.group_by(["a", "b"]).aggregate([([], "count_all")])
-                 .rename_columns(["a", "b", "c"]))
+                             "b": pa.array([], pa.string())})
+        valid = pa.array(row[:n - 1] == row[1:])
+        return pa.table({"a": toks.slice(0, n - 1).filter(valid),
+                         "b": toks.slice(1, n - 1).filter(valid)})
 
-    def uni_partial(batch: pa.Table) -> pa.Table:
-        from pdf_inspector_ray.functions.decontam import _gram_rows
-        _, terms = _gram_rows(batch[text_column], 1)
-        return (pa.table({"term": terms})
-                .group_by(["term"]).aggregate([([], "count_all")])
-                .rename_columns(["term", "c"]))
-
-    uni_rows = (ds.map_batches(uni_partial, batch_format="pyarrow")
-                  .groupby("term").aggregate(Sum("c", alias_name="c"))
-                  .take_all())  # vocabulary-bounded
+    uni_rows = grouped_aggregate(
+        ds.map_batches(lambda b: pa.table(
+            {"term": _gram_rows(b[text_column], 1)[1]}),
+            batch_format="pyarrow"),
+        "term", {"c": "count"}).take_all()  # vocabulary-bounded
     uni_terms = pa.array([r["term"] for r in uni_rows], pa.string())
     uni_counts = np.asarray([r["c"] for r in uni_rows], np.float64)
     n_uni = float(uni_counts.sum())
 
-    bi = (ds.map_batches(bi_partial, batch_format="pyarrow")
-            .groupby(["a", "b"]).aggregate(Sum("c", alias_name="c"))
-            .materialize())  # vocabulary²-bounded derived table
-    total = bi.aggregate(Sum("c", alias_name="s"))["s"]  # one scalar
+    bi = grouped_aggregate(
+        ds.map_batches(bigrams, batch_format="pyarrow"), ["a", "b"],
+        {"c": "count"}).materialize()  # vocabulary²-bounded derived table
+    total = (bi.aggregate(Sum("c", alias_name="s")) or {}).get("s")
     if total is None:  # no bigrams anywhere (empty/whitespace corpus)
         import ray.data
         return ray.data.from_arrow(pa.table({
@@ -1027,37 +958,27 @@ def approx_quantiles(ds, column: str,
     Deterministic and SQL-twin-exact by construction (both sides bin
     with the same float64 expression); worst-case error = one bin width
     (max−min)/num_bins — pinned against the exact quantile in pytest."""
-    import pyarrow as pa
-    from ray.data.aggregate import Max, Min, Sum
+    from ray.data.aggregate import Max, Min
 
     def rng_partial(batch: pa.Table) -> pa.Table:
         v = pc.cast(batch[column], pa.float64())
-        return pa.table({"k": pa.array([0], pa.int64()),
-                         "mn": pa.array([pc.min(v).as_py()], pa.float64()),
+        return pa.table({"mn": pa.array([pc.min(v).as_py()], pa.float64()),
                          "mx": pa.array([pc.max(v).as_py()], pa.float64())})
 
-    r = (ds.map_batches(rng_partial, batch_format="pyarrow")
-           .groupby("k").aggregate(Min("mn", alias_name="mn"),
-                                   Max("mx", alias_name="mx"))
-           .take_all())[0]
+    r = ds.map_batches(rng_partial, batch_format="pyarrow").aggregate(
+        Min("mn", alias_name="mn"), Max("mx", alias_name="mx"))
     mn, mx = float(r["mn"]), float(r["mx"])
     width = (mx - mn) / num_bins if mx > mn else 1.0
 
-    def bin_partial(batch: pa.Table) -> pa.Table:
+    def to_bin(batch: pa.Table) -> pa.Table:
         v = pc.cast(batch[column], pa.float64()).to_numpy(
             zero_copy_only=False)
         b = np.minimum(np.floor((v - mn) / width),
                        num_bins - 1).astype(np.int64)
-        return (pa.table({"bin": pa.array(b, pa.int64())})
-                .group_by(["bin"]).aggregate([([], "count_all")])
-                .rename_columns(["bin", "cnt"]))
+        return pa.table({"bin": pa.array(b, pa.int64())})
 
-    rows = (ds.map_batches(bin_partial, batch_format="pyarrow")
-              .groupby("bin").aggregate(Sum("cnt", alias_name="cnt"))
-              .take_all())  # ≤ num_bins rows
-    rows.sort(key=lambda x: x["bin"])
-    bins = np.asarray([x["bin"] for x in rows], np.int64)
-    cum = np.cumsum([x["cnt"] for x in rows])
+    bins, cum = _sorted_value_counts(  # ≤ num_bins rows
+        ds.map_batches(to_bin, batch_format="pyarrow"), "bin")
     n = int(cum[-1]) if len(cum) else 0
     out = {}
     for q in qs:
@@ -1076,19 +997,17 @@ def winsorized_sum_by_group(ds, group_column: str, value_column: str,
     winsorized statistic corpus reports use so a handful of pathological
     documents can't dominate a per-language size budget.
 
-    Two streaming passes (the unavoidable data dependency: clipping
-    needs the bounds). Pass 1 is the ``grouped_quantiles`` value-count
-    sketch (exchange bounded by groups × distinct values — pre-bin
-    continuous columns at corpus scale); the tiny (group, lo, hi) table
-    is broadcast via ``ray.put``. Pass 2 clips vectorized per batch and
-    ships ONE partial (sum, count) row per (batch, group) into the final
-    groupby. Integer in, integer out: the sum of clipped int64 is exact,
-    so the DuckDB ``least(greatest(v, lo), hi)`` twin hash-matches.
+    Two streaming passes (the unavoidable data dependency: clipping needs the
+    bounds). Pass 1 is the ``grouped_quantiles`` value-count sketch (exchange
+    bounded by groups × distinct values — pre-bin continuous columns at corpus
+    scale); the tiny (group, lo, hi) table is broadcast via ``ray.put``. Pass 2
+    clips vectorized per batch into one (sum, count) ``grouped_aggregate``.
+    Integer in, integer out: the sum of clipped int64 is exact, so the DuckDB
+    ``least(greatest(v, lo), hi)`` twin hash-matches.
 
     Null group or value rows are dropped (they carry no quantile
     information in pass 1, and SQL SUM/COUNT(value) ignores them)."""
     import ray
-    from ray.data.aggregate import Sum
 
     lohi = int(q_lo * 100), int(q_hi * 100)
     bt = grouped_quantiles(ds, group_column, value_column, qs=(q_lo, q_hi))
@@ -1097,7 +1016,7 @@ def winsorized_sum_by_group(ds, group_column: str, value_column: str,
         bt[f"q{lohi[0]}"].to_pylist(), bt[f"q{lohi[1]}"].to_pylist())}
     bounds_ref = ray.put(bounds)
 
-    def clip_partial(batch: pa.Table) -> pa.Table:
+    def clip(batch: pa.Table) -> pa.Table:
         b = ray.get(bounds_ref)
         batch = batch.filter(pc.and_(pc.is_valid(batch[group_column]),
                                      pc.is_valid(batch[value_column])))
@@ -1112,16 +1031,12 @@ def winsorized_sum_by_group(ds, group_column: str, value_column: str,
         x = pc.cast(batch[value_column], pa.int64()).to_numpy(
             zero_copy_only=False)
         clipped = np.minimum(np.maximum(x, lo), hi)
-        return (pa.table({"grp": grp,
-                          "wsum": pa.array(clipped, pa.int64()),
-                          "n": pa.array(np.ones(len(clipped), np.int64))})
-                .group_by(["grp"]).aggregate([("wsum", "sum"), ("n", "sum")])
-                .rename_columns(["grp", "wsum", "n"]))
+        return pa.table({"grp": grp, "winsorized_sum": pa.array(
+            clipped, pa.int64())})
 
-    agg = (ds.map_batches(clip_partial, batch_format="pyarrow")
-             .groupby("grp")
-             .aggregate(Sum("wsum", alias_name="winsorized_sum"),
-                        Sum("n", alias_name="n_rows")))
+    agg = grouped_aggregate(ds.map_batches(clip, batch_format="pyarrow"),
+                            "grp", {"winsorized_sum": "sum",
+                                    "n_rows": "count"})
 
     def finish(batch: pa.Table) -> pa.Table:
         b = ray.get(bounds_ref)
@@ -1130,8 +1045,8 @@ def winsorized_sum_by_group(ds, group_column: str, value_column: str,
             group_column: batch["grp"],
             "lo": pa.array([b[g][0] for g in grps], pa.int64()),
             "hi": pa.array([b[g][1] for g in grps], pa.int64()),
-            "winsorized_sum": pc.cast(batch["winsorized_sum"], pa.int64()),
-            "n_rows": pc.cast(batch["n_rows"], pa.int64()),
+            "winsorized_sum": batch["winsorized_sum"],
+            "n_rows": batch["n_rows"],
         })
 
     return agg.map_batches(finish, batch_format="pyarrow")
@@ -1226,23 +1141,17 @@ def source_vocab_jaccard(ds, group_column: str = "source",
     "is this new crawl actually new material" check run before merging
     a source into the training mix.
 
-    Dataflow: per-batch distinct (source, term) pairs (vocabulary-
-    bounded, like ``vocab_size_by_group``), one ``partitioned_sweep``
-    over ``term`` ordered by source emits each term's C(k,2) source
-    pairs (``relational._run_pairs``; k = # sources containing the term
-    — tiny) and counts them per partition, then one final groupby over
-    the ~|sources|² pair table. Vocab sizes ride the same term runs:
-    each term emits one singleton row (src, "") per member source and
-    the final sweep sums them, so ONE term exchange feeds both the
-    intersection and the union. "" not NULL marks a singleton because
-    Ray's sort-based groupby can't order null keys (and no real source
-    name is empty). jaccard = inter / union is a single int/int float64
-    division (exact for < 2^53 — hash-matches DuckDB's BIGINT ``/``)."""
-    from ray.data.aggregate import Sum
-
+    Dataflow: per-batch distinct (source, term) pairs (vocabulary- bounded,
+    like ``vocab_size_by_group``), one ``partitioned_sweep`` over ``term``
+    ordered by source emits each term's C(k,2) source pairs
+    (``relational._run_pairs``; k = # sources containing the term — tiny), then
+    one ``grouped_aggregate`` counts the ~|sources|² pairs. Vocab sizes ride
+    the same term runs: each term emits one singleton row (src, "") per member
+    source and the same count sums them, so ONE term exchange feeds both the
+    intersection and the union. "" marks a singleton (no real source name is
+    empty). jaccard = inter / union is a single int/int float64 division (exact
+    for < 2^53 — hash-matches DuckDB's BIGINT ``/``)."""
     from pdf_inspector_ray.functions.decontam import _gram_rows
-    from pdf_inspector_ray.functions.relational import (_run_pairs,
-                                                        partitioned_sweep)
 
     def pairs_partial(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.and_(pc.is_valid(batch[group_column]),
@@ -1257,19 +1166,15 @@ def source_vocab_jaccard(ds, group_column: str = "source",
     def emit_pairs(g: pa.Table, starts: np.ndarray) -> pa.Table:
         srcs, a, b = _run_pairs(pc.cast(g["src"], pa.string()
                                         ).combine_chunks(), starts)
-        return (pa.table({
+        return pa.table({
             "source_a": pa.concat_arrays([a, srcs]),
             "source_b": pa.concat_arrays(
                 [b, pa.array([""] * len(srcs), pa.string())])})
-            .group_by(["source_a", "source_b"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["source_a", "source_b", "n"]))
 
-    counts = (partitioned_sweep(
-                  ds.map_batches(pairs_partial, batch_format="pyarrow"),
-                  "term", ["src"], emit_pairs)
-                .groupby(["source_a", "source_b"])
-                .aggregate(Sum("n", alias_name="n")))
+    pairs = ds.map_batches(pairs_partial, batch_format="pyarrow")
+    counts = grouped_aggregate(
+        partitioned_sweep(pairs, "term", ["src"], emit_pairs),
+        ["source_a", "source_b"], {"n": "count"})
 
     def finish(batch: pa.Table) -> pa.Table:
         t = batch.to_pandas()
@@ -1297,60 +1202,55 @@ def source_vocab_jaccard(ds, group_column: str = "source",
     return finish(merged)
 
 
-def source_simpson_diversity(ds, group_column: str = "source",
-                             text_column: str = "text"):
-    """Simpson diversity of each source's token distribution:
-    ``1 − Σ n_i(n_i−1) / (N(N−1))`` over whitespace-token counts — the
-    collision-probability diversity index (low = template spam, high =
-    varied prose). All-integer partials: exchange 1 folds exact
-    (source, term) counts (vocabulary-bounded), exchange 2 folds the
-    per-source Σ n(n−1) and N (source-bounded); the index itself is one
-    mirrored float64 divide-and-subtract (both products < 2^53 at any
-    per-source token count up to ~9.4e7 for N(N−1), and per-term counts
-    far below — beyond that, pre-scale or report the integer pair
-    counts only)."""
-    from ray.data.aggregate import Sum
+def _source_term_counts(ds, group_column: str, text_column: str):
+    """Exact (src, term) → ``n`` whitespace-token counts of non-null
+    rows: one vocabulary-bounded ``grouped_aggregate``."""
     from pdf_inspector_ray.functions.decontam import _gram_rows
 
-    def term_partial(batch: pa.Table) -> pa.Table:
+    def terms(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.and_(pc.is_valid(batch[group_column]),
                                      pc.is_valid(batch[text_column])))
         idx, terms = _gram_rows(batch[text_column], 1)
         grp = batch[group_column].combine_chunks().take(
             pa.array(idx, pa.int64()))
-        return (pa.table({"src": grp, "term": terms,
-                          "n": pa.array(np.ones(len(terms), np.int64))})
-                .group_by(["src", "term"]).aggregate([("n", "sum")])
-                .rename_columns(["src", "term", "n"]))
+        return pa.table({"src": grp, "term": terms})
 
-    term_counts = (ds.map_batches(term_partial, batch_format="pyarrow")
-                     .groupby(["src", "term"])
-                     .aggregate(Sum("n", alias_name="n")))
+    return grouped_aggregate(ds.map_batches(terms, batch_format="pyarrow"),
+                             ["src", "term"], {"n": "count"})
 
-    def pair_partial(batch: pa.Table) -> pa.Table:
-        n = pc.cast(batch["n"], pa.int64()).to_numpy(zero_copy_only=False)
-        t = pa.table({"src": batch["src"],
-                      "pairs": pa.array(n * (n - 1), pa.int64()),
-                      "n": pa.array(n, pa.int64())})
-        return (t.group_by(["src"])
-                 .aggregate([("pairs", "sum"), ("n", "sum")])
-                 .rename_columns(["src", "pairs", "n"]))
 
-    agg = (term_counts.map_batches(pair_partial, batch_format="pyarrow")
-                      .groupby("src")
-                      .aggregate(Sum("pairs", alias_name="pairs_same"),
-                                 Sum("n", alias_name="n_tokens")))
+def source_simpson_diversity(ds, group_column: str = "source",
+                             text_column: str = "text"):
+    """Simpson diversity of each source's token distribution:
+    ``1 − Σ n_i(n_i−1) / (N(N−1))`` over whitespace-token counts — the
+    collision-probability diversity index (low = template spam, high =
+    varied prose). All-integer aggregates: the first folds exact
+    (source, term) counts (vocabulary-bounded), the second the
+    per-source Σ n(n−1) and N (source-bounded); the index itself is one
+    mirrored float64 divide-and-subtract (both products < 2^53 at any
+    per-source token count up to ~9.4e7 for N(N−1), and per-term counts
+    far below — beyond that, pre-scale or report the integer pair
+    counts only)."""
+
+    def pairs(batch: pa.Table) -> pa.Table:
+        n = batch["n"].to_numpy(zero_copy_only=False)
+        return pa.table({"src": batch["src"],
+                         "pairs_same": pa.array(n * (n - 1), pa.int64()),
+                         "n_tokens": batch["n"]})
+
+    agg = grouped_aggregate(
+        _source_term_counts(ds, group_column, text_column).map_batches(
+            pairs, batch_format="pyarrow"),
+        "src", {"pairs_same": "sum", "n_tokens": "sum"})
 
     def finish(batch: pa.Table) -> pa.Table:
-        pairs = pc.cast(batch["pairs_same"], pa.int64()).to_numpy(
-            zero_copy_only=False)
-        n = pc.cast(batch["n_tokens"], pa.int64()).to_numpy(
-            zero_copy_only=False)
+        pairs = batch["pairs_same"].to_numpy(zero_copy_only=False)
+        n = batch["n_tokens"].to_numpy(zero_copy_only=False)
         simpson = 1.0 - pairs.astype(np.float64) / (n * (n - 1))
         return pa.table({
             group_column: batch["src"],
-            "pairs_same": pa.array(pairs, pa.int64()),
-            "n_tokens": pa.array(n, pa.int64()),
+            "pairs_same": batch["pairs_same"],
+            "n_tokens": batch["n_tokens"],
             "simpson": pa.array(simpson, pa.float64()),
         })
 
@@ -1364,27 +1264,11 @@ def zipf_topk_share(ds, group_column: str = "source",
     boilerplate/template text, low means varied prose (the cheap
     Zipf-curve summary used to rank sources for dedup attention).
 
-    Exchange 1 folds exact (source, term) counts (vocabulary-bounded);
+    One aggregate folds exact (source, term) counts (vocabulary-bounded);
     the per-source sweep sorts counts descending with term-ascending
     tie-break (the deterministic ROW_NUMBER rule) and emits top-k sum,
     total, and ONE mirrored float64 division (exact < 2^53)."""
-    from ray.data.aggregate import Sum
-    from pdf_inspector_ray.functions.decontam import _gram_rows
-
-    def term_partial(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pc.and_(pc.is_valid(batch[group_column]),
-                                     pc.is_valid(batch[text_column])))
-        idx, terms = _gram_rows(batch[text_column], 1)
-        grp = batch[group_column].combine_chunks().take(
-            pa.array(idx, pa.int64()))
-        return (pa.table({"src": grp, "term": terms,
-                          "n": pa.array(np.ones(len(terms), np.int64))})
-                .group_by(["src", "term"]).aggregate([("n", "sum")])
-                .rename_columns(["src", "term", "n"]))
-
-    term_counts = (ds.map_batches(term_partial, batch_format="pyarrow")
-                     .groupby(["src", "term"])
-                     .aggregate(Sum("n", alias_name="n")))
+    term_counts = _source_term_counts(ds, group_column, text_column)
 
     def head(group: pa.Table) -> pa.Table:
         n = pc.cast(group["n"], pa.int64()).to_numpy(zero_copy_only=False)

@@ -209,42 +209,32 @@ def conv_stats(ds: ray.data.Dataset) -> ray.data.Dataset:
     transcript pipeline filters on (conversation length caps, tool-heavy
     sessions, truncated conversations).
 
-    Per-batch Arrow group_by partials shrink the exchange to one row per
-    (batch, conv_id); the final groupby sums/maxes the partials, so a
-    mega-conversation costs its partial count, never its rows. All
-    integer arithmetic (utf8_length == DuckDB length(): codepoints).
+    One ``grouped_aggregate`` on conv_id: its per-batch partials shrink
+    the exchange to one row per (batch, conv_id), so a mega-conversation
+    costs its partial count, never its rows. All integer arithmetic
+    (utf8_length == DuckDB length(): codepoints).
 
     SQL twin: COUNT(*) / SUM(CASE tool<>'') / SUM(length(text)) /
     MAX(turn_idx) GROUP BY conv_id."""
-    import numpy as np
     import pyarrow.compute as pc
-    from ray.data.aggregate import Max, Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        n_chars = pc.cast(pc.utf8_length(
-            pc.coalesce(batch["text"], pa.scalar(""))), pa.int64())
-        tool_call = pc.cast(pc.not_equal(
-            pc.coalesce(batch["tool"], pa.scalar("")), pa.scalar("")),
-            pa.int64())
-        t = pa.table({
+    from pdf_inspector_ray.functions.relational import grouped_aggregate
+
+    def rows(batch: pa.Table) -> pa.Table:
+        return pa.table({
             "conv_id": batch["conv_id"],
-            "n_turns": pa.array(np.ones(len(batch), np.int64)),
-            "n_tool_calls": tool_call,
-            "sum_chars": n_chars,
+            "n_tool_calls": pc.cast(pc.not_equal(
+                pc.coalesce(batch["tool"], pa.scalar("")), pa.scalar("")),
+                pa.int64()),
+            "sum_chars": pc.cast(pc.utf8_length(
+                pc.coalesce(batch["text"], pa.scalar(""))), pa.int64()),
             "max_turn_idx": pc.cast(batch["turn_idx"], pa.int64()),
         })
-        return (t.group_by(["conv_id"]).aggregate(
-            [("n_turns", "sum"), ("n_tool_calls", "sum"),
-             ("sum_chars", "sum"), ("max_turn_idx", "max")])
-            .rename_columns(["conv_id", "n_turns", "n_tool_calls",
-                             "sum_chars", "max_turn_idx"]))
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("conv_id")
-              .aggregate(Sum("n_turns", alias_name="n_turns"),
-                         Sum("n_tool_calls", alias_name="n_tool_calls"),
-                         Sum("sum_chars", alias_name="sum_chars"),
-                         Max("max_turn_idx", alias_name="max_turn_idx")))
+    return grouped_aggregate(
+        ds.map_batches(rows, batch_format="pyarrow"), "conv_id",
+        {"n_turns": "count", "n_tool_calls": "sum", "sum_chars": "sum",
+         "max_turn_idx": "max"})
 
 
 def conv_turn_gaps(ds: ray.data.Dataset) -> ray.data.Dataset:

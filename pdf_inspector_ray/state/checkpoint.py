@@ -4,8 +4,10 @@ Layout: ``out_dir/part={id}/data.parquet`` + ``out_dir/part={id}/_lineage.json``
 The lineage sidecar records partition id, row count, per-turn content hash,
 wall time and the bucket layout (``num_buckets``, ``stride``); a restarted
 run checks the layout, lists completed partition ids and filters them out
-of the input plan before execution — no reprocessing, byte-identical final
-output.
+of the input plan before execution — no reprocessing. A resumed run's
+partitions carry the same rows: each sidecar's ``content_sha256`` over
+``HASH_COLUMNS`` equals an uninterrupted run's. The ``data.parquet`` bytes
+need not: every row stores the wall-clock ``processing_time_ms``.
 
 Exchange (a file shuffle): the extract tasks write each block's rows as
 per-partition LZ4 Arrow IPC shards (``write_shard``) under a run-scoped

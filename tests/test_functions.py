@@ -304,6 +304,75 @@ def test_value_quantiles_matches_duckdb(ray_session):
             want = con.execute(
                 f"select quantile_disc(v, {q}) from t").fetchone()[0]
             assert out[f"q{int(q*100)}"][0].as_py() == want, (n, q)
+    # a null value is not part of the multiset, as in quantile_disc
+    ds = ray.data.from_arrow(pa.table({"v": [5, None, 1, 3, 2, 4]}))
+    out = value_quantiles(ds, "v")
+    assert [out[f"q{q}"][0].as_py() for q in (25, 50, 75, 95)] == [2, 3, 4, 5]
+
+
+def test_grouped_aggregate_matches_duckdb(ray_session):
+    """``grouped_aggregate`` against DuckDB's GROUP BY for sum, min, max
+    and count over int32, int64, float, string and two-column keys, each
+    holding nulls (one null group, as in SQL), over 1, 3 and 8 blocks.
+    An empty input gives the typed empty table."""
+    import duckdb
+    import numpy as np
+    import pyarrow as pa
+    import ray.data
+
+    from pdf_inspector_ray.functions.relational import grouped_aggregate
+
+    rng = np.random.default_rng(18)
+    n = 600
+
+    def col(values, typ):
+        return pa.array(values, typ, mask=rng.random(n) < 0.08)
+
+    v = np.round(rng.uniform(-50, 50, n), 2)
+    w = rng.integers(-1000, 1000, n)
+    t = pa.table({
+        "k_i32": col(rng.integers(0, 9, n), pa.int32()),
+        "k_i64": col(rng.integers(0, 40, n) * 2**40, pa.int64()),
+        "k_f": col(rng.integers(0, 7, n) / 4, pa.float64()),
+        "k_s": col(rng.choice(["a", "b", "c", "dd"], n), pa.string()),
+        "sum_v": col(v, pa.float64()), "min_v": col(v, pa.float64()),
+        "sum_w": col(w, pa.int64()), "max_w": col(w, pa.int32()),
+    })
+    aggs = {"sum_v": "sum", "min_v": "min", "sum_w": "sum",
+            "max_w": "max", "n": "count"}
+    con = duckdb.connect()
+    con.register("t", t)
+    for keys in (["k_i32"], ["k_i64"], ["k_f"], ["k_s"], ["k_s", "k_i32"]):
+        by = ", ".join(keys)
+        want = con.execute(
+            f"SELECT {by}, SUM(sum_v) AS sum_v, MIN(min_v) AS min_v, "
+            f"SUM(sum_w) AS sum_w, MAX(max_w) AS max_w, COUNT(*) AS n "
+            f"FROM t GROUP BY {by} ORDER BY {by}").df()
+        for parts in (1, 3, 8):
+            out = grouped_aggregate(
+                ray.data.from_arrow(t).repartition(parts), keys, aggs)
+            got = (out.to_pandas().sort_values(keys, na_position="last")
+                   .reset_index(drop=True))
+            assert list(got.columns) == keys + list(aggs)
+            assert len(got) == len(want), (keys, parts)
+            for c in keys + ["min_v", "sum_w", "max_w", "n"]:
+                assert (got[c].astype(object).where(got[c].notna(), None)
+                        .tolist()
+                        == want[c].astype(object).where(want[c].notna(),
+                                                        None).tolist()), (
+                    keys, parts, c)
+            # float sums merge in another order than DuckDB's
+            np.testing.assert_allclose(got["sum_v"].astype(float),
+                                       want["sum_v"].astype(float),
+                                       rtol=1e-9)
+
+    out = grouped_aggregate(ray.data.from_arrow(t.slice(0, 0)),
+                            ["k_s", "k_i32"], aggs)
+    assert out.count() == 0
+    assert out.schema().base_schema == pa.schema([
+        ("k_s", pa.string()), ("k_i32", pa.int32()),
+        ("sum_v", pa.float64()), ("min_v", pa.float64()),
+        ("sum_w", pa.int64()), ("max_w", pa.int32()), ("n", pa.int64())])
 
 
 def test_top_terms_exact(ray_session):
@@ -1134,6 +1203,9 @@ def test_extract_json_int_edge_cases():
 
 
 def test_json_int_sum_by_group_matches_duckdb(ray_session):
+    """The group key is a string holding nulls: one NULL group, as in
+    SQL's GROUP BY, over any number of blocks (Ray's sort-based groupby
+    cannot order a null string key against the others)."""
     import duckdb
     import ray.data
     from pdf_inspector_ray.functions.json_ops import json_int_sum_by_group
@@ -1143,22 +1215,25 @@ def test_json_int_sum_by_group_matches_duckdb(ray_session):
     vals = rng.integers(-50, 50, size=200)
     props = [f'{{"k": {v}}}' if i % 7 else '{"other": 1}'
              for i, v in enumerate(vals)]
-    t = pa.table({"event_type": pa.array(groups.tolist()),
+    t = pa.table({"event_type": pa.array(groups.tolist(),
+                                         mask=np.arange(200) % 11 == 0),
                   "props": pa.array(props)})
-    out = (json_int_sum_by_group(ray.data.from_arrow(t).repartition(3),
-                                 "event_type")
-           .to_pandas().sort_values("event_type").reset_index(drop=True))
     exp = duckdb.sql(r"""
         SELECT event_type,
                SUM(TRY_CAST(regexp_extract(props, '"k"\s*:\s*(-?\d+)', 1)
                    AS BIGINT)) AS sum_v,
                COUNT(TRY_CAST(regexp_extract(props, '"k"\s*:\s*(-?\d+)', 1)
                      AS BIGINT)) AS n_v
-        FROM t GROUP BY event_type ORDER BY event_type
+        FROM t GROUP BY event_type ORDER BY event_type NULLS LAST
     """).df()
-    pd.testing.assert_frame_equal(
-        out.astype({"sum_v": "int64", "n_v": "int64"}),
-        exp.astype({"sum_v": "int64", "n_v": "int64"}))
+    for parts in (3, 8):
+        out = (json_int_sum_by_group(ray.data.from_arrow(t).repartition(parts),
+                                     "event_type")
+               .to_pandas().sort_values("event_type").reset_index(drop=True))
+        assert out["event_type"].isna().sum() == 1
+        pd.testing.assert_frame_equal(
+            out.astype({"sum_v": "int64", "n_v": "int64"}),
+            exp.astype({"sum_v": "int64", "n_v": "int64"}))
 
 
 def test_range_join_basic_and_unmatched(ray_session):

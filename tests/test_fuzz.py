@@ -323,7 +323,8 @@ def test_media_decoders_total_on_mutated_payloads(kind, data):
 
 def test_round5_ops_partition_invariant(ray_session):
     """Every round-5 append, and every op on ``keyed_exchange`` /
-    ``partitioned_sweep`` / ``grouped_topk``, must give identical results
+    ``partitioned_sweep`` / ``grouped_topk`` / ``grouped_aggregate``,
+    must give identical results
     regardless of how the input is partitioned (1, 3, 8 blocks) — the
     property that catches accidental per-block state (non-combined
     partials, local dedup standing in for global)."""
@@ -332,22 +333,26 @@ def test_round5_ops_partition_invariant(ray_session):
     import ray.data
     from pdf_inspector_ray.functions.decontam import contaminated_train_docs
     from pdf_inspector_ray.functions.dedup import (
-        exact_dedup, jaccard_prefix_candidates, minhash_lsh_candidates,
-        neardup_best_docs, prefix_contained_docs)
+        connected_components, exact_dedup, jaccard_prefix_candidates,
+        minhash_lsh_candidates, neardup_best_docs, prefix_contained_docs)
     from pdf_inspector_ray.functions.relational import (
         argmin_by_group, asof_join_events, cohort_retention,
         collect_distinct_sorted, conversion_latency_quantiles, customer_rfm,
         dedup_consecutive, event_kgrams, event_pair_lift,
         event_transitions, event_type_cooccurrence, events_weekday_profile,
-        funnel_conversion, funnel_steps, grouped_topk, hourly_top_event,
-        latest_event_per_user, longest_run_by_group,
-        merge_intervals_by_group, mode_per_group,
-        order_interarrival_quantiles, rolling_active_users,
-        range_join, rolling_event_stats, running_totals, session_windows,
-        set_op_ids, shipping_priority, top_customer_per_nation)
+        funnel_conversion, funnel_steps, grouped_aggregate, grouped_moments,
+        grouped_topk, hourly_top_event, latest_event_per_user,
+        longest_run_by_group, merge_intervals_by_group, mode_per_group,
+        order_interarrival_quantiles, pivot_counts, rolling_active_users,
+        range_join, rolling_event_stats, rollup_agg, running_totals,
+        session_windows, set_op_ids, shipping_priority,
+        top_customer_per_nation, top_revenue_orders, user_activity_gini,
+        value_histogram)
+    from pdf_inspector_ray.functions.sketch import cms_counters
     from pdf_inspector_ray.functions.text_stats import (
-        dense_rank_column, inverted_index, source_vocab_jaccard,
-        stratified_sample, top_terms_by_group)
+        dense_rank_column, grouped_quantiles, inverted_index,
+        source_simpson_diversity, source_vocab_jaccard, stratified_sample,
+        term_doc_frequency, top_terms_by_group)
     from pdf_inspector_ray.pipelines.flagship import conv_turn_gaps
 
     rng = np.random.default_rng(89)
@@ -448,6 +453,12 @@ def test_round5_ops_partition_invariant(ray_session):
         .astype("datetime64[us]"))).append_column(
             "value", pa.array(np.round(rng.uniform(0, 50, n), 2)))
 
+    # a random pair graph for connected_components (own generator, so
+    # the tables above keep their draws)
+    edges = np.random.default_rng(5).integers(0, 60, (2, 80))
+    cc_pairs = pa.table({"doc_a": pa.array(edges[0], pa.int64()),
+                         "doc_b": pa.array(edges[1], pa.int64())})
+
     cases = [
         (session_windows, sk, ["user_id", "session_start"]),
         (running_totals, sk, ["event_id"]),
@@ -511,6 +522,23 @@ def test_round5_ops_partition_invariant(ray_session):
          ["doc_id"]),
         (lambda d: range_join(d, ray.data.from_arrow(ivs), "user_id", "ts",
                               "s", "e"), sk, ["event_id"]),
+        (lambda d: grouped_aggregate(d, ["event_type", "user_id"],
+                                     {"n": "count", "event_id": "max"}),
+         sk, ["event_type", "user_id"]),
+        (lambda d: pivot_counts(d, "user_id", "event_type", ["a", "b"]), sk,
+         ["user_id"]),
+        (lambda d: value_histogram(d, "value", 5.0), sk, ["bin"]),
+        (lambda d: grouped_moments(d, "event_type", "value"), sk,
+         ["event_type"]),
+        (user_activity_gini, ev, ["n_users"]),
+        (lambda d: top_revenue_orders(d, k=20), lineitem, ["l_orderkey"]),
+        (connected_components, cc_pairs, ["node"]),
+        (lambda d: term_doc_frequency(d, min_df=1), nd, ["term"]),
+        (source_simpson_diversity, docs, ["source"]),
+        (lambda d: cms_counters(d, "n_chars"), docs, ["depth", "bucket"]),
+        (lambda d: grouped_quantiles(d, "lang", "n_chars"), docs, ["lang"]),
+        (lambda d: rollup_agg(d, ["lang", "source"], "n_chars"), docs,
+         ["lang", "source"]),
     ]
     for fn, table, keys in cases:
         base = None
