@@ -41,7 +41,7 @@ from .objects import (
     decode_content,
     get_number,
 )
-from .tounicode import FontCMaps
+from .tounicode import FontCMaps, ToUnicodeCMap
 
 ITEM_TEXT = "Text"
 ITEM_IMAGE = "Image"
@@ -311,23 +311,17 @@ def is_italic_font(font_name: str) -> bool:
 
 
 _CTRL_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f]")
-_LIG_RE = re.compile(r"[ﬀﬁﬂﬃﬄ]")
+_CTRL_OR_LIG_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1fﬀﬁﬂﬃﬄ]")
+_LIGATURES = str.maketrans(
+    {"ﬀ": "ff", "ﬁ": "fi", "ﬂ": "fl", "ﬃ": "ffi", "ﬄ": "ffl"})
 
 
 def expand_ligatures(text: str) -> str:
     """extractor.rs:1961-1987: strip controls <0x20 (keep \\n\\r\\t), expand
     U+FB00..FB04."""
-    if _CTRL_RE.search(text) is not None:
-        text = _CTRL_RE.sub("", text)
-    if _LIG_RE.search(text) is None:
+    if _CTRL_OR_LIG_RE.search(text) is None:
         return text
-    return (
-        text.replace("ﬀ", "ff")
-        .replace("ﬁ", "fi")
-        .replace("ﬂ", "fl")
-        .replace("ﬃ", "ffi")
-        .replace("ﬄ", "ffl")
-    )
+    return _CTRL_RE.sub("", text).translate(_LIGATURES)
 
 
 def effective_font_size(base_size: float, tm: list[float]) -> float:
@@ -357,7 +351,7 @@ class _FontScope:
     CTM) is passed in per call and the text matrix advanced in place."""
 
     __slots__ = ("widths", "encodings", "declared", "base_names",
-                 "tounicode_refs", "font_cmaps", "page_num")
+                 "tounicode_refs", "font_cmaps", "cmap_chains", "page_num")
 
     def __init__(self, doc: Document, resources: Optional[dict],
                  font_cmaps: FontCMaps, page_num: int):
@@ -367,6 +361,7 @@ class _FontScope:
         self.base_names: dict[str, str] = {}
         self.tounicode_refs: dict[str, int] = {}
         self.font_cmaps = font_cmaps
+        self.cmap_chains: dict[str, tuple[ToUnicodeCMap, ...]] = {}
         self.page_num = page_num
         cache = doc.font_cache
         for name, font_dict in doc.get_fonts(resources).items():
@@ -400,33 +395,10 @@ class _FontScope:
         if not isinstance(obj, PdfString):
             return None
         data = bytes(obj)
-        font_cmaps = self.font_cmaps
-
-        obj_num = self.tounicode_refs.get(font)
-        if obj_num is not None:
-            cmap = font_cmaps.get_by_obj(obj_num)
-            if cmap is not None:
-                decoded = cmap.decode_cids(data)
-                if decoded:
-                    return decoded
-
-        base_name = self.base_names.get(font)
-        if base_name is not None and obj_num is not None:
-            cmap = font_cmaps.get_with_obj(base_name, obj_num)
-            if cmap is not None:
-                decoded = cmap.decode_cids(data)
-                if decoded:
-                    return decoded
-
-        if base_name is not None:
-            cmap = font_cmaps.get(base_name)
-            if cmap is not None:
-                decoded = cmap.decode_cids(data)
-                if decoded:
-                    return decoded
-
-        cmap = font_cmaps.get(font)
-        if cmap is not None:
+        chain = self.cmap_chains.get(font)
+        if chain is None:
+            chain = self.cmap_chains[font] = self._cmap_chain(font)
+        for cmap in chain:
             decoded = cmap.decode_cids(data)
             if decoded:
                 return decoded
@@ -456,6 +428,23 @@ class _FontScope:
             return body.decode("utf-16-be", errors="replace")
 
         return data.decode("latin-1")
+
+    def _cmap_chain(self, font: str) -> tuple[ToUnicodeCMap, ...]:
+        """The CMaps of cascade steps (1)-(4) for ``font``, in order. Only
+        the lookups are memoized: ``decode`` still tries each CMap per
+        string, since a CMap's "" (>50% codes unmapped) depends on it."""
+        font_cmaps = self.font_cmaps
+        obj_num = self.tounicode_refs.get(font)
+        base_name = self.base_names.get(font)
+        found = []
+        if obj_num is not None:
+            found.append(font_cmaps.get_by_obj(obj_num))
+            if base_name is not None:
+                found.append(font_cmaps.get_with_obj(base_name, obj_num))
+        if base_name is not None:
+            found.append(font_cmaps.get(base_name))
+        found.append(font_cmaps.get(font))
+        return tuple(cmap for cmap in found if cmap is not None)
 
     def show(self, operand, font: str, size: float, tm: list[float],
              ctm: list[float], items: list[TextItem]) -> None:
@@ -573,10 +562,21 @@ def extract_page_text_items(
     line_matrix = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
     in_text_block = False
 
+    # Tj, BT and ET are most of a text page's operators: tested first
     for op in operations:
         operator = op.operator
         operands = op.operands
-        if operator == "q":
+        if operator == "Tj":
+            if in_text_block and operands:
+                scope.show(operands[0], current_font, current_font_size,
+                           text_matrix, ctm, items)
+        elif operator == "BT":
+            in_text_block = True
+            text_matrix = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+            line_matrix = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+        elif operator == "ET":
+            in_text_block = False
+        elif operator == "q":
             ctm_stack.append(ctm[:])
         elif operator == "Q":
             if ctm_stack:
@@ -593,12 +593,6 @@ def extract_page_text_items(
                     nums[5] if nums[5] is not None else 0.0,
                 ]
                 ctm = multiply_matrices(new_matrix, ctm)
-        elif operator == "BT":
-            in_text_block = True
-            text_matrix = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
-            line_matrix = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
-        elif operator == "ET":
-            in_text_block = False
         elif operator == "Tf":
             if len(operands) >= 2:
                 if isinstance(operands[0], Name):
@@ -622,10 +616,6 @@ def extract_page_text_items(
         elif operator == "T*":
             line_matrix[5] -= current_font_size * 1.2
             text_matrix = line_matrix[:]
-        elif operator == "Tj":
-            if in_text_block and operands:
-                scope.show(operands[0], current_font, current_font_size,
-                           text_matrix, ctm, items)
         elif operator == "TJ":
             if in_text_block and operands and isinstance(operands[0], list):
                 scope.show_array(operands[0], current_font, current_font_size,

@@ -514,18 +514,13 @@ class Lexer:
         return PdfString(bytes(out))
 
     def _parse_hex_string(self) -> PdfString:
-        d, n = self.data, len(self.data)
-        p = self.pos + 1
-        hex_digits = bytearray()
-        while p < n and d[p] != 0x3E:
-            c = d[p]
-            if chr(c) in "0123456789abcdefABCDEF":
-                hex_digits.append(c)
-            p += 1
-        self.pos = p + 1
-        if len(hex_digits) % 2:
-            hex_digits.append(0x30)
-        return PdfString(bytes.fromhex(hex_digits.decode("ascii")))
+        d = self.data
+        end = d.find(b">", self.pos + 1)
+        if end < 0:
+            end = len(d)
+        body = d[self.pos + 1 : end]
+        self.pos = end + 1
+        return _hex_string(body)
 
     def _parse_array(self) -> list:
         self.pos += 1
@@ -535,46 +530,27 @@ class Lexer:
         out = []
         append = out.append
         d, n = self.data, len(self.data)
-        num_match = _NUM_RE.match
         try:
+            # all-numeric arrays (Widths, MediaBox) in one step; a token
+            # int/float rejects ('1.2.3', '+-1', '1\x002') goes to the loop
+            m = _NUM_ARRAY_RE.match(d, self.pos)
+            if m is not None:
+                try:
+                    values = [float(t) if b"." in t else int(t)
+                              for t in m.group(1).split()]
+                except ValueError:
+                    pass
+                else:
+                    self.pos = m.end()
+                    return values
             while True:
-                # inline skip_ws ('%' comments fall through to parse_object,
-                # whose skip_ws handles them)
+                self.skip_ws()
                 p = self.pos
-                while p < n and d[p] in _WHITESPACE:
-                    p += 1
-                self.pos = p
                 if p >= n:
                     raise PdfError("unterminated array")
-                c = d[p]
-                if c == 0x5D:
+                if d[p] == 0x5D:
                     self.pos = p + 1
                     return out
-                if c == 0x25:  # '%' comment (may precede ']')
-                    self.skip_ws()
-                    continue
-                # numeric fast path: Widths / W / kern / Differences arrays
-                # are long runs of plain numbers — dodge the full
-                # parse_object dispatch (same semantics: ws/delim terminator
-                # check, "N G R" reference lookahead on integers)
-                if 0x2F < c < 0x3A or c == 0x2B or c == 0x2D or c == 0x2E:
-                    m = num_match(d, p)
-                    if m is not None:
-                        end = m.end()
-                        nxt = d[end] if end < n else 0x20
-                        if nxt in _WHITESPACE or nxt in _DELIMS:
-                            text = m.group(0)
-                            self.pos = end
-                            if b"." in text:
-                                append(float(text))
-                                continue
-                            m2 = _REF_RE.match(d, end)
-                            if m2 is None:
-                                append(int(text))
-                            else:
-                                self.pos = m2.end()
-                                append(Reference(int(text), int(m2.group(1))))
-                            continue
                 append(self.parse_object())
         finally:
             self.depth -= 1
@@ -643,13 +619,23 @@ class Lexer:
 
 _NAME_TOKEN_CACHE: dict[bytes, "Name"] = {}
 
-_INT_RE = re.compile(rb"^[+-]?\d+$")
 _NAME_RE = re.compile(rb"/([^\x00\t\n\x0c\r /<>\[\]{}()%]*)")
 _SIMPLE_STR_RE = re.compile(rb"\(([^()\\]*)\)")
 _WS_RE = re.compile(rb"(?:[\x00\t\n\x0c\r ]+|%[^\r\n]*)+")
 _NUM_RE = re.compile(rb"[+-]?(?:\d+\.\d*|\.\d+|\d+)")
+_NUM_ARRAY_RE = re.compile(rb"([0-9+\-.\x00\t\n\x0c\r ]*)\]")
+_NON_HEX_RE = re.compile(rb"[^0-9A-Fa-f]")
 _REF_RE = re.compile(rb"[\x00\t\n\x0c\r ]+(\d+)[\x00\t\n\x0c\r ]+R(?![0-9A-Za-z])")
 _OBJ_HEADER_RE = re.compile(rb"(\d+)[\x00\t\n\x0c\r ]+(\d+)[\x00\t\n\x0c\r ]+obj\b")
+
+
+def _hex_string(body: bytes) -> PdfString:
+    """The bytes of a hex string's body: non-hex bytes ignored, an odd
+    digit count padded with '0' (PDF 1.7 §7.3.4.3)."""
+    digits = _NON_HEX_RE.sub(b"", body)
+    if len(digits) % 2:
+        digits += b"0"
+    return PdfString(bytes.fromhex(digits.decode("ascii")))
 
 
 class Document:
@@ -1053,32 +1039,114 @@ class Operation:
 _CONTENT_TOKEN_RE = re.compile(
     rb"[\x00\t\n\x0c\r ]*"
     rb"(?:(?P<num>[+-]?(?:\d+\.\d*|\.\d+|\d+))"
-    rb"|/(?P<name>[^\x00\t\n\x0c\r /<>\[\]{}()%]*)"
+    rb"|(?P<name>/[^\x00\t\n\x0c\r /<>\[\]{}()%]*)"
     rb"|(?P<lb>\[)|(?P<rb>\])"
-    rb"|(?P<lit>\()"
-    rb"|(?P<dict><<)"
-    rb"|(?P<hex><)"
+    rb"|(?P<obj>[(<])"
     rb"|(?P<cmt>%[^\r\n]*)"
     rb"|(?P<op>[^\x00\t\n\x0c\r ()<>\[\]{}/%]+)"
     rb"|(?P<junk>.))",
     re.DOTALL,
 )
 
-# operator / resource-name token memos: content streams draw from a tiny
-# vocabulary (Tj, TJ, Td, /F1, …) — decoding each occurrence is measurable.
-# Capped: cleared wholesale if an adversarial stream floods them.
+# _CONTENT_TOKEN_RE with '(' and '<' widened to simple literals and closed
+# hex strings (a lone '(' or '<' is left to the slow path). Groups: number,
+# name, delimiter token, operator; none for a comment or a junk byte.
+_CONTENT_SCAN_RE = re.compile(
+    rb"[\x00\t\n\x0c\r ]*"
+    rb"(?:([+-]?(?:\d+\.\d*|\.\d+|\d+))"
+    rb"|(/[^\x00\t\n\x0c\r /<>\[\]{}()%]*)"
+    rb"|(\[|\]|\([^()\\]*\)|<(?!<)[^>]*>|[(<])"
+    rb"|%[^\r\n]*"
+    rb"|([^\x00\t\n\x0c\r ()<>\[\]{}/%]+)"
+    rb"|.)",
+    re.DOTALL,
+)
+
+# number / operator / resource-name token memos: content streams draw from a
+# small vocabulary (72, 11, Tj, Td, /F1, …) — converting each occurrence is
+# measurable. Capped: cleared wholesale if an adversarial stream floods them.
+_CONTENT_NUM_CACHE: dict[bytes, Union[int, float]] = {}
 _CONTENT_OP_CACHE: dict[bytes, str] = {}
 _CONTENT_NAME_CACHE: dict[bytes, "Name"] = {}
+_CONTENT_KEYWORDS = {"true": True, "false": False, "null": None}
 
 
 def decode_content(data: bytes) -> list[Operation]:
     """Parse a content stream into operations (lopdf ``Content::decode``)
-    with a single-regex token scanner — content streams contain no indirect
-    references, so numbers need no ``N G R`` lookahead.
+    in one ``findall`` pass of ``_CONTENT_SCAN_RE`` — content streams
+    contain no indirect references, so numbers need no ``N G R``
+    lookahead. The scan reads numbers, names, arrays, operators, comments,
+    simple ``( … )`` literals and terminated ``< … >`` hex strings. The
+    first token it cannot read — a literal with an escape or a nested
+    paren, ``<<``, an unterminated ``<``, or ``BI`` — sends the whole
+    stream to ``_decode_content_slow``, the token-at-a-time scanner, so
+    both give the same operations on every input.
 
     Inline images (BI ... ID ... EI) are skipped. Malformed trailing bytes
     are tolerated (operands without an operator are dropped).
     """
+    ops: list[Operation] = []
+    operands: list = []
+    stack: list[list] = []  # open arrays
+    target = operands
+    num_cache = _CONTENT_NUM_CACHE
+    op_cache = _CONTENT_OP_CACHE
+    name_cache = _CONTENT_NAME_CACHE
+    # one group per tuple is non-empty (none for a comment or junk byte);
+    # tested by frequency — content streams are mostly numbers and operators
+    for num, name, delim, word in _CONTENT_SCAN_RE.findall(data):
+        if num:
+            value = num_cache.get(num)
+            if value is None:
+                if len(num_cache) > 4096:
+                    num_cache.clear()
+                value = num_cache[num] = float(num) if b"." in num else int(num)
+            target.append(value)
+        elif word:
+            op = op_cache.get(word)
+            if op is None:
+                if len(op_cache) > 4096:
+                    op_cache.clear()
+                op = op_cache[word] = word.decode("latin-1")
+            if op == "BI":
+                return _decode_content_slow(data)
+            if op in _CONTENT_KEYWORDS:
+                target.append(_CONTENT_KEYWORDS[op])
+            else:
+                ops.append(Operation(op, operands))
+                operands = []
+                target = operands
+                stack = []
+        elif name:
+            nm = name_cache.get(name)
+            if nm is None:
+                if len(name_cache) > 4096:
+                    name_cache.clear()
+                nm = name_cache[name] = Name(name[1:].decode("latin-1"))
+            target.append(nm)
+        elif delim:
+            c = delim[0]
+            if c == 0x5B:  # '['
+                new: list = []
+                target.append(new)
+                stack.append(target)
+                target = new
+            elif c == 0x5D:  # ']'
+                if stack:
+                    target = stack.pop()
+            elif len(delim) == 1:  # a '(' or '<' only the slow path reads
+                return _decode_content_slow(data)
+            elif c == 0x28:  # '(' simple literal string
+                target.append(PdfString(delim[1:-1]))
+            else:  # '<' hex string
+                target.append(_hex_string(delim[1:-1]))
+    return ops
+
+
+def _decode_content_slow(data: bytes) -> list[Operation]:
+    """``decode_content`` one ``_CONTENT_TOKEN_RE`` match at a time;
+    literal and hex strings and dictionaries go to the :class:`Lexer`, and
+    an inline image (BI ... ID ... EI) is skipped to the first ``EI``."""
     ops: list[Operation] = []
     operands: list = []
     stack: list[list] = []  # open arrays
@@ -1089,9 +1157,9 @@ def decode_content(data: bytes) -> list[Operation]:
     token_match = _CONTENT_TOKEN_RE.match
     op_cache = _CONTENT_OP_CACHE
     name_cache = _CONTENT_NAME_CACHE
-    # dispatch on group index (1=num 2=name 3=lb 4=rb 5=lit 6=dict 7=hex
-    # 8=cmt 9=op 10=junk), ordered by token frequency — content streams are
-    # mostly numbers and operators
+    # dispatch on group index (1=num 2=name 3=lb 4=rb 5=obj 6=cmt 7=op
+    # 8=junk), ordered by token frequency — content streams are mostly
+    # numbers and operators
     while pos < n:
         m = token_match(data, pos)
         if m is None:
@@ -1101,8 +1169,8 @@ def decode_content(data: bytes) -> list[Operation]:
         if kind == 1:  # number
             text = m.group(1)
             target.append(float(text) if b"." in text else int(text))
-        elif kind == 9:  # operator
-            raw = m.group(9)
+        elif kind == 7:  # operator
+            raw = m.group(7)
             op = op_cache.get(raw)
             if op is None:
                 if len(op_cache) > 4096:
@@ -1114,12 +1182,8 @@ def decode_content(data: bytes) -> list[Operation]:
                 operands = []
                 target = operands
                 stack = []
-            elif op == "true":
-                target.append(True)
-            elif op == "false":
-                target.append(False)
-            elif op == "null":
-                target.append(None)
+            elif op in _CONTENT_KEYWORDS:
+                target.append(_CONTENT_KEYWORDS[op])
             else:
                 ops.append(Operation(op, operands))
                 operands = []
@@ -1131,7 +1195,7 @@ def decode_content(data: bytes) -> list[Operation]:
             if nm is None:
                 if len(name_cache) > 4096:
                     name_cache.clear()
-                nm = name_cache[raw] = Name(raw.decode("latin-1"))
+                nm = name_cache[raw] = Name(raw[1:].decode("latin-1"))
             target.append(nm)
         elif kind == 3:  # '['
             new: list = []
@@ -1141,34 +1205,16 @@ def decode_content(data: bytes) -> list[Operation]:
         elif kind == 4:  # ']'
             if stack:
                 target = stack.pop()
-        elif kind == 5:  # '(' literal string
+        elif kind == 5:  # '(' literal, '<' hex string or '<<' dict
             if lex is None:
                 lex = Lexer(data)
             lex.pos = pos - 1
             try:
-                target.append(lex._parse_literal_string())
+                target.append(lex.parse_object())
             except PdfError:
                 break
             pos = lex.pos
-        elif kind == 7:  # '<' hex string
-            if lex is None:
-                lex = Lexer(data)
-            lex.pos = pos - 1
-            try:
-                target.append(lex._parse_hex_string())
-            except PdfError:
-                break
-            pos = lex.pos
-        elif kind == 6:  # '<<' dict
-            if lex is None:
-                lex = Lexer(data)
-            lex.pos = pos - 2
-            try:
-                target.append(lex._parse_dict_or_stream())
-            except PdfError:
-                break
-            pos = lex.pos
-        # cmt(8) / junk(10): skip
+        # cmt(6) / junk(8): skip
     return ops
 
 

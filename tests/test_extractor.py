@@ -1,6 +1,8 @@
 """Conformance ports of /root/reference/src/extractor.rs:2443-2674 tests
 plus detector scan (/root/reference/src/detector.rs:424-447)."""
 
+import pytest
+
 from pdf_inspector_ray.pdfi.detect import scan_content_for_text_operators
 from pdf_inspector_ray.pdfi.extract import (
     TextItem,
@@ -8,6 +10,7 @@ from pdf_inspector_ray.pdfi.extract import (
     is_bold_font,
     is_italic_font,
 )
+from pdf_inspector_ray.pdfi.objects import PdfError
 
 
 def make_item(text, x, y, width=10.0, font_size=12.0, font="F1", page=1):
@@ -179,8 +182,8 @@ class TestStreamFilters:
 
 
 class TestLexerFastPaths:
-    """Pin the inline numeric/comment fast paths in Lexer._parse_array and
-    the memoized token paths in decode_content — same semantics as the
+    """Pin the one-step numeric-array read in Lexer._parse_array and the
+    memoized token paths in decode_content — same semantics as the
     general parse_object dispatch."""
 
     def _arr(self, payload: bytes):
@@ -241,6 +244,28 @@ class TestLexerFastPaths:
         assert len(tf) == 2
         assert tf[0].operator is tf[1].operator
         assert tf[0].operands[0] is tf[1].operands[0]  # memoized /F1
+
+    @pytest.mark.parametrize("payload", [
+        b"[1 2.5 -3 +.5 5.]", b"[1.2.3]", b"[+-1]", b"[.]", b"[1 0 R 2]",
+        b"[1\x00 2]", b"[1 %c\n 2]", b"[ ]", b"[1 2"])
+    def test_numeric_array_step_matches_token_loop(self, payload,
+                                                   monkeypatch):
+        # the one-match numeric-array read gives the token loop's value or
+        # its PdfError, type-exact
+        import re
+
+        from pdf_inspector_ray.pdfi import objects
+
+        def parse():
+            try:
+                out = objects.Lexer(payload).parse_object()
+            except PdfError as e:
+                return ("PdfError", e.kind, str(e))
+            return [(type(v), v) for v in out]
+
+        fast = parse()
+        monkeypatch.setattr(objects, "_NUM_ARRAY_RE", re.compile(rb"(?!)"))
+        assert parse() == fast
 
     def test_byte_width_table_matches_dict(self):
         from pdf_inspector_ray.pdfi.fonts import (FontWidthInfo,
@@ -334,3 +359,38 @@ def test_process_extract_error_swallowed_only_for_mixed(monkeypatch):
     assert mixed.pdf_type == "Mixed" and mixed.markdown is None
     with pytest.raises(PdfError, match="injected"):
         process.process_pdf_mem(f01_tj_simple())
+
+
+def test_cmap_cascade_falls_through_per_string():
+    # one font whose ToUnicode maps only A and B: a string the CMap covers
+    # (at most half its codes unmapped) decodes through it; one with more
+    # than half unmapped falls through to Differences (c -> eacute) or, with
+    # no Differences code, to Latin-1 — and the next mapped string in the
+    # same font goes through the CMap again. The per-font memo holds which
+    # CMaps to try, never a decoded result.
+    from pdf_inspector_ray.pdfi.extract import extract_text_with_positions_mem
+    from pdf_inspector_ray.sources.pdfgen import (
+        PdfWriter, _catalog, _page, _pages_tree, _tounicode_stream)
+    w = PdfWriter()
+    pages = w.reserve()
+    tounicode = w.add(w.stream(b"", _tounicode_stream(
+        {0x41: "X", 0x42: "Y"}, ("00", "FF"), src_hex_width=2)))
+    enc = w.add(b"<< /Type /Encoding /Differences [99 /eacute] >>")
+    font = w.add(
+        b"<< /Type /Font /Subtype /Type1 /BaseFont /CascadeSans "
+        b"/ToUnicode %d 0 R /Encoding %d 0 R >>" % (tounicode, enc))
+    lines = [b"(ABAB)", b"(ABc)", b"(Acde)", b"(xyzA)", b"(BA)"]
+    content = w.add(w.stream(b"", b"".join(
+        b"BT /F1 12 Tf 72 %d Td %s Tj ET\n" % (700 - 20 * i, s)
+        for i, s in enumerate(lines))))
+    page = _page(w, pages, content,
+                 resources=b"/Resources << /Font << /F1 %d 0 R >> >> " % font)
+    _pages_tree(w, pages, [page])
+    items = extract_text_with_positions_mem(w.build(_catalog(w, pages)))
+    assert [i.text for i in items] == [
+        "XYXY",   # all mapped: CMap
+        "XYc",    # 1 of 3 unmapped: still the CMap (byte kept as Latin-1)
+        "A\u00e9de",  # 3 of 4 unmapped: Differences
+        "xyzA",   # 3 of 4 unmapped, no Differences code: Latin-1
+        "YX",     # mapped again after two fall-throughs: CMap
+    ]

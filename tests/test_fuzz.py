@@ -549,3 +549,107 @@ def test_round5_ops_partition_invariant(ray_session):
                 base = out
             else:
                 assert base.equals(out), (fn.__name__, keys, parts)
+
+
+# -- decode_content's one-pass scan against the token-at-a-time scanner ----
+
+_SEP = st.sampled_from([b" ", b"  ", b"\n", b"\r\n", b"\t", b"\x00", b"\x0c",
+                        b""])
+_NUMBER = st.one_of(
+    st.sampled_from([b"+.5", b"5.", b"1.2.3", b"-", b".", b"+-1", b"-0",
+                     b"007", b"3..4", b"12abc"]),
+    st.tuples(st.sampled_from([b"", b"+", b"-"]),
+              st.sampled_from([b"", b"0", b"7", b"42", b"612"]),
+              st.sampled_from([b"", b".", b".5", b".25"]))
+    .map(b"".join).filter(bool))
+_NAME = st.lists(st.sampled_from([b"F", b"1", b"#20", b"#2", b"#zz", b"a",
+                                  b"-", b"."]), max_size=4).map(
+    lambda parts: b"/" + b"".join(parts))
+_SIMPLE_LITERAL = st.lists(st.sampled_from(
+    [b"abc", b" ", b"\xe9", b"<", b">", b"[", b"]", b"%", b"\n", b"/"]),
+    max_size=4).map(lambda parts: b"(" + b"".join(parts) + b")")
+_LITERAL_PART = st.sampled_from(
+    [b"abc", b" ", b"\\(", b"\\)", b"\\\\", b"\\n", b"\\053", b"\\7",
+     b"\\\n", b"\\\r\n", b"\\q", b"\xe9", b")", b"("])
+_LITERAL = st.recursive(
+    st.lists(_LITERAL_PART, max_size=4).map(b"".join),
+    lambda inner: st.lists(st.one_of(_LITERAL_PART,
+                                     inner.map(lambda b: b"(" + b + b")")),
+                           max_size=4).map(b"".join),
+    max_leaves=8).map(lambda b: b"(" + b + b")")
+_HEX = st.lists(st.sampled_from([b"4", b"1", b"a", b"F", b" ", b"\n", b"z",
+                                 b"g", b"<"]), max_size=7).map(
+    lambda parts: b"<" + b"".join(parts) + b">")
+_COMMENT = st.sampled_from([b"% c\n", b"%(x) Tj\r", b"%<<\n", b"%"])
+_STRAY = st.sampled_from([b"]", b")", b"{", b"}", b">", b"["])
+_OPERATOR = st.sampled_from([b"Tj", b"TJ", b"Td", b"BT", b"ET", b"Tf", b"q",
+                             b"Q", b"cm", b"true", b"false", b"null", b"BIX",
+                             b"EI", b"'", b'"', b"T*", b"BDC", b"EMC"])
+_SLOW_ONLY = st.one_of(
+    _LITERAL,
+    st.sampled_from([b"<< /MCID 0 >>", b"<</K [1 2] /S (x)>>", b"<<",
+                     b"<< /A << /B 1 >> >>", b"<4a", b"BI",
+                     b"/P << /MCID 3 >> BDC"]),
+    st.sampled_from([b"\x00\xffEI\x01", b"abc", b"", b"EI"]).map(
+        lambda data: b"BI /W 1 /H 1 ID " + data + b" EI"))
+_ARRAY = st.recursive(
+    st.one_of(_NUMBER, _NAME, _SIMPLE_LITERAL, _HEX),
+    lambda inner: st.lists(st.tuples(inner, _SEP), max_size=4).map(
+        lambda items: b"[" + b"".join(t + sep for t, sep in items) + b"]"),
+    max_leaves=8)
+_FAST_TOKEN = st.one_of(_NUMBER, _NUMBER, _OPERATOR, _OPERATOR, _NAME,
+                        _SIMPLE_LITERAL, _HEX, _ARRAY, _COMMENT, _STRAY)
+
+
+def _typed(v):
+    """An operand with its type at every level (True != 1, Name != str,
+    PdfString != bytes)."""
+    from pdf_inspector_ray.pdfi.objects import Stream
+    if isinstance(v, list):
+        return ("list", [_typed(x) for x in v])
+    if isinstance(v, dict):
+        return ("dict", [(k, _typed(x)) for k, x in v.items()])
+    if isinstance(v, Stream):
+        return ("Stream", _typed(v.dict), v.raw)
+    return (type(v).__name__, v)
+
+
+@given(st.one_of(st.lists(st.tuples(_FAST_TOKEN, _SEP), max_size=30),
+                 st.lists(st.tuples(st.one_of(_FAST_TOKEN, _SLOW_ONLY), _SEP),
+                          max_size=30)),
+       st.data())
+@settings(max_examples=1000, deadline=None)
+def test_decode_content_matches_slow_scanner(tokens, data):
+    """The one-pass scan gives the token-at-a-time scanner's operations,
+    operator and operands type-exact, on content-operator soup cut at any
+    byte (mid-number, mid-literal, mid-hex, mid-dict)."""
+    from pdf_inspector_ray.pdfi.objects import (_decode_content_slow,
+                                                decode_content)
+
+    stream = b"".join(tok + sep for tok, sep in tokens)
+    stream = stream[: data.draw(st.integers(0, len(stream)))]
+
+    def typed_ops(ops):
+        return [(type(o.operator), o.operator, _typed(o.operands))
+                for o in ops]
+
+    assert typed_ops(decode_content(stream)) == \
+        typed_ops(_decode_content_slow(stream))
+
+
+def test_decode_content_slow_path_only_for_its_tokens(monkeypatch):
+    """Only a non-simple literal, '<<', an unterminated '<' and BI send a
+    stream to the slow scanner; everything else is read in the one pass."""
+    from pdf_inspector_ray.pdfi import objects
+
+    def slow(data):
+        raise LookupError(data)
+
+    monkeypatch.setattr(objects, "_decode_content_slow", slow)
+    objects.decode_content(
+        b"BT /F#201 12 Tf 1 0 0 1 +.5 5. Tm (simple) Tj <4a 6z> Tj <4> Tj"
+        b" [(a) -120 (b)] TJ % note\n ] ) { } > true false null 1.2.3 ET")
+    for stream in (b"(a\\) b) Tj", b"(a (b) c) Tj", b"/P << /MCID 0 >> BDC",
+                   b"<4a", b"BI /W 1 ID x EI", b"(ok) Tj (cut"):
+        with pytest.raises(LookupError):
+            objects.decode_content(stream)
