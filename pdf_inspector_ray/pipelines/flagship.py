@@ -94,15 +94,17 @@ def extract_pipeline(ds: ray.data.Dataset,
                      concurrency: Optional[int] = None,
                      use_payload_cache: bool = True) -> ray.data.Dataset:
     """inspect→classify→extract over every turn: one ``extract_block`` task
-    per block, its payload cache scoped to that block. ``concurrency`` caps
-    the extract tasks running at once; ``None`` lets Ray Data use the free
-    CPUs."""
+    per block. Each call is one run for the payload cache: its blocks share
+    one cache per worker process, so a worker parses each distinct payload
+    once, and the next call parses again. ``concurrency`` caps the extract
+    tasks running at once; ``None`` lets Ray Data use the free CPUs."""
     return ds.map_batches(
         extract_block,
         fn_kwargs={
             "detection_config": detection_config,
             "markdown_options": markdown_options,
             "use_payload_cache": use_payload_cache,
+            "cache_scope": uuid.uuid4().hex,
         },
         batch_size=None,
         concurrency=concurrency,
@@ -137,12 +139,18 @@ def run_to_partitioned_output(ds: ray.data.Dataset,
 
     Extract tasks (one per block, at most ``concurrency`` at once) drop the
     payload column and write one LZ4 Arrow IPC shard per (block, partition)
-    while extraction streams (overlapped); then one finalize task per
-    cluster CPU reads, sorts and writes its share of the touched partitions
-    — no object-store all-to-all, no post-extraction barrier beyond the
-    per-partition reads. The shard root lives under ``out_dir``; a run
-    removes it when it ends, even on error, and stale ones of crashed runs
-    when it starts.
+    while extraction streams (overlapped); the blocks of one call share a
+    payload cache per worker process, and the next call starts a new one.
+    Then one finalize task per cluster CPU reads, sorts and writes its
+    share of the touched partitions — no object-store all-to-all, no
+    post-extraction barrier beyond the per-partition reads. The shard root
+    lives under ``out_dir``; a run removes it when it ends, even on error,
+    and stale ones of crashed runs when it starts.
+
+    Returns the sidecar totals (``aggregate_metrics``) plus this run's
+    partition counts, ``rows_parsed`` (library calls, summed from the
+    extract manifests) and ``payload_cache_hit_rate`` (1 − rows_parsed /
+    rows extracted this run; 0.0 when the run extracts none).
     """
     os.makedirs(out_dir, exist_ok=True)
     if not resume:
@@ -163,7 +171,8 @@ def run_to_partitioned_output(ds: ray.data.Dataset,
             filter_completed, fn_kwargs={"completed": completed},
             batch_format="pyarrow")
 
-    shard_root = os.path.join(out_dir, f"_shards-{uuid.uuid4().hex[:12]}")
+    run_id = uuid.uuid4().hex[:12]   # shard root name and cache scope
+    shard_root = os.path.join(out_dir, f"_shards-{run_id}")
 
     def _finalize(batch: pa.Table) -> pa.Table:
         recs = [finalize_partition(int(p), shard_root, out_dir, **layout)
@@ -178,15 +187,19 @@ def run_to_partitioned_output(ds: ray.data.Dataset,
                 "shard_root": shard_root,
                 "drop_columns": [payload_column],
                 **extract_kwargs,
+                "cache_scope": run_id,
             },
             batch_size=None,  # whole block per call: one shard per (block, part)
             concurrency=concurrency,
             num_cpus=1,
             batch_format="pyarrow")
         # consume manifests (tiny) to drive the map side to completion
-        touched_parts = sorted({
-            p for b in manifests.iter_batches(batch_format="pyarrow")
-            for p in b["part"].to_pylist()})
+        touched, rows, parsed = set(), 0, 0
+        for b in manifests.iter_batches(batch_format="pyarrow"):
+            touched.update(b["part"].to_pylist())
+            rows += sum(b["rows"].to_pylist())
+            parsed += sum(b["parsed"].to_pylist())
+        touched_parts = sorted(touched)
         cpus = int(ray.cluster_resources().get("CPU", 1))  # finalize tasks
         lineage = ray.data.from_items(
             [{"part": p} for p in touched_parts],
@@ -200,6 +213,8 @@ def run_to_partitioned_output(ds: ray.data.Dataset,
     metrics["partitions_written_this_run"] = (
         int((~lineage["skipped"]).sum()) if len(lineage) else 0)
     metrics["partitions_skipped_this_run"] = len(completed)
+    metrics["rows_parsed"] = parsed
+    metrics["payload_cache_hit_rate"] = 1 - parsed / rows if rows else 0.0
     return metrics
 
 

@@ -12,10 +12,14 @@ Detection and extraction are fused in one pass per document (the reference
 parses the buffer three times — detect metadata, detect full, extract;
 SURVEY.md §3.3 notes behavior, not structure, is the contract), with an
 optional payload-identity cache so transcript corpora that repeat
-attachments skip the whole parse. The cache lives for one call, i.e. one
-block: the hit rate is the payload repetition rate within a block — no
-cross-block or cross-job state (task workers are reused across jobs, so a
-process-global cache would turn a rerun into cache hits), no shuffle.
+attachments skip the whole parse. The cache lives for one run on one worker
+process: ``extract_pipeline`` and ``run_to_partitioned_output`` hand every
+block of a run the same ``cache_scope`` token, and a worker keeps one cache
+while that token is unchanged, so a job parses each distinct payload at most
+once per extract worker. A new token (the next run) starts a new cache, so a
+rerun on reused task workers parses again instead of being served the last
+run's rows; the cache also starts over past ``CACHE_MAX_BYTES``. There is no
+job-wide dedup and no shuffle.
 
 ``guarded`` + ``payload_columns`` are the one copy of the stage contract
 (SURVEY.md §2.2/§4.2) that the classify, extract, plain, HTML and routed
@@ -58,13 +62,55 @@ def _error_row(fields, kind: str, msg: str) -> tuple:
                  for name, _ in fields)
 
 
-def guarded(fields, per_doc, cache: bool = False):
+# A payload cache starts over before the payloads and row strings it holds
+# (``len`` each: bytes for a latin-1 payload) would pass this size, so a
+# worker's memory stays bounded however long the run.
+CACHE_MAX_BYTES = 64 << 20
+
+
+class _PayloadCache(dict):
+    """payload → row tuple, counting ``len`` of each payload and of its
+    row's strings; ``put`` drops every entry before it would pass
+    ``CACHE_MAX_BYTES``."""
+
+    def __init__(self):
+        super().__init__()
+        self.nbytes = 0
+
+    def put(self, payload, row: tuple) -> None:
+        size = len(payload) + sum(len(v) for v in row if isinstance(v, str))
+        if self.nbytes + size > CACHE_MAX_BYTES:
+            self.clear()
+            self.nbytes = 0
+        self[payload] = row
+        self.nbytes += size
+
+
+# This process's run cache: (scope token, cache). One run at a time.
+_run_cache: tuple = (None, None)
+
+
+def _cache_for(scope) -> _PayloadCache:
+    """A new cache for ``scope=None``; else this process's run cache, kept
+    while the token is unchanged and replaced (dropping the previous run's
+    entries) when a new token arrives."""
+    global _run_cache
+    if scope is None:
+        return _PayloadCache()
+    if _run_cache[0] != scope:
+        _run_cache = (scope, _PayloadCache())
+    return _run_cache[1]
+
+
+def guarded(fields, per_doc, cache: bool = False, scope=None):
     """``per_doc(payload) -> tuple`` as a row function that never raises:
     a ``PdfError`` becomes its ``.kind``, any other exception ``"Parse"``
-    (poison-pill guard, SURVEY.md §4.2). With ``cache``, each distinct
-    payload value is processed once for the life of the returned function
-    (its results are the rows the caller keeps anyway, so no eviction)."""
-    results: dict = {}
+    (poison-pill guard, SURVEY.md §4.2). With ``cache``, a payload value
+    already processed is served from the cache: the returned function's
+    own, or with a ``scope`` token the process's run cache, shared by every
+    row function of that token until a new token or the byte cap drops
+    it."""
+    results = _cache_for(scope) if cache else None
 
     def row(payload) -> tuple:
         out = results.get(payload) if cache else None
@@ -76,7 +122,7 @@ def guarded(fields, per_doc, cache: bool = False):
             except Exception as e:  # poison-pill guard
                 out = _error_row(fields, "Parse", repr(e))
             if cache:
-                results[payload] = out
+                results.put(payload, out)
         return out
     return row
 
@@ -95,8 +141,11 @@ def payload_columns(batch: pa.Table, column: str, fields, row) -> pa.Table:
 
 class ExtractRender:
     """Text payload → EXTRACT_FIELDS columns. ``_process_one`` is the
-    guarded per-row function; its payload cache lives as long as the
-    instance (one block under ``extract_block``).
+    guarded per-row function; ``parsed`` counts its library calls.
+
+    ``cache_scope`` (internal; the pipelines pass one token per run): the
+    payload cache is this process's run cache for that token, shared by
+    every instance built with it; ``None`` gives the instance its own.
 
     Parameters mirror the reference's two config structs
     (DetectionConfig detector.rs:46-63, MarkdownOptions markdown.rs:16-56),
@@ -107,10 +156,13 @@ class ExtractRender:
                  detection_config: DetectionConfig | None = None,
                  markdown_options: MarkdownOptions | None = None,
                  payload_column: str = "text",
-                 use_payload_cache: bool = True):
+                 use_payload_cache: bool = True,
+                 cache_scope=None):
         self.payload_column = payload_column
+        self.parsed = 0
 
         def extract_one(payload) -> tuple:
+            self.parsed += 1
             r = process_pdf_mem(pdf_bytes(payload), detection_config,
                                 markdown_options)
             det = r.detection
@@ -119,7 +171,7 @@ class ExtractRender:
                     det.ocr_recommended if det else None,
                     r.processing_time_ms, None, None)
         self._process_one = guarded(EXTRACT_FIELDS, extract_one,
-                                    use_payload_cache)
+                                    use_payload_cache, cache_scope)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return self.process_batch(batch)
@@ -135,7 +187,9 @@ class ExtractAndShard(ExtractRender):
     so the shard encode overlaps the other tasks' extraction instead of
     waiting for a slot of its own: one LZ4 Arrow IPC shard per partition
     the block touches (``checkpoint.write_shard``). Returns only a tiny
-    (part, rows) manifest — the data goes straight to the shard files.
+    (part, rows, parsed) manifest — the data goes straight to the shard
+    files; the block's library calls are on its first row, 0 on the rest,
+    so the column sums to the job's parse count.
 
     Shard names are a hash of the block's ``(conv_id, turn_idx)`` values,
     so a Ray task retry overwrites its own shards instead of duplicating
@@ -151,7 +205,9 @@ class ExtractAndShard(ExtractRender):
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
+        parsed = self.parsed
         out = self.process_batch(batch)
+        parsed = self.parsed - parsed
         out = out.drop_columns([c for c in self.drop if c in out.column_names])
         nonce = content_hash(out, ["conv_id", "turn_idx"])[:16]
         parts = pc.unique(out["part"])
@@ -161,7 +217,9 @@ class ExtractAndShard(ExtractRender):
             write_shard(sub, self.shard_root, part, nonce)
             rows.append(sub.num_rows)
         return pa.table({"part": parts.cast(pa.int32()),
-                         "rows": pa.array(rows, pa.int64())})
+                         "rows": pa.array(rows, pa.int64()),
+                         "parsed": pa.array([parsed] + [0] * (len(rows) - 1)
+                                            if rows else [], pa.int64())})
 
 
 def extract_block(batch: pa.Table, **kwargs) -> pa.Table:

@@ -2,9 +2,9 @@
 src/extractor.rs:833-851) → plain-text ``to_markdown`` (M15, reference
 src/markdown.rs:60-113) as a task-pool ``map_batches`` block function.
 
-Same shape as the flagship ``extract_block``: a payload-identity cache
-scoped to one call (transcript corpora repeat attachments heavily), errors
-surfaced as a column — never a throw.
+Same row contract as the flagship ``extract_block``, with a payload-identity
+cache scoped to one call (transcript corpora repeat attachments heavily),
+errors surfaced as a column — never a throw.
 """
 
 from __future__ import annotations

@@ -427,29 +427,131 @@ def test_resume_with_other_num_buckets_raises(ray_session, corpus_dir,
     assert digests("data.parquet") == data_before
 
 
-def test_extract_block_cache_scoped_to_one_call(monkeypatch):
-    """One block that repeats payloads parses each distinct payload once;
-    the next call starts with an empty cache (no cross-block state)."""
-    from pdf_inspector_ray.sources.pdfgen import fixture_pool
-    from pdf_inspector_ray.stages import extract_stage
-
+def _count_parses(monkeypatch, extract_stage) -> list:
+    """Record each ``process_pdf_mem`` payload; pin the wall-clock
+    ``processing_time_ms`` so cached and uncached rows compare equal."""
     calls = []
     real = extract_stage.process_pdf_mem
 
     def counting(data, *args):
         calls.append(data)
-        return real(data, *args)
+        r = real(data, *args)
+        r.processing_time_ms = 0
+        return r
 
     monkeypatch.setattr(extract_stage, "process_pdf_mem", counting)
+    return calls
+
+
+def _repeating_block(n_distinct: int, repeats: int) -> pa.Table:
+    from pdf_inspector_ray.sources.pdfgen import fixture_pool
+
     pool = fixture_pool()
-    distinct = [pool[k].decode("latin-1") for k in sorted(pool)[:3]]
-    block = pa.table({"text": pa.array(distinct * 4 + [None], pa.string())})
-    out = extract_stage.extract_block(block)
+    distinct = [pool[k].decode("latin-1") for k in sorted(pool)[:n_distinct]]
+    return pa.table({"text": pa.array(distinct * repeats + [None],
+                                      pa.string())})
+
+
+def test_extract_cache_scoped_to_one_run(monkeypatch):
+    """Blocks under one cache scope parse each distinct payload once in
+    all; a new scope parses again (nothing is served across runs); with
+    no scope each call has its own cache."""
+    import uuid
+
+    from pdf_inspector_ray.stages import extract_stage
+
+    calls = _count_parses(monkeypatch, extract_stage)
+    block = _repeating_block(3, 4)
+    run = uuid.uuid4().hex
+    out = extract_stage.extract_block(block, cache_scope=run)
     assert out.num_rows == 13
     assert len(calls) == len(set(calls)) == 3
     assert out["markdown"].to_pylist()[:3] == out["markdown"].to_pylist()[3:6]
-    extract_stage.extract_block(block)
+    again = extract_stage.extract_block(block.slice(2), cache_scope=run)
+    assert len(calls) == 3
+    assert again.equals(out.slice(2))
+    extract_stage.extract_block(block, cache_scope=uuid.uuid4().hex)
     assert len(calls) == 6
+    extract_stage.extract_block(block, cache_scope=run)  # run was replaced
+    assert len(calls) == 9
+    assert extract_stage.extract_block(block).equals(out)
+    extract_stage.extract_block(block)
+    assert len(calls) == 15
+
+
+def test_extract_cache_restarts_past_byte_cap(monkeypatch):
+    """Past ``CACHE_MAX_BYTES`` the run cache starts over: with a cap no
+    entry fits under, it holds the last payload only, so a payload parses
+    again after any other one; the output equals a cache-off run."""
+    import uuid
+
+    from pdf_inspector_ray.stages import extract_stage
+
+    calls = _count_parses(monkeypatch, extract_stage)
+    one = _repeating_block(2, 1)["text"].to_pylist()
+    p0, p1 = one[0], one[1]
+    block = pa.table({"text": pa.array([p0, p0, p1, p1, p0, None],
+                                       pa.string())})
+    off = extract_stage.extract_block(block, use_payload_cache=False)
+    assert len(calls) == 5
+    del calls[:]
+
+    run = uuid.uuid4().hex
+    assert extract_stage.extract_block(block, cache_scope=run).equals(off)
+    assert calls == [p0.encode("latin-1"), p1.encode("latin-1")]
+    monkeypatch.setattr(extract_stage, "CACHE_MAX_BYTES", 1)
+    del calls[:]
+    run = uuid.uuid4().hex
+    assert extract_stage.extract_block(block, cache_scope=run).equals(off)
+    assert calls == [p.encode("latin-1") for p in (p0, p1, p0)]
+    extract_stage.extract_block(block.slice(4), cache_scope=run)
+    assert len(calls) == 3      # p0 was the last entry kept
+    scoped, cache = extract_stage._run_cache
+    assert scoped == run and list(cache) == [p0]
+
+
+def test_run_cache_per_worker_per_run(ray_session, tmp_path):
+    """The durable job over a repeating corpus read as 8 blocks parses each
+    distinct payload at most once per extract worker, reports it in
+    ``rows_parsed``, writes the same sidecar content hashes as a cache-off
+    run, and a second run in the same session parses again."""
+    import glob
+    import json
+
+    import ray
+
+    from pdf_inspector_ray.pipelines.flagship import (
+        read_transcripts, run_to_partitioned_output)
+
+    corpus = str(tmp_path / "corpus")
+    write_transcript_corpus(corpus, 1600, seed=3)
+    table = build_transcript_table(1600, seed=3)
+    n_distinct = len(set(table["text"].to_pylist()))
+    assert read_transcripts(corpus, num_blocks=8).materialize() \
+        .num_blocks() >= 4
+    workers = int(ray.cluster_resources()["CPU"])
+
+    def run(name, **kwargs):
+        out_dir = str(tmp_path / name)
+        m = run_to_partitioned_output(read_transcripts(corpus, num_blocks=8),
+                                      out_dir, num_buckets=8, concurrency=4,
+                                      **kwargs)
+        hashes = {}
+        for f in glob.glob(out_dir + "/part=*/_lineage.json"):
+            with open(f) as fh:
+                hashes[f[len(out_dir):]] = json.load(fh)["content_sha256"]
+        return m, hashes
+
+    m_on, on = run("on")
+    assert m_on["rows"] == 1600
+    assert n_distinct <= m_on["rows_parsed"] <= n_distinct * workers
+    assert m_on["payload_cache_hit_rate"] == 1 - m_on["rows_parsed"] / 1600
+    m_again, again = run("again")
+    assert m_again["rows_parsed"] >= n_distinct
+    m_off, off = run("off", use_payload_cache=False)
+    assert m_off["rows_parsed"] == 1600
+    assert m_off["payload_cache_hit_rate"] == 0.0
+    assert on and on == again == off
 
 
 def test_non_latin1_str_payload_is_a_parse_row():

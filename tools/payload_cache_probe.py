@@ -5,14 +5,17 @@ where attachments repeat across turns (bench.py keeps the cache OFF for
 honesty because the bench corpus repeats a tiny fixture pool — a ~100%
 hit rate would overstate parse throughput).
 
-The cache lives for one ``extract_block`` call, i.e. one block (the
-guarded row function of that call's stage parses each distinct payload
-once), so the probe runs ``extract_block`` directly in-process over blocks
-of ``BLOCK_ROWS`` turns — one task's stream, no Ray — which isolates the
-cache effect from task scheduling and host clock drift (interleaved OFF/ON
-repeats, min of 2). The exact hit rate within each block (repeated
-payloads over rows) is reported next to each timing; fleet throughput
-multiplies by the task cap as usual.
+The probe runs ``extract_block`` directly in-process over blocks of
+``BLOCK_ROWS`` turns — one task's stream, no Ray — without a cache scope,
+so each call has its own cache and parses each distinct payload of its
+block once; this isolates the cache effect from task scheduling and host
+clock drift (interleaved OFF/ON repeats, min of 2). The exact hit rate
+within each block (repeated payloads over rows) is reported next to each
+timing. The pipelines share one cache per worker process across all the
+blocks of a run, so a job's hit rate is at least this per-block rate:
+read the probe's as a lower bound, and the job's own from
+``run_to_partitioned_output``'s ``payload_cache_hit_rate``. Fleet
+throughput multiplies by the task cap as usual.
 
 Profiles: N turns drawn from D distinct seeded prose PDFs with
 popularity uniform / Zipf(a) — Zipf heads model boilerplate attachments
