@@ -1423,10 +1423,9 @@ def _q_forecast_revenue_q6(sf_dir: str):
 
 def _q_quantity_price_corr(sf_dir: str):
     """Per-group covariance/correlation (relational.grouped_covariance):
-    exact int64 partials (six integers per (batch, group) on the
-    exchange), big-int algebra at the merge, float only in the last
-    four IEEE ops — mirrored 1:1 by the twin, so even corr is
-    bit-identical."""
+    exact int64 partials, merged as big ints in one partitioned_sweep
+    on the group; float only in the last four IEEE ops — mirrored 1:1
+    by the twin, so even corr is bit-identical."""
     import ray.data
     from pdf_inspector_ray.functions.relational import grouped_covariance
     ds = ray.data.read_parquet(
@@ -1517,9 +1516,9 @@ def _q_doc_length_quantiles_cont(sf_dir: str):
 
 
 def _q_doc_packing(sf_dir: str):
-    """Sequence packing: fixed 2048-char context bins under global
-    doc_id order via a distributed prefix sum (no global sort).
-    shard_size=100 so the toy corpora exercise multiple shards."""
+    """Sequence packing: 2048-char context bins under global doc_id
+    order via a prefix sum: shard offsets, then one partitioned_sweep
+    per shard by doc_id. shard_size=100 exercises multiple shards."""
     import ray.data
     from pdf_inspector_ray.functions.text_stats import pack_sequences
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
@@ -1539,7 +1538,7 @@ def _q_rolling_event_values(sf_dir: str):
 def _q_doc_ntile_buckets(sf_dir: str):
     """Equal-frequency quality tiers: NTILE(4) within each language
     ordered by (n_chars, doc_id) — relational.ntile_by_group (one
-    shuffle, closed-form rank arithmetic per group)."""
+    ``partitioned_sweep``, closed-form rank arithmetic over the runs)."""
     import ray.data
     from pdf_inspector_ray.functions.relational import ntile_by_group
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
@@ -1626,8 +1625,8 @@ def _q_cheapest_part_per_brand(sf_dir: str):
 
 
 def _q_docs_cume_dist(sf_dir: str):
-    """Per-language CUME_DIST (relational.cume_dist_by_group): sort +
-    searchsorted rank per group, ONE mirrored integer division."""
+    """Per-language CUME_DIST (relational.cume_dist_by_group): one
+    partitioned_sweep by n_chars, ONE mirrored integer division."""
     import ray.data
     from pdf_inspector_ray.functions.relational import cume_dist_by_group
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
@@ -1636,6 +1635,8 @@ def _q_docs_cume_dist(sf_dir: str):
 
 
 def _q_distinct_users_by_type(sf_dir: str):
+    """COUNT(DISTINCT user_id) per event type (relational.distinct_count):
+    keyed_exchange on the type, Arrow count_distinct per partition."""
     import ray.data
     from pdf_inspector_ray.functions.relational import distinct_count
     ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
@@ -1849,8 +1850,8 @@ def _q_winsorized_chars_by_lang(sf_dir: str):
 
 def _q_vocab_by_source(sf_dir: str):
     """Vocabulary size per source (text_stats.vocab_size_by_group):
-    COUNT(DISTINCT whitespace-token) with per-batch distinct-pair
-    partials so the exchange is vocabulary-bounded."""
+    COUNT(DISTINCT whitespace-token): distinct-pair partials, then
+    keyed_exchange on the source, Arrow count_distinct per partition."""
     import ray.data
     from pdf_inspector_ray.functions.text_stats import vocab_size_by_group
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
@@ -1977,9 +1978,9 @@ def _q_doc_outliers_iqr(sf_dir: str):
 def _q_rolling_active_users(sf_dir: str):
     """Trailing 7-day active users per event day
     (relational.rolling_active_users): distinct (day, user) pairs
-    expanded ×7 into their window days (pair-bounded fan-out, never
-    event-bounded), one groupby counts unique users; non-event days are
-    dropped by the offset-0 marker inside the same sweep."""
+    expanded ×7 into their window days (pair-bounded fan-out), one
+    keyed_exchange on the day with Arrow count_distinct per partition;
+    non-event days are dropped by the offset-0 marker in that pass."""
     import ray.data
     from pdf_inspector_ray.functions.relational import rolling_active_users
     ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
@@ -2202,8 +2203,8 @@ def _q_source_simpson_diversity(sf_dir: str):
 
 def _q_zipf_topk_share(sf_dir: str):
     """Zipf-head concentration per source (text_stats.zipf_topk_share):
-    top-10 token-mass share, ROW_NUMBER tie-break, one mirrored float64
-    division."""
+    one partitioned_sweep by (count desc, term) sums the top-10 token
+    mass, one mirrored float64 division."""
     import ray.data
     from pdf_inspector_ray.functions.text_stats import zipf_topk_share
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),

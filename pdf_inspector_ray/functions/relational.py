@@ -29,17 +29,14 @@ never one Python UDF call per key:
   not one per input row), ``keyed_exchange``, and one Arrow merge per
   partition.
 
-Five per-group kernels (``distinct_count``, ``grouped_covariance``,
-``ntile_by_group``, ``cume_dist_by_group``, ``rolling_active_users``) still
-make one ``groupby().map_groups`` call per key. A null key is one key for every
+Every per-key operator runs on one of these shapes, so no UDF is called once
+per key value. A null key is one key for every
 key type, as in SQL's ``PARTITION BY``; the join-like operators
 (``asof_join_events``, ``funnel_conversion``) match nothing on a null key, as
 SQL's ``=`` does.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pyarrow as pa
@@ -1098,9 +1095,10 @@ def distinct_count(ds, group_column: str, value_column: str,
                    alias: str = "n_distinct") -> "ray.data.Dataset":
     """COUNT(DISTINCT value) per group. Per-batch partial dedupe (arrow
     ``group_by`` on the pair) shrinks the exchange to unique pairs per
-    batch, then ONE shuffle co-locates each group and a vectorized
-    ``map_groups`` counts its unique values. Uniform over group keys —
-    a skewed group carries only its distinct values, not its rows."""
+    batch, then ONE ``keyed_exchange`` on the group and one Arrow
+    ``count_distinct`` per partition. A skewed group carries only its
+    distinct values, not its rows. Null values are not counted; a null
+    group is one group, as in SQL."""
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table({"grp": batch[group_column], "val": batch[value_column]})
@@ -1108,16 +1106,13 @@ def distinct_count(ds, group_column: str, value_column: str,
         return (t.group_by(["grp", "val"]).aggregate([])
                  .rename_columns(["grp", "val"]))
 
-    def count_group(group: pa.Table) -> pa.Table:
-        n = len(pc.unique(group["val"]))
-        return pa.table({
-            group_column: group["grp"][:1],
-            alias: pa.array([n], pa.int64()),
-        })
+    def count(g: pa.Table) -> pa.Table:
+        return (g.group_by("grp", use_threads=False)
+                 .aggregate([("val", "count_distinct")])
+                 .rename_columns([group_column, alias]))
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("grp")
-              .map_groups(count_group, batch_format="pyarrow"))
+    return keyed_exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                          "grp", count)
 
 
 def latest_event_per_user(ds) -> "ray.data.Dataset":
@@ -1218,12 +1213,13 @@ def grouped_covariance(ds, group_column: str, x_column: str,
     """Population covariance and Pearson correlation per group with an
     EXACT distributed core: x and y are floored to integers per row, so
     the per-batch partials (n, Σx, Σy, Σxy, Σx², Σy²) are exact int64
-    sums (a sum-monoid — one tiny groupby merges them) and the only
-    float operations are the final conversions, one multiply, one sqrt
-    and one divide — each IEEE-correctly-rounded and expression-mirrored
-    by the SQL twin, so the result is bit-identical. The exchange
-    carries six integers per (batch, group). Caller must keep
-    n·max(x)·max(y) within int64 per BATCH (the group merge uses
+    sums, merged per group by one ``partitioned_sweep`` on the group,
+    and the only float operations are the final conversions, one
+    multiply, one sqrt and one divide — each IEEE-correctly-rounded and
+    expression-mirrored by the SQL twin, so the result is bit-identical.
+    The exchange carries six integers per (batch, group); a null group
+    is one group, as in SQL. Caller must keep n·max(x)·max(y) within
+    int64 per BATCH (the merge sums a group's partials as
     arbitrary-precision Python ints, so only batch partials are
     bounded)."""
 
@@ -1248,31 +1244,26 @@ def grouped_covariance(ds, group_column: str, x_column: str,
                  .rename_columns(["grp", "n", "sx", "sy", "sxy", "sxx",
                                   "syy"]))
 
-    def finish(group: pa.Table) -> pa.Table:
-        # exact big-int algebra (Python ints), float only at the end —
-        # mirrored 1:1 by the twin's HUGEINT → DOUBLE expressions
-        n = int(pc.sum(group["n"]).as_py())
-        sx = int(pc.sum(group["sx"]).as_py())
-        sy = int(pc.sum(group["sy"]).as_py())
-        sxy = int(pc.sum(group["sxy"]).as_py())
-        sxx = int(pc.sum(group["sxx"]).as_py())
-        syy = int(pc.sum(group["syy"]).as_py())
-        num = n * sxy - sx * sy
-        vx = n * sxx - sx * sx
-        vy = n * syy - sy * sy
-        cov = float(num) / float(n * n)
-        denom = math.sqrt(float(vx) * float(vy))
-        corr = float(num) / denom if denom else None
+    def finish(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        # exact big-int algebra (Python ints in object arrays), float only
+        # at the end — mirrored 1:1 by the twin's HUGEINT → DOUBLE
+        n, sx, sy, sxy, sxx, syy = (
+            np.add.reduceat(np.array(g[c].to_pylist(), object), starts)
+            for c in ("n", "sx", "sy", "sxy", "sxx", "syy"))
+        num = (n * sxy - sx * sy).astype(np.float64)
+        denom = np.sqrt((n * sxx - sx * sx).astype(np.float64)
+                        * (n * syy - sy * sy).astype(np.float64))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            corr = num / denom
         return pa.table({
-            group_column: group["grp"][:1],
-            "n_rows": pa.array([n], pa.int64()),
-            "cov": pa.array([cov], pa.float64()),
-            "corr": pa.array([corr], pa.float64()),
+            group_column: g["grp"].take(starts),
+            "n_rows": pa.array(n.astype(np.int64), pa.int64()),
+            "cov": pa.array(num / (n * n).astype(np.float64), pa.float64()),
+            "corr": pa.array(corr, pa.float64(), mask=denom == 0),
         })
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("grp")
-              .map_groups(finish, batch_format="pyarrow"))
+    return partitioned_sweep(ds.map_batches(partial, batch_format="pyarrow"),
+                             "grp", [], finish)
 
 
 def resample_daily_counts(ds) -> pa.Table:
@@ -1612,12 +1603,12 @@ def ntile_by_group(ds, group_column: str, order_column: str,
     stratified curriculum/quality tiers over a training corpus.
 
     SQL's NTILE rule: a partition of g rows gives the first ``g % n``
-    tiles ``ceil(g/n)`` rows and the rest ``floor(g/n)``. One shuffle
-    (groupby); the per-group pass is a numpy lexsort + closed-form rank
-    arithmetic — no Python row loop. Null order/tiebreak/group rows are
-    dropped up front (mirror with WHERE in the twin). Partitioning
-    assumption (same as every window function here): one group's rows
-    fit in a map_groups block.
+    tiles ``ceil(g/n)`` rows and the rest ``floor(g/n)``. One
+    ``partitioned_sweep`` over the group ordered by (order, tiebreak);
+    each row's rank and group size come from the run starts, and the
+    tile is closed-form arithmetic on them — no Python loop over rows
+    or groups. Null order/tiebreak/group rows are dropped up front
+    (mirror with WHERE in the twin).
 
     SQL twin: ``NTILE(n) OVER (PARTITION BY grp ORDER BY ord, tie)``."""
 
@@ -1628,28 +1619,25 @@ def ntile_by_group(ds, group_column: str, order_column: str,
         return batch.filter(keep).select(
             [tiebreak_column, group_column, order_column])
 
-    def assign(group: pa.Table) -> pa.Table:
-        ordv = group[order_column].to_numpy(zero_copy_only=False)
-        tie = group[tiebreak_column].to_numpy(zero_copy_only=False)
-        order = np.lexsort((tie, ordv))
-        g = len(order)
-        ranks = np.empty(g, dtype=np.int64)
-        ranks[order] = np.arange(g, dtype=np.int64)
-        base, rem = divmod(g, n)
+    def assign(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        m = g.num_rows
+        run = _run_id(starts, m)
+        ranks = np.arange(m) - starts[run]
+        base, rem = np.divmod(np.diff(np.append(starts, m))[run], n)
         split = rem * (base + 1)
         # ranks < split land in the first `rem` (base+1)-sized tiles;
-        # the rest in base-sized tiles. max() guards the unused branch
-        # when base == 0 (np.where evaluates both).
+        # the rest in base-sized tiles. maximum() guards the unused
+        # branch when base == 0 (np.where evaluates both).
         buckets = np.where(
             ranks < split,
             ranks // (base + 1) + 1,
-            (ranks - split) // max(base, 1) + rem + 1)
-        out = group.select([tiebreak_column, group_column])
+            (ranks - split) // np.maximum(base, 1) + rem + 1)
+        out = g.select([tiebreak_column, group_column])
         return out.append_column(alias, pa.array(buckets, pa.int64()))
 
-    return (ds.map_batches(prefilter, batch_format="pyarrow")
-              .groupby(group_column)
-              .map_groups(assign, batch_format="pyarrow"))
+    return partitioned_sweep(
+        ds.map_batches(prefilter, batch_format="pyarrow"), group_column,
+        [order_column, tiebreak_column], assign)
 
 
 def share_of_total(ds, group_column: str, value_column: str,
@@ -1779,10 +1767,11 @@ def cume_dist_by_group(ds, group_column: str, order_column: str,
                        ) -> "ray.data.Dataset":
     """CUME_DIST() OVER (PARTITION BY group ORDER BY value): fraction of
     the partition's rows with value <= this row's (ties share the
-    fraction). One shuffle; the per-group pass is one numpy sort + a
-    searchsorted(side='right') rank divide — no row loop. The result is
-    one IEEE division of two integers below 2^53, so it is bit-identical
-    to the twin. Null keys/values dropped both sides."""
+    fraction). One ``partitioned_sweep`` over the group ordered by
+    value: a row's rank is that of the last row with its (group, value)
+    — no loop over rows or groups. The result is one IEEE division of
+    two integers below 2^53, so it is bit-identical to the twin. Null
+    keys/values dropped both sides."""
 
     def prefilter(batch: pa.Table) -> pa.Table:
         keep = pc.is_valid(batch[group_column])
@@ -1791,19 +1780,28 @@ def cume_dist_by_group(ds, group_column: str, order_column: str,
         return batch.filter(keep).select(
             [id_column, group_column, order_column])
 
-    def rank(group: pa.Table) -> pa.Table:
-        v = group[order_column].to_numpy(zero_copy_only=False)
-        sv = np.sort(v)
-        cd = np.searchsorted(sv, v, side="right").astype(np.float64) / len(v)
+    def rank(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        m = g.num_rows
+        run = _run_id(starts, m)
+        # a (group, value) tie starts at a group start or a value run's
+        # start; run-end encoding puts NaNs in one run, as SQL ties them
+        brk = np.zeros(m, dtype=bool)
+        brk[starts] = True
+        brk[pc.run_end_encode(g[order_column].combine_chunks())
+            .run_ends.to_numpy()[:-1]] = True
+        # one past the last row of each row's tie
+        end = np.append(np.flatnonzero(brk)[1:], m)[np.cumsum(brk) - 1]
+        cd = ((end - starts[run]).astype(np.float64)
+              / np.diff(np.append(starts, m))[run])
         return pa.table({
-            id_column: group[id_column],
-            group_column: group[group_column],
+            id_column: g[id_column],
+            group_column: g[group_column],
             alias: pa.array(cd, pa.float64()),
         })
 
-    return (ds.map_batches(prefilter, batch_format="pyarrow")
-              .groupby(group_column)
-              .map_groups(rank, batch_format="pyarrow"))
+    return partitioned_sweep(
+        ds.map_batches(prefilter, batch_format="pyarrow"), group_column,
+        [order_column], rank)
 
 
 def event_kgrams(ds, k: int = 3, min_count: int = 2,
@@ -2031,10 +2029,11 @@ def rolling_active_users(ds, window_days: int = 7,
     batch (day-cardinality-bounded, not event-bounded), EXPAND each
     pair to the ``window_days`` window days it contributes to (a
     bounded ×W fan-out of the tiny pair stream — W=7 here, never the
-    raw events), then one groupby(window_day) counts unique users
-    vectorized. A pair expanded with offset 0 marks its window day as a
-    real event day; windows whose day saw no events are dropped in the
-    same group sweep (no driver-side day list, no second pass).
+    raw events), then one ``keyed_exchange`` on the window day and one
+    Arrow ``count_distinct`` per partition count unique users. A pair
+    expanded with offset 0 marks its window day as a real event day;
+    windows whose day saw no events are dropped in the same per-partition
+    pass (no driver-side day list, no second pass).
     Day = floor(epoch_us / 86_400_000_000) as int64, matching the SQL
     twin's integer division."""
     US_PER_DAY = 86_400_000_000
@@ -2063,17 +2062,14 @@ def rolling_active_users(ds, window_days: int = 7,
                  .aggregate([("is_event_day", "max")])
                  .rename_columns(["wday", "user", "is_event_day"]))
 
-    def count_window(group: pa.Table) -> pa.Table:
-        if not pc.any(group["is_event_day"]).as_py():
-            return pa.table({"day": pa.array([], pa.int64()),
-                             "active_users": pa.array([], pa.int64())})
-        n = len(pc.unique(group["user"]))
-        return pa.table({"day": group["wday"][:1],
-                         "active_users": pa.array([n], pa.int64())})
+    def count_windows(g: pa.Table) -> pa.Table:
+        t = (g.group_by("wday", use_threads=False)
+              .aggregate([("user", "count_distinct"), ("is_event_day", "any")])
+              .rename_columns(["day", "active_users", "is_event_day"]))
+        return t.filter(t["is_event_day"]).drop_columns(["is_event_day"])
 
-    return (ds.map_batches(expand, batch_format="pyarrow")
-              .groupby("wday")
-              .map_groups(count_window, batch_format="pyarrow"))
+    return keyed_exchange(ds.map_batches(expand, batch_format="pyarrow"),
+                          "wday", count_windows)
 
 
 def funnel_steps(ds, steps: tuple[str, ...] = ("signup", "view",

@@ -20,8 +20,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from pdf_inspector_ray.functions.relational import (
-    _run_pairs, _sorted_runs, grouped_aggregate, grouped_topk,
-    keyed_exchange, partitioned_sweep)
+    _run_id, _run_pairs, _run_start, _sorted_runs, grouped_aggregate,
+    grouped_topk, keyed_exchange, partitioned_sweep)
 
 # Stopword sets for the heuristic language scorer. Scores are counts of
 # " word " occurrences (space-delimited so SQL length/replace tricks give
@@ -163,8 +163,9 @@ def pack_sequences(ds, id_column: str = "doc_id",
     driver-side offset fold is bounded by #shards — pick ``shard_size``
     so max_id/shard_size stays ~10^5-10^6 at corpus scale), (2) the
     exclusive shard offsets are broadcast once with ``ray.put``, (3) one
-    ``groupby(shard)`` sweep sorts each shard locally by id and adds its
-    offset — no stage ever sees a global order. Deterministic and
+    ``partitioned_sweep`` over the shard ordered by id gives each row
+    its shard's offset plus the exclusive prefix sum within its shard —
+    no stage ever sees a global order. Deterministic and
     partition-invariant: offsets are a pure function of the data.
 
     SQL twin: ``(SUM(cost) OVER (ORDER BY id ROWS UNBOUNDED PRECEDING)
@@ -188,27 +189,26 @@ def pack_sequences(ds, id_column: str = "doc_id",
     shard_sums = grouped_aggregate(tagged, "shard", {"cost": "sum"}
                                    ).take_all()
     shard_sums.sort(key=lambda r: r["shard"])
-    offsets, acc = {}, 0
-    for r in shard_sums:
-        offsets[r["shard"]] = acc
-        acc += r["cost"]
-    offsets_ref = ray.put(offsets)
+    sums = np.array([r["cost"] for r in shard_sums], np.int64)
+    offsets_ref = ray.put((np.array([r["shard"] for r in shard_sums]),
+                           np.cumsum(sums) - sums))
 
-    def sweep(group: pa.Table) -> pa.Table:
-        base = ray.get(offsets_ref)[group["shard"][0].as_py()]
-        ids = group[id_column].to_numpy(zero_copy_only=False)
-        cost = group["cost"].to_numpy(zero_copy_only=False)
-        order = np.argsort(ids, kind="stable")
-        ids, cost = ids[order], cost[order]
-        start = base + np.cumsum(cost) - cost   # exclusive prefix sum
+    def sweep(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        shard_keys, offsets = ray.get(offsets_ref)
+        base = offsets[np.searchsorted(shard_keys, g["shard"].take(
+            starts).to_numpy(zero_copy_only=False))]
+        cost = g["cost"].to_numpy(zero_copy_only=False)
+        run = _run_id(starts, len(cost))
+        excl = np.cumsum(cost) - cost   # exclusive prefix sum
+        start = base[run] + excl - excl[starts][run]
         return pa.table({
-            id_column: pa.array(ids, pa.int64()),
-            "cost": pa.array(cost, pa.int64()),
+            id_column: pc.cast(g[id_column], pa.int64()),
+            "cost": g["cost"],
             "start_offset": pa.array(start, pa.int64()),
             "pack_id": pa.array(start // bin_budget, pa.int64()),
         })
 
-    return tagged.groupby("shard").map_groups(sweep, batch_format="pyarrow")
+    return partitioned_sweep(tagged, "shard", [id_column], sweep)
 
 
 def assign_split_batch(batch: pa.Table, id_column: str = "doc_id",
@@ -1061,8 +1061,9 @@ def vocab_size_by_group(ds, group_column: str = "source",
 
     Per-batch tokenize + local distinct (group, term) pairs shrink the
     exchange to unique pairs per batch — vocabulary- not corpus-bounded —
-    then one groupby co-locates each group and counts its unique terms
-    vectorized (the ``distinct_count`` dataflow over exploded tokens).
+    then one ``keyed_exchange`` on the group and one Arrow
+    ``count_distinct`` per partition count its unique terms (the
+    ``distinct_count`` dataflow over exploded tokens).
     Tokenizer is the corpus-wide whitespace rule shared with the
     ``regexp_split_to_array(text, '\\s+')`` SQL twin."""
     from pdf_inspector_ray.functions.decontam import _gram_rows
@@ -1077,15 +1078,13 @@ def vocab_size_by_group(ds, group_column: str = "source",
                 .group_by(["grp", "term"]).aggregate([])
                 .rename_columns(["grp", "term"]))
 
-    def count_group(group: pa.Table) -> pa.Table:
-        return pa.table({
-            group_column: group["grp"][:1],
-            alias: pa.array([len(pc.unique(group["term"]))], pa.int64()),
-        })
+    def count(g: pa.Table) -> pa.Table:
+        return (g.group_by("grp", use_threads=False)
+                 .aggregate([("term", "count_distinct")])
+                 .rename_columns([group_column, alias]))
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("grp")
-              .map_groups(count_group, batch_format="pyarrow"))
+    return keyed_exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                          "grp", count)
 
 
 def iqr_outlier_docs(ds, group_column: str, value_column: str,
@@ -1265,24 +1264,24 @@ def zipf_topk_share(ds, group_column: str = "source",
     Zipf-curve summary used to rank sources for dedup attention).
 
     One aggregate folds exact (source, term) counts (vocabulary-bounded);
-    the per-source sweep sorts counts descending with term-ascending
-    tie-break (the deterministic ROW_NUMBER rule) and emits top-k sum,
-    total, and ONE mirrored float64 division (exact < 2^53)."""
-    term_counts = _source_term_counts(ds, group_column, text_column)
+    one ``partitioned_sweep`` over the source orders counts descending
+    with term-ascending tie-break (the deterministic ROW_NUMBER rule)
+    and emits top-k sum, total, and ONE mirrored float64 division
+    (exact < 2^53)."""
 
-    def head(group: pa.Table) -> pa.Table:
-        n = pc.cast(group["n"], pa.int64()).to_numpy(zero_copy_only=False)
-        term = group["term"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((term, -n))
-        topk = int(n[order[:k]].sum())
-        total = int(n.sum())
+    def head(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        n = pc.cast(g["n"], pa.int64()).to_numpy(zero_copy_only=False)
+        rank = np.arange(len(n)) - _run_start(starts, len(n))
+        topk = np.add.reduceat(np.where(rank < k, n, 0), starts)
+        total = np.add.reduceat(n, starts)
         return pa.table({
-            group_column: group["src"][:1],
-            "topk_tokens": pa.array([topk], pa.int64()),
-            "n_tokens": pa.array([total], pa.int64()),
-            "topk_share": pa.array([float(np.float64(topk) / total)],
+            group_column: g["src"].take(starts),
+            "topk_tokens": pa.array(topk, pa.int64()),
+            "n_tokens": pa.array(total, pa.int64()),
+            "topk_share": pa.array(topk.astype(np.float64) / total,
                                    pa.float64()),
         })
 
-    return (term_counts.groupby("src")
-                       .map_groups(head, batch_format="pyarrow"))
+    return partitioned_sweep(
+        _source_term_counts(ds, group_column, text_column), "src",
+        [("n", "descending"), "term"], head)

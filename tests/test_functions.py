@@ -310,6 +310,42 @@ def test_value_quantiles_matches_duckdb(ray_session):
     assert [out[f"q{q}"][0].as_py() for q in (25, 50, 75, 95)] == [2, 3, 4, 5]
 
 
+def test_one_keyed_exchange_in_the_library():
+    """Ray's sort-based ``groupby`` / ``map_groups`` is called exactly
+    once in the package and ``__ray_entry__.py``, inside
+    ``relational.keyed_exchange``: every per-key kernel runs on that one
+    exchange (directly, or through ``partitioned_sweep`` /
+    ``grouped_aggregate``), never one UDF call per key value."""
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    calls = {"groupby": [], "map_groups": []}
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self, module: str):
+            self.where = [module]
+
+        def visit_FunctionDef(self, node):
+            self.where.append(node.name)
+            self.generic_visit(node)
+            self.where.pop()
+
+        visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+        def visit_Call(self, node):
+            if (isinstance(node.func, ast.Attribute)
+                    and node.func.attr in calls):
+                calls[node.func.attr].append(".".join(self.where))
+            self.generic_visit(node)
+
+    for path in [*sorted((root / "pdf_inspector_ray").rglob("*.py")),
+                 root / "__ray_entry__.py"]:
+        Calls(path.stem).visit(ast.parse(path.read_text(), str(path)))
+    assert calls == {"groupby": ["relational.keyed_exchange"],
+                     "map_groups": ["relational.keyed_exchange"]}
+
+
 def test_grouped_aggregate_matches_duckdb(ray_session):
     """``grouped_aggregate`` against DuckDB's GROUP BY for sum, min, max
     and count over int32, int64, float, string and two-column keys, each
@@ -1506,15 +1542,18 @@ def test_distinct_count_ignores_nulls(ray_session):
     import ray.data
     from pdf_inspector_ray.functions.relational import distinct_count
 
+    # a null event_type is one group, as in SQL's GROUP BY; three blocks
+    # put the null key next to string keys in more than one block
     t = pa.table({
-        "event_type": pa.array(["a", "a", "a", "b", "b"], pa.string()),
-        "user_id": pa.array([1, 1, None, 2, 3], pa.int64()),
+        "event_type": pa.array(["a", "a", "a", "b", "b", None, None, None],
+                               pa.string()),
+        "user_id": pa.array([1, 1, None, 2, 3, 4, 4, 5], pa.int64()),
     })
-    out = (distinct_count(ray.data.from_arrow(t), "event_type", "user_id",
-                          alias="n_users").to_pandas()
-           .sort_values("event_type").reset_index(drop=True))
-    assert list(out.event_type) == ["a", "b"]
-    assert list(out.n_users) == [1, 2]
+    out = (distinct_count(ray.data.from_arrow(t).repartition(3),
+                          "event_type", "user_id", alias="n_users")
+           .to_pandas().sort_values("event_type").reset_index(drop=True))
+    assert list(out.event_type) == ["a", "b", None]
+    assert list(out.n_users) == [1, 2, 2]
 
 
 def test_grouped_quantiles_matches_duckdb(ray_session):
@@ -2668,7 +2707,8 @@ def test_new_ops_survive_all_empty_batches(ray_session):
 def test_grouped_covariance_exact_vs_duckdb(ray_session):
     """Covariance/correlation must be BIT-identical to the twin: exact
     integer partials, float only in the mirrored final ops. Negative
-    values and a constant-x group (corr undefined → null) included."""
+    values, a constant-x group (corr undefined → null) and a null group
+    key included."""
     import duckdb
     import ray.data
 
@@ -2680,7 +2720,8 @@ def test_grouped_covariance_exact_vs_duckdb(ray_session):
     x = rng.integers(-50, 50, n).astype(np.float64) + 0.75  # floor matters
     y = (x * 3 + rng.normal(0, 20, n)).round(2)
     x[g == "C"] = 7.2  # constant after floor → zero variance → corr null
-    t = pa.table({"grp": pa.array(g.tolist()),
+    # a null group key is one group, as in the twin's GROUP BY
+    t = pa.table({"grp": pa.array(g.tolist(), mask=rng.random(n) < 0.05),
                   "x": pa.array(x, pa.float64()),
                   "y": pa.array(y, pa.float64())})
     out = (grouped_covariance(ray.data.from_arrow(t).repartition(6),
@@ -3180,6 +3221,13 @@ def test_cume_dist_by_group_tie_fractions(ray_session):
            .to_pandas().sort_values("doc_id").reset_index(drop=True))
     # en: 5 -> 1/4; the two 10s share 3/4; 20 -> 4/4. fr singleton -> 1.
     assert list(out.cd) == [0.75, 0.75, 1.0, 0.25, 1.0]
+    # NaN sorts after every number and NaNs tie, as in SQL's ORDER BY
+    t = t.set_column(2, "n_chars", pa.array(
+        [float("nan"), 2.5, float("nan"), 1.0, 7.0]))
+    out = (cume_dist_by_group(ray.data.from_arrow(t).repartition(2),
+                              "lang", "n_chars", "doc_id")
+           .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    assert list(out.cd) == [1.0, 0.5, 1.0, 0.25, 1.0]
 
 
 def test_dedup_consecutive_matches_duckdb_on_random(ray_session):

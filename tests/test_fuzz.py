@@ -337,22 +337,24 @@ def test_round5_ops_partition_invariant(ray_session):
         minhash_lsh_candidates, neardup_best_docs, prefix_contained_docs)
     from pdf_inspector_ray.functions.relational import (
         argmin_by_group, asof_join_events, cohort_retention,
-        collect_distinct_sorted, conversion_latency_quantiles, customer_rfm,
-        dedup_consecutive, event_kgrams, event_pair_lift,
-        event_transitions, event_type_cooccurrence, events_weekday_profile,
-        funnel_conversion, funnel_steps, grouped_aggregate, grouped_moments,
+        collect_distinct_sorted, conversion_latency_quantiles,
+        cume_dist_by_group, customer_rfm, dedup_consecutive, distinct_count,
+        event_kgrams, event_pair_lift, event_transitions,
+        event_type_cooccurrence, events_weekday_profile, funnel_conversion,
+        funnel_steps, grouped_aggregate, grouped_covariance, grouped_moments,
         grouped_topk, hourly_top_event, latest_event_per_user,
         longest_run_by_group, merge_intervals_by_group, mode_per_group,
-        order_interarrival_quantiles, pivot_counts, rolling_active_users,
-        range_join, rolling_event_stats, rollup_agg, running_totals,
-        session_windows, set_op_ids, shipping_priority,
+        ntile_by_group, order_interarrival_quantiles, pivot_counts,
+        rolling_active_users, range_join, rolling_event_stats, rollup_agg,
+        running_totals, session_windows, set_op_ids, shipping_priority,
         top_customer_per_nation, top_revenue_orders, user_activity_gini,
         value_histogram)
     from pdf_inspector_ray.functions.sketch import cms_counters
     from pdf_inspector_ray.functions.text_stats import (
-        dense_rank_column, grouped_quantiles, inverted_index,
+        dense_rank_column, grouped_quantiles, inverted_index, pack_sequences,
         source_simpson_diversity, source_vocab_jaccard, stratified_sample,
-        term_doc_frequency, top_terms_by_group)
+        term_doc_frequency, top_terms_by_group, vocab_size_by_group,
+        zipf_topk_share)
     from pdf_inspector_ray.pipelines.flagship import conv_turn_gaps
 
     rng = np.random.default_rng(89)
@@ -490,6 +492,11 @@ def test_round5_ops_partition_invariant(ray_session):
         (events_weekday_profile, ev, ["dow", "event_type"]),
         (hourly_top_event, ev, ["hour"]),
         (rolling_active_users, ev.select(["ts", "user_id"]), ["day"]),
+        # event_type holds nulls: the null key must be one group
+        (lambda d: distinct_count(d, "event_type", "user_id"), ev,
+         ["event_type"]),
+        (lambda d: grouped_covariance(d, "event_type", "value", "event_id"),
+         sk, ["event_type"]),
         (merge_intervals_by_group, iv, ["user_id"]),
         (customer_rfm, orders, ["o_custkey"]),
         (order_interarrival_quantiles, orders, ["n_gaps"]),
@@ -539,6 +546,14 @@ def test_round5_ops_partition_invariant(ray_session):
         (lambda d: grouped_quantiles(d, "lang", "n_chars"), docs, ["lang"]),
         (lambda d: rollup_agg(d, ["lang", "source"], "n_chars"), docs,
          ["lang", "source"]),
+        (lambda d: ntile_by_group(d, "lang", "n_chars", "doc_id"), docs,
+         ["doc_id"]),
+        (lambda d: cume_dist_by_group(d, "lang", "n_chars", "doc_id"), docs,
+         ["doc_id"]),
+        (lambda d: pack_sequences(d, bin_budget=64, shard_size=50), docs,
+         ["doc_id"]),
+        (vocab_size_by_group, docs, ["source"]),
+        (lambda d: zipf_topk_share(d, k=2), docs, ["source"]),
     ]
     for fn, table, keys in cases:
         base = None
