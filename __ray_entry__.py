@@ -1118,8 +1118,9 @@ def _q_top_collocations(sf_dir: str):
 
 
 def _q_inverted_index(sf_dir: str):
-    """Search-index build (text_stats.inverted_index): term-hash
-    co-partitioned posting lists, vocabulary-bounded exchange."""
+    """Search-index build (text_stats.inverted_index): one
+    partitioned_sweep on the term ordered by doc id, each term's sorted
+    posting list one run, vocabulary-bounded exchange."""
     import ray.data
     from pdf_inspector_ray.functions.text_stats import inverted_index
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
@@ -1218,8 +1219,10 @@ def _q_contaminated_train_docs_bloom(sf_dir: str):
 
 def _q_events_in_sessions(sf_dir: str):
     """Range (interval) join: attach each event to the session window that
-    contains it (relational.range_join — tagged-union co-partition by
-    user, vectorized cross-key merge probe)."""
+    contains it (relational.range_join — the tagged union of events and
+    sessions on one partitioned_sweep by user ordered by time, session
+    before event at a tie; a running max over session rows finds each
+    event's candidate)."""
     import ray.data
     from pdf_inspector_ray.functions.relational import (range_join,
                                                         session_windows)

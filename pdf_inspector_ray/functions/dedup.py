@@ -6,11 +6,15 @@ Scale design (100 TB):
   the digest keeps the min doc_id per digest. One shuffle, keys are
   uniform digests → no skew.
 * MinHash/SimHash/embedding-LSH — signature per doc (map_batches, numpy),
-  ``flat_map`` to (band_hash, doc_id) bucket rows, ``keyed_exchange`` on
-  the bucket, emit candidate pairs per bucket, dedupe pairs (a second
-  ``keyed_exchange``, on the pair), then verify candidates
-  exactly (Jaccard / hamming / cosine). Buckets are hashes → uniform; the
-  only skew risk is a giant duplicate cluster, capped by MAX_BUCKET.
+  ``flat_map`` to (band_hash, doc_id) bucket rows, ``partitioned_sweep``
+  on the bucket ordered by doc_id, emit candidate pairs per bucket run,
+  dedupe pairs (a ``keyed_exchange`` on the pair), then verify
+  candidates exactly (Jaccard / hamming / cosine). Buckets are hashes →
+  uniform; the only skew risk is a giant duplicate cluster, which
+  splits by subkey bits past MAX_BUCKET members.
+* Every kernel that needs a partition's buckets, docs or grams as
+  contiguous runs gets them from ``partitioned_sweep``, the library's
+  one partition sort; no kernel here sorts its partition itself.
 * verification, connected components and the kept-docs filter attach
   per-doc values with ``relational.hash_join``, the library's one
   equi-join: it broadcasts a right side of at most ``BROADCAST_ROWS``
@@ -27,15 +31,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from pdf_inspector_ray.functions.relational import (_run_start, _sorted_runs,
+from pdf_inspector_ray.functions.relational import (_changes, _run_start,
                                                     grouped_aggregate,
                                                     grouped_topk, hash_join,
                                                     keyed_exchange,
                                                     partitioned_sweep)
 
-MAX_BUCKET = 256  # cap pair expansion in a pathological bucket (logged)
-
-_log = __import__("logging").getLogger(__name__)
+# a bucket of more members than this splits by subkey bits, never truncates
+MAX_BUCKET = 256
 
 
 # -- exact ------------------------------------------------------------------
@@ -216,7 +219,8 @@ def _expand_members(ids: np.ndarray, keys: np.ndarray, free_bits: np.ndarray,
     ``keys`` is a per-member uint64 subkey; ``free_bits`` the subkey bit
     positions not yet conditioned on; the free bits are partitioned into
     ``n_chunks`` disjoint chunks and each member is recursed into every
-    chunk's value-subgroup (duplicate emissions are removed downstream by
+    chunk's value-subgroup, or only into a chunk all members share when
+    there is one (duplicate emissions are removed downstream by
     ``_dedupe_pairs``).
 
     For simhash — subkey = the full 64-bit simhash, ``n_chunks = bands``,
@@ -224,22 +228,33 @@ def _expand_members(ids: np.ndarray, keys: np.ndarray, free_bits: np.ndarray,
     the hamming-radius guarantee EXACTLY: a pair with hamming ≤ bands−1
     differs in at most bands−1 of the ``n_chunks`` disjoint chunks, so it
     agrees on at least one chunk at every level (pigeonhole) and stays
-    co-grouped until its group is small enough to emit all pairs.
+    co-grouped until its group is small enough to emit all pairs. The
+    pigeonhole needs ``n_chunks`` non-empty chunks, so a group whose
+    free bits run short of that emits all its pairs.
     Identical-subkey groups (true duplicate cliques) bottom out and emit
     the full clique — the quadratic output of a genuine clique is the
     honest answer, never a drop.
     """
-    if (len(ids) <= MAX_BUCKET or len(free_bits) == 0
+    if (len(ids) <= MAX_BUCKET or len(free_bits) < n_chunks
             or len(np.unique(keys)) <= 1):
         _emit_all_pairs(ids, a_out, b_out)
         return
     chunks = [c for c in np.array_split(free_bits, n_chunks) if len(c)]
-    for i, chunk in enumerate(chunks):
-        rest = (np.concatenate([c for j, c in enumerate(chunks) if j != i])
-                if len(chunks) > 1 else np.array([], dtype=free_bits.dtype))
+    subs = []
+    for chunk in chunks:
         sub = np.zeros(len(keys), dtype=np.uint64)
         for b in chunk:
             sub = (sub << np.uint64(1)) | ((keys >> np.uint64(b)) & np.uint64(1))
+        subs.append(sub)
+    # A chunk every member agrees on keeps every pair co-grouped, so the
+    # pigeonhole guarantee holds through its recursion alone. Recursing
+    # into the other chunks too would fork the whole group once per chunk
+    # at every level: exponential for a group of a few distinct subkeys.
+    whole = [i for i, sub in enumerate(subs) if (sub == sub[0]).all()]
+    for i in whole[:1] or range(len(chunks)):
+        rest = (np.concatenate([c for j, c in enumerate(chunks) if j != i])
+                if len(chunks) > 1 else np.array([], dtype=free_bits.dtype))
+        sub = subs[i]
         order = np.argsort(sub, kind="stable")
         svals = sub[order]
         bounds = np.nonzero(svals[1:] != svals[:-1])[0] + 1
@@ -252,13 +267,29 @@ def _expand_members(ids: np.ndarray, keys: np.ndarray, free_bits: np.ndarray,
             _expand_members(ids[sel], keys[sel], rest, n_chunks, a_out, b_out)
 
 
-def _pairs_from_bucket_block(group: pa.Table, n_chunks: int = 8,
+def _bucket_members(ids: np.ndarray, starts: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Members of each bucket of a partition swept by (bucket, doc_id)
+    (``starts``: each bucket's first row): a doc that reaches one bucket
+    twice sits next to its copy, so dropping adjacent repeats dedupes
+    every bucket at once. Returns the kept rows' indexes and, in that
+    kept index space, the start and end of each bucket holding two or
+    more members — singleton buckets, most of them, never enter the
+    per-bucket loop."""
+    kept = np.flatnonzero(_changes(ids, starts))
+    lo = np.searchsorted(kept, starts)
+    hi = np.append(lo[1:], len(kept))
+    multi = hi - lo >= 2
+    return kept, lo[multi], hi[multi]
+
+
+def _pairs_from_bucket_block(g: pa.Table, starts: np.ndarray,
+                             n_chunks: int = 8,
                              own_band_width: int | None = None) -> pa.Table:
-    """All buckets of one coarse partition → candidate pairs. Bucket runs
-    are found vectorized after a sort; small runs expand via
-    np.triu_indices; runs over MAX_BUCKET split by extra ``subkey`` bits
-    (``_expand_members``) when the bucket rows carry one, else cap+log
-    (legacy fallback for subkey-less callers).
+    """``partitioned_sweep`` kernel: all buckets of one coarse partition,
+    sorted by (bucket, doc_id), → candidate pairs. Buckets of at most
+    MAX_BUCKET members expand via np.triu_indices; larger ones split by
+    extra ``subkey`` bits (``_expand_members``) instead of truncating.
 
     ``own_band_width``: when the subkey embeds the bucket's own band bits
     at ``[band*width, (band+1)*width)`` (simhash: subkey = full hash;
@@ -266,46 +297,25 @@ def _pairs_from_bucket_block(group: pa.Table, n_chunks: int = 8,
     the split — the members already agree there. ``None`` means the subkey
     is built entirely from out-of-band material (minhash neighbor-band
     digest bytes) and all 64 bits are free."""
-    if group.num_rows == 0:
-        return _EMPTY_PAIRS
-    buckets = group["bucket"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    ids_raw = group["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.lexsort((ids_raw, buckets))
-    buckets = buckets[order]
-    ids = ids_raw[order]
-    has_subkey = "subkey" in group.column_names
-    keys = (group["subkey"].to_numpy(zero_copy_only=False)
-            .astype(np.uint64)[order] if has_subkey else None)
-    change = np.nonzero(buckets[1:] != buckets[:-1])[0] + 1
-    starts = np.concatenate([[0], change])
-    ends = np.concatenate([change, [len(buckets)]])
+    ids = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    kept, lo, hi = _bucket_members(ids, starts)
+    ids = ids[kept]
+    keys = g["subkey"].to_numpy(zero_copy_only=False)[kept]
+    buckets = g["bucket"].to_numpy(zero_copy_only=False)[kept]
     a_out: list[np.ndarray] = []
     b_out: list[np.ndarray] = []
-    for s, e in zip(starts, ends):
-        mem, first = np.unique(ids[s:e], return_index=True)
-        if len(mem) < 2:
+    for s, e in zip(lo, hi):
+        if e - s <= MAX_BUCKET:
+            _emit_all_pairs(ids[s:e], a_out, b_out)
             continue
-        if len(mem) <= MAX_BUCKET:
-            _emit_all_pairs(mem, a_out, b_out)
-            continue
-        if has_subkey:
-            mkeys = keys[s:e][first]
-            if own_band_width:
-                band = int(buckets[s] >> np.uint64(48))
-                lo, hi = band * own_band_width, (band + 1) * own_band_width
-                free = np.array([b for b in range(64) if not lo <= b < hi],
-                                dtype=np.int64)
-            else:
-                free = np.arange(64, dtype=np.int64)
-            _expand_members(mem, mkeys, free, n_chunks, a_out, b_out)
+        if own_band_width:
+            band = int(buckets[s] >> np.uint64(48))
+            lo_bit, hi_bit = band * own_band_width, (band + 1) * own_band_width
+            free = np.array([b for b in range(64)
+                             if not lo_bit <= b < hi_bit], dtype=np.int64)
         else:
-            dropped = (len(mem) * (len(mem) - 1)
-                       - MAX_BUCKET * (MAX_BUCKET - 1)) // 2
-            _log.warning(
-                "LSH bucket %r has %d members > MAX_BUCKET=%d and no subkey; "
-                "dropping %d candidate pairs", buckets[s], len(mem),
-                MAX_BUCKET, dropped)
-            _emit_all_pairs(mem[:MAX_BUCKET], a_out, b_out)
+            free = np.arange(64, dtype=np.int64)
+        _expand_members(ids[s:e], keys[s:e], free, n_chunks, a_out, b_out)
     if not a_out:
         return _EMPTY_PAIRS
     return pa.table({
@@ -316,13 +326,15 @@ def _pairs_from_bucket_block(group: pa.Table, n_chunks: int = 8,
 
 def _bucket_pairs(buckets_ds, n_chunks: int = 8,
                   own_band_width: int | None = None):
-    """(doc_id, bucket[, subkey]) rows → deduped candidate pairs via the
-    coarse partition scheme above (two skew-free shuffles total)."""
+    """(doc_id, bucket, subkey) rows → deduped candidate pairs via the
+    coarse partition scheme above (two skew-free shuffles total): one
+    ``partitioned_sweep`` on the bucket ordered by doc_id, then the pair
+    dedupe."""
     import functools
     fn = functools.partial(_pairs_from_bucket_block, n_chunks=n_chunks,
                            own_band_width=own_band_width)
-    return _dedupe_pairs(
-        keyed_exchange(buckets_ds, "bucket", fn, PAIR_PARTITIONS))
+    return _dedupe_pairs(partitioned_sweep(buckets_ds, "bucket", ["doc_id"],
+                                           fn, PAIR_PARTITIONS))
 
 
 def _dedupe_pairs(pairs_ds):
@@ -592,8 +604,8 @@ def embedding_neardup_candidates(ds, dim: int = 64, num_tables: int = 8,
                                  axis_aligned: bool = False):
     """embeddings table → candidate pairs sharing ANY table's bucket,
     deduped across tables. One flat_map-style expansion (T rows per vec),
-    one bucket groupby, one pair-dedup groupby — all keys are uniform
-    hashes so the shuffles are skew-free."""
+    one bucket ``partitioned_sweep``, one pair-dedup ``keyed_exchange`` —
+    all keys are uniform hashes so the shuffles are skew-free."""
     lsh = HyperplaneLSH(dim, num_tables, planes_per_table, seed, axis_aligned)
 
     def to_buckets(batch: pa.Table) -> pa.Table:
@@ -815,34 +827,24 @@ def _doc_gram_rows(batch: pa.Table, text_column: str, id_column: str,
     })
 
 
-def _prefix_pairs_block(group: pa.Table, threshold: float) -> pa.Table:
-    """All prefix-posting buckets of one coarse partition → candidate
-    pairs, with the PPJoin LENGTH filter: a pair only qualifies when
+def _prefix_pairs_block(g: pa.Table, starts: np.ndarray,
+                        threshold: float) -> pa.Table:
+    """``partitioned_sweep`` kernel: all prefix-posting buckets of one
+    coarse partition, sorted by (bucket, sz, doc_id), → candidate pairs,
+    with the PPJoin LENGTH filter: a pair only qualifies when
     sz_small ≥ τ·sz_big (else J ≤ sz_small/sz_big < τ), so each member
     pairs only with the sz-window [sz, sz/τ] above it — this, not a
     cap, bounds a hot posting list. No pair is ever dropped: exactness
-    is the contract."""
-    if group.num_rows == 0:
-        return _EMPTY_PAIRS
-    bkt = group["bucket"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    ids = group["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    szs = group["sz"].to_numpy(zero_copy_only=False).astype(np.float64)
-    order = np.lexsort((ids, szs, bkt))
-    bkt, ids, szs = bkt[order], ids[order], szs[order]
-    change = np.nonzero(bkt[1:] != bkt[:-1])[0] + 1
-    starts = np.concatenate([[0], change])
-    ends = np.concatenate([change, [len(bkt)]])
+    is the contract. A doc reaching one bucket via two hash-colliding
+    grams has one sz, so its copies are adjacent and dropped as one."""
+    ids = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    kept, lo_run, hi_run = _bucket_members(ids, starts)
+    ids = ids[kept]
+    szs = g["sz"].to_numpy(zero_copy_only=False).astype(np.float64)[kept]
     a_out: list[np.ndarray] = []
     b_out: list[np.ndarray] = []
-    for s, e in zip(starts, ends):
-        if e - s < 2:
-            continue
+    for s, e in zip(lo_run, hi_run):
         m_ids, m_szs = ids[s:e], szs[s:e]
-        # a doc can reach one bucket via two hash-colliding grams — dedupe
-        m_ids, first = np.unique(m_ids, return_index=True)
-        m_szs = m_szs[first]
-        o = np.lexsort((m_ids, m_szs))
-        m_ids, m_szs = m_ids[o], m_szs[o]
         hi = np.searchsorted(m_szs, m_szs / threshold, side="right")
         # vectorized window expansion: member i pairs with [i+1, hi_i)
         lo = np.arange(len(m_ids)) + 1
@@ -915,9 +917,10 @@ def jaccard_prefix_candidates(ds, threshold: float = 0.8, k: int = 3,
         })
 
     def prefix_rows(g: pa.Table, starts: np.ndarray) -> pa.Table:
-        """Per doc-partition, sorted by (doc, df, gram) — the global
-        order is (df asc, gram asc) — keep each doc's prefix. The sort
-        runs in Arrow C++: gram strings never materialize into Python."""
+        """Per doc-partition, swept by (doc, df, gram) — the global
+        order is (df asc, gram asc) — keep each doc's prefix. The
+        sweep's sort runs in Arrow C++: gram strings never materialize
+        into Python."""
         rank = np.arange(g.num_rows) - _run_start(starts, g.num_rows)
         sz = g["sz"].to_numpy(zero_copy_only=False)
         kept = g.filter(pa.array(rank < sz - np.ceil(threshold * sz) + 1))
@@ -932,13 +935,11 @@ def jaccard_prefix_candidates(ds, threshold: float = 0.8, k: int = 3,
         ds.map_batches(_doc_gram_rows, fn_args=(text_column, id_column, k),
                        batch_format="pyarrow"),
         "gram", with_df, num_partitions)
-    rows = keyed_exchange(
-        grams, id_column,
-        lambda g: prefix_rows(*_sorted_runs(g, [id_column], ["df", "gram"])),
-        num_partitions)
+    rows = partitioned_sweep(grams, id_column, ["df", "gram"], prefix_rows,
+                             num_partitions)
     expand = functools.partial(_prefix_pairs_block, threshold=threshold)
-    pairs = keyed_exchange(rows, "bucket", expand, num_partitions)
-    return _dedupe_pairs(pairs)
+    return _dedupe_pairs(partitioned_sweep(rows, "bucket", ["sz", "doc_id"],
+                                           expand, num_partitions))
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -994,17 +995,16 @@ def prefix_contained_docs(ds, text_column: str = "text",
     document and should be dropped.
 
     Dataflow: bucket by the first ``min_len`` codepoints (a strict
-    prefix pair necessarily shares them, so a ``keyed_exchange`` on the
-    bucket is an exact candidate partition — no recall loss); within
-    each partition (every row of one or more buckets), sort the UNIQUE
-    texts and test each against only its immediate successor. That
-    adjacency test is exact for any set of strings, not a heuristic: in
-    any lexicographic order, every string strictly between a prefix
-    ``s`` and its superstring ``t`` itself starts with ``s``, so ``s``
-    is a prefix of some partition-mate iff it is a prefix of its
-    immediate sorted successor. Per-partition work is O(u log u) on u
-    unique texts (numpy unique + one startswith per adjacent pair),
-    never all-pairs.
+    prefix pair necessarily shares them, so a ``partitioned_sweep`` on
+    the bucket is an exact candidate partition — no recall loss); the
+    sweep orders each bucket's texts, and each UNIQUE text is tested
+    against only its immediate successor. That adjacency test is exact
+    for any set of strings, not a heuristic: in any lexicographic order,
+    every string strictly between a prefix ``s`` and its superstring
+    ``t`` itself starts with ``s``, so ``s`` is a prefix of some
+    bucket-mate iff it is a prefix of its immediate sorted successor.
+    Per-partition work is the sweep's sort plus one startswith per
+    adjacent unique pair, never all-pairs.
 
     Docs shorter than ``min_len`` are out of scope (mirror the SQL twin
     with ``len(text) >= min_len``; they're covered by ``exact_dedup``).
@@ -1022,21 +1022,25 @@ def prefix_contained_docs(ds, text_column: str = "text",
                          "doc_id": batch[id_column],
                          "text": batch[text_column]})
 
-    return keyed_exchange(ds.map_batches(partial, batch_format="pyarrow"),
-                          "bucket", _prefix_contained_in_bucket)
+    return partitioned_sweep(ds.map_batches(partial, batch_format="pyarrow"),
+                             "bucket", ["text"], _prefix_contained_in_bucket)
 
 
-def _prefix_contained_in_bucket(group: pa.Table) -> pa.Table:
-    """``prefix_contained_docs``' per-partition pass over whole buckets:
-    ids whose text is a strict prefix of its sorted unique successor.
-    The successor test runs on the object array (``str.startswith``): a
-    fixed-width U-dtype copy would pad every text to the bucket's
-    longest at 4 bytes/char."""
-    ids = group["doc_id"].to_numpy(zero_copy_only=False)
-    texts = group["text"].to_numpy(zero_copy_only=False)
-    uniq, inv = np.unique(texts, return_inverse=True)
+def _prefix_contained_in_bucket(g: pa.Table, starts: np.ndarray
+                                ) -> pa.Table:
+    """``prefix_contained_docs``' ``partitioned_sweep`` kernel over a
+    partition sorted by (bucket, text): ids whose text is a strict
+    prefix of the next unique text. A bucket's last text meets the next
+    bucket's first, which never starts with it (a text's bucket is its
+    own first ``min_len`` codepoints). The successor test runs on the
+    object array (``str.startswith``): a fixed-width U-dtype copy would
+    pad every text to the bucket's longest at 4 bytes/char."""
+    ids = g["doc_id"].to_numpy(zero_copy_only=False)
+    texts = g["text"].to_numpy(zero_copy_only=False)
+    first = np.flatnonzero(_changes(texts, starts))
+    uniq = texts[first]
     contained = np.zeros(len(uniq), dtype=bool)
     # sorted unique ⇒ successor > text, so startswith means strictly longer
     contained[:-1] = [b.startswith(a) for a, b in zip(uniq[:-1], uniq[1:])]
-    out = ids[contained[inv]]
+    out = ids[np.repeat(contained, np.diff(np.append(first, len(texts))))]
     return pa.table({"doc_id": pa.array(np.sort(out), pa.int64())})

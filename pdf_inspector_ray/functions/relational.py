@@ -20,7 +20,10 @@ never one Python UDF call per key:
   machinery and the gram / term exchanges run on it.
 * ``partitioned_sweep`` — ``keyed_exchange`` plus one sort per partition
   and one vectorized sweep over all keys of that partition; for
-  order-dependent ops.
+  order-dependent ops. It is the library's one partition sort: a kernel
+  that needs its partition's keys as contiguous runs (windows, runs,
+  posting lists, LSH buckets, the range join's probe) gets them sorted
+  here, never sorts an exchange partition itself.
 * ``grouped_topk`` — the first ``k`` rows per key under an order, with a
   per-batch top-k before the exchange; ``k=1`` is argmin / argmax /
   first-by-ts.
@@ -339,14 +342,17 @@ def _sorted_runs(t: pa.Table, keys: list[str], order_cols
     return t, np.flatnonzero(brk)
 
 
-def partitioned_sweep(ds, key, order_cols, kernel):
-    """Sorted per-key sweep on ``keyed_exchange`` (``JOIN_PARTITIONS``
-    partitions): each partition is sorted by ``(*key, *order_cols)``
+def partitioned_sweep(ds, key, order_cols, kernel,
+                      num_partitions: int = JOIN_PARTITIONS):
+    """Sorted per-key sweep on ``keyed_exchange``: each of its
+    ``num_partitions`` partitions is sorted by ``(*key, *order_cols)``
     once and handed to ``kernel(g, starts)``. ``key`` is a column name
-    or a list of names, of any type. ``g`` is the sorted partition;
-    ``starts`` holds the index of each key's first row. Kernels compute
-    per-key results with boundary masks, ``_run_start`` offsets, cumsum
-    differences and ``reduceat`` — no Python loop over keys.
+    or a list of names, of any type; ``ds`` takes ``keyed_exchange``'s
+    forms (a dataset, or a list of co-partitioned ones). ``g`` is the
+    sorted partition; ``starts`` holds the index of each key's first
+    row. Kernels compute per-key results with boundary masks,
+    ``_run_start`` offsets, cumsum differences and ``reduceat`` — no
+    Python loop over keys.
 
     ``order_cols`` are column names sorted ascending, or
     ``(name, "descending")`` pairs; nulls sort last in every column.
@@ -354,7 +360,8 @@ def partitioned_sweep(ds, key, order_cols, kernel):
     groups them; a multi-column key is null-equal column by column."""
     keys = [key] if isinstance(key, str) else list(key)
     return keyed_exchange(
-        ds, keys, lambda g: kernel(*_sorted_runs(g, keys, order_cols)))
+        ds, keys, lambda g: kernel(*_sorted_runs(g, keys, order_cols)),
+        num_partitions)
 
 
 def grouped_topk(ds, key, order_cols, k: int):
@@ -435,9 +442,11 @@ def _run_pairs(values: pa.Array, starts: np.ndarray
 
 def _changes(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Rows whose value differs from the previous row of the same key;
-    each key's first row counts as a change."""
+    each key's first row counts as a change. NaN ties NaN, as in SQL."""
     brk = np.ones(len(values), dtype=bool)
     brk[1:] = values[1:] != values[:-1]
+    if values.dtype.kind == "f":
+        brk[1:] &= ~(np.isnan(values[1:]) & np.isnan(values[:-1]))
     brk[starts] = True
     return brk
 
@@ -666,10 +675,13 @@ def range_join(left_ds, right_ds, key: str, left_ts: str,
     """Range (interval) join — a non-equi join Ray Data has no primitive
     for: attach to each left row the right-side interval
     ``[right_start, right_end]`` of the same ``key`` that contains
-    ``left_ts`` (inclusive bounds). Composed as a tagged union
-    co-partitioned by ``keyed_exchange`` on the int64-cast key (one
-    all-to-all carrying both sides once) followed by a vectorized
-    ``np.searchsorted`` probe per group — no per-row Python.
+    ``left_ts`` (inclusive bounds). Composed as a tagged union, each row
+    carrying its time ``__t`` (the interval start, or ``left_ts``), on
+    one ``partitioned_sweep`` keyed by the int64-cast key and ordered by
+    (``__t``, side): one all-to-all carries both sides once, and the
+    probe per partition is a running max over interval positions plus
+    the containment check — no per-row Python. Rows with a null key,
+    timestamp or bound are dropped before the exchange.
 
     Partitioning assumptions (documented per SURVEY §2.7 discipline):
     all intervals+rows of one key meet in one group (same as the asof/
@@ -698,78 +710,49 @@ def range_join(left_ds, right_ds, key: str, left_ts: str,
 
     def tag(is_left: bool, own_schema):
         own = {n for n, _ in own_schema}
+        time_col = left_ts if is_left else right_start
+        needed = [key, left_ts] if is_left else [key, right_start, right_end]
 
         def fn(batch: pa.Table) -> pa.Table:
-            # null keys/timestamps never match an interval — drop before
-            # hashing (null → NaN through numpy corrupts partitioning)
-            batch = batch.filter(pc.is_valid(batch[key]))
+            # a null key, timestamp or bound never satisfies the
+            # containment: drop the row before the exchange
+            for name in needed:
+                batch = batch.filter(pc.is_valid(batch[name]))
             cols = {name: (pc.cast(batch[name], typ) if name in own
                            else pa.nulls(len(batch), typ))
                     for name, typ in union_schema}
             cols["__key"] = pc.cast(batch[key], pa.int64())
+            cols["__t"] = pc.cast(cols[time_col], pa.int64())
             cols["__left"] = pa.array(np.full(len(batch), is_left), pa.bool_())
             return pa.table(cols)
 
         return fn
 
-    def probe(group: pa.Table) -> pa.Table:
-        is_left = group["__left"]
-        lt = group.filter(is_left)
-        rt = group.filter(pc.invert(is_left))
-        # null timestamps / bounds can never satisfy the containment
-        lt = lt.filter(pc.is_valid(lt[left_ts]))
-        rt = rt.filter(pc.and_(pc.is_valid(rt[right_start]),
-                               pc.is_valid(rt[right_end])))
-        empty = pa.table({n: pa.array([], t) for n, t in union_schema})
-        if lt.num_rows == 0 or rt.num_rows == 0:
-            return empty
-        # One vectorized merge over ALL keys in the partition (same shape
-        # as asof_join's searchsorted sweep, generalized cross-key): sort
-        # the union of interval-starts and probe timestamps by
-        # (key, time, side) with interval rows winning ties, then the
-        # candidate interval for each left row is the most recent
-        # interval-start at or before it, validated to lie in the same
-        # key block and to contain the timestamp.
-        lkey = lt["__key"].to_numpy(zero_copy_only=False)
-        lts = pc.cast(lt[left_ts], pa.int64()).to_numpy(zero_copy_only=False)
-        rkey = rt["__key"].to_numpy(zero_copy_only=False)
-        rst = pc.cast(rt[right_start],
-                      pa.int64()).to_numpy(zero_copy_only=False)
-        ren = pc.cast(rt[right_end], pa.int64()).to_numpy(zero_copy_only=False)
-        n_r, n_l = len(rkey), len(lkey)
-        key_all = np.concatenate([rkey, lkey])
-        ts_all = np.concatenate([rst, lts])
-        side_all = np.concatenate([np.zeros(n_r, np.int8),
-                                   np.ones(n_l, np.int8)])
-        order = np.lexsort((side_all, ts_all, key_all))
-        k_s = key_all[order]
-        side_s = side_all[order]
-        n = n_r + n_l
-        # last interval row at or before each sorted position
-        last_right = np.maximum.accumulate(
-            np.where(side_s == 0, np.arange(n), -1))
-        # first sorted position of each key block (k_s is sorted)
-        block_first = np.searchsorted(k_s, k_s, side="left")
-        left_pos = np.nonzero(side_s == 1)[0]
+    def probe(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        # g is sorted by (key, time, side), an interval row before a left
+        # row at the same time: a left row's candidate is the last
+        # interval row at or before it, kept when it lies in the same key
+        # run and its end is at or after the timestamp
+        n = g.num_rows
+        is_left = g["__left"].to_numpy(zero_copy_only=False)
+        left_pos = np.flatnonzero(is_left)
+        last_right = np.maximum.accumulate(np.where(is_left, -1, np.arange(n)))
         j = last_right[left_pos]
-        ok = j >= block_first[left_pos]  # an interval exists in this block
-        left_idx = order[left_pos] - n_r
-        right_idx = order[np.clip(j, 0, n - 1)]  # < n_r where ok
-        ok &= lts[left_idx] <= ren[np.clip(right_idx, 0, n_r - 1)]
-        keep_l = left_idx[ok]
-        keep_r = right_idx[ok]
-        lt_kept = lt.take(pa.array(keep_l, pa.int64()))
-        out = {nm: lt_kept[nm] for nm, _ in left_schema}
-        matched = rt.take(pa.array(keep_r, pa.int64()))
-        for nm, _ in out_right:
-            out[nm] = matched[nm]
-        return pa.table(out) if len(keep_l) else empty
+        ends = pc.fill_null(pc.cast(g[right_end], pa.int64()), 0).to_numpy(
+            zero_copy_only=False)
+        t = g["__t"].to_numpy(zero_copy_only=False)
+        ok = ((j >= _run_start(starts, n)[left_pos])
+              & (t[left_pos] <= ends[np.maximum(j, 0)]))
+        lt = g.take(pa.array(left_pos[ok], pa.int64()))
+        rt = g.take(pa.array(j[ok], pa.int64()))
+        return pa.table({**{nm: lt[nm] for nm in left_names},
+                         **{nm: rt[nm] for nm, _ in out_right}})
 
     right_own = out_right + [(key, dict(right_schema)[key])]
-    return keyed_exchange(
+    return partitioned_sweep(
         [left_ds.map_batches(tag(True, left_schema), batch_format="pyarrow"),
          right_ds.map_batches(tag(False, right_own), batch_format="pyarrow")],
-        "__key", probe, num_partitions)
+        "__key", ["__t", "__left"], probe, num_partitions)
 
 
 def order_priority_revenue(orders_ds, lineitem_ds,

@@ -20,8 +20,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from pdf_inspector_ray.functions.relational import (
-    _run_id, _run_pairs, _run_start, _sorted_runs, grouped_aggregate,
-    grouped_topk, keyed_exchange, partitioned_sweep)
+    _run_id, _run_pairs, _run_start, grouped_aggregate, grouped_topk,
+    keyed_exchange, partitioned_sweep)
 
 # Stopword sets for the heuristic language scorer. Scores are counts of
 # " word " occurrences (space-delimited so SQL length/replace tricks give
@@ -837,8 +837,9 @@ def inverted_index(ds, min_df: int = 2, text_column: str = "text",
     """Search-index build: term → sorted posting list (comma-joined
     string, so the row is hashable by any engine) + df. Same dataflow
     as ``term_doc_frequency`` with the postings carried through the
-    vocabulary-bounded exchange; the per-term sort is vectorized inside
-    the term-partition group."""
+    vocabulary-bounded exchange: one ``partitioned_sweep`` on the term
+    ordered by doc id (64 partitions), so each term's postings are one
+    sorted run."""
     from pdf_inspector_ray.functions.decontam import _gram_rows
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -864,9 +865,8 @@ def inverted_index(ds, min_df: int = 2, text_column: str = "text",
             "df": pa.array(df, pa.int64()).filter(keep),
         })
 
-    return keyed_exchange(
-        ds.map_batches(partial, batch_format="pyarrow"), "term",
-        lambda g: build(*_sorted_runs(g, ["term"], [id_column])), 64)
+    return partitioned_sweep(ds.map_batches(partial, batch_format="pyarrow"),
+                             "term", [id_column], build, 64)
 
 
 def top_collocations(ds, k: int = 20, min_count: int = 5,

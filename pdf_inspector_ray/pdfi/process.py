@@ -68,14 +68,9 @@ def process_pdf_mem(
     buffer: bytes,
     detection_config: Optional[DetectionConfig] = None,
     markdown_options: Optional[MarkdownOptions] = None,
-    font_cmaps: Optional[FontCMaps] = None,
 ) -> PdfProcessResult:
     """lib.rs:91-133. Raises PdfError on unparseable/encrypted input —
-    the Ray stage catches it into the error column.
-
-    ``font_cmaps`` lets the actor inject a cached per-payload CMap index so
-    repeated payloads skip the raw-bytes pre-pass.
-    """
+    the Ray stage catches it into the error column."""
     start = time.perf_counter()
     # One parse shared between classify and extract (the reference parses the
     # buffer three times — detect metadata, detect full, extract full; the
@@ -90,9 +85,8 @@ def process_pdf_mem(
     markdown = None
     if detection.pdf_type in ("TextBased", "Mixed"):
         try:
-            if font_cmaps is None:
-                font_cmaps = FontCMaps.from_pdf_bytes(buffer)
-            items = extract_positioned_text_from_doc(doc, font_cmaps)
+            items = extract_positioned_text_from_doc(
+                doc, FontCMaps.from_pdf_bytes(buffer))
             markdown = to_markdown_from_items(items, markdown_options)
         except PdfError:
             if detection.pdf_type == "TextBased":

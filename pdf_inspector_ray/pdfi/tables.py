@@ -225,9 +225,9 @@ def detect_table_in_region(items: list[tuple[int, TextItem]], mode: str) -> Opti
         [[] for _ in columns] for _ in rows
     ]
     item_indices: list[int] = []
-    # vectorized find_column_index/find_row_index over all items at once
-    # (same nearest-boundary + threshold semantics; argmin picks the first
-    # minimal index exactly like min(range, key=...))
+    # tables.rs:798-836 find_column_index/find_row_index, vectorized over
+    # all items at once (same nearest-boundary + threshold semantics;
+    # argmin picks the first minimal index exactly like min(range, key=...))
     import numpy as np
     if len(columns) >= 2:
         min_gap = min(abs(b - a) for a, b in zip(columns, columns[1:]))
@@ -501,31 +501,6 @@ def find_row_boundaries(items: list[tuple[int, TextItem]]) -> list[float]:
     if cluster:
         rows.append(sum(cluster) / len(cluster))
     return rows
-
-
-def find_column_index(columns: list[float], x: float) -> Optional[int]:
-    """tables.rs:798-821."""
-    if not columns:
-        return None
-    if len(columns) >= 2:
-        min_gap = min(abs(b - a) for a, b in zip(columns, columns[1:]))
-        threshold = min(max(min_gap / 2.0, 25.0), 50.0)
-    else:
-        threshold = 50.0
-    best = min(range(len(columns)), key=lambda i: abs(x - columns[i]))
-    if abs(x - columns[best]) < threshold:
-        return best
-    return None
-
-
-def find_row_index(rows: list[float], y: float) -> Optional[int]:
-    """tables.rs:824-836."""
-    if not rows:
-        return None
-    best = min(range(len(rows)), key=lambda i: abs(y - rows[i]))
-    if abs(y - rows[best]) < 15.0:
-        return best
-    return None
 
 
 def join_cell_items(items: list[TextItem]) -> str:

@@ -310,17 +310,15 @@ def test_value_quantiles_matches_duckdb(ray_session):
     assert [out[f"q{q}"][0].as_py() for q in (25, 50, 75, 95)] == [2, 3, 4, 5]
 
 
-def test_one_keyed_exchange_in_the_library():
-    """Ray's sort-based ``groupby`` / ``map_groups`` is called exactly
-    once in the package and ``__ray_entry__.py``, inside
-    ``relational.keyed_exchange``: every per-key kernel runs on that one
-    exchange (directly, or through ``partitioned_sweep`` /
-    ``grouped_aggregate``), never one UDF call per key value."""
+def _library_call_sites(names: set[str], modules=None) -> dict:
+    """Where each function or method in ``names`` is called in the
+    package and ``__ray_entry__.py`` (or only in ``modules``, by file
+    stem): ``{name: ["module.function.inner", …]}``."""
     import ast
     from pathlib import Path
 
     root = Path(__file__).resolve().parents[1]
-    calls = {"groupby": [], "map_groups": []}
+    calls = {name: [] for name in names}
 
     class Calls(ast.NodeVisitor):
         def __init__(self, module: str):
@@ -334,16 +332,38 @@ def test_one_keyed_exchange_in_the_library():
         visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
         def visit_Call(self, node):
-            if (isinstance(node.func, ast.Attribute)
-                    and node.func.attr in calls):
-                calls[node.func.attr].append(".".join(self.where))
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in calls:
+                calls[name].append(".".join(self.where))
             self.generic_visit(node)
 
     for path in [*sorted((root / "pdf_inspector_ray").rglob("*.py")),
                  root / "__ray_entry__.py"]:
-        Calls(path.stem).visit(ast.parse(path.read_text(), str(path)))
-    assert calls == {"groupby": ["relational.keyed_exchange"],
-                     "map_groups": ["relational.keyed_exchange"]}
+        if modules is None or path.stem in modules:
+            Calls(path.stem).visit(ast.parse(path.read_text(), str(path)))
+    return calls
+
+
+def test_one_keyed_exchange_in_the_library():
+    """Ray's sort-based ``groupby`` / ``map_groups`` is called exactly
+    once in the package and ``__ray_entry__.py``, inside
+    ``relational.keyed_exchange``: every per-key kernel runs on that one
+    exchange (directly, or through ``partitioned_sweep`` /
+    ``grouped_aggregate``), never one UDF call per key value."""
+    assert _library_call_sites({"groupby", "map_groups"}) == {
+        "groupby": ["relational.keyed_exchange"],
+        "map_groups": ["relational.keyed_exchange"]}
+
+
+def test_one_partition_sort_in_the_library():
+    """``partitioned_sweep`` is the one place an exchange partition is
+    sorted into key runs: ``_sorted_runs`` is called there and in
+    ``grouped_topk``'s per-batch pre-prune only, and neither
+    ``relational.py`` nor ``dedup.py`` sorts with ``np.lexsort``."""
+    assert _library_call_sites({"_sorted_runs"}) == {"_sorted_runs": [
+        "relational.partitioned_sweep", "relational.grouped_topk"]}
+    assert _library_call_sites({"lexsort"}, {"relational", "dedup"}) == {
+        "lexsort": []}
 
 
 def test_grouped_aggregate_matches_duckdb(ray_session):
@@ -525,11 +545,13 @@ def test_label_centroids_match_numpy(ray_session):
 
 def test_oversized_bucket_split_preserves_radius_recall():
     """ADVICE r02 (medium): oversized buckets must not truncate. Direct
-    unit test of _pairs_from_bucket_block: 600 docs share one simhash
+    unit test of _pairs_from_bucket_block on the partition sorted as
+    ``partitioned_sweep`` hands it over: 600 docs share one simhash
     band byte (>> MAX_BUCKET=256); every pair within hamming<=bands-1
     must still be emitted, by the pigeonhole subkey split."""
     from pdf_inspector_ray.functions.dedup import (
         MAX_BUCKET, _bucket_key, _pairs_from_bucket_block, hamming64)
+    from pdf_inspector_ray.functions.relational import _sorted_runs
 
     assert MAX_BUCKET == 256
     rng = np.random.default_rng(3)
@@ -555,14 +577,43 @@ def test_oversized_bucket_split_preserves_radius_recall():
         "subkey": pa.array(hashes, pa.uint64()),
         "part": pa.array([0] * n, pa.int32()),
     })
-    out = _pairs_from_bucket_block(group, n_chunks=bands,
-                                   own_band_width=width)
+    out = _pairs_from_bucket_block(
+        *_sorted_runs(group, ["bucket"], ["doc_id"]), n_chunks=bands,
+        own_band_width=width)
     got = set(zip(out["doc_a"].to_pylist(), out["doc_b"].to_pylist()))
     required = {(i, j) for i in range(n) for j in range(i + 1, n)
                 if hamming64(hashes[i], hashes[j]) <= bands - 1}
     assert len(required) > 1000  # the test actually exercises the split
     missing = required - got
     assert not missing, f"{len(missing)} within-radius pairs dropped"
+
+
+def test_oversized_bucket_of_two_subkeys_emits_all_pairs():
+    """An oversized bucket whose members hold only two subkeys, one bit
+    apart: every pair is within the hamming radius, so every pair is
+    emitted. The chunks they all agree on must not fork the group once
+    per chunk at every level (that recursion never finished)."""
+    import time
+
+    from pdf_inspector_ray.functions.dedup import (
+        MAX_BUCKET, _bucket_key, _pairs_from_bucket_block)
+    from pdf_inspector_ray.functions.relational import _sorted_runs
+
+    n = MAX_BUCKET + 44
+    base = (0x5A5A_1234_0F0F << 8) | 0xA5
+    group = pa.table({
+        "doc_id": pa.array(range(n), pa.int64()),
+        "bucket": pa.array([_bucket_key(0, 0xA5)] * n, pa.uint64()),
+        "subkey": pa.array([base ^ ((i % 2) << 40) for i in range(n)],
+                           pa.uint64()),
+    })
+    t0 = time.perf_counter()
+    out = _pairs_from_bucket_block(
+        *_sorted_runs(group, ["bucket"], ["doc_id"]), n_chunks=8,
+        own_band_width=8)
+    assert time.perf_counter() - t0 < 30
+    got = set(zip(out["doc_a"].to_pylist(), out["doc_b"].to_pylist()))
+    assert got == {(i, j) for i in range(n) for j in range(i + 1, n)}
 
 
 def test_simhash_clique_beyond_max_bucket(ray_session):
@@ -3274,6 +3325,64 @@ def test_dedup_consecutive_matches_duckdb_on_random(ray_session):
     assert list(out2.vals) == list(want2.vals)
 
 
+def test_consecutive_nan_ties_nan_as_duckdb(ray_session):
+    """A float value column: NaN equals NaN in a run, as in DuckDB, so a
+    repeated NaN is one run and ``dedup_consecutive`` drops the repeat
+    that the twin's ``lag(v) <> v`` drops. User 1 streams 1.0, NaN,
+    NaN, 2.0, 2.0; user 2 NaN, 3.0, NaN, NaN."""
+    import duckdb
+    import ray.data
+    from pdf_inspector_ray.functions.relational import (
+        dedup_consecutive, longest_run_by_group)
+
+    nan = float("nan")
+    ev = pa.table({
+        "event_id": pa.array(range(9), pa.int64()),
+        "ts": pa.array(np.arange(9).astype("datetime64[s]").astype(
+            "datetime64[us]")),
+        "user_id": pa.array([1] * 5 + [2] * 4, pa.int64()),
+        "value": pa.array([1.0, nan, nan, 2.0, 2.0, nan, 3.0, nan, nan]),
+    })
+    con = duckdb.connect()
+    con.register("events", ev)
+    for parts in (1, 3):
+        ds = ray.data.from_arrow(ev).repartition(parts)
+        out = (dedup_consecutive(ds, value_column="value").to_pandas()
+               .sort_values("event_id"))
+        want = con.execute("""
+            SELECT event_id FROM (
+                SELECT *, lag(value) OVER (
+                    PARTITION BY user_id ORDER BY ts, event_id) AS prev
+                FROM events)
+            WHERE prev IS NULL OR prev <> value
+            ORDER BY event_id""").df()
+        assert list(want.event_id) == [0, 1, 3, 5, 6, 7]
+        assert list(out.event_id) == list(want.event_id), parts
+
+        runs = (longest_run_by_group(ds, value_column="value").to_pandas()
+                .sort_values("user_id"))
+        want = con.execute("""
+            WITH w AS (
+                SELECT user_id, ts, event_id,
+                       CASE WHEN lag(value) OVER win IS DISTINCT FROM value
+                            THEN 1 ELSE 0 END AS brk
+                FROM events
+                WINDOW win AS (PARTITION BY user_id ORDER BY ts, event_id)),
+            g AS (
+                SELECT user_id, SUM(brk) OVER (
+                    PARTITION BY user_id ORDER BY ts, event_id
+                    ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW)
+                    AS run_id
+                FROM w),
+            r AS (SELECT user_id, run_id, COUNT(*) AS run_len
+                  FROM g GROUP BY user_id, run_id)
+            SELECT user_id, COUNT(*) AS n_runs, MAX(run_len) AS max_run
+            FROM r GROUP BY user_id ORDER BY user_id""").df()
+        assert list(want.n_runs) == [3, 3]
+        assert list(runs.n_runs) == list(want.n_runs), parts
+        assert list(runs.max_run) == list(want.max_run), parts
+
+
 def test_levenshtein_matches_reference_dp_and_duckdb():
     """The vectorized row-DP levenshtein equals a cell-by-cell reference
     DP on random byte strings, handles empty/unicode edges, and agrees
@@ -3485,10 +3594,12 @@ def test_prefix_contained_docs_exact(ray_session):
 def test_prefix_contained_bucket_long_doc_small_memory():
     """One 200 KB document in a bucket with 200 short mates sharing its
     prefix: exact result without padding every text to the longest (a
-    U-dtype copy of this bucket alone is ~160 MB)."""
+    U-dtype copy of this bucket alone is ~160 MB). The kernel gets the
+    bucket sorted as ``partitioned_sweep`` hands it over."""
     import tracemalloc
 
     from pdf_inspector_ray.functions.dedup import _prefix_contained_in_bucket
+    from pdf_inspector_ray.functions.relational import _sorted_runs
 
     base = "shared header 16"
     big = base + "x" * 200_000
@@ -3500,9 +3611,10 @@ def test_prefix_contained_bucket_long_doc_small_memory():
     want = [i for i, a in enumerate(texts) if any(
         b != a and b.startswith(a) for b in texts)]
     assert want == list(range(1, 101))
+    swept = _sorted_runs(group, ["bucket"], ["text"])
     tracemalloc.start()
     try:
-        out = _prefix_contained_in_bucket(group)
+        out = _prefix_contained_in_bucket(*swept)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -3511,11 +3623,16 @@ def test_prefix_contained_bucket_long_doc_small_memory():
 
 
 def test_prefix_contained_partition_of_buckets_equals_per_bucket():
-    """A ``keyed_exchange`` partition holds whole buckets, several at
+    """A ``partitioned_sweep`` partition holds whole buckets, several at
     once: the pass over their concatenation — with duplicate texts and
     prefix chains inside each bucket, none across — gives the union of
     the per-bucket passes."""
     from pdf_inspector_ray.functions.dedup import _prefix_contained_in_bucket
+    from pdf_inspector_ray.functions.relational import _sorted_runs
+
+    def sweep(t: pa.Table) -> pa.Table:
+        return _prefix_contained_in_bucket(
+            *_sorted_runs(t, ["bucket"], ["text"]))
 
     rng = np.random.default_rng(23)
     heads = ["shared header 16", "other header 016", "zz last bucket16",
@@ -3533,8 +3650,7 @@ def test_prefix_contained_partition_of_buckets_equals_per_bucket():
             "text": pa.array(texts)}))
         next_id += len(texts)
     per_bucket = sorted(i for g in groups
-                        for i in _prefix_contained_in_bucket(g)["doc_id"]
-                        .to_pylist())
+                        for i in sweep(g)["doc_id"].to_pylist())
     both = pa.concat_tables(groups)
     texts = both["text"].to_pylist()
     brute = [i for i, a in zip(both["doc_id"].to_pylist(), texts)
@@ -3543,8 +3659,7 @@ def test_prefix_contained_partition_of_buckets_equals_per_bucket():
     assert per_bucket == sorted(brute)
     merged = pa.concat_tables([groups[2], groups[0], groups[3], groups[1]])
     for t in (both, merged.take(pa.array(rng.permutation(merged.num_rows)))):
-        assert (_prefix_contained_in_bucket(t)["doc_id"].to_pylist()
-                == per_bucket)
+        assert sweep(t)["doc_id"].to_pylist() == per_bucket
 
 
 def test_late_orders_by_priority_matches_duckdb(ray_session):

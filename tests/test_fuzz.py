@@ -333,8 +333,9 @@ def test_round5_ops_partition_invariant(ray_session):
     import ray.data
     from pdf_inspector_ray.functions.decontam import contaminated_train_docs
     from pdf_inspector_ray.functions.dedup import (
-        connected_components, exact_dedup, jaccard_prefix_candidates,
-        minhash_lsh_candidates, neardup_best_docs, prefix_contained_docs)
+        connected_components, embedding_neardup_candidates, exact_dedup,
+        jaccard_prefix_candidates, minhash_lsh_candidates, neardup_best_docs,
+        prefix_contained_docs, simhash_candidates)
     from pdf_inspector_ray.functions.relational import (
         argmin_by_group, asof_join_events, cohort_retention,
         collect_distinct_sorted, conversion_latency_quantiles,
@@ -460,6 +461,15 @@ def test_round5_ops_partition_invariant(ray_session):
     edges = np.random.default_rng(5).integers(0, 60, (2, 80))
     cc_pairs = pa.table({"doc_a": pa.array(edges[0], pa.int64()),
                          "doc_b": pa.array(edges[1], pa.int64())})
+    # embeddings for the hyperplane LSH: 280 noisy copies of one vector
+    # (buckets past MAX_BUCKET, split by sign bits) and 60 scattered ones
+    erng = np.random.default_rng(13)
+    vecs = np.vstack([erng.normal(size=16) + 0.05 * erng.normal(
+        size=(280, 16)), erng.normal(size=(60, 16))])
+    emb = pa.table({"vec_id": pa.array(erng.permutation(len(vecs)),
+                                       pa.int64()),
+                    "embedding": pa.array(list(vecs.astype(np.float32)),
+                                          pa.list_(pa.float32()))})
 
     cases = [
         (session_windows, sk, ["user_id", "session_start"]),
@@ -522,6 +532,10 @@ def test_round5_ops_partition_invariant(ray_session):
         (lambda d: jaccard_prefix_candidates(d, threshold=0.6), nd,
          ["doc_a", "doc_b"]),
         (lambda d: minhash_lsh_candidates(d, num_perm=32, bands=16), nd,
+         ["doc_a", "doc_b"]),
+        (simhash_candidates, nd, ["doc_a", "doc_b"]),
+        (lambda d: embedding_neardup_candidates(
+            d, dim=16, num_tables=4, planes_per_table=4), emb,
          ["doc_a", "doc_b"]),
         (lambda d: prefix_contained_docs(d, min_len=8), nd, ["doc_id"]),
         (lambda d: neardup_best_docs(d, ray.data.from_arrow(comp), d,
